@@ -124,6 +124,19 @@ def _require_seed(cfg: dict) -> int:
     return int(cfg["seed"])
 
 
+def _threshold(cfg: dict) -> float:
+    """Region-membership threshold on the residual norm: positive and finite."""
+    if cfg.get("threshold") is None:
+        return RESIDUAL_THRESHOLD
+    try:
+        threshold = float(cfg["threshold"])
+    except (TypeError, ValueError):
+        raise CliError(f"threshold must be a number, got {cfg['threshold']!r}") from None
+    if not (np.isfinite(threshold) and threshold > 0):
+        raise CliError(f"threshold must be positive and finite, got {threshold!r}")
+    return threshold
+
+
 def _recognize_werner(rho: DensityMatrix):
     """p such that rho = W(p) entrywise within 1e-10, else None."""
     if (rho.dimA, rho.dimB) != (2, 2):
@@ -155,10 +168,11 @@ def cmd_probe(args) -> int:
     samples = int(cfg.get("samples") or 20000)
     if samples < 1:
         raise CliError("samples must be >= 1")
-    threshold = float(cfg.get("threshold") or RESIDUAL_THRESHOLD)
+    threshold = _threshold(cfg)
     m, n = rho.dimA, rho.dimB
 
-    mc_seed, saddle_seed = np.random.SeedSequence(seed).spawn(2)
+    # the first of two children, so the mc section stays as it always was
+    mc_seed = np.random.SeedSequence(seed).spawn(2)[0]
     cop = cost_operator(eigen_ensemble(rho))
     curve = mc_energy_curve(cop, caratheodory_length(m, n), betas, samples, mc_seed)
     report = {
@@ -181,8 +195,7 @@ def cmd_probe(args) -> int:
     p = _recognize_werner(rho)
     if p is not None:
         beta0 = 10.0  # fixed reference beta for the saddle summary
-        sad = saddle_search(beta0, p, tol=float(cfg.get("tol") or 1e-9),
-                            seed=saddle_seed)
+        sad = saddle_search(beta0, p)
         report["saddle"] = {
             "beta": beta0, "p": p,
             "residual_norm": sad.residual_norm,
@@ -200,9 +213,9 @@ def cmd_scan(args) -> int:
     betas = parse_beta(cfg.get("beta") or "10")
     if len(betas) != 1:
         raise CliError("scan takes a single beta")
-    threshold = float(cfg.get("threshold") or RESIDUAL_THRESHOLD)
+    threshold = _threshold(cfg)
     seed = int(cfg.get("seed") or 0)
-    scan = equipartition_scan(grid, betas[0], threshold, seed)
+    scan = equipartition_scan(grid, betas[0], threshold)
     lines = [_header({**cfg, "beta": betas[0], "seed": seed,
                       "threshold": threshold}, "scan"),
              "p,residual,gamma_star,lambda_star,interior\n"]
@@ -220,7 +233,7 @@ def cmd_scan(args) -> int:
 def cmd_scaling(args) -> int:
     cfg = _merge_config(args)
     betas = parse_beta(cfg.get("beta") or "10:10000:12")
-    threshold = float(cfg.get("threshold") or RESIDUAL_THRESHOLD)
+    threshold = _threshold(cfg)
     seed = int(cfg.get("seed") or 0)
     if cfg.get("self_test"):
         points = [(b, 2.75 / b) for b in betas]
@@ -231,15 +244,12 @@ def cmd_scaling(args) -> int:
         p = float(cfg["werner"])
         if not 0.0 < p <= 1.0:
             raise CliError("p must lie in (0, 1]")
-        pre_seed, *run_seeds = np.random.SeedSequence(seed).spawn(len(betas) + 1)
-        pre = saddle_search(betas[0], p, tol=float(cfg.get("tol") or 1e-9),
-                            seed=pre_seed)
+        pre = saddle_search(betas[0], p)
         if pre.residual_norm >= threshold:
             raise ConstraintsUnsatisfiable(
                 f"constraints unsatisfiable at p={p} "
                 f"(residual {pre.residual_norm:.3e})")
-        points = [(b, avg_energy_werner(b, p, seed=s))
-                  for b, s in zip(betas, run_seeds)]
+        points = [(b, avg_energy_werner(b, p)) for b in betas]
         flag = 1
     fit = fit_energy_scaling(points)
     lines = [_header({**cfg, "seed": seed, "threshold": threshold}, "scaling"),
@@ -322,7 +332,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--beta", help="beta value, list, or lo:hi:n log grid")
     sp.add_argument("--samples", type=int)
-    sp.add_argument("--tol", type=float)
     sp.add_argument("--threshold", type=float)
     sp.set_defaults(func=cmd_probe)
 
@@ -330,7 +339,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp, state=False)
     sp.add_argument("--p-grid", dest="p_grid", metavar="A:STEP:B")
     sp.add_argument("--beta")
-    sp.add_argument("--tol", type=float)
     sp.add_argument("--threshold", type=float)
     sp.set_defaults(func=cmd_scan)
 
@@ -338,7 +346,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp, state=False)
     sp.add_argument("--werner", type=float, metavar="P")
     sp.add_argument("--beta", help="beta grid, default 10:10000:12")
-    sp.add_argument("--tol", type=float)
     sp.add_argument("--threshold", type=float)
     sp.add_argument("--self-test", dest="self_test", action="store_true",
                     default=None, help="fit injected 2.75/beta data instead")

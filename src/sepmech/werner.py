@@ -16,6 +16,14 @@ to zero enforces the averaged Stiefel constraints; the p-region where the
 minimized gradient norm vanishes is the equipartition region, and
 -d log Z1 / d beta on it gives the average energy <<E_1>>.
 
+The gradient and its exact Jacobian in (log gamma, log lam) are further
+moments of the same weight, computed in one Gauss-Kronrod pass, so
+saddle_search is a Levenberg-Marquardt (Newton) solve of a few passes
+from a closed-form start.  Outside the region the minimum runs to
+gamma -> 0 with a finite residual; the solve clamps log gamma at a fixed
+floor and reports a boundary point when it ends there with the objective
+rising in log gamma.
+
 Units: the public beta multiplies the bare quartic |(4-3p) z1^2 + p z2^2
 + p z3^2 + p z4^2|^2, which is the convention the scan and scaling
 defaults below are calibrated in.  The canonical energy sum_i c2(psi_i)
@@ -30,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .concurrence import h_matrices
 from .quantum_core import DensityMatrix, EigenEnsemble, PureState
@@ -38,7 +45,12 @@ from .quantum_core import DensityMatrix, EigenEnsemble, PureState
 BETA_INTERNAL_SCALE = 64.0
 CLOSED_FORM_PREFACTOR = 1.0 / 32.0
 RESIDUAL_THRESHOLD = 1e-6
-INTERIOR_MARGIN = 1e-3
+# saddle_search keeps log gamma and log lam in [-30, 30].  At gamma = e^-30
+# (~1e-13) a boundary residual matches its gamma -> 0 limit to ~1e-12
+# relative, and the sign of the log-gamma gradient is still resolved.
+LOG_GAMMA_FLOOR = -30.0
+_MAX_EVALS = 200  # termination guard; solves over p in (0, 1] need <= ~50
+_EPS_F = 4 * np.finfo(float).eps
 _GK_TOL = 1e-7
 
 
@@ -203,7 +215,11 @@ _WG[1::2] = np.array([
 def _panel_edges(bt: float, lo_scale: float, hi_scale: float) -> np.ndarray:
     """Geometric panels from the smallest structural scale out to the point
     where the exponential factor alone is below e^{-45} of its peak."""
-    lo = min(lo_scale, hi_scale, 4.0 * bt)
+    scales = (lo_scale, hi_scale, 4.0 * bt)
+    lo = min(scales)
+    if not (lo > 0 and np.isfinite(scales).all()):
+        # a zero or non-finite scale leaves no finite geometric panel set
+        raise QuadratureError(f"panel scales must be positive and finite, got {scales}")
     xmax = 4.0 * bt * 45.0 + 8.0 * max(lo_scale, hi_scale)
     first = lo / 8.0
     edges = [0.0, first]
@@ -215,10 +231,15 @@ def _panel_edges(bt: float, lo_scale: float, hi_scale: float) -> np.ndarray:
 
 
 def _moments(bt: float, g: float, lam: float):
-    """All moments of the weight exp(-x/4bt) (x+g^2)^{-1/2} (x+lam^2)^{-3/2}.
+    """Moments of the weight exp(-x/4bt) (x+g^2)^{-1/2} (x+lam^2)^{-3/2}.
 
-    Returns (I0, <g/(x+g^2)>, <lam/(x+lam^2)>, <x>, gk_error) from one
-    vectorized Gauss-Kronrod pass over shared panels.
+    With A = g/(x+g^2) and B = lam/(x+lam^2), returns
+    (I0, <A>, <B>, <x>, jac, gk_error) from one vectorized Gauss-Kronrod
+    pass over shared panels.  jac is the exact derivative of (<A>, <B>) in
+    (log g, log lam): differentiating the weight brings down -A and -3B, so
+    it needs only the further moments <A^2>, <B^2>, <AB>,
+    <(x-g^2)/(x+g^2)^2> and <(x-lam^2)/(x+lam^2)^2>.  gk_error covers
+    I0, <A>, <B> and <x>.
     """
     a, b = g * g, lam * lam
     edges = _panel_edges(bt, a, b)
@@ -226,11 +247,17 @@ def _moments(bt: float, g: float, lam: float):
     half = 0.5 * (edges[1:] - edges[:-1])
     x = mid[:, None] + half[:, None] * _XK[None, :]  # (panels, 15)
     w = np.exp(-x / (4.0 * bt)) * (x + a) ** -0.5 * (x + b) ** -1.5
-    f = np.stack([w, w * (g / (x + a)), w * (lam / (x + b)), w * x])
+    A, B = g / (x + a), lam / (x + b)
+    f = np.stack([w, w * A, w * B, w * x, w * A * A, w * B * B, w * A * B,
+                  w * (x - a) / (x + a) ** 2, w * (x - b) / (x + b) ** 2])
     k = np.einsum("mpn,n,p->m", f, _WK, half)
-    gq = np.einsum("mpn,n,p->m", f, _WG, half)
-    err = np.max(np.abs(k - gq) / np.maximum(np.abs(k), 1e-300))
-    return k[0], k[1] / k[0], k[2] / k[0], k[3] / k[0], err
+    gq = np.einsum("mpn,n,p->m", f[:4], _WG, half)
+    err = np.max(np.abs(k[:4] - gq) / np.maximum(np.abs(k[:4]), 1e-300))
+    mA, mB, mx, mAA, mBB, mAB, cA, cB = k[1:] / k[0]
+    cov = mAB - mA * mB
+    jac = np.array([[g * (cA - (mAA - mA * mA)), -3.0 * lam * cov],
+                    [-g * cov, lam * (cB - 3.0 * (mBB - mB * mB))]])
+    return k[0], mA, mB, mx, jac, err
 
 
 def _checked_moments(beta: float, op: OmegaPrime, p: float):
@@ -239,7 +266,7 @@ def _checked_moments(beta: float, op: OmegaPrime, p: float):
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
     bt = BETA_INTERNAL_SCALE * beta
-    i0, mg, ml, mx, err = _moments(bt, op.gamma, op.lam)
+    i0, mg, ml, mx, _, err = _moments(bt, op.gamma, op.lam)
     if not (np.isfinite(i0) and i0 > 0 and err < _GK_TOL):
         raise QuadratureError(f"reduced integral did not converge "
                               f"(estimate {i0!r}, rel error {err:.3e})")
@@ -296,83 +323,74 @@ def grad_log_z1_full(beta: float, omega_prime: np.ndarray, p: float) -> np.ndarr
     return h_matrix(p) - avg
 
 
-def saddle_search(beta: float, p: float, tol: float = 1e-9,
-                  restarts: int = 16, seed=0) -> SaddleResult:
+def saddle_search(beta: float, p: float) -> SaddleResult:
     """Minimize res_gamma^2 + 3 res_lambda^2 over (gamma, lam) > 0.
 
-    Multi-start Nelder-Mead in log parameters (positivity for free), seeded
-    from log-uniform draws plus the beta -> inf interior solution when it
-    exists, then a damped Newton polish on the residual 2-vector.  Converged
-    interior saddles come out with residual norms near machine precision;
-    outside the equipartition region the minimum sits on the gamma -> 0
-    boundary and the norm stays finite.
+    Levenberg-Marquardt, with Marquardt's diagonal scaling, on the weighted
+    residual 2-vector in u = (log gamma, log lam).  The exact Jacobian comes
+    from the same quadrature pass as the residual, so an undamped step is a
+    Newton step and interior saddles converge quadratically, to residual
+    norms near machine precision.  The start is the beta -> inf interior
+    solution where it exists (p > 8/9), else the beta -> 0 root
+    omega' = h(p)^{-1}.  The solve stops once a step no longer moves u, or
+    the linear model promises no decrease above rounding.
+
+    u is kept in the box [LOG_GAMMA_FLOOR, -LOG_GAMMA_FLOOR]^2.  Outside the
+    equipartition region the infimum lies at gamma -> 0 with a finite
+    residual: the solve ends with log gamma on the floor and the objective
+    still rising in log gamma.  That certificate marks a boundary point
+    (interior=False); every other end is interior.  iterations counts the
+    _moments evaluations.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
     bt = BETA_INTERNAL_SCALE * beta
-    h11, h22 = (4 - 3 * p) / 8.0, p / 8.0
-    rng = np.random.default_rng(seed)
+    h = np.array([(4 - 3 * p) / 8.0, p / 8.0])
+    wt = np.array([1.0, np.sqrt(3.0)])  # lam carries multiplicity 3
 
-    def residual(g, lam):
-        _, mg, ml, _, _ = _moments(bt, g, lam)
-        return h11 - mg, h22 - ml
+    def residual(u):
+        _, mg, ml, _, jac, _ = _moments(bt, *np.exp(u))
+        return wt * (h - (mg, ml)), -wt[:, None] * jac
 
-    def fval(u):
-        g, lam = np.exp(np.clip(u, -40, 40))
-        rg, rl = residual(g, lam)
-        f = rg * rg + 3.0 * rl * rl
-        return f if np.isfinite(f) else 1e300
-
-    starts = [rng.uniform(np.log(1e-2), np.log(1e2), 2) for _ in range(restarts)]
-    if 3 * h22 > h11 and 1 / h11 > 1 / (3 * h22 - h11):
-        # interior solution of the beta -> inf limit, the best start available
-        lam_inf = 1 / (3 * h22 - h11)
-        starts.insert(0, np.log([1 / h11 - lam_inf, lam_inf]))
-    best, iterations = None, 0
-    for u0 in starts:
-        r = minimize(fval, u0, method="Nelder-Mead",
-                     options=dict(xatol=1e-10, fatol=1e-22, maxiter=300, maxfev=300))
-        iterations += r.nit
-        if best is None or r.fun < best.fun:
-            best = r
-        if best.fun < tol * tol:
-            break
-
-    u, fu = best.x.copy(), best.fun
-    hstep = 1e-6
-    for _ in range(40):
-        r0 = np.array(residual(*np.exp(u)))
-        J = np.empty((2, 2))
-        for j in range(2):
-            up, um = u.copy(), u.copy()
-            up[j] += hstep
-            um[j] -= hstep
-            J[:, j] = (np.array(residual(*np.exp(up)))
-                       - np.array(residual(*np.exp(um)))) / (2 * hstep)
-        try:
-            du = np.linalg.solve(J, -r0)
-        except np.linalg.LinAlgError:
-            break
-        step, improved = 1.0, False
-        for _ in range(20):
-            un = u + step * du
-            fn = fval(un)
-            if fn < fu:
-                u, fu, improved = un, fn, True
-                break
-            step *= 0.5
-        iterations += 1
-        if not improved or fu < 1e-28:
-            break
+    if 3 * h[1] > 2 * h[0]:
+        lam_inf = 1 / (3 * h[1] - h[0])
+        u = np.log([1 / h[0] - lam_inf, lam_inf])
+    else:
+        u = np.log(1 / h)
+    u = np.clip(u, LOG_GAMMA_FLOOR, -LOG_GAMMA_FLOOR)
+    r, J = residual(u)
+    f, mu, evals = r @ r, 0.0, 1
+    while evals < _MAX_EVALS and f > 0:
+        grad, H = J.T @ r, J.T @ J
+        A = H + mu * np.diag(np.diag(H))
+        on_floor = u[0] <= LOG_GAMMA_FLOOR and grad[0] > 0
+        du = np.zeros(2) if on_floor else np.linalg.solve(A, -grad)
+        crossed = u[0] + du[0] < LOG_GAMMA_FLOOR
+        if on_floor or crossed:
+            # hold or stop gamma on the floor and solve the lam step given that
+            du[0] = LOG_GAMMA_FLOOR - u[0]
+            du[1] = -(grad[1] + A[1, 0] * du[0]) / A[1, 1]
+        un = np.clip(u + du, LOG_GAMMA_FLOOR, -LOG_GAMMA_FLOOR)
+        if np.all(np.abs(un - u) <= _EPS_F * np.abs(u)):
+            break  # the step no longer moves u above rounding
+        if not crossed and f - np.sum((r + J @ (un - u)) ** 2) <= _EPS_F * f:
+            break  # the linear model promises no decrease above rounding
+        rn, Jn = residual(un)
+        evals += 1
+        fn = rn @ rn
+        if fn < f:
+            u, r, J, f, mu = un, rn, Jn, fn, 0.1 * mu
+        else:
+            mu = max(10.0 * mu, 1.0)
+    boundary = u[0] <= LOG_GAMMA_FLOOR and (J.T @ r)[0] > 0
     g, lam = np.exp(u)
-    return SaddleResult(float(g), float(lam), float(np.sqrt(fu)),
-                        bool(min(g, lam) > INTERIOR_MARGIN), iterations)
+    return SaddleResult(float(g), float(lam), float(np.sqrt(f)), not boundary, evals)
 
 
-def equipartition_scan(p_grid, beta: float, threshold: float = RESIDUAL_THRESHOLD,
-                       seed=0) -> EquipartitionScan:
+def equipartition_scan(p_grid, beta: float,
+                       threshold: float = RESIDUAL_THRESHOLD) -> EquipartitionScan:
     """Minimized residual norm per grid p; detects the onset of the region
     where the averaged constraints become satisfiable.
 
@@ -380,9 +398,7 @@ def equipartition_scan(p_grid, beta: float, threshold: float = RESIDUAL_THRESHOL
     has residual below threshold, or None if the tail never stays below.
     """
     p_grid = tuple(float(p) for p in p_grid)
-    children = np.random.SeedSequence(seed).spawn(max(len(p_grid), 1))
-    saddles = tuple(saddle_search(beta, p, seed=s)
-                    for p, s in zip(p_grid, children))
+    saddles = tuple(saddle_search(beta, p) for p in p_grid)
     residuals = tuple(s.residual_norm for s in saddles)
     region_start = None
     for p, res in zip(reversed(p_grid), reversed(residuals)):
@@ -393,13 +409,13 @@ def equipartition_scan(p_grid, beta: float, threshold: float = RESIDUAL_THRESHOL
     return EquipartitionScan(p_grid, residuals, threshold, region_start, saddles)
 
 
-def avg_energy_werner(beta: float, p: float, seed=0) -> float:
+def avg_energy_werner(beta: float, p: float) -> float:
     """<<E_1>> = -d log Z1/d beta at the saddle: 1/beta - <x>/(256 beta^2).
 
     Raises ConstraintsUnsatisfiable when no positive multiplier solves the
     averaged constraints at this p (outside the equipartition region).
     """
-    sad = saddle_search(beta, p, seed=seed)
+    sad = saddle_search(beta, p)
     if sad.residual_norm >= RESIDUAL_THRESHOLD:
         raise ConstraintsUnsatisfiable(
             f"constraints unsatisfiable at p={p} (residual {sad.residual_norm:.3e})")

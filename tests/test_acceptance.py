@@ -39,7 +39,7 @@ def _random_density(rng, m, n):
 def test_criterion_01_region_onset_at_beta_10(capsys):
     t0 = time.perf_counter()
     grid = np.round(np.arange(0.50, 1.0001, 0.01), 12)
-    scan = equipartition_scan(grid, 10.0, THRESHOLD, seed=0)
+    scan = equipartition_scan(grid, 10.0, THRESHOLD)
     elapsed = time.perf_counter() - t0
     onset = scan.region_start
     low = [r for p, r in zip(scan.p_grid, scan.residuals) if p <= 0.80 + 1e-12]
@@ -56,7 +56,7 @@ def test_criterion_01_region_onset_at_beta_10(capsys):
 def test_criterion_02_energy_scaling_slope_and_delta(capsys):
     t0 = time.perf_counter()
     betas = np.logspace(1, 4, 12)
-    pts = [(b, avg_energy_werner(b, 0.90, seed=k))
+    pts = [(b, avg_energy_werner(b, 0.90))
            for k, b in enumerate(betas)]
     fit = fit_energy_scaling(pts)
     elapsed = time.perf_counter() - t0
@@ -78,7 +78,7 @@ def test_criterion_03_onset_stable_in_beta(capsys):
     grid = np.round(np.arange(0.80, 1.0001, 0.01), 12)
     onsets = {}
     for beta in (10.0, 100.0, 1e6):
-        onsets[beta] = equipartition_scan(grid, beta, THRESHOLD, seed=0).region_start
+        onsets[beta] = equipartition_scan(grid, beta, THRESHOLD).region_start
     ok = all(o is not None and abs(o - onsets[10.0]) <= 0.01 + 1e-12
              for o in onsets.values())
     report(capsys, "criterion 03 onset beta-robustness", ok,
@@ -177,8 +177,8 @@ def test_criterion_07_gradient_and_energy_derivatives(capsys):
     for _ in range(20):
         beta = 10 ** rng.uniform(0.7, 3)
         p = rng.uniform(0.90, 1.0)
-        got = avg_energy_werner(beta, p, seed=7)
-        sad = saddle_search(beta, p, seed=7)
+        got = avg_energy_werner(beta, p)
+        sad = saddle_search(beta, p)
         op = OmegaPrime(sad.gamma_star, sad.lambda_star)
         hb = beta * 1e-5
         fd = -(log_z1_quadrature(beta + hb, op, p)

@@ -1,5 +1,9 @@
 """Command-line front end: parsing, exit codes, output formats, determinism."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,6 +146,34 @@ def test_scan_rejects_bad_grid(capsys):
     code, _, err = run(capsys, "scan", "--beta", "1,10")
     assert code == 2
     assert "single beta" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-1e-6", "nan", "inf"])
+def test_scan_rejects_bad_threshold(capsys, value):
+    code, _, err = run(capsys, "scan", "--p-grid", "0.9:0.1:1.0",
+                       f"--threshold={value}")
+    assert code == 2
+    assert "threshold" in err
+
+
+@pytest.mark.parametrize("argv", [["scan"], ["probe", "--werner", "0.9", "--seed", "1"],
+                                  ["scaling", "--werner", "0.9"]])
+def test_tol_flag_is_gone(argv):
+    # the saddle solve has no tolerance: it iterates to rounding
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--tol", "1e-9"])
+    assert exc.value.code == 2
+
+
+def test_cli_import_does_not_load_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, sepmech.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_scaling_self_test_recovers_injected_law(tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Closed-form 2x2 Werner channel: state constructors, reduced one-particle
 integral, its gradient, saddle search, and the region scan."""
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,23 @@ from sepmech import (OmegaPrime, PureState, avg_energy_werner,
                      grad_log_z1_full, h_matrix, h_matrices,
                      log_z1_quadrature, saddle_search, werner_eigenensemble,
                      werner_state)
+from sepmech.werner import (BETA_INTERNAL_SCALE, LOG_GAMMA_FLOOR,
+                            QuadratureError, _moments)
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail the calling test instead of hanging when the body never returns."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_werner_state_endpoints():
@@ -192,18 +212,94 @@ def test_full_gradient_is_hermitian(rng):
 
 
 def test_saddle_inside_region():
-    sad = saddle_search(10.0, 0.9, seed=0)
+    sad = saddle_search(10.0, 0.9)
     assert sad.residual_norm < 1e-9
     assert sad.interior
     assert abs(sad.gamma_star - 0.520432) < 1e-4
     assert abs(sad.lambda_star - 5.816898) < 1e-4
-    sad1 = saddle_search(10.0, 1.0, seed=0)
+    sad1 = saddle_search(10.0, 1.0)
     assert sad1.residual_norm < 1e-9 and sad1.interior
 
 
 def test_saddle_outside_region():
-    sad = saddle_search(10.0, 0.5, seed=0)
+    sad = saddle_search(10.0, 0.5)
     assert sad.residual_norm > 1e-2
+
+
+def _residual_jacobian(beta, g, lam):
+    """Analytic d(res_gamma, res_lambda)/d(log gamma, log lam) from _moments."""
+    return -_moments(BETA_INTERNAL_SCALE * beta, g, lam)[4]
+
+
+def _central_jacobian(beta, g, lam, p, step):
+    """Richardson-extrapolated central differences of grad_log_z1 in logs."""
+    def res(u):
+        return np.array(grad_log_z1(beta, OmegaPrime(*np.exp(u)), p))
+
+    def central(u, hs):
+        cols = [(res(u + hs * e) - res(u - hs * e)) / (2 * hs) for e in np.eye(2)]
+        return np.column_stack(cols)
+
+    u = np.log([g, lam])
+    return (4 * central(u, step / 2) - central(u, step)) / 3
+
+
+def test_moments_jacobian_matches_central_differences():
+    # the interior saddles at (10, 0.9) and (1e6, 0.95), and the boundary
+    # saddle's lam at (10, 0.8) with gamma at 1e-5, where the gamma column
+    # is already linear in gamma; below that, differences of O(0.1)
+    # residuals cannot resolve an O(gamma) column to 1e-6
+    for beta, p in ((10.0, 0.9), (1e6, 0.95), (10.0, 0.8)):
+        sad = saddle_search(beta, p)
+        g = sad.gamma_star if sad.interior else 1e-5
+        want = _central_jacobian(beta, g, sad.lambda_star, p, 1e-2)
+        got = _residual_jacobian(beta, g, sad.lambda_star)
+        assert np.max(np.abs(got / want - 1)) < 1e-6, (beta, p, g)
+
+
+def test_moments_jacobian_gamma_column_at_the_floor():
+    # On the floor the gamma column is O(gamma) and comes from cancelling
+    # O(1/gamma) moments; its sign decides the boundary certificate, so it
+    # must keep the sign and, to 10 %, the size of the linear law at 1e-5.
+    floor = np.exp(LOG_GAMMA_FLOOR)
+    for beta, lam in ((10.0, 5.98682723), (1e6, 5.98)):
+        at_floor = _residual_jacobian(beta, floor, lam)[:, 0] / floor
+        linear = _residual_jacobian(beta, 1e-5, lam)[:, 0] / 1e-5
+        assert np.all(np.sign(at_floor) == np.sign(linear))
+        assert np.max(np.abs(at_floor / linear - 1)) < 0.1
+
+
+def test_moments_rejects_zero_scale_promptly():
+    # gamma = 0 leaves no positive panel scale; this used to loop forever
+    with time_limit(5.0), pytest.raises(QuadratureError):
+        _moments(640.0, 0.0, 6.0)
+
+
+def test_saddle_at_former_hang_point():
+    with time_limit(10.0):
+        sad = saddle_search(10.0, 0.63)
+    assert sad.residual_norm > 1e-2
+    assert not sad.interior
+
+
+@pytest.mark.parametrize("p, residual", [(0.80, 0.036924362384436),
+                                         (0.85, 0.015649874760012),
+                                         (0.88, 0.0028849679554828)])
+def test_saddle_boundary_residuals_pinned(p, residual):
+    # the gamma -> 0 limit of the minimized residual at beta = 10
+    sad = saddle_search(10.0, p)
+    assert sad.residual_norm == pytest.approx(residual, rel=1e-8)
+
+
+def test_saddle_interior_flag_switches_at_onset():
+    grid = np.round(np.arange(0.50, 1.0001, 0.01), 12)
+    for p in grid:
+        sad = saddle_search(10.0, p)
+        assert sad.interior == (p >= 0.89), p
+        if sad.interior:
+            assert sad.residual_norm <= 1e-12, p
+        else:
+            assert sad.gamma_star == np.exp(LOG_GAMMA_FLOOR), p
 
 
 def test_saddle_validation():
@@ -215,7 +311,7 @@ def test_saddle_validation():
 
 def test_scan_detects_region_boundary():
     grid = np.round(np.arange(0.84, 1.0001, 0.01), 12)
-    scan = equipartition_scan(grid, 10.0, seed=0)
+    scan = equipartition_scan(grid, 10.0)
     assert scan.region_start == pytest.approx(0.89, abs=1e-12)
     below = {p: r for p, r in zip(scan.p_grid, scan.residuals) if p < 0.89}
     assert all(r > scan.threshold for r in below.values())
@@ -225,22 +321,22 @@ def test_scan_detects_region_boundary():
 
 def test_scan_is_seed_reproducible():
     grid = (0.5, 0.9, 1.0)
-    a = equipartition_scan(grid, 10.0, seed=3)
-    b = equipartition_scan(grid, 10.0, seed=3)
+    a = equipartition_scan(grid, 10.0)
+    b = equipartition_scan(grid, 10.0)
     assert a.residuals == b.residuals
     assert a.region_start == b.region_start == 0.9
 
 
 def test_scan_without_region():
-    scan = equipartition_scan((0.3, 0.5, 0.7), 10.0, seed=0)
+    scan = equipartition_scan((0.3, 0.5, 0.7), 10.0)
     assert scan.region_start is None
 
 
 def test_avg_energy_matches_beta_finite_difference():
     for beta, p in ((10.0, 0.9), (50.0, 0.95), (200.0, 1.0)):
-        sad = saddle_search(beta, p, seed=0)
+        sad = saddle_search(beta, p)
         op = OmegaPrime(sad.gamma_star, sad.lambda_star)
-        got = avg_energy_werner(beta, p, seed=0)
+        got = avg_energy_werner(beta, p)
         hstep = beta * 1e-5
         fd = -(log_z1_quadrature(beta + hstep, op, p)
                - log_z1_quadrature(beta - hstep, op, p)) / (2 * hstep)
@@ -249,12 +345,12 @@ def test_avg_energy_matches_beta_finite_difference():
 
 def test_avg_energy_raises_outside_region():
     with pytest.raises(ConstraintsUnsatisfiable):
-        avg_energy_werner(10.0, 0.5, seed=0)
+        avg_energy_werner(10.0, 0.5)
 
 
 def test_avg_energy_equipartition_plateau():
     # beta * <<E>> stays within a few percent of 1 across two decades
-    vals = [b * avg_energy_werner(b, 0.9, seed=0) for b in (10.0, 100.0, 1000.0)]
+    vals = [b * avg_energy_werner(b, 0.9) for b in (10.0, 100.0, 1000.0)]
     assert all(0.9 < v < 1.05 for v in vals)
     cv = np.std(vals) / np.mean(vals)
     assert cv < 0.10
