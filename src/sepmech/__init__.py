@@ -12,42 +12,37 @@ with an explicit saddle condition.
 from .quantum_core import (DensityMatrix, EigenEnsemble, PureState,
                            eigen_ensemble, haar_unitary, partial_trace,
                            ppt_is_entangled, tensor_product)
-from .concurrence import (HMatrixSet, SkewBasis, concurrence_sq,
-                          concurrence_sq_skew, det_product_test, h_matrices,
-                          is_product, skew_basis)
+from .concurrence import HMatrixSet, concurrence_sq, h_matrices, is_product
 from .ensembles import (RhoEnsemble, StiefelPoint, caratheodory_length,
                         constraint_residual, ensemble_from_stiefel,
                         haar_stiefel, stiefel_from_gs)
 from .costfn import (CostOperator, LagrangeMultipliers, cost_operator, energy,
-                     energy_via_h, full_hamiltonian)
+                     full_hamiltonian)
 from .statmech import (McEstimate, ScalingFit, StateDensityEstimate,
                        estimate_state_density, fit_energy_scaling,
-                       fit_power_law, mc_average_energy, mc_energy_curve,
-                       weighted_stats, z1_mc)
+                       fit_power_law, mc_energy_curve, weighted_stats, z1_mc)
 from .werner import (ConstraintsUnsatisfiable, EquipartitionScan, OmegaPrime,
-                     QuadratureError, SaddleResult, WernerParams,
-                     avg_energy_werner, bell_diagonal_h, det_m,
-                     energy_closed_form, equipartition_scan, grad_log_z1,
-                     grad_log_z1_full, h_matrix, log_z1_quadrature,
-                     saddle_search, werner_eigenensemble, werner_state)
+                     QuadratureError, SaddleResult, avg_energy_werner,
+                     bell_diagonal_h, energy_closed_form, equipartition_scan,
+                     grad_log_z1, h_matrix, log_z1_quadrature, saddle_search,
+                     werner_eigenensemble, werner_state)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DensityMatrix", "EigenEnsemble", "PureState", "eigen_ensemble",
     "haar_unitary", "partial_trace", "ppt_is_entangled", "tensor_product",
-    "HMatrixSet", "SkewBasis", "concurrence_sq", "concurrence_sq_skew",
-    "det_product_test", "h_matrices", "is_product", "skew_basis",
+    "HMatrixSet", "concurrence_sq", "h_matrices", "is_product",
     "RhoEnsemble", "StiefelPoint", "caratheodory_length", "constraint_residual",
     "ensemble_from_stiefel", "haar_stiefel", "stiefel_from_gs",
     "CostOperator", "LagrangeMultipliers", "cost_operator", "energy",
-    "energy_via_h", "full_hamiltonian",
+    "full_hamiltonian",
     "McEstimate", "ScalingFit", "StateDensityEstimate",
     "estimate_state_density", "fit_energy_scaling", "fit_power_law",
-    "mc_average_energy", "mc_energy_curve", "weighted_stats", "z1_mc",
+    "mc_energy_curve", "weighted_stats", "z1_mc",
     "ConstraintsUnsatisfiable", "EquipartitionScan", "OmegaPrime",
-    "QuadratureError", "SaddleResult", "WernerParams", "avg_energy_werner",
-    "bell_diagonal_h", "det_m", "energy_closed_form", "equipartition_scan",
-    "grad_log_z1", "grad_log_z1_full", "h_matrix", "log_z1_quadrature",
+    "QuadratureError", "SaddleResult", "avg_energy_werner",
+    "bell_diagonal_h", "energy_closed_form", "equipartition_scan",
+    "grad_log_z1", "h_matrix", "log_z1_quadrature",
     "saddle_search", "werner_eigenensemble", "werner_state",
 ]

@@ -10,10 +10,12 @@ Commands:
   ppt      partial-transpose test only.
 
 States come from `--werner p` or `--state file.json` (format: {"dimA", "dimB",
-"re", "im"}, row-major).  A JSON config file may supply any flag value by its
-long name; explicit flags win.  Stochastic commands require --seed, embed the
-full configuration in a '#' header of their output, and rerun byte-identically
-from the same configuration.
+"re", "im"}, row-major).  A JSON config file may supply any flag of the
+subcommand by its long name (`p-grid` or `p_grid`); explicit flags win, a
+null value counts as absent, and any other key is invalid input.  A value
+is never replaced by a default: it is used or rejected.  Stochastic
+commands require --seed, embed the full configuration in a '#' header of
+their output, and rerun byte-identically from the same configuration.
 
 Exit codes: 0 success, 2 invalid input, 3 constraints unsatisfiable at the
 requested p, 4 quadrature or convergence failure.
@@ -50,15 +52,18 @@ def _fmt(x) -> str:
 def parse_beta(text: str):
     """'10' -> [10.0]; '1,10,100' -> list; '10:10000:12' -> log-spaced grid."""
     text = str(text)
-    if ":" in text:
-        lo, hi, n = text.split(":")
-        lo, hi, n = float(lo), float(hi), int(n)
-        if lo <= 0 or hi <= lo or n < 2:
-            raise CliError(f"bad beta grid {text!r}: need 0 < lo < hi and n >= 2")
-        return list(np.logspace(np.log10(lo), np.log10(hi), n))
-    vals = [float(v) for v in text.split(",")]
-    if any(v < 0 for v in vals):
-        raise CliError("beta must be >= 0")
+    try:
+        if ":" in text:
+            lo, hi, n = text.split(":")
+            lo, hi, n = float(lo), float(hi), int(n)
+            if not (0 < lo < hi < np.inf and n >= 2):
+                raise CliError(f"bad beta grid {text!r}: need 0 < lo < hi finite and n >= 2")
+            return list(np.logspace(np.log10(lo), np.log10(hi), n))
+        vals = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise CliError(f"bad beta {text!r}: expected a value, a list or lo:hi:n") from None
+    if not all(0 <= v < np.inf for v in vals):
+        raise CliError("beta must be finite and >= 0")
     return vals
 
 
@@ -68,7 +73,7 @@ def parse_p_grid(text: str):
         a, step, b = (float(v) for v in str(text).split(":"))
     except ValueError:
         raise CliError(f"bad p grid {text!r}: expected a:step:b") from None
-    if step <= 0 or b < a:
+    if not (step > 0 and b >= a):
         raise CliError(f"bad p grid {text!r}: need step > 0 and b >= a")
     count = int(round((b - a) / step)) + 1
     grid = [round(a + k * step, 12) for k in range(count) if a + k * step <= b + step * 1e-9]
@@ -80,9 +85,15 @@ def parse_p_grid(text: str):
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    """Flag values override config-file values override defaults."""
-    cfg = {}
-    if getattr(args, "config", None):
+    """Flag values override config-file values; the result holds no None.
+
+    Config keys must name a flag of the subcommand (`p-grid` or `p_grid`);
+    a JSON null counts as absent.  Absent options take their defaults
+    through cfg.get(key, default).
+    """
+    flags = {k for k in vars(args) if k not in ("command", "config", "func")}
+    out = {}
+    if args.config:
         try:
             with open(args.config) as fh:
                 cfg = json.load(fh)
@@ -90,12 +101,16 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise CliError(f"cannot read config file: {e}")
         if not isinstance(cfg, dict):
             raise CliError("config file must hold a JSON object")
-    out = dict(cfg)
-    for key, val in vars(args).items():
-        if key in ("command", "config", "func"):
-            continue
-        if val is not None:
-            out[key] = val
+        for key, val in cfg.items():
+            dest = key.replace("-", "_")
+            if dest not in flags:
+                raise CliError(f"unknown config key {key!r}; {args.command} takes "
+                               f"{', '.join(sorted(flags))}")
+            if val is not None:
+                out[dest] = val
+    for key in flags:
+        if getattr(args, key) is not None:
+            out[key] = getattr(args, key)
     return out
 
 
@@ -118,10 +133,22 @@ def _load_state(cfg: dict):
     return rho, {"kind": "file", "path": str(path)}
 
 
-def _require_seed(cfg: dict) -> int:
-    if cfg.get("seed") is None:
+def _count(cfg: dict, key: str, default: int, floor: int) -> int:
+    """Integer option cfg[key], default when absent; below floor exits 2."""
+    try:
+        val = int(cfg.get(key, default))
+    except (TypeError, ValueError):
+        raise CliError(f"{key} must be an integer, got {cfg[key]!r}") from None
+    if val < floor:
+        raise CliError(f"{key} must be >= {floor}, got {val}")
+    return val
+
+
+def _seed(cfg: dict, required: bool) -> int:
+    """The non-negative --seed; 0 when absent and not required."""
+    if required and "seed" not in cfg:
         raise CliError("--seed is required for stochastic commands")
-    return int(cfg["seed"])
+    return _count(cfg, "seed", 0, 0)
 
 
 def _threshold(cfg: dict) -> float:
@@ -163,11 +190,9 @@ def _header(cfg: dict, command: str) -> str:
 def cmd_probe(args) -> int:
     cfg = _merge_config(args)
     rho, desc = _load_state(cfg)
-    seed = _require_seed(cfg)
-    betas = parse_beta(cfg.get("beta") or "1,10,100")
-    samples = int(cfg.get("samples") or 20000)
-    if samples < 1:
-        raise CliError("samples must be >= 1")
+    seed = _seed(cfg, required=True)
+    betas = parse_beta(cfg.get("beta", "1,10,100"))
+    samples = _count(cfg, "samples", 20000, 1)
     threshold = _threshold(cfg)
     m, n = rho.dimA, rho.dimB
 
@@ -209,12 +234,14 @@ def cmd_probe(args) -> int:
 
 def cmd_scan(args) -> int:
     cfg = _merge_config(args)
-    grid = parse_p_grid(cfg.get("p_grid") or "0.50:0.01:1.00")
-    betas = parse_beta(cfg.get("beta") or "10")
+    grid = parse_p_grid(cfg.get("p_grid", "0.50:0.01:1.00"))
+    betas = parse_beta(cfg.get("beta", "10"))
     if len(betas) != 1:
         raise CliError("scan takes a single beta")
+    if betas[0] <= 0:
+        raise CliError("scan needs beta > 0")
     threshold = _threshold(cfg)
-    seed = int(cfg.get("seed") or 0)
+    seed = _seed(cfg, required=False)
     scan = equipartition_scan(grid, betas[0], threshold)
     lines = [_header({**cfg, "beta": betas[0], "seed": seed,
                       "threshold": threshold}, "scan"),
@@ -232,9 +259,11 @@ def cmd_scan(args) -> int:
 
 def cmd_scaling(args) -> int:
     cfg = _merge_config(args)
-    betas = parse_beta(cfg.get("beta") or "10:10000:12")
+    betas = parse_beta(cfg.get("beta", "10:10000:12"))
+    if min(betas) <= 0:
+        raise CliError("scaling needs beta > 0")
     threshold = _threshold(cfg)
-    seed = int(cfg.get("seed") or 0)
+    seed = _seed(cfg, required=False)
     if cfg.get("self_test"):
         points = [(b, 2.75 / b) for b in betas]
         flag = 0
@@ -269,11 +298,9 @@ def cmd_scaling(args) -> int:
 def cmd_mc(args) -> int:
     cfg = _merge_config(args)
     rho, _ = _load_state(cfg)
-    seed = _require_seed(cfg)
-    samples = int(cfg.get("samples") or 100000)
-    if samples < 100:
-        raise CliError("mc requires samples >= 100")
-    betas = parse_beta(cfg.get("beta") or "1:100:9")
+    seed = _seed(cfg, required=True)
+    samples = _count(cfg, "samples", 100000, 100)
+    betas = parse_beta(cfg.get("beta", "1:100:9"))
     m, n = rho.dimA, rho.dimB
     N = caratheodory_length(m, n)
     cop = cost_operator(eigen_ensemble(rho))

@@ -1,4 +1,4 @@
-"""Pure-state product tests.
+"""Pure-state product test and the h matrices.
 
 The generalized concurrence squared
 
@@ -13,8 +13,9 @@ where {zeta_a} and {zeta~_b} run over orthonormal bases of the antisymmetric
 subspaces of C^m (x) C^m and C^n (x) C^n, and the two copies of psi are
 reindexed from (A B A' B') to (A A' B B') order before the inner product.
 The prefactor 2 is forced by the projector identity P_antisym = (1 - SWAP)/2,
-which gives ||psi||^4 - tr sigma_A^2 = 2 <psi x psi| P_m (x) P_n |psi x psi>;
-the two forms are cross-checked against each other in the test suite.
+which gives ||psi||^4 - tr sigma_A^2 = 2 <psi x psi| P_m (x) P_n |psi x psi>.
+The package evaluates c2 only in the direct form; the component form is kept
+in the test suite as an independent oracle.
 
 Worked 2x2 example: for the singlet (|01> - |10>)/sqrt(2) the single
 antisymmetric component is <zeta (x) zeta~ | psi (x) psi> = det C(psi) = 1/2,
@@ -33,23 +34,7 @@ import numpy as np
 
 from .quantum_core import EigenEnsemble, PureState
 
-SKEW_PREFACTOR = 2.0
 DEFAULT_PRODUCT_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class SkewBasis:
-    """Orthonormal basis of the antisymmetric subspace of C^m (x) C^m.
-
-    vectors has shape (m*(m-1)/2, m*m); each row is antisymmetric under
-    swapping the two tensor factors.
-    """
-
-    dim: int
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "vectors", np.asarray(self.vectors, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -72,8 +57,12 @@ class HMatrixSet:
             raise ValueError("h matrix array has wrong shape")
 
 
-def skew_basis(m: int) -> SkewBasis:
-    """Canonical antisymmetric basis {(|ij> - |ji>)/sqrt(2) : i < j}, lexicographic."""
+def skew_basis(m: int) -> np.ndarray:
+    """Canonical antisymmetric basis {(|ij> - |ji>)/sqrt(2) : i < j}, lexicographic.
+
+    Rows of the (m(m-1)/2, m*m) result span the antisymmetric subspace of
+    C^m (x) C^m; each is antisymmetric under swapping the two factors.
+    """
     if m < 2:
         raise ValueError("m must be >= 2")
     d = m * (m - 1) // 2
@@ -84,7 +73,7 @@ def skew_basis(m: int) -> SkewBasis:
             vecs[k, i * m + j] = 1.0 / np.sqrt(2.0)
             vecs[k, j * m + i] = -1.0 / np.sqrt(2.0)
             k += 1
-    return SkewBasis(m, vecs)
+    return vecs
 
 
 def concurrence_sq(psi: PureState) -> float:
@@ -99,41 +88,12 @@ def concurrence_sq(psi: PureState) -> float:
     return max(val, 0.0)
 
 
-def _pair_components(psi: PureState, basisA: SkewBasis, basisB: SkewBasis) -> np.ndarray:
-    """Components <zeta_a (x) zeta~_b | psi (x) psi> as a (d1, d2) array."""
-    m, n = psi.dimA, psi.dimB
-    C = psi.coeff_matrix()
-    # (psi x psi)[a, b, a', b'] -> Phi[(a a'), (b b')]
-    phi = np.einsum("ab,cd->acbd", C, C).reshape(m * m, n * n)
-    return basisA.vectors.conj() @ phi @ basisB.vectors.conj().T
-
-
-def concurrence_sq_skew(psi: PureState, basisA: SkewBasis, basisB: SkewBasis) -> float:
-    """Antisymmetric-component form of concurrence_sq; agrees with it to 1e-10."""
-    if basisA.dim != psi.dimA or basisB.dim != psi.dimB:
-        raise ValueError("basis dimensions do not match the state")
-    comp = _pair_components(psi, basisA, basisB)
-    return SKEW_PREFACTOR * float(np.sum(np.abs(comp) ** 2))
-
-
 def is_product(psi: PureState, tol: float = DEFAULT_PRODUCT_TOL) -> bool:
     """True iff the normalized concurrence squared c2(psi)/||psi||^4 is below tol."""
     nrm = psi.norm()
     if nrm == 0.0:
         raise ValueError("zero vector has no product test")
     return concurrence_sq(psi) / nrm ** 4 < tol
-
-
-def det_product_test(psi: PureState) -> float:
-    """det(sigma_A - I) for normalized psi; zero iff psi is a product vector.
-
-    An alternative product criterion for cross-checking is_product.
-    """
-    if abs(psi.norm() - 1.0) > 1e-10:
-        raise ValueError("det_product_test requires a normalized state")
-    C = psi.coeff_matrix()
-    sigma = C @ C.conj().T
-    return float(np.linalg.det(sigma - np.eye(psi.dimA)).real)
 
 
 def h_matrices(ens: EigenEnsemble) -> HMatrixSet:
@@ -147,8 +107,8 @@ def h_matrices(ens: EigenEnsemble) -> HMatrixSet:
     m, n, r = ens.dimA, ens.dimB, ens.rank
     bA, bB = skew_basis(m), skew_basis(n)
     C = ens.matrix().reshape(r, m, n)
-    za = bA.vectors.conj().reshape(-1, m, m)
-    zb = bB.vectors.conj().reshape(-1, n, n)
+    za = bA.conj().reshape(-1, m, m)
+    zb = bB.conj().reshape(-1, n, n)
     # Phi_{alpha beta}[i, j, k, l] = C_alpha[i, k] C_beta[j, l]
     h = np.einsum("aij,bkl,xik,yjl->abxy", za, zb, C, C, optimize=True)
-    return HMatrixSet(r, bA.vectors.shape[0], bB.vectors.shape[0], h)
+    return HMatrixSet(r, bA.shape[0], bB.shape[0], h)

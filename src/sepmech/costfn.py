@@ -3,22 +3,17 @@
 For an ensemble psi_i = sum_alpha z_{i alpha} e_alpha the energy is the sum
 of concurrences squared,
 
-    E(z) = sum_i c2(psi_i)
-         = sum_i sum_{alpha beta mu nu} zbar_{i alpha} zbar_{i beta}
-           E_{alpha beta mu nu} z_{i mu} z_{i nu},
+    E(z) = sum_i c2(psi_i) = 2 sum_i sum_{ab} |z_i^T h^{ab} z_i|^2,
 
-a row-additive quartic form.  E(z) = 0 at a point of the constraint surface
-z^dag z = 1 exactly when that point is a separable decomposition, so the
-global constrained minimum decides separability.
+a row-additive quartic form in the h matrices of the eigenensemble (see
+the concurrence module).  The prefactor 2 is the same calibration as in
+c2's antisymmetric-component form and makes E(z) equal sum_i c2(psi_i)
+exactly rather than up to a constant.  E(z) = 0 at a point of the
+constraint surface z^dag z = 1 exactly when that point is a separable
+decomposition, so the global constrained minimum decides separability.
 
-The rank-4 tensor is built here directly from the antisymmetric projectors
-P = (1 - SWAP)/2 on each doubled factor, E = 2 <e_a (x) e_b| P_m (x) P_n
-|e_m (x) e_n> after (A B A' B') -> (A A' B B') reordering.  The prefactor 2
-is the same calibration as in the concurrence module and makes E(z) equal
-sum_i c2(psi_i) exactly rather than up to a constant.  The factored h-matrix
-form E(z) = 2 sum_i sum_{ab} |z_i^T h^{ab} z_i|^2 is evaluated independently
-of the tensor (it never touches the projectors), which gives the test suite
-two genuinely distinct routes to the same number.
+`energy` is the one evaluation of this form in the package; the Monte
+Carlo estimators call it on stacks of Stiefel points.
 """
 from __future__ import annotations
 
@@ -31,22 +26,17 @@ from .ensembles import StiefelPoint, constraint_residual
 from .quantum_core import EigenEnsemble
 
 H_FORM_PREFACTOR = 2.0
-TENSOR_PREFACTOR = 2.0
 
 
 @dataclass(frozen=True)
 class CostOperator:
-    """Rank-4 tensor E_{alpha beta mu nu} plus the factored h-matrix form."""
+    """The h matrices that define E(z) for a fixed eigenensemble."""
 
-    r: int
-    tensor: np.ndarray
     hset: HMatrixSet
 
-    def __post_init__(self):
-        t = np.asarray(self.tensor, dtype=complex)
-        object.__setattr__(self, "tensor", t)
-        if t.shape != (self.r,) * 4:
-            raise ValueError("tensor has wrong shape")
+    @property
+    def r(self) -> int:
+        return self.hset.r
 
 
 @dataclass(frozen=True)
@@ -73,25 +63,9 @@ class LagrangeMultipliers:
         return bool(np.linalg.eigvalsh(self.omega).min() > 0.0)
 
 
-def _swap_projector(m: int) -> np.ndarray:
-    """(1 - SWAP)/2 on C^m (x) C^m, the projector onto antisymmetric vectors."""
-    swap = np.zeros((m * m, m * m))
-    for i in range(m):
-        for j in range(m):
-            swap[i * m + j, j * m + i] = 1.0
-    return (np.eye(m * m) - swap) / 2.0
-
-
 def cost_operator(ens: EigenEnsemble) -> CostOperator:
-    """Build the energy tensor and the h matrices for a fixed eigenensemble."""
-    m, n, r = ens.dimA, ens.dimB, ens.rank
-    C = ens.matrix().reshape(r, m, n)
-    # reorder(e_a (x) e_b) as vectors on (A A') (x) (B B')
-    phi = np.einsum("aij,bkl->abikjl", C, C).reshape(r, r, m * m * n * n)
-    proj = np.kron(_swap_projector(m), _swap_projector(n))
-    tensor = TENSOR_PREFACTOR * np.einsum(
-        "abP,PQ,cdQ->abcd", phi.conj(), proj, phi, optimize=True)
-    return CostOperator(r, tensor, h_matrices(ens))
+    """The cost operator of a fixed eigenensemble."""
+    return CostOperator(h_matrices(ens))
 
 
 def _rows(z) -> np.ndarray:
@@ -101,23 +75,18 @@ def _rows(z) -> np.ndarray:
     return z[None, :] if z.ndim == 1 else z
 
 
-def energy(z, cop: CostOperator) -> float:
-    """E(z) via the rank-4 tensor; z is a single row or an N x r matrix."""
-    zm = _rows(z)
-    if zm.shape[1] != cop.r:
-        raise ValueError(f"z has {zm.shape[1]} columns, expected {cop.r}")
-    per_row = np.einsum("ia,ib,abmn,im,in->i",
-                        zm.conj(), zm.conj(), cop.tensor, zm, zm, optimize=True)
-    return float(np.sum(per_row.real))
+def energy(z, cop: CostOperator):
+    """E(z) = 2 sum_i sum_ab |z_i^T h^{ab} z_i|^2 over the last two axes of z.
 
-
-def energy_via_h(z, hset: HMatrixSet) -> float:
-    """E(z) via the factored form 2 sum |z_i^T h^{ab} z_i|^2."""
+    z is a row (r,), an N x r matrix or StiefelPoint (both give a float), or
+    a stack (..., N, r), which gives one value per stacked matrix.
+    """
     zm = _rows(z)
-    if zm.shape[1] != hset.r:
-        raise ValueError(f"z has {zm.shape[1]} columns, expected {hset.r}")
-    quad = np.einsum("ix,abxy,iy->iab", zm, hset.matrices, zm, optimize=True)
-    return H_FORM_PREFACTOR * float(np.sum(np.abs(quad) ** 2))
+    if zm.shape[-1] != cop.r:
+        raise ValueError(f"z has {zm.shape[-1]} columns, expected {cop.r}")
+    quad = np.einsum("...ix,abxy,...iy->...iab", zm, cop.hset.matrices, zm, optimize=True)
+    e = H_FORM_PREFACTOR * np.sum(np.abs(quad) ** 2, axis=(-3, -2, -1))
+    return float(e) if e.ndim == 0 else e
 
 
 def full_hamiltonian(z, cop: CostOperator, lm: LagrangeMultipliers) -> float:

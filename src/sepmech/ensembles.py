@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quantum_core import EigenEnsemble, PureState, haar_unitary
+from .quantum_core import EigenEnsemble, PureState, _as_rng
 
 STIEFEL_TOL = 1e-12
 
@@ -116,11 +116,25 @@ def stiefel_from_gs(v: np.ndarray, U: np.ndarray) -> StiefelPoint:
     return StiefelPoint(B.shape[0], r, Q @ U)
 
 
+def _stiefel_batch(N: int, r: int, count: int, rng) -> np.ndarray:
+    """count Haar points of V_{N,r}, stacked (count, N, r).
+
+    QR of an N x r Ginibre block with the R-diagonal phase folded back in
+    (Mezzadri, math-ph/0609050); this is the same distribution as slicing r
+    columns off a Haar N x N unitary, without paying for the discarded
+    columns.
+    """
+    g = rng.standard_normal((count, N, r)) + 1j * rng.standard_normal((count, N, r))
+    q, rr = np.linalg.qr(g)
+    d = np.diagonal(rr, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
+
+
 def haar_stiefel(N: int, r: int, seed) -> StiefelPoint:
-    """Uniform point of V_{N,r}: the first r columns of a Haar unitary."""
+    """Uniform point of V_{N,r}; seed is an int, SeedSequence or Generator."""
     if not 1 <= r <= N:
         raise ValueError(f"need N >= r >= 1, got N={N}, r={r}")
-    return StiefelPoint(N, r, haar_unitary(N, seed)[:, :r])
+    return StiefelPoint(N, r, _stiefel_batch(N, r, 1, _as_rng(seed))[0])
 
 
 def caratheodory_length(m: int, n: int) -> int:

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costfn import CostOperator, LagrangeMultipliers, H_FORM_PREFACTOR
+from .costfn import CostOperator, LagrangeMultipliers, energy
+from .ensembles import _stiefel_batch
 
 JACKKNIFE_BLOCKS = 32
 _CHUNK = 8192
@@ -75,30 +76,15 @@ class ScalingFit:
     r_squared: float
 
 
-def _stiefel_batch(N: int, r: int, count: int, rng) -> np.ndarray:
-    """count Haar points of V_{N,r}, stacked (count, N, r).
-
-    QR of an N x r Ginibre block with the R-diagonal phase folded back in;
-    this is the same distribution as slicing r columns off a Haar N x N
-    unitary, without paying for the discarded columns.
-    """
-    g = rng.standard_normal((count, N, r)) + 1j * rng.standard_normal((count, N, r))
-    q, rr = np.linalg.qr(g)
-    d = np.diagonal(rr, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[:, None, :]
-
-
 def _batch_energies(cop: CostOperator, N: int, samples: int, seed) -> np.ndarray:
     """E(z) for `samples` Haar Stiefel draws, chunked; order is seed-fixed."""
-    h = cop.hset.matrices
     rng = np.random.default_rng(seed)
     out = np.empty(samples)
     done = 0
     while done < samples:
         k = min(_CHUNK, samples - done)
         z = _stiefel_batch(N, cop.r, k, rng)
-        quad = np.einsum("six,abxy,siy->siab", z, h, z, optimize=True)
-        out[done:done + k] = H_FORM_PREFACTOR * np.sum(np.abs(quad) ** 2, axis=(1, 2, 3))
+        out[done:done + k] = energy(z, cop)
         done += k
     return out
 
@@ -112,11 +98,20 @@ def weighted_stats(energies: np.ndarray, beta: float):
 
 
 def _jackknife_error(energies: np.ndarray, beta: float) -> float:
+    """Delete-one-block jackknife standard error of the reweighted mean.
+
+    The error is undefined when removing some block leaves zero total
+    weight (one block carries all of it, as at very large beta); then it
+    is inf.
+    """
     e = np.asarray(energies, dtype=float)
     w = np.exp(-beta * (e - e.min()))
     blocks = np.array_split(np.arange(e.size), JACKKNIFE_BLOCKS)
     sw, swe = w.sum(), (w * e).sum()
-    thetas = np.array([(swe - (w[b] * e[b]).sum()) / (sw - w[b].sum()) for b in blocks])
+    rest = np.array([sw - w[b].sum() for b in blocks])
+    if not np.all(rest > 0):
+        return float("inf")
+    thetas = np.array([swe - (w[b] * e[b]).sum() for b in blocks]) / rest
     b = len(blocks)
     return float(np.sqrt((b - 1) / b * np.sum((thetas - thetas.mean()) ** 2)))
 
@@ -141,12 +136,6 @@ def mc_energy_curve(cop: CostOperator, N: int, betas, samples: int, seed) -> lis
         out.append(McEstimate(float(beta), samples, mean,
                               _jackknife_error(e, beta), emin, ess))
     return out
-
-
-def mc_average_energy(cop: CostOperator, N: int, beta: float, samples: int,
-                      seed) -> McEstimate:
-    """Importance-sampling estimate of <<E>> at a single beta."""
-    return mc_energy_curve(cop, N, [beta], samples, seed)[0]
 
 
 def estimate_state_density(cop: CostOperator, N: int, samples: int, bins: int,
@@ -237,8 +226,7 @@ def z1_mc(cop: CostOperator, beta: float, lm: LagrangeMultipliers, samples: int,
     w = (rng.standard_normal((samples, r)) + 1j * rng.standard_normal((samples, r)))
     w /= np.sqrt(2.0)
     z = np.linalg.solve(L.conj().T, w.T).T  # covariance (L L^dag)^{-1} = omega^{-1}
-    quad = np.einsum("sx,abxy,sy->sab", z, cop.hset.matrices, z, optimize=True)
-    e1 = H_FORM_PREFACTOR * np.sum(np.abs(quad) ** 2, axis=(1, 2))
+    e1 = energy(z[:, None, :], cop)  # each draw is a one-row ensemble
     u = np.exp(-beta * e1)
     su = u.sum()
     gauss = np.pi ** r * np.exp(np.trace(omega).real) / np.linalg.det(omega).real

@@ -14,7 +14,11 @@ over the rescaled multiplier w' = h^{-1/2} omega h^{-1/2}, restricted here
 to w' = diag(gamma, lam, lam, lam).  Setting the gradient of log Z1 in w'
 to zero enforces the averaged Stiefel constraints; the p-region where the
 minimized gradient norm vanishes is the equipartition region, and
--d log Z1 / d beta on it gives the average energy <<E_1>>.
+-d log Z1 / d beta on it gives the average energy <<E_1>>.  The module
+computes only the restricted form; the test suite checks it against the
+gradient at a generic Hermitian w' and checks the determinant
+factorization det h^2 det(4|s|^2 + w' wbar') against the direct 8x8
+determinant of the Gaussian block matrix.
 
 The gradient and its exact Jacobian in (log gamma, log lam) are further
 moments of the same weight, computed in one Gauss-Kronrod pass, so
@@ -60,15 +64,6 @@ class ConstraintsUnsatisfiable(RuntimeError):
 
 class QuadratureError(RuntimeError):
     """The reduced integral did not converge to tolerance."""
-
-
-@dataclass(frozen=True)
-class WernerParams:
-    p: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -170,22 +165,6 @@ def energy_closed_form(z, p: float) -> float:
     z = np.asarray(z, dtype=complex).ravel()
     quart = (4 - 3 * p) * z[0] ** 2 + p * (z[1] ** 2 + z[2] ** 2 + z[3] ** 2)
     return CLOSED_FORM_PREFACTOR * float(np.abs(quart) ** 2)
-
-
-def det_m(s: complex, omega: np.ndarray, p: float) -> complex:
-    """Determinant of the 8x8 Gaussian block matrix [[omega, 2i sbar h], [2i s h, omegabar]].
-
-    Factorizes as det h(p)^2 * det(4|s|^2 + w' wbar') with
-    w' = h^{-1/2} omega h^{-1/2}; the direct determinant is computed here and
-    the factorization is checked against it in the tests.
-    """
-    if not 0.0 < p <= 1.0:
-        raise ValueError("p must lie in (0, 1]; h(p) must be invertible")
-    h = h_matrix(p)
-    omega = np.asarray(omega, dtype=complex)
-    top = np.hstack([omega, 2j * np.conj(s) * h])
-    bot = np.hstack([2j * s * h, omega.conj()])
-    return complex(np.linalg.det(np.vstack([top, bot])))
 
 
 # 15-point Kronrod nodes and weights on [-1, 1], with the embedded 7-point
@@ -291,36 +270,6 @@ def grad_log_z1(beta: float, op: OmegaPrime, p: float):
     """
     _, _, mg, ml, _ = _checked_moments(beta, op, p)
     return (4 - 3 * p) / 8.0 - mg, p / 8.0 - ml
-
-
-def grad_log_z1_full(beta: float, omega_prime: np.ndarray, p: float) -> np.ndarray:
-    """Gradient h(p) - <(x + w' wbar')^{-1} w'>_w for a generic Hermitian w' > 0.
-
-    Used to confirm that the restricted diagonal form is self-consistent:
-    at diag(gamma, lam, lam, lam) this reduces entrywise to grad_log_z1.
-    """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    wp = np.asarray(omega_prime, dtype=complex)
-    if np.max(np.abs(wp - wp.conj().T)) > 1e-10:
-        raise ValueError("omega_prime must be Hermitian")
-    bt = BETA_INTERNAL_SCALE * beta
-    M = wp @ wp.conj()
-    d, V = np.linalg.eig(M)
-    d = d.real  # product of two positive matrices: spectrum is real positive
-    if d.min() <= 0:
-        raise ValueError("omega_prime must be positive-definite")
-    edges = _panel_edges(bt, d.min(), d.max())
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    x = (mid[:, None] + half[:, None] * _XK[None, :]).ravel()
-    wts = (np.tile(_WK, len(half)) * np.repeat(half, 15))
-    scal = np.exp(-x / (4.0 * bt)) / np.sqrt(np.prod(x[:, None] + d[None, :], axis=1))
-    T = np.linalg.solve(V, wp)
-    resolvent = np.einsum("ai,ki,ib->kab", V, 1.0 / (x[:, None] + d[None, :]), T)
-    i0 = float(wts @ scal)
-    avg = np.einsum("k,k,kab->ab", wts, scal, resolvent) / i0
-    return h_matrix(p) - avg
 
 
 def saddle_search(beta: float, p: float) -> SaddleResult:

@@ -11,16 +11,17 @@ import time
 import numpy as np
 import pytest
 
+from oracles import concurrence_sq_skew, cost_tensor, det_m, tensor_energy
 from sepmech import (DensityMatrix, LagrangeMultipliers, OmegaPrime,
-                     PureState, concurrence_sq, concurrence_sq_skew,
-                     constraint_residual, cost_operator, det_m,
-                     eigen_ensemble, energy, energy_closed_form, energy_via_h,
-                     ensemble_from_stiefel, equipartition_scan,
-                     fit_energy_scaling, grad_log_z1, h_matrices, h_matrix,
-                     haar_stiefel, haar_unitary, log_z1_quadrature,
+                     PureState, concurrence_sq, constraint_residual,
+                     cost_operator, eigen_ensemble, energy,
+                     energy_closed_form, ensemble_from_stiefel,
+                     equipartition_scan, fit_energy_scaling, grad_log_z1,
+                     h_matrix, haar_stiefel, haar_unitary, log_z1_quadrature,
                      mc_energy_curve, ppt_is_entangled, saddle_search,
-                     skew_basis, avg_energy_werner, werner_eigenensemble,
-                     werner_state, z1_mc)
+                     avg_energy_werner, werner_eigenensemble, werner_state,
+                     z1_mc)
+from sepmech.concurrence import skew_basis
 
 THRESHOLD = 1e-6
 
@@ -104,11 +105,11 @@ def test_criterion_05_cross_form_energy_equivalence(capsys):
     for k in range(10):
         p = rng.uniform(0.05, 1.0)
         ens = werner_eigenensemble(p)
-        cop, hset = cost_operator(ens), h_matrices(ens)
+        cop, tensor = cost_operator(ens), cost_tensor(ens)
         for _ in range(5):
             z = haar_stiefel(6, 4, rng)
-            e1 = energy(z, cop)
-            e2 = energy_via_h(z, hset)
+            e1 = tensor_energy(z, tensor)
+            e2 = energy(z, cop)
             e3 = sum(concurrence_sq(v)
                      for v in ensemble_from_stiefel(z, ens).vectors)
             e4 = sum(energy_closed_form(row, p) for row in z.z)
@@ -118,11 +119,11 @@ def test_criterion_05_cross_form_energy_equivalence(capsys):
             checks += 1
     for k in range(10):
         ens = eigen_ensemble(_random_density(rng, 2, 3))
-        cop, hset = cost_operator(ens), h_matrices(ens)
+        cop, tensor = cost_operator(ens), cost_tensor(ens)
         for _ in range(5):
             z = haar_stiefel(ens.rank + 3, ens.rank, rng)
-            e1 = energy(z, cop)
-            e2 = energy_via_h(z, hset)
+            e1 = tensor_energy(z, tensor)
+            e2 = energy(z, cop)
             e3 = sum(concurrence_sq(v)
                      for v in ensemble_from_stiefel(z, ens).vectors)
             scale = max(abs(e1), 1e-30)

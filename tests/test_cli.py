@@ -276,3 +276,75 @@ def test_config_must_be_object(tmp_path, capsys):
     code, _, err = run(capsys, "ppt", "--config", str(cfg), "--werner", "0.5")
     assert code == 2
     assert "JSON object" in err
+
+
+def test_config_rejects_unknown_key(tmp_path, capsys):
+    # the removed --tol, or any misspelt key, must not pass silently
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol": 1e-9}))
+    code, out, err = run(capsys, "scan", "--p-grid", "0.90:0.01:0.91",
+                         "--config", str(cfg))
+    assert code == 2
+    assert "'tol'" in err and out == ""
+
+
+def test_config_long_name_is_honoured_and_null_is_absent(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p-grid": "0.90:0.01:0.91", "beta": 100,
+                               "seed": None}))
+    code, out, _ = run(capsys, "scan", "--config", str(cfg))
+    assert code == 0
+    header = json.loads(out.splitlines()[0][2:])
+    assert header["p_grid"] == "0.90:0.01:0.91" and header["beta"] == 100.0
+    assert header["seed"] == 0
+    assert len(out.splitlines()) == 2 + 2 + 1
+
+
+_VALUE_BASE = {
+    "probe": ["probe", "--werner=0.5", "--seed=1", "--samples=200", "--beta=1"],
+    "scan": ["scan", "--p-grid=0.90:0.01:0.91", "--beta=10"],
+    "scaling": ["scaling", "--werner=0.9", "--beta=10:100:3"],
+    "mc": ["mc", "--werner=0.5", "--seed=1", "--samples=200", "--beta=1"],
+    "ppt": ["ppt", "--werner=0.5"],
+}
+
+
+def _echoed(command, flag, out):
+    """The value of flag as the command's output reports it."""
+    if command in ("probe", "ppt"):
+        rep = json.loads(out)
+        return {"--werner": lambda: rep["state"]["p"],
+                "--seed": lambda: rep["mc"]["seed"],
+                "--beta": lambda: rep["mc"]["mean_energy"][0]["beta"]}[flag]()
+    header = json.loads(out.splitlines()[0][2:])
+    return header[flag[2:]]
+
+
+@pytest.mark.parametrize("command,flag,value,code", [
+    ("probe", "--werner", "0", 0), ("probe", "--werner", "-1", 2),
+    ("probe", "--seed", "0", 0), ("probe", "--seed", "-1", 2),
+    ("probe", "--samples", "0", 2), ("probe", "--samples", "-1", 2),
+    ("probe", "--beta", "0", 0), ("probe", "--beta", "-1", 2),
+    ("probe", "--threshold", "0", 2), ("probe", "--threshold", "-1", 2),
+    ("scan", "--seed", "0", 0), ("scan", "--seed", "-1", 2),
+    ("scan", "--beta", "0", 2), ("scan", "--beta", "-1", 2),
+    ("scan", "--threshold", "0", 2), ("scan", "--threshold", "-1", 2),
+    ("scaling", "--werner", "0", 2), ("scaling", "--werner", "-1", 2),
+    ("scaling", "--seed", "0", 0), ("scaling", "--seed", "-1", 2),
+    ("scaling", "--beta", "0", 2), ("scaling", "--beta", "-1", 2),
+    ("scaling", "--threshold", "0", 2), ("scaling", "--threshold", "-1", 2),
+    ("mc", "--werner", "0", 0), ("mc", "--werner", "-1", 2),
+    ("mc", "--seed", "0", 0), ("mc", "--seed", "-1", 2),
+    ("mc", "--samples", "0", 2), ("mc", "--samples", "-1", 2),
+    ("mc", "--beta", "0", 0), ("mc", "--beta", "-1", 2),
+    ("ppt", "--werner", "0", 0), ("ppt", "--werner", "-1", 2),
+])
+def test_zero_or_negative_value_is_honoured_or_rejected(capsys, command, flag, value, code):
+    # never replaced by a default: exit 0 with the value in the output, or exit 2
+    argv = [a for a in _VALUE_BASE[command] if not a.startswith(flag + "=")]
+    rc, out, err = run(capsys, *argv, f"{flag}={value}")
+    assert rc == code, err
+    if code == 0:
+        assert float(_echoed(command, flag, out)) == float(value)
+    else:
+        assert err.startswith("error: ")

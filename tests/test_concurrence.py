@@ -1,13 +1,15 @@
-"""Generalized concurrence: direct form, skew-bilinear form, product tests,
-and the h-matrix contractions."""
+"""Generalized concurrence: the direct form, checked against the
+antisymmetric-component and determinant oracles, the product test, and the
+h-matrix contractions."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sepmech import (PureState, concurrence_sq, concurrence_sq_skew,
-                     det_product_test, eigen_ensemble, h_matrices, h_matrix,
-                     haar_unitary, is_product, skew_basis, werner_state,
+from oracles import concurrence_sq_skew, det_product_test
+from sepmech import (PureState, concurrence_sq, eigen_ensemble, h_matrices,
+                     h_matrix, haar_unitary, is_product, werner_state,
                      werner_eigenensemble)
+from sepmech.concurrence import skew_basis
 
 SINGLET = PureState(2, 2, np.array([0, 1, -1, 0]) / np.sqrt(2), normalized=True)
 
@@ -71,11 +73,11 @@ def test_skew_form_singlet_single_term():
 def test_skew_basis_dimensions_and_orthonormality():
     for m in (2, 3, 4):
         basis = skew_basis(m)
-        assert basis.vectors.shape[0] == m * (m - 1) // 2
-        gram = basis.vectors.conj() @ basis.vectors.T
-        assert np.max(np.abs(gram - np.eye(basis.vectors.shape[0]))) < 1e-12
+        assert basis.shape[0] == m * (m - 1) // 2
+        gram = basis.conj() @ basis.T
+        assert np.max(np.abs(gram - np.eye(basis.shape[0]))) < 1e-12
         # antisymmetry under factor swap
-        for v in basis.vectors:
+        for v in basis:
             assert np.max(np.abs(v.reshape(m, m) + v.reshape(m, m).T)) < 1e-12
     with pytest.raises(ValueError):
         skew_basis(1)
@@ -83,7 +85,7 @@ def test_skew_basis_dimensions_and_orthonormality():
 
 def test_skew_basis_m2_is_singlet_direction():
     basis = skew_basis(2)
-    assert np.allclose(basis.vectors[0], np.array([0, 1, -1, 0]) / np.sqrt(2),
+    assert np.allclose(basis[0], np.array([0, 1, -1, 0]) / np.sqrt(2),
                        atol=1e-15)
 
 

@@ -1,12 +1,14 @@
-"""Cost function over ensemble space: rank-4 tensor route, h-matrix route,
-and the multiplier-extended Hamiltonian."""
+"""Cost function over ensemble space: the h-matrix energy, checked against
+the rank-4 tensor oracle and the concurrence sum, and the
+multiplier-extended Hamiltonian."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import cost_tensor, tensor_energy
 from sepmech import (DensityMatrix, LagrangeMultipliers, concurrence_sq,
-                     cost_operator, eigen_ensemble, energy, energy_via_h,
-                     ensemble_from_stiefel, full_hamiltonian, h_matrices,
+                     cost_operator, eigen_ensemble, energy,
+                     ensemble_from_stiefel, full_hamiltonian,
                      haar_stiefel, haar_unitary, werner_eigenensemble,
                      werner_state)
 
@@ -19,9 +21,10 @@ def _random_density(rng, m, n):
 
 def test_cost_operator_of_product_state_is_zero():
     rho = DensityMatrix(2, 2, np.diag([1.0, 0, 0, 0]))
-    cop = cost_operator(eigen_ensemble(rho))
+    ens = eigen_ensemble(rho)
+    cop = cost_operator(ens)
     assert cop.r == 1
-    assert np.max(np.abs(cop.tensor)) < 1e-14
+    assert np.max(np.abs(cost_tensor(ens))) < 1e-14
 
 
 def test_product_eigenbasis_of_mixed_identity_has_zero_energy():
@@ -60,7 +63,7 @@ def test_energy_equals_concurrence_sum(seed, m, n, N):
                  for psi in ensemble_from_stiefel(z, ens).vectors)
     got = energy(z, cost_operator(ens))
     assert abs(got - direct) < 1e-10 * max(1.0, direct)
-    assert abs(energy_via_h(z, h_matrices(ens)) - direct) < 1e-10 * max(1.0, direct)
+    assert abs(tensor_energy(z, cost_tensor(ens)) - direct) < 1e-10 * max(1.0, direct)
     assert got >= 0.0
 
 
@@ -70,6 +73,16 @@ def test_energy_additive_over_rows(rng):
     z = haar_stiefel(6, 4, rng).z
     total = energy(z, cop)
     assert abs(total - sum(energy(z[i], cop) for i in range(6))) < 1e-12
+
+
+def test_energy_of_a_stack_is_per_matrix(rng):
+    cop = cost_operator(werner_eigenensemble(0.6))
+    zs = np.stack([haar_stiefel(6, 4, rng).z for _ in range(5)])
+    got = energy(zs, cop)
+    assert got.shape == (5,)
+    want = np.array([energy(z, cop) for z in zs])
+    assert np.max(np.abs(got - want)) < 1e-14 * np.max(want)
+    assert energy(zs[:, :1, :], cop).shape == (5,)
 
 
 def test_energy_column_mismatch_raises(rng):
@@ -99,9 +112,9 @@ def test_energy_local_unitary_class_invariance(rng):
 
 def test_energy_via_h_single_row_reduction():
     p = 0.8
-    hset = h_matrices(werner_eigenensemble(p))
+    cop = cost_operator(werner_eigenensemble(p))
     row = np.array([0, 1.0, 0, 0], dtype=complex)
-    assert abs(energy_via_h(row, hset) - 2 * (p / 8) ** 2) < 1e-14
+    assert abs(energy(row, cop) - 2 * (p / 8) ** 2) < 1e-14
 
 
 def test_lagrange_multiplier_validation():

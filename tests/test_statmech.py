@@ -6,7 +6,7 @@ import pytest
 from sepmech import (LagrangeMultipliers, McEstimate, StateDensityEstimate,
                      cost_operator, estimate_state_density,
                      fit_energy_scaling, fit_power_law, h_matrix,
-                     log_z1_quadrature, mc_average_energy, mc_energy_curve,
+                     log_z1_quadrature, mc_energy_curve,
                      OmegaPrime, weighted_stats, werner_eigenensemble, z1_mc)
 
 COP02 = cost_operator(werner_eigenensemble(0.2))
@@ -47,7 +47,7 @@ def test_curve_is_deterministic_and_monotone():
 
 
 def test_curve_estimates_are_labelled(rng):
-    est = mc_average_energy(COP02, 16, 2.0, 3000, seed=1)
+    est = mc_energy_curve(COP02, 16, [2.0], 3000, seed=1)[0]
     assert isinstance(est, McEstimate)
     assert est.beta == 2.0 and est.samples == 3000
     assert est.std_error > 0
@@ -65,9 +65,19 @@ def test_curve_input_validation():
 
 
 def test_jackknife_error_shrinks_with_samples():
-    e1 = mc_average_energy(COP02, 16, 5.0, 2000, seed=3)
-    e2 = mc_average_energy(COP02, 16, 5.0, 32000, seed=3)
+    e1 = mc_energy_curve(COP02, 16, [5.0], 2000, seed=3)[0]
+    e2 = mc_energy_curve(COP02, 16, [5.0], 32000, seed=3)[0]
     assert e2.std_error < e1.std_error
+
+
+def test_jackknife_error_is_inf_when_one_block_holds_all_weight():
+    # at beta = 1e7 only the lowest-energy draw keeps any weight; removing
+    # its block leaves none, so the error is undefined, not NaN
+    est = mc_energy_curve(cost_operator(werner_eigenensemble(0.2)), 16, [1e7],
+                          20000, seed=0)[0]
+    assert est.std_error == np.inf
+    assert est.effective_sample_size == 1.0
+    assert est.mean_energy == est.min_energy_seen
 
 
 def test_density_histogram_conserves_mass_and_positivity():

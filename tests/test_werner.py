@@ -8,11 +8,12 @@ import pytest
 
 import mpmath
 
+from oracles import det_m, grad_log_z1_full
 from sepmech import (OmegaPrime, PureState, avg_energy_werner,
                      bell_diagonal_h, ConstraintsUnsatisfiable,
-                     concurrence_sq, cost_operator, det_m, energy,
+                     concurrence_sq, cost_operator, energy,
                      energy_closed_form, equipartition_scan, grad_log_z1,
-                     grad_log_z1_full, h_matrix, h_matrices,
+                     h_matrix, h_matrices,
                      log_z1_quadrature, saddle_search, werner_eigenensemble,
                      werner_state)
 from sepmech.werner import (BETA_INTERNAL_SCALE, LOG_GAMMA_FLOOR,
