@@ -114,6 +114,14 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return out
 
 
+def _number(cfg: dict, key: str) -> float:
+    """cfg[key] as a float; a value that is not a number exits 2."""
+    try:
+        return float(cfg[key])
+    except (TypeError, ValueError):
+        raise CliError(f"{key} must be a number, got {cfg[key]!r}") from None
+
+
 def _load_state(cfg: dict):
     """Return (DensityMatrix, descriptor) from --werner or --state."""
     werner = cfg.get("werner")
@@ -121,7 +129,7 @@ def _load_state(cfg: dict):
     if (werner is None) == (path is None):
         raise CliError("specify exactly one of --werner and --state")
     if werner is not None:
-        p = float(werner)
+        p = _number(cfg, "werner")
         if not 0.0 <= p <= 1.0:
             raise CliError("invalid density matrix: Werner p outside [0, 1]")
         return werner_state(p), {"kind": "werner", "p": p}
@@ -155,10 +163,7 @@ def _threshold(cfg: dict) -> float:
     """Region-membership threshold on the residual norm: positive and finite."""
     if cfg.get("threshold") is None:
         return RESIDUAL_THRESHOLD
-    try:
-        threshold = float(cfg["threshold"])
-    except (TypeError, ValueError):
-        raise CliError(f"threshold must be a number, got {cfg['threshold']!r}") from None
+    threshold = _number(cfg, "threshold")
     if not (np.isfinite(threshold) and threshold > 0):
         raise CliError(f"threshold must be positive and finite, got {threshold!r}")
     return threshold
@@ -211,7 +216,8 @@ def cmd_probe(args) -> int:
             "min_energy": curve[0].min_energy_seen,
             "mean_energy": [
                 {"beta": est.beta, "value": est.mean_energy,
-                 "std_error": est.std_error, "ess": est.effective_sample_size}
+                 "std_error": est.std_error if np.isfinite(est.std_error) else None,
+                 "ess": est.effective_sample_size}
                 for est in curve
             ],
         },
@@ -228,7 +234,8 @@ def cmd_probe(args) -> int:
             "interior": sad.interior,
             "region_member": bool(sad.residual_norm < threshold),
         }
-    _emit(json.dumps(report, sort_keys=True, indent=2) + "\n", cfg.get("out"))
+    _emit(json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n",
+          cfg.get("out"))
     return 0
 
 
@@ -270,7 +277,7 @@ def cmd_scaling(args) -> int:
     else:
         if cfg.get("werner") is None:
             raise CliError("scaling requires --werner p")
-        p = float(cfg["werner"])
+        p = _number(cfg, "werner")
         if not 0.0 < p <= 1.0:
             raise CliError("p must lie in (0, 1]")
         pre = saddle_search(betas[0], p)

@@ -13,7 +13,13 @@ constraint surface z^dag z = 1 exactly when that point is a separable
 decomposition, so the global constrained minimum decides separability.
 
 `energy` is the one evaluation of this form in the package; the Monte
-Carlo estimators call it on stacks of Stiefel points.
+Carlo estimators call it on stacks of Stiefel points.  Because each h^{ab}
+is symmetric, z_i^T h^{ab} z_i = sum_{x<=y} (2 - delta_xy) h^{ab}_{xy}
+z_ix z_iy: a row enters only through its r(r+1)/2 pair products.  `energy`
+builds Hp[(x<=y), ab] = (2 - delta_xy) h^{ab}_{xy} once per call and, in
+blocks of about _BLOCK_ROWS rows, forms the pair products of every row
+and multiplies them by Hp in one complex matrix product.  The blocks keep
+the temporaries small whatever the stack size.
 """
 from __future__ import annotations
 
@@ -26,6 +32,7 @@ from .ensembles import StiefelPoint, constraint_residual
 from .quantum_core import EigenEnsemble
 
 H_FORM_PREFACTOR = 2.0
+_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -82,10 +89,23 @@ def energy(z, cop: CostOperator):
     a stack (..., N, r), which gives one value per stacked matrix.
     """
     zm = _rows(z)
-    if zm.shape[-1] != cop.r:
-        raise ValueError(f"z has {zm.shape[-1]} columns, expected {cop.r}")
-    quad = np.einsum("...ix,abxy,...iy->...iab", zm, cop.hset.matrices, zm, optimize=True)
-    e = H_FORM_PREFACTOR * np.sum(np.abs(quad) ** 2, axis=(-3, -2, -1))
+    r = cop.r
+    if zm.shape[-1] != r:
+        raise ValueError(f"z has {zm.shape[-1]} columns, expected {r}")
+    N = zm.shape[-2]
+    xi, yi = np.triu_indices(r)
+    h = cop.hset.matrices
+    Hp = (h[:, :, xi, yi] * np.where(xi == yi, 1.0, 2.0)).reshape(-1, xi.size).T
+    flat = zm.reshape(-1, N, r)
+    e = np.empty(flat.shape[0])
+    step = max(1, _BLOCK_ROWS // N)
+    for s in range(0, flat.shape[0], step):
+        rows = flat[s:s + step].reshape(-1, r)
+        q = (rows[:, xi] * rows[:, yi]) @ Hp
+        # |q|^2 summed over the N rows and all (a, b) of each matrix
+        q = q.view(float).reshape(-1, N * 2 * Hp.shape[1])
+        e[s:s + step] = H_FORM_PREFACTOR * np.einsum("ij,ij->i", q, q)
+    e = e.reshape(zm.shape[:-2])
     return float(e) if e.ndim == 0 else e
 
 

@@ -17,6 +17,7 @@ import numpy as np
 from .quantum_core import EigenEnsemble, PureState, _as_rng
 
 STIEFEL_TOL = 1e-12
+_QR_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -122,12 +123,19 @@ def _stiefel_batch(N: int, r: int, count: int, rng) -> np.ndarray:
     QR of an N x r Ginibre block with the R-diagonal phase folded back in
     (Mezzadri, math-ph/0609050); this is the same distribution as slicing r
     columns off a Haar N x N unitary, without paying for the discarded
-    columns.
+    columns.  The whole real block is drawn before the whole imaginary
+    block, and each QR sub-block of about _QR_ROWS rows writes its phased Q
+    back over its Ginibre block, so the only large array is the result.
     """
-    g = rng.standard_normal((count, N, r)) + 1j * rng.standard_normal((count, N, r))
-    q, rr = np.linalg.qr(g)
-    d = np.diagonal(rr, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[:, None, :]
+    g = np.empty((count, N, r), dtype=complex)
+    g.real = rng.standard_normal((count, N, r))
+    g.imag = rng.standard_normal((count, N, r))
+    step = max(1, _QR_ROWS // N)
+    for s in range(0, count, step):
+        q, rr = np.linalg.qr(g[s:s + step])
+        d = np.diagonal(rr, axis1=-2, axis2=-1)
+        np.multiply(q, (d / np.abs(d))[:, None, :], out=g[s:s + step])
+    return g
 
 
 def haar_stiefel(N: int, r: int, seed) -> StiefelPoint:

@@ -18,10 +18,13 @@ complex Gaussian with covariance omega^{-1} and the e^{-beta E_1} factor is
 importance-sampled against it.
 
 Determinism: every estimator consumes a single generator seeded from the
-argument, draws in a fixed order independent of chunking, and reduces in
-grid order, so fixed seeds give bit-identical results.  Parallel use should
-derive one child seed per task via numpy SeedSequence(seed).spawn, which is
-the splitting rule used by the command-line layer.
+argument, draws in a fixed order and reduces in grid order, so fixed seeds
+give bit-identical results.  The order depends on the chunk size _CHUNK:
+each chunk of Haar draws takes its whole real Gaussian block and then its
+whole imaginary block from the stream, so changing _CHUNK changes the
+samples.  Parallel use should derive one child seed per task via numpy
+SeedSequence(seed).spawn, which is the splitting rule used by the
+command-line layer.
 """
 from __future__ import annotations
 

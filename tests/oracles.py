@@ -9,7 +9,9 @@ Each computes a quantity the library also computes, by a different route:
 - the determinant product test det(sigma_A - 1);
 - the direct 8x8 determinant of the Werner Gaussian block matrix;
 - the multiplier gradient at a generic Hermitian w' (the library restricts
-  w' to diag(gamma, lam, lam, lam)).
+  w' to diag(gamma, lam, lam, lam));
+- the Haar-Stiefel draw as one unblocked QR of the whole Ginibre stack (the
+  library runs the QR in sub-blocks and must give the same bits).
 
 None of them is used by the library.
 """
@@ -133,3 +135,13 @@ def grad_log_z1_full(beta: float, omega_prime: np.ndarray, p: float) -> np.ndarr
     i0 = float(wts @ scal)
     avg = np.einsum("k,k,kab->ab", wts, scal, resolvent) / i0
     return h_matrix(p) - avg
+
+
+# --- Haar-Stiefel draw -------------------------------------------------------
+
+def stiefel_batch_unblocked(N: int, r: int, count: int, rng) -> np.ndarray:
+    """count Haar points of V_{N,r} by one phase-fixed QR of the whole stack."""
+    g = rng.standard_normal((count, N, r)) + 1j * rng.standard_normal((count, N, r))
+    q, rr = np.linalg.qr(g)
+    d = np.diagonal(rr, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]

@@ -102,6 +102,19 @@ def test_probe_werner_region_member(capsys):
     assert rep["saddle"]["interior"] is True
 
 
+def test_probe_report_is_strict_json_when_the_error_is_undefined(capsys):
+    # at beta = 1e7 one jackknife block carries all the weight
+    code, out, _ = run(capsys, "probe", "--werner", "0.2", "--seed", "1",
+                       "--samples", "20000", "--beta", "1e7")
+    assert code == 0
+
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    rep = json.loads(out, parse_constant=reject)
+    assert rep["mc"]["mean_energy"][0]["std_error"] is None
+
+
 def test_probe_is_deterministic(capsys):
     args = ("probe", "--werner", "0.4", "--seed", "11", "--samples", "2000")
     _, out1, _ = run(capsys, *args)
@@ -286,6 +299,15 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
                          "--config", str(cfg))
     assert code == 2
     assert "'tol'" in err and out == ""
+
+
+@pytest.mark.parametrize("command", ["ppt", "probe", "mc", "scaling"])
+def test_config_werner_must_be_a_number(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"werner": "abc"}))
+    code, out, err = run(capsys, command, "--config", str(cfg), "--seed", "1")
+    assert code == 2
+    assert "werner must be a number" in err and out == ""
 
 
 def test_config_long_name_is_honoured_and_null_is_absent(tmp_path, capsys):

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import cost_tensor, tensor_energy
+from sepmech import costfn
+from sepmech.ensembles import _stiefel_batch
 from sepmech import (DensityMatrix, LagrangeMultipliers, concurrence_sq,
                      cost_operator, eigen_ensemble, energy,
                      ensemble_from_stiefel, full_hamiltonian,
@@ -83,6 +85,32 @@ def test_energy_of_a_stack_is_per_matrix(rng):
     want = np.array([energy(z, cop) for z in zs])
     assert np.max(np.abs(got - want)) < 1e-14 * np.max(want)
     assert energy(zs[:, :1, :], cop).shape == (5,)
+
+
+@pytest.mark.parametrize("m, N", [(2, 16), (3, 81)])
+def test_energy_matches_tensor_oracle_across_row_blocks(m, N):
+    rng = np.random.default_rng(12345 + m)
+    ens = eigen_ensemble(_random_density(rng, m, m))
+    assert ens.rank == m * m
+    cop, tensor = cost_operator(ens), cost_tensor(ens)
+
+    def close(got, want):
+        return np.max(np.abs(got - want) / want) < 1e-12
+
+    block = max(1, costfn._BLOCK_ROWS // N)
+    for count in (1, block - 1, block, block + 1):
+        zs = _stiefel_batch(N, ens.rank, count, rng)
+        got = energy(zs, cop)
+        assert got.shape == (count,)
+        assert close(got, np.array([tensor_energy(z, tensor) for z in zs]))
+    pt = haar_stiefel(N, ens.rank, rng)
+    for z in (pt, pt.z, pt.z[0]):
+        got = energy(z, cop)
+        assert isinstance(got, float) and close(got, tensor_energy(z, tensor))
+    # the (samples, 1, r) stack of one-row ensembles that z1_mc passes
+    got = energy(pt.z[:, None, :], cop)
+    assert got.shape == (N,)
+    assert close(got, np.array([tensor_energy(row, tensor) for row in pt.z]))
 
 
 def test_energy_column_mismatch_raises(rng):

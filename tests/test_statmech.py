@@ -1,13 +1,17 @@
 """Monte Carlo machinery: reweighted energy averages, state-density
 histograms, power-law fits, and the Gaussian one-particle estimator."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from sepmech import statmech
 from sepmech import (LagrangeMultipliers, McEstimate, StateDensityEstimate,
                      cost_operator, estimate_state_density,
                      fit_energy_scaling, fit_power_law, h_matrix,
                      log_z1_quadrature, mc_energy_curve,
-                     OmegaPrime, weighted_stats, werner_eigenensemble, z1_mc)
+                     OmegaPrime, eigen_ensemble, weighted_stats,
+                     werner_eigenensemble, z1_mc)
 
 COP02 = cost_operator(werner_eigenensemble(0.2))
 COP10 = cost_operator(werner_eigenensemble(1.0))
@@ -189,3 +193,19 @@ def test_z1_matches_quadrature_at_werner_point():
     vals = np.array(vals)
     se = vals.std(ddof=1) / np.sqrt(len(vals))
     assert abs(vals.mean() - ref) < 3 * se
+
+
+def test_batch_energies_peak_memory_is_below_two_drawn_chunks(random_density):
+    # 3000 draws of a full-rank 3x3 state are one chunk of 3000 x 81 x 9
+    # complex values; the energies must not need a second copy of it
+    cop = cost_operator(eigen_ensemble(random_density(np.random.default_rng(12345), 3, 3)))
+    samples, N = 3000, 81
+    assert samples <= statmech._CHUNK
+    chunk_bytes = samples * N * cop.r * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        statmech._batch_energies(cop, N, samples, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * chunk_bytes
