@@ -16,11 +16,11 @@ from .concurrence import HMatrixSet, concurrence_sq, h_matrices, is_product
 from .ensembles import (RhoEnsemble, StiefelPoint, caratheodory_length,
                         constraint_residual, ensemble_from_stiefel,
                         haar_stiefel, stiefel_from_gs)
-from .costfn import (CostOperator, LagrangeMultipliers, cost_operator, energy,
-                     full_hamiltonian)
+from .costfn import CostOperator, LagrangeMultipliers, cost_operator, energy
 from .statmech import (McEstimate, ScalingFit, StateDensityEstimate,
                        estimate_state_density, fit_energy_scaling,
-                       fit_power_law, mc_energy_curve, weighted_stats, z1_mc)
+                       fit_power_law, mc_energy_curve, sample_energies,
+                       weighted_stats, z1_mc)
 from .werner import (ConstraintsUnsatisfiable, EquipartitionScan, OmegaPrime,
                      QuadratureError, SaddleResult, avg_energy_werner,
                      bell_diagonal_h, energy_closed_form, equipartition_scan,
@@ -36,10 +36,9 @@ __all__ = [
     "RhoEnsemble", "StiefelPoint", "caratheodory_length", "constraint_residual",
     "ensemble_from_stiefel", "haar_stiefel", "stiefel_from_gs",
     "CostOperator", "LagrangeMultipliers", "cost_operator", "energy",
-    "full_hamiltonian",
     "McEstimate", "ScalingFit", "StateDensityEstimate",
     "estimate_state_density", "fit_energy_scaling", "fit_power_law",
-    "mc_energy_curve", "weighted_stats", "z1_mc",
+    "mc_energy_curve", "sample_energies", "weighted_stats", "z1_mc",
     "ConstraintsUnsatisfiable", "EquipartitionScan", "OmegaPrime",
     "QuadratureError", "SaddleResult", "avg_energy_werner",
     "bell_diagonal_h", "energy_closed_form", "equipartition_scan",

@@ -31,7 +31,8 @@ import numpy as np
 from .costfn import cost_operator
 from .ensembles import caratheodory_length
 from .quantum_core import DensityMatrix, eigen_ensemble, ppt_is_entangled
-from .statmech import estimate_state_density, fit_energy_scaling, mc_energy_curve
+from .statmech import (estimate_state_density, fit_energy_scaling,
+                       mc_energy_curve, sample_energies)
 from .werner import (ConstraintsUnsatisfiable, QuadratureError, RESIDUAL_THRESHOLD,
                      avg_energy_werner, equipartition_scan, saddle_search,
                      werner_state)
@@ -115,11 +116,14 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 
 def _number(cfg: dict, key: str) -> float:
-    """cfg[key] as a float; a value that is not a number exits 2."""
+    """cfg[key] as a float; a boolean or a value that is not a number exits 2."""
+    val = cfg[key]
     try:
-        return float(cfg[key])
+        if isinstance(val, bool):
+            raise TypeError
+        return float(val)
     except (TypeError, ValueError):
-        raise CliError(f"{key} must be a number, got {cfg[key]!r}") from None
+        raise CliError(f"{key} must be a number, got {val!r}") from None
 
 
 def _load_state(cfg: dict):
@@ -142,11 +146,17 @@ def _load_state(cfg: dict):
 
 
 def _count(cfg: dict, key: str, default: int, floor: int) -> int:
-    """Integer option cfg[key], default when absent; below floor exits 2."""
+    """Integer option cfg[key], default when absent.
+
+    A boolean, a fraction or a value below floor exits 2.
+    """
+    raw = cfg.get(key, default)
     try:
-        val = int(cfg.get(key, default))
+        if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+            raise ValueError
+        val = int(raw)
     except (TypeError, ValueError):
-        raise CliError(f"{key} must be an integer, got {cfg[key]!r}") from None
+        raise CliError(f"{key} must be an integer, got {raw!r}") from None
     if val < floor:
         raise CliError(f"{key} must be >= {floor}, got {val}")
     return val
@@ -204,7 +214,8 @@ def cmd_probe(args) -> int:
     # the first of two children, so the mc section stays as it always was
     mc_seed = np.random.SeedSequence(seed).spawn(2)[0]
     cop = cost_operator(eigen_ensemble(rho))
-    curve = mc_energy_curve(cop, caratheodory_length(m, n), betas, samples, mc_seed)
+    curve = mc_energy_curve(
+        sample_energies(cop, caratheodory_length(m, n), samples, mc_seed), betas)
     report = {
         "state": desc,
         "dims": [m, n],
@@ -312,8 +323,9 @@ def cmd_mc(args) -> int:
     N = caratheodory_length(m, n)
     cop = cost_operator(eigen_ensemble(rho))
 
-    curve = mc_energy_curve(cop, N, betas, samples, seed)
-    hist = estimate_state_density(cop, N, samples, MC_HISTOGRAM_BINS, seed)
+    energies = sample_energies(cop, N, samples, seed)
+    curve = mc_energy_curve(energies, betas)
+    hist = estimate_state_density(energies, MC_HISTOGRAM_BINS)
 
     head = _header({**cfg, "seed": seed, "samples": samples,
                     "ensemble_length": N}, "mc")

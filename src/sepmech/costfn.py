@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concurrence import HMatrixSet, h_matrices
-from .ensembles import StiefelPoint, constraint_residual
+from .ensembles import StiefelPoint
 from .quantum_core import EigenEnsemble
 
 H_FORM_PREFACTOR = 2.0
@@ -107,10 +107,3 @@ def energy(z, cop: CostOperator):
         e[s:s + step] = H_FORM_PREFACTOR * np.einsum("ij,ij->i", q, q)
     e = e.reshape(zm.shape[:-2])
     return float(e) if e.ndim == 0 else e
-
-
-def full_hamiltonian(z, cop: CostOperator, lm: LagrangeMultipliers) -> float:
-    """E(z) + sum_{alpha beta} omega_{alpha beta} C_{alpha beta}(z), real."""
-    zm = _rows(z)
-    con = constraint_residual(zm)
-    return energy(zm, cop) + float(np.sum(lm.omega * con).real)

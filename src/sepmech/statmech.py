@@ -5,10 +5,13 @@ The constrained canonical average of the energy at inverse temperature beta,
     <<E>> = integral over V_{N,r} of E(z) e^{-beta E(z)} / Z(beta),
 
 is estimated by importance sampling: draw z Haar-uniformly from the Stiefel
-manifold (its natural invariant measure) and reweight with e^{-beta E}.  The
-same machinery yields the normalized state-density histogram of E and the
-log-log fits behind the scaling conjecture: for separable states the density
-near zero is expected to follow A eps^delta, which forces
+manifold (its natural invariant measure) and reweight with e^{-beta E}.
+One sample set feeds both reductions: sample_energies draws the energies
+once, and mc_energy_curve (the reweighting over a beta grid) and
+estimate_state_density (the normalized histogram of E) are pure functions
+of that array, so a caller that needs both pays for one draw.  The log-log
+fits behind the scaling conjecture follow: for separable states the
+density near zero is expected to follow A eps^delta, which forces
 <<E>> = (delta+1)/beta, while entangled states keep a gap and <<E>> stays
 bounded away from zero.
 
@@ -17,14 +20,14 @@ on average by a Hermitian positive multiplier omega: z is drawn from the
 complex Gaussian with covariance omega^{-1} and the e^{-beta E_1} factor is
 importance-sampled against it.
 
-Determinism: every estimator consumes a single generator seeded from the
-argument, draws in a fixed order and reduces in grid order, so fixed seeds
-give bit-identical results.  The order depends on the chunk size _CHUNK:
-each chunk of Haar draws takes its whole real Gaussian block and then its
-whole imaginary block from the stream, so changing _CHUNK changes the
-samples.  Parallel use should derive one child seed per task via numpy
-SeedSequence(seed).spawn, which is the splitting rule used by the
-command-line layer.
+Determinism: each sampler (sample_energies, z1_mc) consumes a single
+generator seeded from the argument, draws in a fixed order and reduces in
+grid order, so fixed seeds give bit-identical results.  The order depends
+on the chunk size _CHUNK: each chunk of Haar draws takes its whole real
+Gaussian block and then its whole imaginary block from the stream, so
+changing _CHUNK changes the samples.  Parallel use should derive one child
+seed per task via numpy SeedSequence(seed).spawn, which is the splitting
+rule used by the command-line layer.
 """
 from __future__ import annotations
 
@@ -119,38 +122,43 @@ def _jackknife_error(energies: np.ndarray, beta: float) -> float:
     return float(np.sqrt((b - 1) / b * np.sum((thetas - thetas.mean()) ** 2)))
 
 
-def mc_energy_curve(cop: CostOperator, N: int, betas, samples: int, seed) -> list:
-    """<<E>> estimates over a beta grid from one common sample set.
-
-    Reusing the draws across beta makes the curve a pure reweighting of fixed
-    energies, so it is monotone non-increasing in beta by construction.
-    """
+def sample_energies(cop: CostOperator, N: int, samples: int, seed) -> np.ndarray:
+    """E(z) for `samples` Haar draws z on V_{N,r}, the one sample set that
+    mc_energy_curve and estimate_state_density reduce."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if N < cop.r:
         raise ValueError(f"ensemble length {N} below rank {cop.r}")
-    e = _batch_energies(cop, N, samples, seed)
+    return _batch_energies(cop, N, samples, seed)
+
+
+def mc_energy_curve(energies, betas) -> list:
+    """<<E>> estimates over a beta grid from one common sample set.
+
+    Reusing the energies across beta makes the curve a pure reweighting of
+    fixed values, so it is monotone non-increasing in beta by construction.
+    """
+    e = np.asarray(energies, dtype=float)
     emin = float(e.min())
     out = []
     for beta in betas:
         if beta < 0:
             raise ValueError("beta must be >= 0")
         mean, ess = weighted_stats(e, beta)
-        out.append(McEstimate(float(beta), samples, mean,
+        out.append(McEstimate(float(beta), e.size, mean,
                               _jackknife_error(e, beta), emin, ess))
     return out
 
 
-def estimate_state_density(cop: CostOperator, N: int, samples: int, bins: int,
-                           seed) -> StateDensityEstimate:
-    """Normalized histogram of E over Haar draws.
+def estimate_state_density(energies, bins: int) -> StateDensityEstimate:
+    """Normalized histogram of sampled energies.
 
     Bin edges are geometric from the smallest sampled energy up to the median
     (resolving the near-zero power law) and linear above it.
     """
     if bins < 2:
         raise ValueError("bins must be >= 2")
-    e = _batch_energies(cop, N, samples, seed)
+    e = np.asarray(energies, dtype=float)
     lo, med, hi = float(e.min()), float(np.median(e)), float(e.max())
     nb_geo = bins // 2
     if lo > 0 and med > lo * (1 + 1e-9) and hi > med * (1 + 1e-9):

@@ -13,11 +13,12 @@ Each computes a quantity the library also computes, by a different route:
 - the Haar-Stiefel draw as one unblocked QR of the whole Ginibre stack (the
   library runs the QR in sub-blocks and must give the same bits).
 
-None of them is used by the library.
+It also holds the multiplier-extended Hamiltonian E(z) + sum omega C(z),
+which only the tests evaluate.  None of them is used by the library.
 """
 import numpy as np
 
-from sepmech import PureState, StiefelPoint, h_matrix
+from sepmech import PureState, StiefelPoint, constraint_residual, energy, h_matrix
 from sepmech.werner import BETA_INTERNAL_SCALE, _WK, _XK, _panel_edges
 
 TENSOR_PREFACTOR = 2.0
@@ -145,3 +146,13 @@ def stiefel_batch_unblocked(N: int, r: int, count: int, rng) -> np.ndarray:
     q, rr = np.linalg.qr(g)
     d = np.diagonal(rr, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[:, None, :]
+
+
+# --- multiplier-extended Hamiltonian -----------------------------------------
+
+def full_hamiltonian(z, cop, lm) -> float:
+    """E(z) + sum_{alpha beta} omega_{alpha beta} C_{alpha beta}(z), real."""
+    if isinstance(z, StiefelPoint):
+        z = z.z
+    zm = np.asarray(z, dtype=complex)
+    return energy(zm, cop) + float(np.sum(lm.omega * constraint_residual(zm)).real)

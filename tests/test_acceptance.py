@@ -19,8 +19,8 @@ from sepmech import (DensityMatrix, LagrangeMultipliers, OmegaPrime,
                      equipartition_scan, fit_energy_scaling, grad_log_z1,
                      h_matrix, haar_stiefel, haar_unitary, log_z1_quadrature,
                      mc_energy_curve, ppt_is_entangled, saddle_search,
-                     avg_energy_werner, werner_eigenensemble, werner_state,
-                     z1_mc)
+                     avg_energy_werner, sample_energies,
+                     werner_eigenensemble, werner_state, z1_mc)
 from sepmech.concurrence import skew_basis
 
 THRESHOLD = 1e-6
@@ -229,12 +229,12 @@ def test_criterion_08_gaussian_limits(capsys):
 def test_criterion_09_conjecture_property_suite(capsys):
     t0 = time.perf_counter()
     betas = np.logspace(0, 3, 13)
-    ent = mc_energy_curve(cost_operator(werner_eigenensemble(0.2)), 16,
-                          betas, 100000, seed=0)
+    ent = mc_energy_curve(sample_energies(cost_operator(werner_eigenensemble(0.2)),
+                                          16, 100000, seed=0), betas)
     min_ent = ent[0].min_energy_seen
     ratio = ent[-1].mean_energy / ent[0].mean_energy
-    sep = mc_energy_curve(cost_operator(werner_eigenensemble(1.0)), 4,
-                          betas, 100000, seed=0)
+    sep = mc_energy_curve(sample_energies(cost_operator(werner_eigenensemble(1.0)),
+                                          4, 100000, seed=0), betas)
     means = [est.mean_energy for est in sep]
     decreasing = all(a >= b for a, b in zip(means, means[1:]))
     fit = fit_energy_scaling([(est.beta, est.mean_energy) for est in sep[-5:]])

@@ -8,8 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sepmech import DensityMatrix, werner_state
-from sepmech.cli import main, parse_beta, parse_p_grid, CliError
+from sepmech import (DensityMatrix, cost_operator, eigen_ensemble,
+                     estimate_state_density, mc_energy_curve, sample_energies,
+                     statmech, werner_state)
+from sepmech.cli import (MC_HISTOGRAM_BINS, _fmt, main, parse_beta,
+                         parse_p_grid, CliError)
 
 
 def run(capsys, *argv):
@@ -257,6 +260,41 @@ def test_mc_rerun_is_byte_identical(tmp_path, capsys):
     assert (tmp_path / "re_energy.csv").read_bytes() == first
 
 
+@pytest.mark.parametrize("argv", [
+    ["mc", "--werner", "0.2", "--seed", "3", "--samples", "1000", "--beta", "1,10"],
+    ["probe", "--werner", "0.5", "--seed", "1", "--samples", "1000", "--beta", "1,10"],
+])
+def test_one_energy_draw_per_command(capsys, monkeypatch, argv):
+    calls = []
+    batch = statmech._batch_energies
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return batch(*args, **kwargs)
+
+    monkeypatch.setattr(statmech, "_batch_energies", counted)
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    assert len(calls) == 1
+
+
+def test_mc_rows_reduce_one_sample_set(tmp_path, capsys):
+    base = tmp_path / "one"
+    betas = parse_beta("1:100:5")
+    code, _, _ = run(capsys, "mc", "--werner", "0.2", "--seed", "3",
+                     "--samples", "2000", "--beta", "1:100:5", "--out", str(base))
+    assert code == 0
+    e = sample_energies(cost_operator(eigen_ensemble(werner_state(0.2))), 16, 2000, 3)
+    hist = estimate_state_density(e, MC_HISTOGRAM_BINS)
+    dens = [",".join(map(_fmt, row)) for row in
+            zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts)]
+    ener = [",".join(map(_fmt, (est.beta, est.mean_energy, est.std_error,
+                                est.effective_sample_size, est.min_energy_seen)))
+            for est in mc_energy_curve(e, betas)]
+    assert (tmp_path / "one_density.csv").read_text().splitlines()[2:] == dens
+    assert (tmp_path / "one_energy.csv").read_text().splitlines()[2:] == ener
+
+
 def test_mc_sample_floor(capsys):
     code, _, err = run(capsys, "mc", "--werner", "0.5", "--seed", "1",
                        "--samples", "10")
@@ -308,6 +346,25 @@ def test_config_werner_must_be_a_number(tmp_path, capsys, command):
     code, out, err = run(capsys, command, "--config", str(cfg), "--seed", "1")
     assert code == 2
     assert "werner must be a number" in err and out == ""
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("scan", "seed", 2.7), ("mc", "seed", 2.7), ("probe", "samples", 1500.5),
+    ("probe", "samples", True), ("scan", "seed", False),
+    ("ppt", "werner", True), ("probe", "werner", False),
+    ("scaling", "werner", True), ("scan", "threshold", True),
+])
+def test_config_value_is_not_coerced(tmp_path, capsys, command, key, value):
+    # a fraction for an integer option, or a boolean for any option, exits 2
+    base = {"scan": {"p-grid": "0.90:0.01:0.91"},
+            "mc": {"werner": 0.5, "seed": 1, "samples": 200, "beta": "1"},
+            "probe": {"werner": 0.5, "seed": 1, "samples": 200, "beta": "1"},
+            "scaling": {"beta": "10:100:3"}, "ppt": {}}[command]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**base, key: value}))
+    code, out, err = run(capsys, command, "--config", str(cfg))
+    assert code == 2
+    assert f"{key} must be" in err and out == ""
 
 
 def test_config_long_name_is_honoured_and_null_is_absent(tmp_path, capsys):

@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import cost_tensor, tensor_energy
+from oracles import cost_tensor, full_hamiltonian, tensor_energy
 from sepmech import costfn
 from sepmech.ensembles import _stiefel_batch
 from sepmech import (DensityMatrix, LagrangeMultipliers, concurrence_sq,
                      cost_operator, eigen_ensemble, energy,
-                     ensemble_from_stiefel, full_hamiltonian,
-                     haar_stiefel, haar_unitary, werner_eigenensemble,
-                     werner_state)
+                     ensemble_from_stiefel, haar_stiefel, haar_unitary,
+                     werner_eigenensemble, werner_state)
 
 
 def _random_density(rng, m, n):

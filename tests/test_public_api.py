@@ -12,17 +12,18 @@ PUBLIC = [
     "constraint_residual", "cost_operator", "eigen_ensemble", "energy",
     "energy_closed_form", "ensemble_from_stiefel", "equipartition_scan",
     "estimate_state_density", "fit_energy_scaling", "fit_power_law",
-    "full_hamiltonian", "grad_log_z1", "h_matrices", "h_matrix", "haar_stiefel",
-    "haar_unitary", "is_product", "log_z1_quadrature", "mc_energy_curve",
-    "partial_trace", "ppt_is_entangled", "saddle_search", "stiefel_from_gs",
+    "grad_log_z1", "h_matrices", "h_matrix", "haar_stiefel", "haar_unitary",
+    "is_product", "log_z1_quadrature", "mc_energy_curve", "partial_trace",
+    "ppt_is_entangled", "saddle_search", "sample_energies", "stiefel_from_gs",
     "tensor_product", "weighted_stats", "werner_eigenensemble", "werner_state",
     "z1_mc",
 ]
 
-# alternative formulas now kept in tests/oracles.py, and deleted helpers
+# alternative formulas and test-only helpers now kept in tests/oracles.py,
+# and deleted helpers
 REMOVED = ["energy_via_h", "concurrence_sq_skew", "SkewBasis", "skew_basis",
            "det_product_test", "det_m", "grad_log_z1_full", "WernerParams",
-           "mc_average_energy"]
+           "mc_average_energy", "full_hamiltonian"]
 
 
 def test_all_lists_exactly_the_public_names():

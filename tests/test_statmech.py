@@ -10,7 +10,8 @@ from sepmech import (LagrangeMultipliers, McEstimate, StateDensityEstimate,
                      cost_operator, estimate_state_density,
                      fit_energy_scaling, fit_power_law, h_matrix,
                      log_z1_quadrature, mc_energy_curve,
-                     OmegaPrime, eigen_ensemble, weighted_stats,
+                     OmegaPrime, eigen_ensemble, sample_energies,
+                     weighted_stats,
                      werner_eigenensemble, z1_mc)
 
 COP02 = cost_operator(werner_eigenensemble(0.2))
@@ -41,8 +42,8 @@ def test_weighted_mean_invariant_under_sample_duplication(rng):
 
 def test_curve_is_deterministic_and_monotone():
     betas = np.logspace(0, 2, 7)
-    a = mc_energy_curve(COP02, 16, betas, 4000, seed=5)
-    b = mc_energy_curve(COP02, 16, betas, 4000, seed=5)
+    a = mc_energy_curve(sample_energies(COP02, 16, 4000, seed=5), betas)
+    b = mc_energy_curve(sample_energies(COP02, 16, 4000, seed=5), betas)
     for x, y in zip(a, b):
         assert x == y
     means = [est.mean_energy for est in a]
@@ -51,7 +52,7 @@ def test_curve_is_deterministic_and_monotone():
 
 
 def test_curve_estimates_are_labelled(rng):
-    est = mc_energy_curve(COP02, 16, [2.0], 3000, seed=1)[0]
+    est = mc_energy_curve(sample_energies(COP02, 16, 3000, seed=1), [2.0])[0]
     assert isinstance(est, McEstimate)
     assert est.beta == 2.0 and est.samples == 3000
     assert est.std_error > 0
@@ -61,31 +62,31 @@ def test_curve_estimates_are_labelled(rng):
 
 def test_curve_input_validation():
     with pytest.raises(ValueError):
-        mc_energy_curve(COP02, 2, [1.0], 100, seed=0)
+        sample_energies(COP02, 2, 100, seed=0)
     with pytest.raises(ValueError):
-        mc_energy_curve(COP02, 16, [-1.0], 100, seed=0)
+        mc_energy_curve(sample_energies(COP02, 16, 100, seed=0), [-1.0])
     with pytest.raises(ValueError):
-        mc_energy_curve(COP02, 16, [1.0], 0, seed=0)
+        sample_energies(COP02, 16, 0, seed=0)
 
 
 def test_jackknife_error_shrinks_with_samples():
-    e1 = mc_energy_curve(COP02, 16, [5.0], 2000, seed=3)[0]
-    e2 = mc_energy_curve(COP02, 16, [5.0], 32000, seed=3)[0]
+    e1 = mc_energy_curve(sample_energies(COP02, 16, 2000, seed=3), [5.0])[0]
+    e2 = mc_energy_curve(sample_energies(COP02, 16, 32000, seed=3), [5.0])[0]
     assert e2.std_error < e1.std_error
 
 
 def test_jackknife_error_is_inf_when_one_block_holds_all_weight():
     # at beta = 1e7 only the lowest-energy draw keeps any weight; removing
     # its block leaves none, so the error is undefined, not NaN
-    est = mc_energy_curve(cost_operator(werner_eigenensemble(0.2)), 16, [1e7],
-                          20000, seed=0)[0]
+    e = sample_energies(cost_operator(werner_eigenensemble(0.2)), 16, 20000, seed=0)
+    est = mc_energy_curve(e, [1e7])[0]
     assert est.std_error == np.inf
     assert est.effective_sample_size == 1.0
     assert est.mean_energy == est.min_energy_seen
 
 
 def test_density_histogram_conserves_mass_and_positivity():
-    hist = estimate_state_density(COP02, 16, 20000, 32, seed=2)
+    hist = estimate_state_density(sample_energies(COP02, 16, 20000, seed=2), 32)
     assert hist.total_samples == 20000
     assert abs(hist.counts.sum() - 1.0) < 1e-12
     assert np.all(np.diff(hist.bin_edges) > 0)
@@ -93,7 +94,7 @@ def test_density_histogram_conserves_mass_and_positivity():
 
 
 def test_density_histogram_separable_state_piles_up_low():
-    hist = estimate_state_density(COP10, 16, 20000, 32, seed=2)
+    hist = estimate_state_density(sample_energies(COP10, 16, 20000, seed=2), 32)
     centers = 0.5 * (hist.bin_edges[1:] + hist.bin_edges[:-1])
     med = np.median(np.repeat(centers, (hist.counts * 20000).astype(int)))
     # mass sits at energies well below the entangled state's gap
@@ -115,7 +116,7 @@ def test_fit_power_law_recovers_synthetic_exponents(rng):
 
 
 def test_fit_power_law_needs_enough_bins():
-    hist = estimate_state_density(COP02, 16, 5000, 24, seed=9)
+    hist = estimate_state_density(sample_energies(COP02, 16, 5000, seed=9), 24)
     with pytest.raises(ValueError):
         fit_power_law(hist, (1e9, 2e9))
 
