@@ -11,7 +11,7 @@ with an explicit saddle condition.
 """
 from .quantum_core import (DensityMatrix, EigenEnsemble, PureState,
                            eigen_ensemble, haar_unitary, partial_trace,
-                           ppt_is_entangled, tensor_product)
+                           ppt_is_entangled)
 from .concurrence import HMatrixSet, concurrence_sq, h_matrices, is_product
 from .ensembles import (RhoEnsemble, StiefelPoint, caratheodory_length,
                         constraint_residual, ensemble_from_stiefel,
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DensityMatrix", "EigenEnsemble", "PureState", "eigen_ensemble",
-    "haar_unitary", "partial_trace", "ppt_is_entangled", "tensor_product",
+    "haar_unitary", "partial_trace", "ppt_is_entangled",
     "HMatrixSet", "concurrence_sq", "h_matrices", "is_product",
     "RhoEnsemble", "StiefelPoint", "caratheodory_length", "constraint_residual",
     "ensemble_from_stiefel", "haar_stiefel", "stiefel_from_gs",

@@ -280,29 +280,18 @@ def cmd_scaling(args) -> int:
     betas = parse_beta(cfg.get("beta", "10:10000:12"))
     if min(betas) <= 0:
         raise CliError("scaling needs beta > 0")
-    threshold = _threshold(cfg)
     seed = _seed(cfg, required=False)
-    if cfg.get("self_test"):
-        points = [(b, 2.75 / b) for b in betas]
-        flag = 0
-    else:
-        if cfg.get("werner") is None:
-            raise CliError("scaling requires --werner p")
-        p = _number(cfg, "werner")
-        if not 0.0 < p <= 1.0:
-            raise CliError("p must lie in (0, 1]")
-        pre = saddle_search(betas[0], p)
-        if pre.residual_norm >= threshold:
-            raise ConstraintsUnsatisfiable(
-                f"constraints unsatisfiable at p={p} "
-                f"(residual {pre.residual_norm:.3e})")
-        points = [(b, avg_energy_werner(b, p)) for b in betas]
-        flag = 1
+    if cfg.get("werner") is None:
+        raise CliError("scaling requires --werner p")
+    p = _number(cfg, "werner")
+    if not 0.0 < p <= 1.0:
+        raise CliError("p must lie in (0, 1]")
+    points = [(b, avg_energy_werner(b, p)) for b in betas]
     fit = fit_energy_scaling(points)
-    lines = [_header({**cfg, "seed": seed, "threshold": threshold}, "scaling"),
+    lines = [_header({**cfg, "seed": seed}, "scaling"),
              "beta,avg_energy,analytic_flag\n"]
     for b, e in points:
-        lines.append(f"{_fmt(b)},{_fmt(e)},{flag}\n")
+        lines.append(f"{_fmt(b)},{_fmt(e)},1\n")
     footer = {"slope": fit.slope, "intercept": fit.intercept,
               "delta": fit.delta, "amplitude": fit.amplitude,
               "r_squared": fit.r_squared}
@@ -363,13 +352,14 @@ def _build_parser() -> argparse.ArgumentParser:
                                              "ensemble statistical mechanics")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, state=True):
+    def common(sp, state=True, seed=True):
         if state:
             sp.add_argument("--werner", type=float, metavar="P",
                             help="use the 2x2 Werner state W(P)")
             sp.add_argument("--state", metavar="PATH",
                             help="density matrix JSON file")
-        sp.add_argument("--seed", type=int, help="RNG seed")
+        if seed:
+            sp.add_argument("--seed", type=int, help="RNG seed")
         sp.add_argument("--out", metavar="PATH", help="output file")
         sp.add_argument("--config", metavar="PATH",
                         help="JSON config file; flags override it")
@@ -392,9 +382,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp, state=False)
     sp.add_argument("--werner", type=float, metavar="P")
     sp.add_argument("--beta", help="beta grid, default 10:10000:12")
-    sp.add_argument("--threshold", type=float)
-    sp.add_argument("--self-test", dest="self_test", action="store_true",
-                    default=None, help="fit injected 2.75/beta data instead")
     sp.set_defaults(func=cmd_scaling)
 
     sp = sub.add_parser("mc", help="Monte Carlo density + energy curves")
@@ -404,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_mc)
 
     sp = sub.add_parser("ppt", help="partial-transpose test")
-    common(sp)
+    common(sp, seed=False)
     sp.set_defaults(func=cmd_ppt)
     return ap
 

@@ -4,19 +4,17 @@ Every decomposition rho = sum_i |psi_i><psi_i| of length N is reachable from
 a fixed eigenvector ensemble {e_alpha} through an N x r matrix z with
 orthonormal columns (z^dag z = 1), via psi_i = sum_alpha z_{i alpha} e_alpha.
 The z matrices form the complex Stiefel manifold V_{N,r}; this module
-provides points on it (explicit Gram-Schmidt parametrization and Haar
-sampling), the constraint residual, and reconstruction of ensembles.
+provides points on it (an explicit QR chart and Haar sampling), the
+constraint residual, and reconstruction of ensembles.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quantum_core import EigenEnsemble, PureState, _as_rng
+from .quantum_core import EigenEnsemble, PureState, _phase_fixed_q
 
-STIEFEL_TOL = 1e-12
 _QR_ROWS = 4096
 
 
@@ -37,20 +35,6 @@ class StiefelPoint:
         if np.max(np.abs(res)) > 1e-10:
             raise ValueError("columns are not orthonormal")
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "N": self.N,
-            "r": self.r,
-            "re": self.z.real.ravel().tolist(),
-            "im": self.z.imag.ravel().tolist(),
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "StiefelPoint":
-        d = json.loads(text)
-        z = (np.array(d["re"]) + 1j * np.array(d["im"])).reshape(d["N"], d["r"])
-        return cls(d["N"], d["r"], z)
-
 
 @dataclass(frozen=True)
 class RhoEnsemble:
@@ -58,10 +42,6 @@ class RhoEnsemble:
 
     vectors: tuple = field(default_factory=tuple)
     source: EigenEnsemble = None
-
-    @property
-    def length(self) -> int:
-        return len(self.vectors)
 
     def reconstruct(self) -> np.ndarray:
         d = self.source.dimA * self.source.dimB
@@ -89,13 +69,14 @@ def ensemble_from_stiefel(z: StiefelPoint, ens: EigenEnsemble) -> RhoEnsemble:
 
 
 def stiefel_from_gs(v: np.ndarray, U: np.ndarray) -> StiefelPoint:
-    """Explicit chart: z = GS(1_r stacked on v) @ U.
+    """Explicit chart: z = Q @ U, with Q R = (1_r stacked on v) the QR
+    factorization whose R has a positive real diagonal.
 
-    v is (N-r) x r and fills the free block below the identity; the columns
-    are orthonormalized by modified Gram-Schmidt (with re-orthogonalization)
-    and rotated by the r x r unitary U.  The top r rows of the result stay
-    linearly independent, which is what makes this a chart rather than a
-    global parametrization.
+    v is (N-r) x r and fills the free block below the identity, and U is an
+    r x r unitary.  Q is what Gram-Schmidt makes of the columns, so the top
+    r x r block of z U^dag is R^{-1}: upper-triangular with a positive real
+    diagonal.  The top r rows of the result stay linearly independent, which
+    is what makes this a chart rather than a global parametrization.
     """
     v = np.atleast_2d(np.asarray(v, dtype=complex))
     U = np.asarray(U, dtype=complex)
@@ -107,34 +88,25 @@ def stiefel_from_gs(v: np.ndarray, U: np.ndarray) -> StiefelPoint:
     if v.shape[1] != r:
         raise ValueError(f"v must have {r} columns")
     B = np.vstack([np.eye(r, dtype=complex), v])
-    Q = np.zeros_like(B)
-    for j in range(r):
-        q = B[:, j].copy()
-        for _ in range(2):  # re-orthogonalize for stability
-            for i in range(j):
-                q -= (Q[:, i].conj() @ q) * Q[:, i]
-        Q[:, j] = q / np.linalg.norm(q)
-    return StiefelPoint(B.shape[0], r, Q @ U)
+    return StiefelPoint(B.shape[0], r, _phase_fixed_q(B) @ U)
 
 
 def _stiefel_batch(N: int, r: int, count: int, rng) -> np.ndarray:
     """count Haar points of V_{N,r}, stacked (count, N, r).
 
-    QR of an N x r Ginibre block with the R-diagonal phase folded back in
-    (Mezzadri, math-ph/0609050); this is the same distribution as slicing r
-    columns off a Haar N x N unitary, without paying for the discarded
-    columns.  The whole real block is drawn before the whole imaginary
-    block, and each QR sub-block of about _QR_ROWS rows writes its phased Q
-    back over its Ginibre block, so the only large array is the result.
+    The phase-fixed QR of an N x r Ginibre block; this is the same
+    distribution as slicing r columns off a Haar N x N unitary, without
+    paying for the discarded columns.  The whole real block is drawn before
+    the whole imaginary block, and each QR sub-block of about _QR_ROWS rows
+    writes its phased Q back over its Ginibre block, so the only large array
+    is the result.
     """
     g = np.empty((count, N, r), dtype=complex)
     g.real = rng.standard_normal((count, N, r))
     g.imag = rng.standard_normal((count, N, r))
     step = max(1, _QR_ROWS // N)
     for s in range(0, count, step):
-        q, rr = np.linalg.qr(g[s:s + step])
-        d = np.diagonal(rr, axis1=-2, axis2=-1)
-        np.multiply(q, (d / np.abs(d))[:, None, :], out=g[s:s + step])
+        _phase_fixed_q(g[s:s + step], out=g[s:s + step])
     return g
 
 
@@ -142,7 +114,7 @@ def haar_stiefel(N: int, r: int, seed) -> StiefelPoint:
     """Uniform point of V_{N,r}; seed is an int, SeedSequence or Generator."""
     if not 1 <= r <= N:
         raise ValueError(f"need N >= r >= 1, got N={N}, r={r}")
-    return StiefelPoint(N, r, _stiefel_batch(N, r, 1, _as_rng(seed))[0])
+    return StiefelPoint(N, r, _stiefel_batch(N, r, 1, np.random.default_rng(seed))[0])
 
 
 def caratheodory_length(m: int, n: int) -> int:

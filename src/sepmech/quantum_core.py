@@ -2,9 +2,9 @@
 
 Bipartite states live on C^m (x) C^n.  Pure states are stored as flat
 amplitude vectors in row-major (a, b) order, density matrices as
-mn x mn arrays.  Provides tensor products, partial traces, eigenvector
-ensembles of a mixed state, Haar-random unitaries, and the partial
-transpose (PPT) entanglement test.
+mn x mn arrays, so np.kron(a, b) is the tensor product.  Provides partial
+traces, eigenvector ensembles of a mixed state, Haar-random unitaries, and
+the partial transpose (PPT) entanglement test.
 
 All functions are pure; RNG state is caller-owned and never global.
 """
@@ -19,13 +19,6 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 DEFAULT_EIGENVALUE_CUTOFF = 1e-10
-
-
-def _as_rng(seed) -> np.random.Generator:
-    """Accept an int seed, a SeedSequence, or an existing Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 @dataclass(frozen=True)
@@ -127,11 +120,6 @@ class EigenEnsemble:
         return E.T @ E.conj()
 
 
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices (or vectors)."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def _pure_reduced(psi: PureState, keep: str) -> np.ndarray:
     C = psi.coeff_matrix()
     if keep == "A":
@@ -181,20 +169,24 @@ def eigen_ensemble(rho: DensityMatrix, cutoff: float = DEFAULT_EIGENVALUE_CUTOFF
     return EigenEnsemble(rho.dimA, rho.dimB, len(vectors), tuple(vectors), vals)
 
 
-def haar_unitary(d: int, seed) -> np.ndarray:
-    """Haar-distributed d x d unitary: complex Gaussian, QR, diagonal phase fix.
+def _phase_fixed_q(b: np.ndarray, out=None) -> np.ndarray:
+    """Q of the thin QR of b (..., N, r), with the phases of R's diagonal
+    folded into Q so that R's diagonal is positive real: the unique such
+    factorization of a full-rank block (Mezzadri, math-ph/0609050).  The
+    phase fix removes the QR sign ambiguity that would otherwise bias a Haar
+    draw.  Written into out when given."""
+    q, rr = np.linalg.qr(b)
+    d = np.diagonal(rr, axis1=-2, axis2=-1)
+    return np.multiply(q, (d / np.abs(d))[..., None, :], out=out)
 
-    The phase correction q[:, j] *= r_jj / |r_jj| removes the QR sign ambiguity
-    that would otherwise bias the distribution.
-    """
+
+def haar_unitary(d: int, seed) -> np.ndarray:
+    """Haar-distributed d x d unitary: the phase-fixed QR of a complex Gaussian."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    ph = np.diagonal(r).copy()
-    ph /= np.abs(ph)
-    return q * ph
+    return _phase_fixed_q(z)
 
 
 def ppt_is_entangled(rho: DensityMatrix, allow_inconclusive: bool = False) -> bool:

@@ -85,6 +85,7 @@ class SaddleResult:
     residual_norm: float
     interior: bool
     iterations: int
+    mean_x: float  # <x> of the weight at the returned point
 
 
 @dataclass(frozen=True)
@@ -239,6 +240,14 @@ def _moments(bt: float, g: float, lam: float):
     return k[0], mA, mB, mx, jac, err
 
 
+def _require_converged(i0, err):
+    """Raise QuadratureError unless a _moments pass is finite, positive and
+    within _GK_TOL."""
+    if not (np.isfinite(i0) and i0 > 0 and err < _GK_TOL):
+        raise QuadratureError(f"reduced integral did not converge "
+                              f"(estimate {i0!r}, rel error {err:.3e})")
+
+
 def _checked_moments(beta: float, op: OmegaPrime, p: float):
     if beta <= 0:
         raise ValueError("beta must be positive")
@@ -246,9 +255,7 @@ def _checked_moments(beta: float, op: OmegaPrime, p: float):
         raise ValueError("p must lie in (0, 1]")
     bt = BETA_INTERNAL_SCALE * beta
     i0, mg, ml, mx, _, err = _moments(bt, op.gamma, op.lam)
-    if not (np.isfinite(i0) and i0 > 0 and err < _GK_TOL):
-        raise QuadratureError(f"reduced integral did not converge "
-                              f"(estimate {i0!r}, rel error {err:.3e})")
+    _require_converged(i0, err)
     return bt, i0, mg, ml, mx
 
 
@@ -289,7 +296,8 @@ def saddle_search(beta: float, p: float) -> SaddleResult:
     residual: the solve ends with log gamma on the floor and the objective
     still rising in log gamma.  That certificate marks a boundary point
     (interior=False); every other end is interior.  iterations counts the
-    _moments evaluations.
+    _moments evaluations.  mean_x is <x> from the pass at the returned
+    point, and that pass must have converged: QuadratureError otherwise.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
@@ -300,8 +308,8 @@ def saddle_search(beta: float, p: float) -> SaddleResult:
     wt = np.array([1.0, np.sqrt(3.0)])  # lam carries multiplicity 3
 
     def residual(u):
-        _, mg, ml, _, jac, _ = _moments(bt, *np.exp(u))
-        return wt * (h - (mg, ml)), -wt[:, None] * jac
+        i0, mg, ml, mx, jac, err = _moments(bt, *np.exp(u))
+        return wt * (h - (mg, ml)), -wt[:, None] * jac, (i0, mx, err)
 
     if 3 * h[1] > 2 * h[0]:
         lam_inf = 1 / (3 * h[1] - h[0])
@@ -309,7 +317,7 @@ def saddle_search(beta: float, p: float) -> SaddleResult:
     else:
         u = np.log(1 / h)
     u = np.clip(u, LOG_GAMMA_FLOOR, -LOG_GAMMA_FLOOR)
-    r, J = residual(u)
+    r, J, quad = residual(u)
     f, mu, evals = r @ r, 0.0, 1
     while evals < _MAX_EVALS and f > 0:
         grad, H = J.T @ r, J.T @ J
@@ -326,16 +334,19 @@ def saddle_search(beta: float, p: float) -> SaddleResult:
             break  # the step no longer moves u above rounding
         if not crossed and f - np.sum((r + J @ (un - u)) ** 2) <= _EPS_F * f:
             break  # the linear model promises no decrease above rounding
-        rn, Jn = residual(un)
+        rn, Jn, qn = residual(un)
         evals += 1
         fn = rn @ rn
         if fn < f:
-            u, r, J, f, mu = un, rn, Jn, fn, 0.1 * mu
+            u, r, J, quad, f, mu = un, rn, Jn, qn, fn, 0.1 * mu
         else:
             mu = max(10.0 * mu, 1.0)
+    i0, mx, err = quad
+    _require_converged(i0, err)
     boundary = u[0] <= LOG_GAMMA_FLOOR and (J.T @ r)[0] > 0
     g, lam = np.exp(u)
-    return SaddleResult(float(g), float(lam), float(np.sqrt(f)), not boundary, evals)
+    return SaddleResult(float(g), float(lam), float(np.sqrt(f)), not boundary, evals,
+                        float(mx))
 
 
 def equipartition_scan(p_grid, beta: float,
@@ -359,7 +370,8 @@ def equipartition_scan(p_grid, beta: float,
 
 
 def avg_energy_werner(beta: float, p: float) -> float:
-    """<<E_1>> = -d log Z1/d beta at the saddle: 1/beta - <x>/(256 beta^2).
+    """<<E_1>> = -d log Z1/d beta at the saddle: 1/beta - <x>/(256 beta^2),
+    with <x> from the saddle's own last quadrature pass.
 
     Raises ConstraintsUnsatisfiable when no positive multiplier solves the
     averaged constraints at this p (outside the equipartition region).
@@ -368,5 +380,4 @@ def avg_energy_werner(beta: float, p: float) -> float:
     if sad.residual_norm >= RESIDUAL_THRESHOLD:
         raise ConstraintsUnsatisfiable(
             f"constraints unsatisfiable at p={p} (residual {sad.residual_norm:.3e})")
-    _, _, _, _, mx = _checked_moments(beta, OmegaPrime(sad.gamma_star, sad.lambda_star), p)
-    return 1.0 / beta - mx / (256.0 * beta * beta)
+    return 1.0 / beta - sad.mean_x / (256.0 * beta * beta)

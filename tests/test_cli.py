@@ -1,4 +1,5 @@
 """Command-line front end: parsing, exit codes, output formats, determinism."""
+import argparse
 import json
 import os
 import subprocess
@@ -10,9 +11,9 @@ import pytest
 
 from sepmech import (DensityMatrix, cost_operator, eigen_ensemble,
                      estimate_state_density, mc_energy_curve, sample_energies,
-                     statmech, werner_state)
-from sepmech.cli import (MC_HISTOGRAM_BINS, _fmt, main, parse_beta,
-                         parse_p_grid, CliError)
+                     saddle_search, statmech, werner, werner_state)
+from sepmech.cli import (MC_HISTOGRAM_BINS, _build_parser, _fmt, main,
+                         parse_beta, parse_p_grid, CliError)
 
 
 def run(capsys, *argv):
@@ -181,6 +182,41 @@ def test_tol_flag_is_gone(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("scaling", "--threshold", "0.1"), ("scaling", "--self-test", None),
+    ("ppt", "--seed", "7"),
+])
+def test_removed_flag_is_gone(tmp_path, capsys, command, flag, value):
+    # scaling's region test is the library's own; ppt draws no random numbers
+    argv = [command, "--werner", "0.9"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag] + ([value] if value else []))
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag[2:]: value or True}))
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 2 and "unknown config key" in err and out == ""
+
+
+LONG_OPTIONS = {
+    "mc": ["--beta", "--config", "--out", "--samples", "--seed", "--state", "--werner"],
+    "ppt": ["--config", "--out", "--state", "--werner"],
+    "probe": ["--beta", "--config", "--out", "--samples", "--seed", "--state",
+              "--threshold", "--werner"],
+    "scaling": ["--beta", "--config", "--out", "--seed", "--werner"],
+    "scan": ["--beta", "--config", "--out", "--p-grid", "--seed", "--threshold"],
+}
+
+
+def test_each_command_takes_exactly_its_options():
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: sorted(opt for a in sp._actions for opt in a.option_strings
+                        if opt.startswith("--") and opt != "--help")
+           for name, sp in sub.choices.items()}
+    assert got == LONG_OPTIONS
+
+
 def test_cli_import_does_not_load_scipy():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ,
@@ -190,20 +226,6 @@ def test_cli_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True).stdout
     assert out.strip() == "[]"
-
-
-def test_scaling_self_test_recovers_injected_law(tmp_path, capsys):
-    out = tmp_path / "fit.csv"
-    code, stdout, _ = run(capsys, "scaling", "--self-test",
-                          "--beta", "10:10000:12", "--out", str(out))
-    assert code == 0
-    assert "slope=-1.000000" in stdout
-    lines = out.read_text().splitlines()
-    assert lines[1] == "beta,avg_energy,analytic_flag"
-    assert all(ln.endswith(",0") for ln in lines[2:-1])
-    footer = json.loads(lines[-1][2:])
-    assert abs(footer["slope"] + 1.0) < 1e-9
-    assert abs(footer["delta"] - 1.75) < 1e-9
 
 
 def test_scaling_inside_region(tmp_path, capsys):
@@ -225,6 +247,29 @@ def test_scaling_outside_region_exits_3(capsys):
     code, _, err = run(capsys, "scaling", "--werner", "0.5", "--beta", "10:100:3")
     assert code == 3
     assert "unsatisfiable" in err
+
+
+def test_scaling_runs_one_saddle_per_beta(capsys, monkeypatch):
+    betas = parse_beta("10:100000:6")
+    iterations = sum(saddle_search(b, 0.95).iterations for b in betas)
+    calls = []
+    moments = werner._moments
+
+    def counted(*args):
+        calls.append(args)
+        return moments(*args)
+
+    monkeypatch.setattr(werner, "_moments", counted)
+    code, _, err = run(capsys, "scaling", "--werner", "0.95", "--beta", "10:100000:6")
+    assert code == 0, err
+    assert len(calls) == iterations
+
+
+def test_scan_exits_4_when_the_quadrature_does_not_converge(capsys, monkeypatch):
+    moments = werner._moments
+    monkeypatch.setattr(werner, "_moments", lambda *a: (*moments(*a)[:5], 1.0))
+    code, out, err = run(capsys, "scan", "--p-grid", "0.85:0.05:0.90")
+    assert code == 4 and "did not converge" in err and out == ""
 
 
 def test_scaling_requires_p(capsys):
@@ -343,7 +388,8 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
 def test_config_werner_must_be_a_number(tmp_path, capsys, command):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"werner": "abc"}))
-    code, out, err = run(capsys, command, "--config", str(cfg), "--seed", "1")
+    seed = [] if command == "ppt" else ["--seed", "1"]
+    code, out, err = run(capsys, command, "--config", str(cfg), *seed)
     assert code == 2
     assert "werner must be a number" in err and out == ""
 
@@ -411,7 +457,6 @@ def _echoed(command, flag, out):
     ("scaling", "--werner", "0", 2), ("scaling", "--werner", "-1", 2),
     ("scaling", "--seed", "0", 0), ("scaling", "--seed", "-1", 2),
     ("scaling", "--beta", "0", 2), ("scaling", "--beta", "-1", 2),
-    ("scaling", "--threshold", "0", 2), ("scaling", "--threshold", "-1", 2),
     ("mc", "--werner", "0", 0), ("mc", "--werner", "-1", 2),
     ("mc", "--seed", "0", 0), ("mc", "--seed", "-1", 2),
     ("mc", "--samples", "0", 2), ("mc", "--samples", "-1", 2),

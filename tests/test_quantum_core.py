@@ -1,26 +1,30 @@
-"""Density-matrix plumbing: tensor products, partial traces, eigenensembles,
-Haar unitaries, and the partial-transpose test."""
+"""Density-matrix plumbing: tensor-product order, partial traces,
+eigenensembles, Haar unitaries, and the partial-transpose test."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sepmech import (DensityMatrix, PureState, eigen_ensemble, haar_unitary,
-                     partial_trace, ppt_is_entangled, tensor_product,
-                     werner_state)
+                     partial_trace, ppt_is_entangled, werner_state)
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def test_tensor_product_identities():
-    assert np.array_equal(tensor_product(np.eye(2), np.eye(2)), np.eye(4))
-    out = tensor_product(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-    assert np.array_equal(out, np.diag([0.0, 1.0, 0.0, 0.0]))
+    # np.kron is the tensor product in the package's row-major (a, b) order:
+    # the partial traces of rho_A (x) rho_B give back its factors
+    ra, rb = np.diag([1.0, 0.0]), np.diag([0.25, 0.75])
+    rho = DensityMatrix(2, 2, np.kron(ra, rb))
+    assert np.array_equal(rho.mat, np.diag([0.25, 0.75, 0.0, 0.0]))
+    assert np.allclose(partial_trace(rho, "A"), ra, atol=1e-15)
+    assert np.allclose(partial_trace(rho, "B"), rb, atol=1e-15)
 
 
 def test_tensor_product_flips_basis_state():
     ket00 = np.array([1, 0, 0, 0], dtype=complex)
-    assert np.allclose(tensor_product(SIGMA_X, SIGMA_X) @ ket00,
-                       [0, 0, 0, 1])
+    ket11 = np.kron(SIGMA_X, SIGMA_X) @ ket00
+    assert np.allclose(ket11, [0, 0, 0, 1])
+    assert np.allclose(PureState(2, 2, ket11).coeff_matrix(), [[0, 0], [0, 1]])
 
 
 def test_partial_trace_singlet_is_maximally_mixed():

@@ -16,6 +16,7 @@ from sepmech import (OmegaPrime, PureState, avg_energy_werner,
                      h_matrix, h_matrices,
                      log_z1_quadrature, saddle_search, werner_eigenensemble,
                      werner_state)
+from sepmech import werner
 from sepmech.werner import (BETA_INTERNAL_SCALE, LOG_GAMMA_FLOOR,
                             QuadratureError, _moments)
 
@@ -303,6 +304,23 @@ def test_saddle_interior_flag_switches_at_onset():
             assert sad.gamma_star == np.exp(LOG_GAMMA_FLOOR), p
 
 
+def test_saddle_mean_x_is_the_moment_at_the_returned_point():
+    for beta, p in ((10.0, 0.9), (10.0, 0.5)):
+        sad = saddle_search(beta, p)
+        want = _moments(BETA_INTERNAL_SCALE * beta, sad.gamma_star, sad.lambda_star)[3]
+        assert sad.mean_x == want
+
+
+def test_saddle_raises_when_its_final_pass_does_not_converge(monkeypatch):
+    def unconverged(*args):
+        return (*_moments(*args)[:5], 1.0)  # GK error far above _GK_TOL
+
+    monkeypatch.setattr(werner, "_moments", unconverged)
+    for p in (0.9, 0.5):  # interior and boundary ends
+        with pytest.raises(QuadratureError, match="did not converge"):
+            saddle_search(10.0, p)
+
+
 def test_saddle_validation():
     with pytest.raises(ValueError):
         saddle_search(-1.0, 0.9)
@@ -355,3 +373,18 @@ def test_avg_energy_equipartition_plateau():
     assert all(0.9 < v < 1.05 for v in vals)
     cv = np.std(vals) / np.mean(vals)
     assert cv < 0.10
+
+
+def test_avg_energy_runs_no_quadrature_beyond_its_saddle(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _moments(*args)
+
+    monkeypatch.setattr(werner, "_moments", counted)
+    for beta, p in ((10.0, 0.9), (1e4, 1.0)):
+        iterations = saddle_search(beta, p).iterations
+        calls.clear()
+        avg_energy_werner(beta, p)
+        assert len(calls) == iterations
