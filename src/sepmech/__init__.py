@@ -20,7 +20,7 @@ from .costfn import CostOperator, LagrangeMultipliers, cost_operator, energy
 from .statmech import (McEstimate, ScalingFit, StateDensityEstimate,
                        estimate_state_density, fit_energy_scaling,
                        fit_power_law, mc_energy_curve, sample_energies,
-                       weighted_stats, z1_mc)
+                       z1_mc)
 from .werner import (ConstraintsUnsatisfiable, EquipartitionScan, OmegaPrime,
                      QuadratureError, SaddleResult, avg_energy_werner,
                      bell_diagonal_h, energy_closed_form, equipartition_scan,
@@ -38,7 +38,7 @@ __all__ = [
     "CostOperator", "LagrangeMultipliers", "cost_operator", "energy",
     "McEstimate", "ScalingFit", "StateDensityEstimate",
     "estimate_state_density", "fit_energy_scaling", "fit_power_law",
-    "mc_energy_curve", "sample_energies", "weighted_stats", "z1_mc",
+    "mc_energy_curve", "sample_energies", "z1_mc",
     "ConstraintsUnsatisfiable", "EquipartitionScan", "OmegaPrime",
     "QuadratureError", "SaddleResult", "avg_energy_werner",
     "bell_diagonal_h", "energy_closed_form", "equipartition_scan",

@@ -19,7 +19,9 @@ z_ix z_iy: a row enters only through its r(r+1)/2 pair products.  `energy`
 builds Hp[(x<=y), ab] = (2 - delta_xy) h^{ab}_{xy} once per call and, in
 blocks of about _BLOCK_ROWS rows, forms the pair products of every row
 and multiplies them by Hp in one complex matrix product.  The blocks keep
-the temporaries small whatever the stack size.
+the temporaries small whatever the stack size.  BLAS may round a row
+differently by its place in the product, so a caller that splits a stack
+and wants the bits of one call splits it at multiples of _block_size(N).
 """
 from __future__ import annotations
 
@@ -82,6 +84,11 @@ def _rows(z) -> np.ndarray:
     return z[None, :] if z.ndim == 1 else z
 
 
+def _block_size(N: int) -> int:
+    """Stacked N-row matrices per block of `energy`, about _BLOCK_ROWS rows."""
+    return max(1, _BLOCK_ROWS // N)
+
+
 def energy(z, cop: CostOperator):
     """E(z) = 2 sum_i sum_ab |z_i^T h^{ab} z_i|^2 over the last two axes of z.
 
@@ -98,7 +105,7 @@ def energy(z, cop: CostOperator):
     Hp = (h[:, :, xi, yi] * np.where(xi == yi, 1.0, 2.0)).reshape(-1, xi.size).T
     flat = zm.reshape(-1, N, r)
     e = np.empty(flat.shape[0])
-    step = max(1, _BLOCK_ROWS // N)
+    step = _block_size(N)
     for s in range(0, flat.shape[0], step):
         rows = flat[s:s + step].reshape(-1, r)
         q = (rows[:, xi] * rows[:, yi]) @ Hp

@@ -91,22 +91,40 @@ def stiefel_from_gs(v: np.ndarray, U: np.ndarray) -> StiefelPoint:
     return StiefelPoint(B.shape[0], r, _phase_fixed_q(B) @ U)
 
 
-def _stiefel_batch(N: int, r: int, count: int, rng) -> np.ndarray:
+def _now(fn, *args):
+    """Run fn(*args) at once: the default submit of _stiefel_batch."""
+    return fn(*args)
+
+
+def _sub_blocks(N: int, count: int, unit: int = 1) -> list:
+    """Slices of about _QR_ROWS rows that cover a stack of count N-row
+    matrices; each but the last holds a whole number of `unit` matrices."""
+    step = unit * max(1, _QR_ROWS // (N * unit))
+    return [slice(s, min(s + step, count)) for s in range(0, count, step)]
+
+
+def _stiefel_batch(N: int, r: int, count: int, rng, submit=_now, unit: int = 1) -> np.ndarray:
     """count Haar points of V_{N,r}, stacked (count, N, r).
 
     The phase-fixed QR of an N x r Ginibre block; this is the same
     distribution as slicing r columns off a Haar N x N unitary, without
     paying for the discarded columns.  The whole real block is drawn before
-    the whole imaginary block, and each QR sub-block of about _QR_ROWS rows
-    writes its phased Q back over its Ginibre block, so the only large array
-    is the result.
+    the whole imaginary block, each one _sub_blocks(N, count, unit) piece at
+    a time (the same stream as one whole draw) through a small temporary,
+    so the only large array is the result.  Once a sub-block's imaginary
+    piece is drawn, submit(_phase_fixed_q, block, block) is called to write
+    its phased Q back over its Ginibre block.  The default runs it at once;
+    a caller that passes its own submit may run it later, on another
+    thread, and must wait for it before it reads that block.  The QR is per
+    matrix, so the sub-blocks do not change the result.
     """
     g = np.empty((count, N, r), dtype=complex)
-    g.real = rng.standard_normal((count, N, r))
-    g.imag = rng.standard_normal((count, N, r))
-    step = max(1, _QR_ROWS // N)
-    for s in range(0, count, step):
-        _phase_fixed_q(g[s:s + step], out=g[s:s + step])
+    blocks = _sub_blocks(N, count, unit)
+    for b in blocks:
+        g.real[b] = rng.standard_normal(g[b].shape)
+    for b in blocks:
+        g.imag[b] = rng.standard_normal(g[b].shape)
+        submit(_phase_fixed_q, g[b], g[b])
     return g
 
 

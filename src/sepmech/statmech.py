@@ -22,21 +22,31 @@ importance-sampled against it.
 
 Determinism: each sampler (sample_energies, z1_mc) consumes a single
 generator seeded from the argument, draws in a fixed order and reduces in
-grid order, so fixed seeds give bit-identical results.  The order depends
-on the chunk size _CHUNK: each chunk of Haar draws takes its whole real
+grid order, so fixed seeds give bit-identical results.  sample_energies
+draws its Haar points in chunks of _CHUNK: each chunk takes its whole real
 Gaussian block and then its whole imaginary block from the stream, so
-changing _CHUNK changes the samples.  Parallel use should derive one child
-seed per task via numpy SeedSequence(seed).spawn, which is the splitting
-rule used by the command-line layer.
+changing _CHUNK changes the samples.  All drawing happens on the calling
+thread, in that order.  The rest runs on a pool of one thread per usable
+CPU that lives for one call: as soon as a QR sub-block's Gaussians are
+drawn, one task takes its phase-fixed QR and then its energies, while the
+calling thread draws the next piece and then the next chunk (at most one
+chunk ahead of the one being reduced).  Each task writes only its own rows
+and makes the same kernel calls on them as one serial pass would (the QR
+is per matrix, and a sub-block is a whole number of energy blocks), so the
+results depend neither on the number of workers nor on how they are
+scheduled.  Parallel use should derive one child seed per task via numpy
+SeedSequence(seed).spawn, which is the splitting rule used by the
+command-line layer.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .costfn import CostOperator, LagrangeMultipliers, energy
-from .ensembles import _stiefel_batch
+from .costfn import CostOperator, LagrangeMultipliers, _block_size, energy
+from .ensembles import _stiefel_batch, _sub_blocks
 
 JACKKNIFE_BLOCKS = 32
 _CHUNK = 8192
@@ -82,44 +92,84 @@ class ScalingFit:
     r_squared: float
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _reduce_block(dest: np.ndarray, cop: CostOperator, qr, block: np.ndarray,
+                  out: np.ndarray) -> None:
+    """One sub-block's task: its phase-fixed QR qr(block, out), then its
+    energies into dest."""
+    qr(block, out)
+    dest[:] = energy(out, cop)
+
+
 def _batch_energies(cop: CostOperator, N: int, samples: int, seed) -> np.ndarray:
-    """E(z) for `samples` Haar Stiefel draws, chunked; order is seed-fixed."""
+    """E(z) for `samples` Haar Stiefel draws, chunked; order is seed-fixed.
+
+    The pipeline of the Determinism note above.  _stiefel_batch submits one
+    QR per _sub_blocks slice, in order, so the slices of out are handed out
+    in the same order.  At most two chunks are alive at a time: the one
+    being drawn and the one before it.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # kept out of import time
+
     rng = np.random.default_rng(seed)
     out = np.empty(samples)
-    done = 0
-    while done < samples:
-        k = min(_CHUNK, samples - done)
-        z = _stiefel_batch(N, cop.r, k, rng)
-        out[done:done + k] = energy(z, cop)
-        done += k
+    # An untouched array the size of a chunk's real block (at most 16 MiB,
+    # below the 32 MiB up to which glibc adapts), freed at once: glibc then
+    # raises its mmap threshold past it, so the kernels' per-block
+    # temporaries come from a warm heap instead of being mapped and faulted
+    # in anew each time (3000 3x3 draws at N=81 in a fresh process: ~117k
+    # page faults per call without it, ~2k with it).
+    first = min(_CHUNK, samples)
+    np.empty(min(first * N * cop.r, 1 << 21))
+    unit = _block_size(N)
+    workers = min(_cpu_count(), len(_sub_blocks(N, first, unit)))
+    with ThreadPoolExecutor(workers) as pool:
+        try:
+            before = []
+            for done in range(0, samples, _CHUNK):
+                k = min(_CHUNK, samples - done)
+                dests = iter([out[done:][b] for b in _sub_blocks(N, k, unit)])
+                tasks = []
+                _stiefel_batch(N, cop.r, k, rng, lambda *a: tasks.append(
+                    pool.submit(_reduce_block, next(dests), cop, *a)), unit)
+                for f in before:
+                    f.result()
+                before = tasks
+            for f in before:
+                f.result()
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
     return out
 
 
-def weighted_stats(energies: np.ndarray, beta: float):
-    """Reweighted mean and effective sample size (sum w)^2 / sum w^2."""
-    e = np.asarray(energies, dtype=float)
-    w = np.exp(-beta * (e - e.min()))  # shift-invariant, avoids underflow
-    sw = w.sum()
-    return float((w * e).sum() / sw), float(sw * sw / (w * w).sum())
+def _reweighted(e: np.ndarray, emin: float, beta: float) -> McEstimate:
+    """<<E>> at one beta from the weights w = e^{-beta (e - emin)}.
 
-
-def _jackknife_error(energies: np.ndarray, beta: float) -> float:
-    """Delete-one-block jackknife standard error of the reweighted mean.
-
-    The error is undefined when removing some block leaves zero total
-    weight (one block carries all of it, as at very large beta); then it
-    is inf.
+    The weights are formed once and shared by the mean, the effective
+    sample size (sum w)^2 / sum w^2 and the delete-one-block jackknife
+    error over JACKKNIFE_BLOCKS contiguous blocks.  The error is undefined
+    when removing some block leaves zero total weight (one block carries
+    all of it, as at very large beta); then it is inf.
     """
-    e = np.asarray(energies, dtype=float)
-    w = np.exp(-beta * (e - e.min()))
-    blocks = np.array_split(np.arange(e.size), JACKKNIFE_BLOCKS)
-    sw, swe = w.sum(), (w * e).sum()
-    rest = np.array([sw - w[b].sum() for b in blocks])
-    if not np.all(rest > 0):
-        return float("inf")
-    thetas = np.array([swe - (w[b] * e[b]).sum() for b in blocks]) / rest
-    b = len(blocks)
-    return float(np.sqrt((b - 1) / b * np.sum((thetas - thetas.mean()) ** 2)))
+    w = np.exp(-beta * (e - emin))  # shift-invariant, avoids underflow
+    we = w * e
+    sw, swe = w.sum(), we.sum()
+    rest = np.array([sw - b.sum() for b in np.array_split(w, JACKKNIFE_BLOCKS)])
+    error = float("inf")
+    if np.all(rest > 0):
+        thetas = np.array([swe - b.sum() for b in np.array_split(we, JACKKNIFE_BLOCKS)]) / rest
+        n = JACKKNIFE_BLOCKS
+        error = float(np.sqrt((n - 1) / n * np.sum((thetas - thetas.mean()) ** 2)))
+    return McEstimate(float(beta), e.size, float(swe / sw), error, emin,
+                      float(sw * sw / (w * w).sum()))
 
 
 def sample_energies(cop: CostOperator, N: int, samples: int, seed) -> np.ndarray:
@@ -144,9 +194,7 @@ def mc_energy_curve(energies, betas) -> list:
     for beta in betas:
         if beta < 0:
             raise ValueError("beta must be >= 0")
-        mean, ess = weighted_stats(e, beta)
-        out.append(McEstimate(float(beta), e.size, mean,
-                              _jackknife_error(e, beta), emin, ess))
+        out.append(_reweighted(e, emin, beta))
     return out
 
 
@@ -210,15 +258,19 @@ def fit_energy_scaling(points) -> ScalingFit:
 
 def z1_mc(cop: CostOperator, beta: float, lm: LagrangeMultipliers, samples: int,
           seed):
-    """One-particle partition function by Gaussian importance sampling.
+    """log Z1, the one-particle partition function, by Gaussian importance
+    sampling.
 
     Draws z ~ CN(0, omega^{-1}) and estimates
 
-        Z1 = pi^r e^{tr omega} / det omega * <e^{-beta E_1}>,
+        Z1 = pi^r e^{tr omega} / det omega * <e^{-beta E_1}>
 
-    together with the averaged constraints <<zbar_alpha z_beta>> and <<E_1>>
-    under the full one-particle density e^{-beta E_1 - z^dag omega z}.
-    Returns (z1_estimate, constraint_avg, mean_energy).
+    in the log domain: r log pi + tr omega - log det omega plus the
+    max-shifted log of the sum of e^{-beta E_1} minus log samples, so it
+    stays finite where e^{tr omega} overflows.  Also returns the averaged
+    constraints <<zbar_alpha z_beta>> and <<E_1>> under the full one-particle
+    density e^{-beta E_1 - z^dag omega z}.  Returns (log_z1, constraint_avg,
+    mean_energy).
 
     At beta = 0 the constraint average is the Gaussian second moment, which
     in this index order is the transpose of omega^{-1}; the two coincide for
@@ -238,10 +290,12 @@ def z1_mc(cop: CostOperator, beta: float, lm: LagrangeMultipliers, samples: int,
     w /= np.sqrt(2.0)
     z = np.linalg.solve(L.conj().T, w.T).T  # covariance (L L^dag)^{-1} = omega^{-1}
     e1 = energy(z[:, None, :], cop)  # each draw is a one-row ensemble
-    u = np.exp(-beta * e1)
+    a = -beta * e1
+    shift = a.max()
+    u = np.exp(a - shift)
     su = u.sum()
-    gauss = np.pi ** r * np.exp(np.trace(omega).real) / np.linalg.det(omega).real
-    z1 = gauss * su / samples
+    log_z1 = (r * np.log(np.pi) + np.trace(omega).real - np.linalg.slogdet(omega)[1]
+              + shift + np.log(su) - np.log(samples))
     constraint_avg = np.einsum("s,sa,sb->ab", u, z.conj(), z) / su
     mean_energy = float((u * e1).sum() / su)
-    return float(z1), constraint_avg, mean_energy
+    return float(log_z1), constraint_avg, mean_energy

@@ -11,7 +11,13 @@ Each computes a quantity the library also computes, by a different route:
 - the multiplier gradient at a generic Hermitian w' (the library restricts
   w' to diag(gamma, lam, lam, lam));
 - the Haar-Stiefel draw as one unblocked QR of the whole Ginibre stack (the
-  library runs the QR in sub-blocks and must give the same bits).
+  library runs the QR in sub-blocks and must give the same bits);
+- the sampled energies on one thread, chunk by chunk: whole real block,
+  whole imaginary block, QR, energy (the library pipelines them on a thread
+  pool and must give the same bits);
+- the reweighted mean, effective sample size and jackknife error, each
+  from its own weight vector and the jackknife from index blocks (the
+  library forms the weights once per beta and slices them).
 
 It also holds the multiplier-extended Hamiltonian E(z) + sum omega C(z),
 which only the tests evaluate.  None of them is used by the library.
@@ -146,6 +152,40 @@ def stiefel_batch_unblocked(N: int, r: int, count: int, rng) -> np.ndarray:
     q, rr = np.linalg.qr(g)
     d = np.diagonal(rr, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[:, None, :]
+
+
+def batch_energies_serial(cop, N: int, samples: int, seed, chunk: int) -> np.ndarray:
+    """E(z) of `samples` Haar draws from one generator, chunk by chunk."""
+    rng = np.random.default_rng(seed)
+    out = np.empty(samples)
+    for done in range(0, samples, chunk):
+        k = min(chunk, samples - done)
+        out[done:done + k] = energy(stiefel_batch_unblocked(N, cop.r, k, rng), cop)
+    return out
+
+
+# --- reweighting -------------------------------------------------------------
+
+def weighted_stats(energies, beta: float):
+    """Reweighted mean and effective sample size (sum w)^2 / sum w^2."""
+    e = np.asarray(energies, dtype=float)
+    w = np.exp(-beta * (e - e.min()))
+    sw = w.sum()
+    return float((w * e).sum() / sw), float(sw * sw / (w * w).sum())
+
+
+def jackknife_error(energies, beta: float, blocks: int) -> float:
+    """Delete-one-block jackknife error of the reweighted mean; inf when
+    removing some block leaves zero total weight."""
+    e = np.asarray(energies, dtype=float)
+    w = np.exp(-beta * (e - e.min()))
+    index = np.array_split(np.arange(e.size), blocks)
+    sw, swe = w.sum(), (w * e).sum()
+    rest = np.array([sw - w[b].sum() for b in index])
+    if not np.all(rest > 0):
+        return float("inf")
+    thetas = np.array([swe - (w[b] * e[b]).sum() for b in index]) / rest
+    return float(np.sqrt((blocks - 1) / blocks * np.sum((thetas - thetas.mean()) ** 2)))
 
 
 # --- multiplier-extended Hamiltonian -----------------------------------------

@@ -217,15 +217,23 @@ def test_each_command_takes_exactly_its_options():
     assert got == LONG_OPTIONS
 
 
-def test_cli_import_does_not_load_scipy():
+def _modules_loaded_by_cli_import() -> set:
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, sepmech.cli; "
-            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    code = "import json, sys, sepmech.cli; print(json.dumps(sorted(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True).stdout
-    assert out.strip() == "[]"
+    return set(json.loads(out))
+
+
+def test_cli_import_does_not_load_scipy():
+    assert not {m for m in _modules_loaded_by_cli_import() if m.partition(".")[0] == "scipy"}
+
+
+def test_cli_import_does_not_load_the_thread_pool():
+    # the samplers import concurrent.futures on first use, not at import time
+    assert "concurrent.futures" not in _modules_loaded_by_cli_import()
 
 
 def test_scaling_inside_region(tmp_path, capsys):

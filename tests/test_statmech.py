@@ -1,17 +1,19 @@
 """Monte Carlo machinery: reweighted energy averages, state-density
 histograms, power-law fits, and the Gaussian one-particle estimator."""
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import batch_energies_serial, jackknife_error, weighted_stats
 
-from sepmech import statmech
+from sepmech import ensembles, statmech
 from sepmech import (LagrangeMultipliers, McEstimate, StateDensityEstimate,
-                     cost_operator, estimate_state_density,
+                     cost_operator, energy, estimate_state_density,
                      fit_energy_scaling, fit_power_law, h_matrix,
                      log_z1_quadrature, mc_energy_curve,
                      OmegaPrime, eigen_ensemble, sample_energies,
-                     weighted_stats,
                      werner_eigenensemble, z1_mc)
 
 COP02 = cost_operator(werner_eigenensemble(0.2))
@@ -20,24 +22,108 @@ COP10 = cost_operator(werner_eigenensemble(1.0))
 
 def test_weighted_stats_beta_zero_is_plain_mean(rng):
     e = rng.random(1000)
-    mean, ess = weighted_stats(e, 0.0)
-    assert abs(mean - e.mean()) < 1e-14
-    assert abs(ess - 1000) < 1e-9
+    est = mc_energy_curve(e, [0.0])[0]
+    assert abs(est.mean_energy - e.mean()) < 1e-14
+    assert abs(est.effective_sample_size - 1000) < 1e-9
 
 
 def test_weighted_stats_large_beta_approaches_minimum(rng):
     e = rng.random(500) + 0.2
-    mean, _ = weighted_stats(e, 1e5)
-    assert abs(mean - e.min()) < 1e-3
+    assert abs(mc_energy_curve(e, [1e5])[0].mean_energy - e.min()) < 1e-3
 
 
 def test_weighted_mean_invariant_under_sample_duplication(rng):
     e = rng.random(400)
-    m1, _ = weighted_stats(e, 3.0)
-    m2, ess2 = weighted_stats(np.concatenate([e, e]), 3.0)
-    assert abs(m1 - m2) < 1e-14
-    _, ess1 = weighted_stats(e, 3.0)
-    assert abs(ess2 - 2 * ess1) < 1e-8
+    one = mc_energy_curve(e, [3.0])[0]
+    two = mc_energy_curve(np.concatenate([e, e]), [3.0])[0]
+    assert abs(one.mean_energy - two.mean_energy) < 1e-14
+    assert abs(two.effective_sample_size - 2 * one.effective_sample_size) < 1e-8
+
+
+@pytest.mark.parametrize("samples", [1, 20, 1000, 10007])
+def test_curve_matches_the_separate_weight_formulas(samples):
+    # one weight vector per beta, shared by the mean, the ESS and the
+    # jackknife, gives the same bits as forming it for each of them;
+    # beta = 1e7 leaves one block with all the weight (error inf)
+    e = sample_energies(COP02, 16, samples, seed=samples)
+    betas = [0.0, 1.0, 10.0, 100.0, 1e7]
+    for est in mc_energy_curve(e, betas):
+        mean, ess = weighted_stats(e, est.beta)
+        err = jackknife_error(e, est.beta, statmech.JACKKNIFE_BLOCKS)
+        assert (est.mean_energy, est.effective_sample_size, est.std_error) == (mean, ess, err)
+        assert est.min_energy_seen == e.min() and est.samples == samples
+
+
+@pytest.fixture(params=[1, 2], ids=["1-worker", "2-workers"])
+def workers(request, monkeypatch):
+    """Force the sampler's pool size through the CPU count it reads."""
+    monkeypatch.setattr(statmech, "_cpu_count", lambda: request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("state, N, samples", [
+    ("2x2", 16, statmech._CHUNK + 17),  # two chunks, the last one partial
+    ("3x3", 81, 3000),
+    ("2x2", 5, 3000),                   # N divides neither _QR_ROWS nor the energy block
+    ("2x2", 4, 3000),                   # N = r
+    ("2x2", 16, 1),
+])
+def test_sampler_is_bit_identical_to_the_serial_oracle(workers, random_density,
+                                                       state, N, samples):
+    if state == "3x3":
+        cop = cost_operator(eigen_ensemble(random_density(np.random.default_rng(81), 3, 3)))
+    else:
+        cop = COP02
+    baseline = threading.active_count()
+    got = sample_energies(cop, N, samples, seed=samples)
+    assert threading.active_count() == baseline
+    assert np.array_equal(got, batch_energies_serial(cop, N, samples, samples, statmech._CHUNK))
+
+
+def test_sampler_is_bit_identical_with_more_workers_than_cores(monkeypatch):
+    # eight workers and a tiny switch interval: a lost, doubled or misplaced
+    # write of any task would change the bits
+    monkeypatch.setattr(statmech, "_cpu_count", lambda: 8)
+    samples = 2 * statmech._CHUNK + 5
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = sample_energies(COP02, 16, samples, seed=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got, batch_energies_serial(COP02, 16, samples, 8, statmech._CHUNK))
+
+
+def test_the_pool_runs_the_energies_off_the_calling_thread(workers, monkeypatch):
+    seen = set()
+
+    def spy(z, cop):
+        seen.add(threading.get_ident())
+        return energy(z, cop)
+
+    monkeypatch.setattr(statmech, "energy", spy)
+    sample_energies(COP02, 16, 3000, seed=1)
+    assert seen and threading.get_ident() not in seen and len(seen) <= workers
+
+
+@pytest.mark.parametrize("module, name", [(statmech, "energy"),
+                                          (ensembles, "_phase_fixed_q")])
+def test_worker_exception_surfaces_and_the_pool_is_gone(workers, monkeypatch, module, name):
+    class Boom(RuntimeError):
+        pass
+
+    def boom(*args):
+        raise Boom(name)
+
+    baseline = threading.active_count()
+    with monkeypatch.context() as patch:
+        patch.setattr(module, name, boom)
+        with pytest.raises(Boom, match=name):
+            sample_energies(COP02, 16, statmech._CHUNK + 17, seed=4)
+    assert threading.active_count() == baseline
+    got = sample_energies(COP02, 16, 3000, seed=4)
+    assert threading.active_count() == baseline
+    assert np.array_equal(got, batch_energies_serial(COP02, 16, 3000, 4, statmech._CHUNK))
 
 
 def test_curve_is_deterministic_and_monotone():
@@ -145,10 +231,23 @@ def test_fit_energy_scaling_validation():
 def test_z1_gaussian_limit_matches_closed_form():
     omega = np.diag([1.0, 2.0, 3.0, 4.0])
     lm = LagrangeMultipliers(omega)
-    z1, cav, me = z1_mc(COP02, 0.0, lm, 20000, seed=7)
-    exact = np.pi**4 * np.exp(np.trace(omega)) / np.linalg.det(omega)
-    assert abs(z1 - exact) / exact < 1e-12  # beta=0 weight is exactly 1
+    log_z1, cav, me = z1_mc(COP02, 0.0, lm, 20000, seed=7)
+    exact = 4 * np.log(np.pi) + np.trace(omega) - np.log(np.linalg.det(omega))
+    assert abs(log_z1 - exact) < 1e-12  # beta=0 weight is exactly 1
     assert me >= 0
+
+
+def test_z1_is_finite_where_its_gaussian_factor_overflows():
+    # tr omega = 800 > 709: e^{tr omega} is inf in double precision
+    omega = np.diag([200.0, 200.0, 200.0, 200.0])
+    lm = LagrangeMultipliers(omega)
+    assert np.trace(omega) > np.log(np.finfo(float).max)
+    exact = 4 * np.log(np.pi) + 800.0 - 4 * np.log(200.0)
+    log_z1, _, me = z1_mc(COP02, 0.0, lm, 1000, seed=3)
+    assert np.isfinite(log_z1) and abs(log_z1 - exact) < 1e-12
+    log_z1, cav, me = z1_mc(COP02, 1e6, lm, 1000, seed=3)
+    assert np.isfinite(log_z1) and log_z1 < exact
+    assert np.all(np.isfinite(cav)) and np.isfinite(me)
 
 
 def test_z1_constraint_average_at_beta_zero(rng):
@@ -189,9 +288,8 @@ def test_z1_matches_quadrature_at_werner_point():
     cop = cost_operator(werner_eigenensemble(p))
     hs = np.sqrt(h_matrix(p).real)
     lm = LagrangeMultipliers(hs @ np.diag([g, g, g, g]) @ hs)
-    ref = np.exp(log_z1_quadrature(beta, OmegaPrime(g, g), p))
-    vals = [z1_mc(cop, 32.0 * beta, lm, 100000, seed=s)[0] for s in range(8)]
-    vals = np.array(vals)
+    ref = log_z1_quadrature(beta, OmegaPrime(g, g), p)
+    vals = np.array([z1_mc(cop, 32.0 * beta, lm, 100000, seed=s)[0] for s in range(8)])
     se = vals.std(ddof=1) / np.sqrt(len(vals))
     assert abs(vals.mean() - ref) < 3 * se
 
