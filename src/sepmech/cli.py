@@ -74,6 +74,8 @@ def parse_p_grid(text: str):
         a, step, b = (float(v) for v in str(text).split(":"))
     except ValueError:
         raise CliError(f"bad p grid {text!r}: expected a:step:b") from None
+    if not np.isfinite((a, step, b)).all():
+        raise CliError(f"bad p grid {text!r}: a, step and b must be finite")
     if not (step > 0 and b >= a):
         raise CliError(f"bad p grid {text!r}: need step > 0 and b >= a")
     count = int(round((b - a) / step)) + 1

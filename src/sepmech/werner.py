@@ -23,10 +23,12 @@ determinant of the Gaussian block matrix.
 The gradient and its exact Jacobian in (log gamma, log lam) are further
 moments of the same weight, computed in one Gauss-Kronrod pass, so
 saddle_search is a Levenberg-Marquardt (Newton) solve of a few passes
-from a closed-form start.  Outside the region the minimum runs to
-gamma -> 0 with a finite residual; the solve clamps log gamma at a fixed
-floor and reports a boundary point when it ends there with the objective
-rising in log gamma.
+from a closed-form start.  It stops at the latest when the objective is
+down to the rounding level of its residual h - <A, B>, a difference of
+numbers of size |h|, whose computed value below that is only noise.
+Outside the region the minimum runs to gamma -> 0 with a finite residual;
+the solve clamps log gamma at a fixed floor and reports a boundary point
+when it ends there with the objective rising in log gamma.
 
 Units: the public beta multiplies the bare quartic |(4-3p) z1^2 + p z2^2
 + p z3^2 + p z4^2|^2, which is the convention the scan and scaling
@@ -39,6 +41,7 @@ in the public units.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +56,7 @@ RESIDUAL_THRESHOLD = 1e-6
 # (~1e-13) a boundary residual matches its gamma -> 0 limit to ~1e-12
 # relative, and the sign of the log-gamma gradient is still resolved.
 LOG_GAMMA_FLOOR = -30.0
-_MAX_EVALS = 200  # termination guard; solves over p in (0, 1] need <= ~50
+_MAX_EVALS = 200  # termination guard; over p in (0, 1], beta 1e-3..1e8 the most is 51
 _EPS_F = 4 * np.finfo(float).eps
 _GK_TOL = 1e-7
 
@@ -168,46 +171,33 @@ def energy_closed_form(z, p: float) -> float:
     return CLOSED_FORM_PREFACTOR * float(np.abs(quart) ** 2)
 
 
-# 15-point Kronrod nodes and weights on [-1, 1], with the embedded 7-point
-# Gauss weights on the odd-index nodes; the K-G difference is the per-panel
-# error estimate.
-_XK = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0,
-    0.207784955007898, 0.405845151377397, 0.586087235467691,
-    0.741531185599394, 0.864864423359769, 0.949107912342759,
-    0.991455371120813])
-_WK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-    0.204432940075298, 0.190350578064785, 0.169004726639267,
-    0.140653259715525, 0.104790010322250, 0.063092092629979,
-    0.022935322010529])
-_WG = np.zeros(15)
-_WG[1::2] = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469, 0.381830050505119, 0.279705391489277,
-    0.129484966168870])
+# 15-point Kronrod nodes and weights on [-1, 1], mirrored from the
+# nonnegative halves below, with the embedded 7-point Gauss weights on the
+# odd-index nodes; the K-G difference is the per-panel error estimate.
+_XK, _WK, _WG = (np.concatenate([sign * pos[:0:-1], pos]) for sign, pos in (
+    (-1, np.array([0.0, 0.207784955007898, 0.405845151377397, 0.586087235467691,
+                   0.741531185599394, 0.864864423359769, 0.949107912342759, 0.991455371120813])),
+    (1, np.array([0.209482141084728, 0.204432940075298, 0.190350578064785, 0.169004726639267,
+                  0.140653259715525, 0.104790010322250, 0.063092092629979, 0.022935322010529])),
+    (1, np.array([0.417959183673469, 0.0, 0.381830050505119, 0.0,
+                  0.279705391489277, 0.0, 0.129484966168870, 0.0]))))
+_W_KG = np.column_stack([_WK, _WG])  # one matmul forms both node sums
 
 
 def _panel_edges(bt: float, lo_scale: float, hi_scale: float) -> np.ndarray:
     """Geometric panels from the smallest structural scale out to the point
-    where the exponential factor alone is below e^{-45} of its peak."""
+    where the exponential factor alone is below e^{-45} of its peak: 0, lo/8 * 2^k
+    for k < n, and xmax, where n (from the binary exponents) is the least k reaching xmax."""
     scales = (lo_scale, hi_scale, 4.0 * bt)
     lo = min(scales)
-    if not (lo > 0 and np.isfinite(scales).all()):
+    if not (lo > 0 and all(map(math.isfinite, scales))):
         # a zero or non-finite scale leaves no finite geometric panel set
         raise QuadratureError(f"panel scales must be positive and finite, got {scales}")
     xmax = 4.0 * bt * 45.0 + 8.0 * max(lo_scale, hi_scale)
-    first = lo / 8.0
-    edges = [0.0, first]
-    x = first
-    while x < xmax:
-        x *= 2.0
-        edges.append(min(x, xmax))
-    return np.array(edges)
+    (mf, ef), (mx, ex) = math.frexp(lo / 8.0), math.frexp(xmax)
+    edges = np.ldexp(lo / 8.0, np.arange(-1, ex - ef + (mf < mx) + 1))
+    edges[0], edges[-1] = 0.0, xmax
+    return edges
 
 
 def _moments(bt: float, g: float, lam: float):
@@ -219,21 +209,26 @@ def _moments(bt: float, g: float, lam: float):
     (log g, log lam): differentiating the weight brings down -A and -3B, so
     it needs only the further moments <A^2>, <B^2>, <AB>,
     <(x-g^2)/(x+g^2)^2> and <(x-lam^2)/(x+lam^2)^2>.  gk_error covers
-    I0, <A>, <B> and <x>.
+    I0, <A>, <B> and <x>.  jac is a 2x2 array, the rest Python floats.
     """
     a, b = g * g, lam * lam
     edges = _panel_edges(bt, a, b)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    x = mid[:, None] + half[:, None] * _XK[None, :]  # (panels, 15)
-    w = np.exp(-x / (4.0 * bt)) * (x + a) ** -0.5 * (x + b) ** -1.5
-    A, B = g / (x + a), lam / (x + b)
-    f = np.stack([w, w * A, w * B, w * x, w * A * A, w * B * B, w * A * B,
-                  w * (x - a) / (x + a) ** 2, w * (x - b) / (x + b) ** 2])
-    k = np.einsum("mpn,n,p->m", f, _WK, half)
-    gq = np.einsum("mpn,n,p->m", f[:4], _WG, half)
-    err = np.max(np.abs(k[:4] - gq) / np.maximum(np.abs(k[:4]), 1e-300))
-    mA, mB, mx, mAA, mBB, mAB, cA, cB = k[1:] / k[0]
+    x = mid[:, None] + half[:, None] * _XK  # (panels, 15)
+    ra, rb = 1.0 / (x + a), 1.0 / (x + b)
+    A, B = g * ra, lam * rb
+    f = np.empty((9,) + x.shape)  # the nine integrands, filled in place
+    w, wA, wB = f[0], f[1], f[2]
+    # the panel half-widths ride in the weight, so each node sum is an integral
+    np.multiply(np.exp(x / (-4.0 * bt)) * half[:, None], np.sqrt(ra) * rb * np.sqrt(rb), out=w)
+    for row, (u, v) in enumerate(((w, A), (w, B), (w, x), (wA, A), (wB, B), (wA, B),
+                                  (w * (x - a), ra * ra), (w * (x - b), rb * rb)), 1):
+        np.multiply(u, v, out=f[row])
+    kg = (f.reshape(-1, 15) @ _W_KG).reshape(9, -1, 2).sum(axis=1)
+    k = kg[:, 0].tolist()
+    err = max(abs(kk - gq) / max(abs(kk), 1e-300) for kk, gq in zip(k, kg[:4, 1].tolist()))
+    mA, mB, mx, mAA, mBB, mAB, cA, cB = (v / k[0] for v in k[1:])
     cov = mAB - mA * mB
     jac = np.array([[g * (cA - (mAA - mA * mA)), -3.0 * lam * cov],
                     [-g * cov, lam * (cB - 3.0 * (mBB - mB * mB))]])
@@ -241,8 +236,7 @@ def _moments(bt: float, g: float, lam: float):
 
 
 def _require_converged(i0, err):
-    """Raise QuadratureError unless a _moments pass is finite, positive and
-    within _GK_TOL."""
+    """Raise QuadratureError unless a _moments pass is finite, positive, within _GK_TOL."""
     if not (np.isfinite(i0) and i0 > 0 and err < _GK_TOL):
         raise QuadratureError(f"reduced integral did not converge "
                               f"(estimate {i0!r}, rel error {err:.3e})")
@@ -289,7 +283,10 @@ def saddle_search(beta: float, p: float) -> SaddleResult:
     norms near machine precision.  The start is the beta -> inf interior
     solution where it exists (p > 8/9), else the beta -> 0 root
     omega' = h(p)^{-1}.  The solve stops once a step no longer moves u, or
-    the linear model promises no decrease above rounding.
+    the linear model promises no decrease above rounding, or the objective
+    is at most (_EPS_F |wt h|)^2 with wt = (1, sqrt 3): the residual is
+    h - <A, B>, so below that level its computed value is rounding noise
+    and a further pass cannot lower it.
 
     u is kept in the box [LOG_GAMMA_FLOOR, -LOG_GAMMA_FLOOR]^2.  Outside the
     equipartition region the infimum lies at gamma -> 0 with a finite
@@ -304,49 +301,52 @@ def saddle_search(beta: float, p: float) -> SaddleResult:
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
     bt = BETA_INTERNAL_SCALE * beta
-    h = np.array([(4 - 3 * p) / 8.0, p / 8.0])
-    wt = np.array([1.0, np.sqrt(3.0)])  # lam carries multiplicity 3
+    h0, h1 = (4 - 3 * p) / 8.0, p / 8.0
+    w1 = math.sqrt(3.0)  # lam carries multiplicity 3
+    f_floor = (_EPS_F * math.hypot(h0, w1 * h1)) ** 2  # the third stop rule
+
+    def clip(v):
+        return min(max(v, LOG_GAMMA_FLOOR), -LOG_GAMMA_FLOOR)
 
     def residual(u):
-        i0, mg, ml, mx, jac, err = _moments(bt, *np.exp(u))
-        return wt * (h - (mg, ml)), -wt[:, None] * jac, (i0, mx, err)
+        i0, mg, ml, mx, jac, err = _moments(bt, math.exp(u[0]), math.exp(u[1]))
+        (j00, j01), (j10, j11) = jac.tolist()
+        r0, r1 = h0 - mg, w1 * (h1 - ml)
+        return r0 * r0 + r1 * r1, (r0, r1), (-j00, -j01, -w1 * j10, -w1 * j11), (i0, mx, err)
 
-    if 3 * h[1] > 2 * h[0]:
-        lam_inf = 1 / (3 * h[1] - h[0])
-        u = np.log([1 / h[0] - lam_inf, lam_inf])
-    else:
-        u = np.log(1 / h)
-    u = np.clip(u, LOG_GAMMA_FLOOR, -LOG_GAMMA_FLOOR)
-    r, J, quad = residual(u)
-    f, mu, evals = r @ r, 0.0, 1
-    while evals < _MAX_EVALS and f > 0:
-        grad, H = J.T @ r, J.T @ J
-        A = H + mu * np.diag(np.diag(H))
-        on_floor = u[0] <= LOG_GAMMA_FLOOR and grad[0] > 0
-        du = np.zeros(2) if on_floor else np.linalg.solve(A, -grad)
-        crossed = u[0] + du[0] < LOG_GAMMA_FLOOR
+    lam_inf = 1 / (3 * h1 - h0) if 3 * h1 > 2 * h0 else 0.0  # 0.0: no beta -> inf solution
+    u = (clip(math.log(1 / h0 - lam_inf)), clip(math.log(lam_inf or 1 / h1)))
+    state, mu, evals = residual(u), 0.0, 1
+    while evals < _MAX_EVALS and state[0] > f_floor:
+        (u0, u1), (f, (r0, r1), (j00, j01, j10, j11), _) = u, state
+        g0, g1 = j00 * r0 + j10 * r1, j01 * r0 + j11 * r1  # J^T r
+        h00, h01, h11 = j00 * j00 + j10 * j10, j00 * j01 + j10 * j11, j01 * j01 + j11 * j11
+        # the damped matrix J^T J + mu diag(J^T J): its (1, 1) entry, and its
+        # determinant as det(J)^2 + mu (2 + mu) h00 h11, free of cancellation
+        a11 = h11 + mu * h11
+        det = (j00 * j11 - j01 * j10) ** 2 + mu * (2.0 + mu) * h00 * h11
+        on_floor = u0 <= LOG_GAMMA_FLOOR and g0 > 0
+        du0 = 0.0 if on_floor else (h01 * g1 - a11 * g0) / det
+        crossed = u0 + du0 < LOG_GAMMA_FLOOR
         if on_floor or crossed:
-            # hold or stop gamma on the floor and solve the lam step given that
-            du[0] = LOG_GAMMA_FLOOR - u[0]
-            du[1] = -(grad[1] + A[1, 0] * du[0]) / A[1, 1]
-        un = np.clip(u + du, LOG_GAMMA_FLOOR, -LOG_GAMMA_FLOOR)
-        if np.all(np.abs(un - u) <= _EPS_F * np.abs(u)):
+            du0 = LOG_GAMMA_FLOOR - u0  # hold or stop gamma on the floor
+        du1 = -(g1 + h01 * du0) / a11  # the lam step given du0
+        un = (clip(u0 + du0), clip(u1 + du1))
+        s0, s1 = un[0] - u0, un[1] - u1
+        if abs(s0) <= _EPS_F * abs(u0) and abs(s1) <= _EPS_F * abs(u1):
             break  # the step no longer moves u above rounding
-        if not crossed and f - np.sum((r + J @ (un - u)) ** 2) <= _EPS_F * f:
+        model = (r0 + j00 * s0 + j01 * s1) ** 2 + (r1 + j10 * s0 + j11 * s1) ** 2
+        if not crossed and f - model <= _EPS_F * f:
             break  # the linear model promises no decrease above rounding
-        rn, Jn, qn = residual(un)
-        evals += 1
-        fn = rn @ rn
-        if fn < f:
-            u, r, J, quad, f, mu = un, rn, Jn, qn, fn, 0.1 * mu
+        trial, evals = residual(un), evals + 1
+        if trial[0] < f:
+            u, state, mu = un, trial, 0.1 * mu
         else:
             mu = max(10.0 * mu, 1.0)
-    i0, mx, err = quad
+    f, (r0, r1), J, (i0, mx, err) = state
     _require_converged(i0, err)
-    boundary = u[0] <= LOG_GAMMA_FLOOR and (J.T @ r)[0] > 0
-    g, lam = np.exp(u)
-    return SaddleResult(float(g), float(lam), float(np.sqrt(f)), not boundary, evals,
-                        float(mx))
+    boundary = u[0] <= LOG_GAMMA_FLOOR and J[0] * r0 + J[2] * r1 > 0  # (J^T r)_gamma
+    return SaddleResult(math.exp(u[0]), math.exp(u[1]), math.sqrt(f), not boundary, evals, mx)
 
 
 def equipartition_scan(p_grid, beta: float,

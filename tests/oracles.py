@@ -10,6 +10,10 @@ Each computes a quantity the library also computes, by a different route:
 - the direct 8x8 determinant of the Werner Gaussian block matrix;
 - the multiplier gradient at a generic Hermitian w' (the library restricts
   w' to diag(gamma, lam, lam, lam));
+- the GK15 panel edges by repeated doubling, and the quadrature pass with
+  its integrands stacked and its Kronrod and Gauss sums by einsum (the
+  library forms the edges in closed form, fills one preallocated array and
+  forms both sums with one matmul);
 - the Haar-Stiefel draw as one unblocked QR of the whole Ginibre stack (the
   library runs the QR in sub-blocks and must give the same bits);
 - the sampled energies on one thread, chunk by chunk: whole real block,
@@ -25,7 +29,7 @@ which only the tests evaluate.  None of them is used by the library.
 import numpy as np
 
 from sepmech import PureState, StiefelPoint, constraint_residual, energy, h_matrix
-from sepmech.werner import BETA_INTERNAL_SCALE, _WK, _XK, _panel_edges
+from sepmech.werner import BETA_INTERNAL_SCALE, _WG, _WK, _XK, QuadratureError
 
 TENSOR_PREFACTOR = 2.0
 SKEW_PREFACTOR = 2.0
@@ -131,7 +135,7 @@ def grad_log_z1_full(beta: float, omega_prime: np.ndarray, p: float) -> np.ndarr
     d = d.real  # product of two positive matrices: spectrum is real positive
     if d.min() <= 0:
         raise ValueError("omega_prime must be positive-definite")
-    edges = _panel_edges(bt, d.min(), d.max())
+    edges = panel_edges_doubling(bt, d.min(), d.max())
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     x = (mid[:, None] + half[:, None] * _XK[None, :]).ravel()
@@ -142,6 +146,45 @@ def grad_log_z1_full(beta: float, omega_prime: np.ndarray, p: float) -> np.ndarr
     i0 = float(wts @ scal)
     avg = np.einsum("k,k,kab->ab", wts, scal, resolvent) / i0
     return h_matrix(p) - avg
+
+
+# --- GK15 quadrature pass ----------------------------------------------------
+
+def panel_edges_doubling(bt: float, lo_scale: float, hi_scale: float) -> np.ndarray:
+    """0, then lo/8 doubled until it reaches xmax, the last edge clipped to xmax."""
+    scales = (lo_scale, hi_scale, 4.0 * bt)
+    lo = min(scales)
+    if not (lo > 0 and np.isfinite(scales).all()):
+        raise QuadratureError(f"panel scales must be positive and finite, got {scales}")
+    xmax = 4.0 * bt * 45.0 + 8.0 * max(lo_scale, hi_scale)
+    first = lo / 8.0
+    edges = [0.0, first]
+    x = first
+    while x < xmax:
+        x *= 2.0
+        edges.append(min(x, xmax))
+    return np.array(edges)
+
+
+def moments_einsum(bt: float, g: float, lam: float):
+    """(I0, <A>, <B>, <x>, jac, gk_error) of one GK15 pass, as werner._moments."""
+    a, b = g * g, lam * lam
+    edges = panel_edges_doubling(bt, a, b)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    x = mid[:, None] + half[:, None] * _XK[None, :]  # (panels, 15)
+    w = np.exp(-x / (4.0 * bt)) * (x + a) ** -0.5 * (x + b) ** -1.5
+    A, B = g / (x + a), lam / (x + b)
+    f = np.stack([w, w * A, w * B, w * x, w * A * A, w * B * B, w * A * B,
+                  w * (x - a) / (x + a) ** 2, w * (x - b) / (x + b) ** 2])
+    k = np.einsum("mpn,n,p->m", f, _WK, half)
+    gq = np.einsum("mpn,n,p->m", f[:4], _WG, half)
+    err = np.max(np.abs(k[:4] - gq) / np.maximum(np.abs(k[:4]), 1e-300))
+    mA, mB, mx, mAA, mBB, mAB, cA, cB = k[1:] / k[0]
+    cov = mAB - mA * mB
+    jac = np.array([[g * (cA - (mAA - mA * mA)), -3.0 * lam * cov],
+                    [-g * cov, lam * (cB - 3.0 * (mBB - mB * mB))]])
+    return k[0], mA, mB, mx, jac, err
 
 
 # --- Haar-Stiefel draw -------------------------------------------------------

@@ -44,6 +44,13 @@ def test_parse_p_grid_forms():
         parse_p_grid("junk")
 
 
+@pytest.mark.parametrize("argv", [["--p-grid=-inf:0.01:1"], ["--p-grid", "0.5:0.01:inf"],
+                                  ["--p-grid", "0.5:nan:1"]])
+def test_scan_rejects_a_non_finite_p_grid(capsys, argv):
+    code, out, err = run(capsys, "scan", *argv)
+    assert code == 2 and out == "" and "must be finite" in err
+
+
 def test_ppt_command_werner(capsys):
     code, out, _ = run(capsys, "ppt", "--werner", "0.5")
     assert code == 0

@@ -8,7 +8,7 @@ import pytest
 
 import mpmath
 
-from oracles import det_m, grad_log_z1_full
+from oracles import det_m, grad_log_z1_full, moments_einsum, panel_edges_doubling
 from sepmech import (OmegaPrime, PureState, avg_energy_werner,
                      bell_diagonal_h, ConstraintsUnsatisfiable,
                      concurrence_sq, cost_operator, energy,
@@ -18,7 +18,7 @@ from sepmech import (OmegaPrime, PureState, avg_energy_werner,
                      werner_state)
 from sepmech import werner
 from sepmech.werner import (BETA_INTERNAL_SCALE, LOG_GAMMA_FLOOR,
-                            QuadratureError, _moments)
+                            QuadratureError, _moments, _panel_edges)
 
 
 @contextmanager
@@ -275,6 +275,47 @@ def test_moments_rejects_zero_scale_promptly():
     # gamma = 0 leaves no positive panel scale; this used to loop forever
     with time_limit(5.0), pytest.raises(QuadratureError):
         _moments(640.0, 0.0, 6.0)
+
+
+def test_panel_edges_match_the_doubling_oracle():
+    rng = np.random.default_rng(20)
+    bts = 10.0 ** rng.uniform(-1, 8, 5000)
+    scales = 10.0 ** rng.uniform(-30, 4, (5000, 2))
+    for bt, (a, b) in zip(bts, scales):
+        assert np.array_equal(_panel_edges(bt, a, b), panel_edges_doubling(bt, a, b)), (bt, a, b)
+
+
+def test_panel_edges_on_an_exact_power_of_two_end():
+    # lo/8 = 0.5 doubles exactly onto xmax = 4*45 + 8*9.5 = 256
+    edges = _panel_edges(1.0, 9.5, 9.5)
+    assert np.array_equal(edges, panel_edges_doubling(1.0, 9.5, 9.5))
+    assert edges[-2:].tolist() == [128.0, 256.0]
+
+
+@pytest.mark.parametrize("beta, g, lam", [(10.0, 0.520432, 5.816898),
+                                          (1e6, 2.0, 5.98),
+                                          (10.0, np.exp(LOG_GAMMA_FLOOR), 5.98682723),
+                                          (1e5, np.exp(LOG_GAMMA_FLOOR), 4.7),
+                                          (0.1, 3.0, 0.2)])
+def test_moments_match_the_einsum_oracle(beta, g, lam):
+    got = _moments(BETA_INTERNAL_SCALE * beta, g, lam)
+    want = moments_einsum(BETA_INTERNAL_SCALE * beta, g, lam)
+    for name, x, y in zip(("I0", "<A>", "<B>", "<x>"), got, want):
+        assert type(x) is float and abs(x / y - 1) < 1e-12, name
+    # on the floor the gamma-gamma entry cancels O(1/gamma) moments down to
+    # O(gamma) and keeps only a few digits in either form (see the floor test
+    # above), so the Jacobian is compared relative to its largest entry
+    assert np.max(np.abs(got[4] - want[4])) < 1e-12 * np.max(np.abs(want[4]))
+    assert type(got[5]) is float
+
+
+def test_saddle_solves_stop_at_the_rounding_floor():
+    # 48 interior solves in at most 200 quadrature passes in all; without the
+    # rounding-floor stop the same solves take 225
+    solves = [saddle_search(beta, p) for p in (0.90, 0.95, 1.00)
+              for beta in np.logspace(1, 5, 16)]
+    assert all(s.interior for s in solves)
+    assert sum(s.iterations for s in solves) <= 200
 
 
 def test_saddle_at_former_hang_point():
