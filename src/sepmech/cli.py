@@ -10,12 +10,16 @@ Commands:
   ppt      partial-transpose test only.
 
 States come from `--werner p` or `--state file.json` (format: {"dimA", "dimB",
-"re", "im"}, row-major).  A JSON config file may supply any flag of the
-subcommand by its long name (`p-grid` or `p_grid`); explicit flags win, a
-null value counts as absent, and any other key is invalid input.  A value
-is never replaced by a default: it is used or rejected.  Stochastic
-commands require --seed, embed the full configuration in a '#' header of
-their output, and rerun byte-identically from the same configuration.
+"re", "im"}, row-major); `mc` and `probe` need both factors of dimension
+>= 2.  A JSON config file may supply any flag of the subcommand by its long
+name (`p-grid` or `p_grid`); explicit flags win, a null value counts as
+absent, and any other key is invalid input.  A value is never replaced by a
+default: it is used or rejected.  Stochastic commands require --seed, embed
+the full configuration in a '#' header of their output, and rerun
+byte-identically from the same configuration.  `scan` is deterministic and
+takes no --seed; `scaling` echoes its --seed only.  Region membership in
+`scan`, `probe` and `scaling` is the library's one test,
+SaddleResult.region_member (residual below 1e-6); no flag changes it.
 
 Exit codes: 0 success, 2 invalid input, 3 constraints unsatisfiable at the
 requested p, 4 quadrature or convergence failure.
@@ -33,17 +37,18 @@ from .ensembles import caratheodory_length
 from .quantum_core import DensityMatrix, eigen_ensemble, ppt_is_entangled
 from .statmech import (estimate_state_density, fit_energy_scaling,
                        mc_energy_curve, sample_energies)
-from .werner import (ConstraintsUnsatisfiable, QuadratureError, RESIDUAL_THRESHOLD,
-                     avg_energy_werner, equipartition_scan, saddle_search,
-                     werner_state)
+from .werner import (ConstraintsUnsatisfiable, QuadratureError, avg_energy_werner,
+                     equipartition_scan, saddle_search, werner_state)
 
 MC_HISTOGRAM_BINS = 48
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
+    """Invalid input."""
+
+
+# exit code per error; every other exception is a bug and keeps its traceback
+_EXIT_CODES = {CliError: 2, ConstraintsUnsatisfiable: 3, QuadratureError: 4}
 
 
 def _fmt(x) -> str:
@@ -171,14 +176,12 @@ def _seed(cfg: dict, required: bool) -> int:
     return _count(cfg, "seed", 0, 0)
 
 
-def _threshold(cfg: dict) -> float:
-    """Region-membership threshold on the residual norm: positive and finite."""
-    if cfg.get("threshold") is None:
-        return RESIDUAL_THRESHOLD
-    threshold = _number(cfg, "threshold")
-    if not (np.isfinite(threshold) and threshold > 0):
-        raise CliError(f"threshold must be positive and finite, got {threshold!r}")
-    return threshold
+def _cost_operator(rho: DensityMatrix):
+    """Cost operator of rho's eigenensemble; a one-dimensional factor exits 2."""
+    if min(rho.dimA, rho.dimB) < 2:
+        raise CliError(f"a {rho.dimA}x{rho.dimB} state has a one-dimensional factor: "
+                       "it is a product state and has no h matrices to sample")
+    return cost_operator(eigen_ensemble(rho))
 
 
 def _recognize_werner(rho: DensityMatrix):
@@ -200,22 +203,18 @@ def _emit(text: str, out_path):
 
 
 def _header(cfg: dict, command: str) -> str:
-    shown = {k: v for k, v in sorted(cfg.items()) if v is not None}
-    return f"# {json.dumps({'command': command, **shown}, sort_keys=True)}\n"
+    return f"# {json.dumps({'command': command, **cfg}, sort_keys=True)}\n"
 
 
-def cmd_probe(args) -> int:
-    cfg = _merge_config(args)
+def cmd_probe(cfg: dict) -> int:
     rho, desc = _load_state(cfg)
     seed = _seed(cfg, required=True)
     betas = parse_beta(cfg.get("beta", "1,10,100"))
     samples = _count(cfg, "samples", 20000, 1)
-    threshold = _threshold(cfg)
     m, n = rho.dimA, rho.dimB
 
-    # the first of two children, so the mc section stays as it always was
-    mc_seed = np.random.SeedSequence(seed).spawn(2)[0]
-    cop = cost_operator(eigen_ensemble(rho))
+    mc_seed = np.random.SeedSequence(seed).spawn(1)[0]
+    cop = _cost_operator(rho)
     curve = mc_energy_curve(
         sample_energies(cop, caratheodory_length(m, n), samples, mc_seed), betas)
     report = {
@@ -245,26 +244,22 @@ def cmd_probe(args) -> int:
             "residual_norm": sad.residual_norm,
             "gamma": sad.gamma_star, "lambda": sad.lambda_star,
             "interior": sad.interior,
-            "region_member": bool(sad.residual_norm < threshold),
+            "region_member": sad.region_member,
         }
     _emit(json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n",
           cfg.get("out"))
     return 0
 
 
-def cmd_scan(args) -> int:
-    cfg = _merge_config(args)
+def cmd_scan(cfg: dict) -> int:
     grid = parse_p_grid(cfg.get("p_grid", "0.50:0.01:1.00"))
     betas = parse_beta(cfg.get("beta", "10"))
     if len(betas) != 1:
         raise CliError("scan takes a single beta")
     if betas[0] <= 0:
         raise CliError("scan needs beta > 0")
-    threshold = _threshold(cfg)
-    seed = _seed(cfg, required=False)
-    scan = equipartition_scan(grid, betas[0], threshold)
-    lines = [_header({**cfg, "beta": betas[0], "seed": seed,
-                      "threshold": threshold}, "scan"),
+    scan = equipartition_scan(grid, betas[0])
+    lines = [_header({**cfg, "beta": betas[0]}, "scan"),
              "p,residual,gamma_star,lambda_star,interior\n"]
     for p, res, sad in zip(scan.p_grid, scan.residuals, scan.saddles):
         lines.append(",".join([_fmt(p), _fmt(res), _fmt(sad.gamma_star),
@@ -277,11 +272,12 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def cmd_scaling(args) -> int:
-    cfg = _merge_config(args)
+def cmd_scaling(cfg: dict) -> int:
     betas = parse_beta(cfg.get("beta", "10:10000:12"))
     if min(betas) <= 0:
         raise CliError("scaling needs beta > 0")
+    if len(set(betas)) < 3:
+        raise CliError("scaling fits a slope: it needs at least 3 distinct betas")
     seed = _seed(cfg, required=False)
     if cfg.get("werner") is None:
         raise CliError("scaling requires --werner p")
@@ -304,15 +300,14 @@ def cmd_scaling(args) -> int:
     return 0
 
 
-def cmd_mc(args) -> int:
-    cfg = _merge_config(args)
+def cmd_mc(cfg: dict) -> int:
     rho, _ = _load_state(cfg)
     seed = _seed(cfg, required=True)
     samples = _count(cfg, "samples", 100000, 100)
     betas = parse_beta(cfg.get("beta", "1:100:9"))
     m, n = rho.dimA, rho.dimB
     N = caratheodory_length(m, n)
-    cop = cost_operator(eigen_ensemble(rho))
+    cop = _cost_operator(rho)
 
     energies = sample_energies(cop, N, samples, seed)
     curve = mc_energy_curve(energies, betas)
@@ -337,8 +332,7 @@ def cmd_mc(args) -> int:
     return 0
 
 
-def cmd_ppt(args) -> int:
-    cfg = _merge_config(args)
+def cmd_ppt(cfg: dict) -> int:
     rho, desc = _load_state(cfg)
     conclusive = rho.dimA * rho.dimB <= 6
     verdict = ppt_is_entangled(rho, allow_inconclusive=not conclusive)
@@ -370,14 +364,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--beta", help="beta value, list, or lo:hi:n log grid")
     sp.add_argument("--samples", type=int)
-    sp.add_argument("--threshold", type=float)
     sp.set_defaults(func=cmd_probe)
 
     sp = sub.add_parser("scan", help="equipartition scan over p")
-    common(sp, state=False)
+    common(sp, state=False, seed=False)
     sp.add_argument("--p-grid", dest="p_grid", metavar="A:STEP:B")
     sp.add_argument("--beta")
-    sp.add_argument("--threshold", type=float)
     sp.set_defaults(func=cmd_scan)
 
     sp = sub.add_parser("scaling", help="average energy vs beta at fixed p")
@@ -401,16 +393,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except CliError as e:
+        return args.func(_merge_config(args))
+    except tuple(_EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        return e.code
-    except ConstraintsUnsatisfiable as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except QuadratureError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
+        return _EXIT_CODES[type(e)]
 
 
 if __name__ == "__main__":

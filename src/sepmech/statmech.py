@@ -242,10 +242,13 @@ def fit_power_law(hist: StateDensityEstimate, fit_window) -> ScalingFit:
 
 
 def fit_energy_scaling(points) -> ScalingFit:
-    """Fit <<E>> ~ A / beta; delta = A - 1 from <<E>> = (delta+1)/beta."""
+    """Fit <<E>> ~ A / beta; delta = A - 1 from <<E>> = (delta+1)/beta.
+
+    Needs at least 3 distinct betas: fewer leave the slope undetermined.
+    """
     pts = [(float(b), float(v)) for b, v in points]
-    if len(pts) < 3:
-        raise ValueError("need at least 3 points")
+    if len({b for b, _ in pts}) < 3:
+        raise ValueError("need at least 3 distinct betas")
     if any(b <= 0 or v <= 0 for b, v in pts):
         raise ValueError("beta and energy must be positive")
     lx = np.log([b for b, _ in pts])

@@ -13,8 +13,9 @@ function to a one-dimensional integral
 over the rescaled multiplier w' = h^{-1/2} omega h^{-1/2}, restricted here
 to w' = diag(gamma, lam, lam, lam).  Setting the gradient of log Z1 in w'
 to zero enforces the averaged Stiefel constraints; the p-region where the
-minimized gradient norm vanishes is the equipartition region, and
--d log Z1 / d beta on it gives the average energy <<E_1>>.  The module
+minimized gradient norm vanishes (is below RESIDUAL_THRESHOLD, the one
+membership test, SaddleResult.region_member) is the equipartition region,
+and -d log Z1 / d beta on it gives the average energy <<E_1>>.  The module
 computes only the restricted form; the test suite checks it against the
 gradient at a generic Hermitian w' and checks the determinant
 factorization det h^2 det(4|s|^2 + w' wbar') against the direct 8x8
@@ -90,12 +91,16 @@ class SaddleResult:
     iterations: int
     mean_x: float  # <x> of the weight at the returned point
 
+    @property
+    def region_member(self) -> bool:
+        """True when the averaged constraints are solved: residual below RESIDUAL_THRESHOLD."""
+        return self.residual_norm < RESIDUAL_THRESHOLD
+
 
 @dataclass(frozen=True)
 class EquipartitionScan:
     p_grid: tuple
     residuals: tuple
-    threshold: float
     region_start: float | None
     saddles: tuple
 
@@ -349,24 +354,23 @@ def saddle_search(beta: float, p: float) -> SaddleResult:
     return SaddleResult(math.exp(u[0]), math.exp(u[1]), math.sqrt(f), not boundary, evals, mx)
 
 
-def equipartition_scan(p_grid, beta: float,
-                       threshold: float = RESIDUAL_THRESHOLD) -> EquipartitionScan:
+def equipartition_scan(p_grid, beta: float) -> EquipartitionScan:
     """Minimized residual norm per grid p; detects the onset of the region
     where the averaged constraints become satisfiable.
 
-    region_start is the smallest grid p from which every larger grid p also
-    has residual below threshold, or None if the tail never stays below.
+    region_start is the smallest grid p from which every larger grid p is
+    also a region member (SaddleResult.region_member), or None if the
+    largest grid p is not.
     """
     p_grid = tuple(float(p) for p in p_grid)
     saddles = tuple(saddle_search(beta, p) for p in p_grid)
-    residuals = tuple(s.residual_norm for s in saddles)
     region_start = None
-    for p, res in zip(reversed(p_grid), reversed(residuals)):
-        if res < threshold:
-            region_start = p
-        else:
+    for p, sad in zip(reversed(p_grid), reversed(saddles)):
+        if not sad.region_member:
             break
-    return EquipartitionScan(p_grid, residuals, threshold, region_start, saddles)
+        region_start = p
+    return EquipartitionScan(p_grid, tuple(s.residual_norm for s in saddles),
+                             region_start, saddles)
 
 
 def avg_energy_werner(beta: float, p: float) -> float:
@@ -377,7 +381,7 @@ def avg_energy_werner(beta: float, p: float) -> float:
     averaged constraints at this p (outside the equipartition region).
     """
     sad = saddle_search(beta, p)
-    if sad.residual_norm >= RESIDUAL_THRESHOLD:
+    if not sad.region_member:
         raise ConstraintsUnsatisfiable(
             f"constraints unsatisfiable at p={p} (residual {sad.residual_norm:.3e})")
     return 1.0 / beta - sad.mean_x / (256.0 * beta * beta)

@@ -40,7 +40,7 @@ def _random_density(rng, m, n):
 def test_criterion_01_region_onset_at_beta_10(capsys):
     t0 = time.perf_counter()
     grid = np.round(np.arange(0.50, 1.0001, 0.01), 12)
-    scan = equipartition_scan(grid, 10.0, THRESHOLD)
+    scan = equipartition_scan(grid, 10.0)
     elapsed = time.perf_counter() - t0
     onset = scan.region_start
     low = [r for p, r in zip(scan.p_grid, scan.residuals) if p <= 0.80 + 1e-12]
@@ -79,7 +79,7 @@ def test_criterion_03_onset_stable_in_beta(capsys):
     grid = np.round(np.arange(0.80, 1.0001, 0.01), 12)
     onsets = {}
     for beta in (10.0, 100.0, 1e6):
-        onsets[beta] = equipartition_scan(grid, beta, THRESHOLD).region_start
+        onsets[beta] = equipartition_scan(grid, beta).region_start
     ok = all(o is not None and abs(o - onsets[10.0]) <= 0.01 + 1e-12
              for o in onsets.values())
     report(capsys, "criterion 03 onset beta-robustness", ok,

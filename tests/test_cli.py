@@ -142,7 +142,8 @@ def test_scan_csv_format_and_onset(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("# ")
     header = json.loads(lines[0][2:])
-    assert header["command"] == "scan" and header["seed"] == 0
+    assert header["command"] == "scan"
+    assert "seed" not in header and "threshold" not in header
     assert lines[1] == "p,residual,gamma_star,lambda_star,interior"
     rows = [ln.split(",") for ln in lines[2:-1]]
     assert len(rows) == 7
@@ -172,14 +173,6 @@ def test_scan_rejects_bad_grid(capsys):
     assert "single beta" in err
 
 
-@pytest.mark.parametrize("value", ["0", "-1e-6", "nan", "inf"])
-def test_scan_rejects_bad_threshold(capsys, value):
-    code, _, err = run(capsys, "scan", "--p-grid", "0.9:0.1:1.0",
-                       f"--threshold={value}")
-    assert code == 2
-    assert "threshold" in err
-
-
 @pytest.mark.parametrize("argv", [["scan"], ["probe", "--werner", "0.9", "--seed", "1"],
                                   ["scaling", "--werner", "0.9"]])
 def test_tol_flag_is_gone(argv):
@@ -189,13 +182,23 @@ def test_tol_flag_is_gone(argv):
     assert exc.value.code == 2
 
 
+_VALUE_BASE = {
+    "probe": ["probe", "--werner=0.5", "--seed=1", "--samples=200", "--beta=1"],
+    "scan": ["scan", "--p-grid=0.90:0.01:0.91", "--beta=10"],
+    "scaling": ["scaling", "--werner=0.9", "--beta=10:100:3"],
+    "mc": ["mc", "--werner=0.5", "--seed=1", "--samples=200", "--beta=1"],
+    "ppt": ["ppt", "--werner=0.5"],
+}
+
+
 @pytest.mark.parametrize("command,flag,value", [
     ("scaling", "--threshold", "0.1"), ("scaling", "--self-test", None),
-    ("ppt", "--seed", "7"),
+    ("ppt", "--seed", "7"), ("scan", "--threshold", "0.1"), ("scan", "--seed", "7"),
+    ("probe", "--threshold", "0.1"),
 ])
 def test_removed_flag_is_gone(tmp_path, capsys, command, flag, value):
-    # scaling's region test is the library's own; ppt draws no random numbers
-    argv = [command, "--werner", "0.9"]
+    # region membership is the library's own test; ppt and scan draw no random numbers
+    argv = _VALUE_BASE[command]
     with pytest.raises(SystemExit) as exc:
         main(argv + [flag] + ([value] if value else []))
     assert exc.value.code == 2
@@ -208,10 +211,9 @@ def test_removed_flag_is_gone(tmp_path, capsys, command, flag, value):
 LONG_OPTIONS = {
     "mc": ["--beta", "--config", "--out", "--samples", "--seed", "--state", "--werner"],
     "ppt": ["--config", "--out", "--state", "--werner"],
-    "probe": ["--beta", "--config", "--out", "--samples", "--seed", "--state",
-              "--threshold", "--werner"],
+    "probe": ["--beta", "--config", "--out", "--samples", "--seed", "--state", "--werner"],
     "scaling": ["--beta", "--config", "--out", "--seed", "--werner"],
-    "scan": ["--beta", "--config", "--out", "--p-grid", "--seed", "--threshold"],
+    "scan": ["--beta", "--config", "--out", "--p-grid"],
 }
 
 
@@ -287,6 +289,16 @@ def test_scan_exits_4_when_the_quadrature_does_not_converge(capsys, monkeypatch)
     assert code == 4 and "did not converge" in err and out == ""
 
 
+@pytest.mark.parametrize("beta", ["10", "10,20", "10,10,10", "10,20,20,10"])
+def test_scaling_needs_three_distinct_betas(capsys, monkeypatch, beta):
+    # fewer leave the fitted slope undetermined: exit 2 before any saddle
+    # solve (with _moments gone, a solve would end in a TypeError)
+    monkeypatch.setattr(werner, "_moments", None)
+    code, out, err = run(capsys, "scaling", "--werner", "0.9", "--beta", beta)
+    assert code == 2 and out == ""
+    assert err == "error: scaling fits a slope: it needs at least 3 distinct betas\n"
+
+
 def test_scaling_requires_p(capsys):
     code, _, err = run(capsys, "scaling", "--beta", "10:100:3")
     assert code == 2
@@ -355,6 +367,21 @@ def test_mc_rows_reduce_one_sample_set(tmp_path, capsys):
     assert (tmp_path / "one_energy.csv").read_text().splitlines()[2:] == ener
 
 
+@pytest.mark.parametrize("command", ["mc", "probe"])
+@pytest.mark.parametrize("dims", [(1, 3), (2, 1)])
+def test_one_dimensional_factor_exits_2(tmp_path, capsys, command, dims):
+    # such a state is a product with no h matrices; ppt still answers for it
+    d = dims[0] * dims[1]
+    path = tmp_path / "rho.json"
+    path.write_text(DensityMatrix(*dims, np.eye(d) / d).to_json())
+    code, out, err = run(capsys, command, "--state", str(path), "--seed", "1",
+                         "--samples", "200")
+    assert code == 2 and out == ""
+    assert "one-dimensional factor" in err and err.startswith("error: ")
+    code, out, _ = run(capsys, "ppt", "--state", str(path))
+    assert code == 0 and json.loads(out)["ppt_entangled"] is False
+
+
 def test_mc_sample_floor(capsys):
     code, _, err = run(capsys, "mc", "--werner", "0.5", "--seed", "1",
                        "--samples", "10")
@@ -410,15 +437,14 @@ def test_config_werner_must_be_a_number(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command,key,value", [
-    ("scan", "seed", 2.7), ("mc", "seed", 2.7), ("probe", "samples", 1500.5),
-    ("probe", "samples", True), ("scan", "seed", False),
+    ("mc", "seed", 2.7), ("probe", "samples", 1500.5),
+    ("probe", "samples", True),
     ("ppt", "werner", True), ("probe", "werner", False),
-    ("scaling", "werner", True), ("scan", "threshold", True),
+    ("scaling", "werner", True),
 ])
 def test_config_value_is_not_coerced(tmp_path, capsys, command, key, value):
     # a fraction for an integer option, or a boolean for any option, exits 2
-    base = {"scan": {"p-grid": "0.90:0.01:0.91"},
-            "mc": {"werner": 0.5, "seed": 1, "samples": 200, "beta": "1"},
+    base = {"mc": {"werner": 0.5, "seed": 1, "samples": 200, "beta": "1"},
             "probe": {"werner": 0.5, "seed": 1, "samples": 200, "beta": "1"},
             "scaling": {"beta": "10:100:3"}, "ppt": {}}[command]
     cfg = tmp_path / "cfg.json"
@@ -431,22 +457,12 @@ def test_config_value_is_not_coerced(tmp_path, capsys, command, key, value):
 def test_config_long_name_is_honoured_and_null_is_absent(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"p-grid": "0.90:0.01:0.91", "beta": 100,
-                               "seed": None}))
+                               "out": None}))
     code, out, _ = run(capsys, "scan", "--config", str(cfg))
     assert code == 0
     header = json.loads(out.splitlines()[0][2:])
-    assert header["p_grid"] == "0.90:0.01:0.91" and header["beta"] == 100.0
-    assert header["seed"] == 0
+    assert header == {"command": "scan", "p_grid": "0.90:0.01:0.91", "beta": 100.0}
     assert len(out.splitlines()) == 2 + 2 + 1
-
-
-_VALUE_BASE = {
-    "probe": ["probe", "--werner=0.5", "--seed=1", "--samples=200", "--beta=1"],
-    "scan": ["scan", "--p-grid=0.90:0.01:0.91", "--beta=10"],
-    "scaling": ["scaling", "--werner=0.9", "--beta=10:100:3"],
-    "mc": ["mc", "--werner=0.5", "--seed=1", "--samples=200", "--beta=1"],
-    "ppt": ["ppt", "--werner=0.5"],
-}
 
 
 def _echoed(command, flag, out):
@@ -465,10 +481,7 @@ def _echoed(command, flag, out):
     ("probe", "--seed", "0", 0), ("probe", "--seed", "-1", 2),
     ("probe", "--samples", "0", 2), ("probe", "--samples", "-1", 2),
     ("probe", "--beta", "0", 0), ("probe", "--beta", "-1", 2),
-    ("probe", "--threshold", "0", 2), ("probe", "--threshold", "-1", 2),
-    ("scan", "--seed", "0", 0), ("scan", "--seed", "-1", 2),
     ("scan", "--beta", "0", 2), ("scan", "--beta", "-1", 2),
-    ("scan", "--threshold", "0", 2), ("scan", "--threshold", "-1", 2),
     ("scaling", "--werner", "0", 2), ("scaling", "--werner", "-1", 2),
     ("scaling", "--seed", "0", 0), ("scaling", "--seed", "-1", 2),
     ("scaling", "--beta", "0", 2), ("scaling", "--beta", "-1", 2),

@@ -222,8 +222,10 @@ def test_fit_energy_scaling_flat_curve_has_zero_slope():
 
 
 def test_fit_energy_scaling_validation():
-    with pytest.raises(ValueError):
-        fit_energy_scaling([(1.0, 1.0), (2.0, 0.5)])
+    # a repeated beta adds no abscissa: fewer than 3 distinct leave the slope undetermined
+    for betas in ((1.0, 2.0), (10.0, 10.0, 10.0), (10.0, 20.0, 20.0, 10.0)):
+        with pytest.raises(ValueError, match="3 distinct betas"):
+            fit_energy_scaling([(b, 1.0 / b) for b in betas])
     with pytest.raises(ValueError):
         fit_energy_scaling([(1.0, 1.0), (2.0, -0.5), (3.0, 0.2)])
 

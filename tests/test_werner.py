@@ -18,7 +18,8 @@ from sepmech import (OmegaPrime, PureState, avg_energy_werner,
                      werner_state)
 from sepmech import werner
 from sepmech.werner import (BETA_INTERNAL_SCALE, LOG_GAMMA_FLOOR,
-                            QuadratureError, _moments, _panel_edges)
+                            RESIDUAL_THRESHOLD, QuadratureError, _moments,
+                            _panel_edges)
 
 
 @contextmanager
@@ -373,10 +374,16 @@ def test_scan_detects_region_boundary():
     grid = np.round(np.arange(0.84, 1.0001, 0.01), 12)
     scan = equipartition_scan(grid, 10.0)
     assert scan.region_start == pytest.approx(0.89, abs=1e-12)
-    below = {p: r for p, r in zip(scan.p_grid, scan.residuals) if p < 0.89}
-    assert all(r > scan.threshold for r in below.values())
-    above = [r for p, r in zip(scan.p_grid, scan.residuals) if p >= 0.89]
-    assert all(r < scan.threshold for r in above)
+    # one membership rule: the scan's onset, the saddle's flag and the
+    # energy's refusal all agree at every grid point
+    for p, res, sad in zip(scan.p_grid, scan.residuals, scan.saddles):
+        assert sad.region_member is (p >= scan.region_start)
+        assert sad.region_member is (res < RESIDUAL_THRESHOLD)
+        if sad.region_member:
+            assert avg_energy_werner(10.0, p) > 0
+        else:
+            with pytest.raises(ConstraintsUnsatisfiable):
+                avg_energy_werner(10.0, p)
 
 
 def test_scan_is_seed_reproducible():
