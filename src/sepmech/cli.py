@@ -35,8 +35,8 @@ import numpy as np
 from .costfn import cost_operator
 from .ensembles import caratheodory_length
 from .quantum_core import DensityMatrix, eigen_ensemble, ppt_is_entangled
-from .statmech import (estimate_state_density, fit_energy_scaling,
-                       mc_energy_curve, sample_energies)
+from .statmech import (_require_distinct_betas, estimate_state_density,
+                       fit_energy_scaling, mc_energy_curve, sample_energies)
 from .werner import (ConstraintsUnsatisfiable, QuadratureError, avg_energy_werner,
                      equipartition_scan, saddle_search, werner_state)
 
@@ -276,8 +276,10 @@ def cmd_scaling(cfg: dict) -> int:
     betas = parse_beta(cfg.get("beta", "10:10000:12"))
     if min(betas) <= 0:
         raise CliError("scaling needs beta > 0")
-    if len(set(betas)) < 3:
-        raise CliError("scaling fits a slope: it needs at least 3 distinct betas")
+    try:
+        _require_distinct_betas(betas)
+    except ValueError as e:
+        raise CliError(f"scaling fits a slope: {e}") from None
     seed = _seed(cfg, required=False)
     if cfg.get("werner") is None:
         raise CliError("scaling requires --werner p")
@@ -396,7 +398,7 @@ def main(argv=None) -> int:
         return args.func(_merge_config(args))
     except tuple(_EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        return _EXIT_CODES[type(e)]
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(e, cls))
 
 
 if __name__ == "__main__":

@@ -241,14 +241,17 @@ def fit_power_law(hist: StateDensityEstimate, fit_window) -> ScalingFit:
                       delta=slope, amplitude=float(np.exp(intercept)), r_squared=r2)
 
 
-def fit_energy_scaling(points) -> ScalingFit:
-    """Fit <<E>> ~ A / beta; delta = A - 1 from <<E>> = (delta+1)/beta.
-
-    Needs at least 3 distinct betas: fewer leave the slope undetermined.
-    """
-    pts = [(float(b), float(v)) for b, v in points]
-    if len({b for b, _ in pts}) < 3:
+def _require_distinct_betas(betas) -> None:
+    """ValueError unless betas hold at least 3 distinct values: fewer leave
+    the slope of fit_energy_scaling undetermined."""
+    if len({float(b) for b in betas}) < 3:
         raise ValueError("need at least 3 distinct betas")
+
+
+def fit_energy_scaling(points) -> ScalingFit:
+    """Fit <<E>> ~ A / beta; delta = A - 1 from <<E>> = (delta+1)/beta."""
+    pts = [(float(b), float(v)) for b, v in points]
+    _require_distinct_betas(b for b, _ in pts)
     if any(b <= 0 or v <= 0 for b, v in pts):
         raise ValueError("beta and energy must be positive")
     lx = np.log([b for b, _ in pts])

@@ -282,6 +282,32 @@ def test_scaling_runs_one_saddle_per_beta(capsys, monkeypatch):
     assert len(calls) == iterations
 
 
+def test_region_membership_follows_the_library_threshold(capsys, monkeypatch):
+    # the CLI keeps no threshold of its own: moving werner's moves all three
+    monkeypatch.setattr(werner, "RESIDUAL_THRESHOLD", 1.0)
+    code, out, _ = run(capsys, "scan", "--p-grid", "0.50:0.05:0.60")
+    assert code == 0 and out.endswith("# region_start=0.5\n")
+    code, out, _ = run(capsys, "probe", "--werner", "0.5", "--seed", "1",
+                       "--samples", "200", "--beta", "1")
+    assert code == 0 and json.loads(out)["saddle"]["region_member"] is True
+    code, _, err = run(capsys, "scaling", "--werner", "0.5", "--beta", "10:100:3")
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("exc, code", [(CliError, 2),
+                                       (werner.ConstraintsUnsatisfiable, 3),
+                                       (werner.QuadratureError, 4)])
+def test_error_subclass_keeps_its_exit_code(capsys, monkeypatch, exc, code):
+    class Sub(exc):
+        pass
+
+    def fail(*args):
+        raise Sub("injected")
+
+    monkeypatch.setattr("sepmech.cli.equipartition_scan", fail)
+    assert run(capsys, "scan") == (code, "", "error: injected\n")
+
+
 def test_scan_exits_4_when_the_quadrature_does_not_converge(capsys, monkeypatch):
     moments = werner._moments
     monkeypatch.setattr(werner, "_moments", lambda *a: (*moments(*a)[:5], 1.0))
@@ -296,7 +322,7 @@ def test_scaling_needs_three_distinct_betas(capsys, monkeypatch, beta):
     monkeypatch.setattr(werner, "_moments", None)
     code, out, err = run(capsys, "scaling", "--werner", "0.9", "--beta", beta)
     assert code == 2 and out == ""
-    assert err == "error: scaling fits a slope: it needs at least 3 distinct betas\n"
+    assert err == "error: scaling fits a slope: need at least 3 distinct betas\n"
 
 
 def test_scaling_requires_p(capsys):
