@@ -23,9 +23,9 @@ from .statmech import (McEstimate, ScalingFit, StateDensityEstimate,
                        z1_mc)
 from .werner import (ConstraintsUnsatisfiable, EquipartitionScan, OmegaPrime,
                      QuadratureError, SaddleResult, avg_energy_werner,
-                     bell_diagonal_h, energy_closed_form, equipartition_scan,
-                     grad_log_z1, h_matrix, log_z1_quadrature, saddle_search,
-                     werner_eigenensemble, werner_state)
+                     bell_diagonal_h, equipartition_scan, grad_log_z1,
+                     log_z1_quadrature, saddle_search, werner_eigenensemble,
+                     werner_state)
 
 __version__ = "0.1.0"
 
@@ -41,7 +41,6 @@ __all__ = [
     "mc_energy_curve", "sample_energies", "z1_mc",
     "ConstraintsUnsatisfiable", "EquipartitionScan", "OmegaPrime",
     "QuadratureError", "SaddleResult", "avg_energy_werner",
-    "bell_diagonal_h", "energy_closed_form", "equipartition_scan",
-    "grad_log_z1", "h_matrix", "log_z1_quadrature",
-    "saddle_search", "werner_eigenensemble", "werner_state",
+    "bell_diagonal_h", "equipartition_scan", "grad_log_z1",
+    "log_z1_quadrature", "saddle_search", "werner_eigenensemble", "werner_state",
 ]

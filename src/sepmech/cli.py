@@ -7,7 +7,7 @@ Commands:
   scaling  average energy over a beta grid at fixed Werner p, CSV output
            with a fitted slope/delta JSON footer.
   mc       state-density histogram and energy-vs-beta curve by Monte Carlo.
-  ppt      partial-transpose test only.
+  ppt      partial-transpose verdict only (NPT: entangled; PPT: separable if mn <= 6).
 
 States come from `--werner p` or `--state file.json` (format: {"dimA", "dimB",
 "re", "im"}, row-major); `mc` and `probe` need both factors of dimension
@@ -22,7 +22,7 @@ takes no --seed; `scaling` echoes its --seed only.  Region membership in
 SaddleResult.region_member (residual below 1e-6); no flag changes it.
 
 Exit codes: 0 success, 2 invalid input, 3 constraints unsatisfiable at the
-requested p, 4 quadrature or convergence failure.
+requested p, 4 quadrature, convergence or precision failure.
 """
 from __future__ import annotations
 
@@ -220,7 +220,7 @@ def cmd_probe(cfg: dict) -> int:
     report = {
         "state": desc,
         "dims": [m, n],
-        "ppt_entangled": ppt_is_entangled(rho) if m * n <= 6 else None,
+        "ppt_entangled": ppt_is_entangled(rho),
         "mc": {
             "samples": samples,
             "seed": seed,
@@ -261,8 +261,8 @@ def cmd_scan(cfg: dict) -> int:
     scan = equipartition_scan(grid, betas[0])
     lines = [_header({**cfg, "beta": betas[0]}, "scan"),
              "p,residual,gamma_star,lambda_star,interior\n"]
-    for p, res, sad in zip(scan.p_grid, scan.residuals, scan.saddles):
-        lines.append(",".join([_fmt(p), _fmt(res), _fmt(sad.gamma_star),
+    for p, sad in zip(scan.p_grid, scan.saddles):
+        lines.append(",".join([_fmt(p), _fmt(sad.residual_norm), _fmt(sad.gamma_star),
                                _fmt(sad.lambda_star), str(int(sad.interior))]) + "\n")
     start = "none" if scan.region_start is None else _fmt(scan.region_start)
     lines.append(f"# region_start={start}\n")
@@ -336,10 +336,9 @@ def cmd_mc(cfg: dict) -> int:
 
 def cmd_ppt(cfg: dict) -> int:
     rho, desc = _load_state(cfg)
-    conclusive = rho.dimA * rho.dimB <= 6
-    verdict = ppt_is_entangled(rho, allow_inconclusive=not conclusive)
-    _emit(json.dumps({"state": desc, "ppt_entangled": verdict,
-                      "conclusive": conclusive}, sort_keys=True) + "\n",
+    verdict = ppt_is_entangled(rho)
+    _emit(json.dumps({"state": desc, "ppt_entangled": bool(verdict),
+                      "conclusive": verdict is not None}, sort_keys=True) + "\n",
           cfg.get("out"))
     return 0
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum_core import EigenEnsemble, PureState
+from .quantum_core import EigenEnsemble, PureState, partial_trace
 
 DEFAULT_PRODUCT_TOL = 1e-9
 
@@ -81,9 +81,8 @@ def concurrence_sq(psi: PureState) -> float:
 
     Degree-4 homogeneous in the amplitudes; zero iff psi is a product vector.
     """
-    C = psi.coeff_matrix()
-    n4 = float(np.linalg.norm(C) ** 4)
-    sigma = C @ C.conj().T
+    n4 = psi.norm() ** 4
+    sigma = partial_trace(psi, "A")
     val = n4 - float(np.trace(sigma @ sigma).real)
     return max(val, 0.0)
 

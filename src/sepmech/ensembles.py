@@ -9,7 +9,7 @@ constraint residual, and reconstruction of ensembles.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,15 +40,12 @@ class StiefelPoint:
 class RhoEnsemble:
     """Unordered collection of N subnormalized vectors summing to rho."""
 
-    vectors: tuple = field(default_factory=tuple)
-    source: EigenEnsemble = None
+    vectors: tuple
 
     def reconstruct(self) -> np.ndarray:
-        d = self.source.dimA * self.source.dimB
-        out = np.zeros((d, d), dtype=complex)
-        for psi in self.vectors:
-            out += np.outer(psi.amps, psi.amps.conj())
-        return out
+        """Sum_i |psi_i><psi_i|."""
+        amps = np.stack([psi.amps for psi in self.vectors])
+        return amps.T @ amps.conj()
 
 
 def constraint_residual(z) -> np.ndarray:
@@ -65,7 +62,7 @@ def ensemble_from_stiefel(z: StiefelPoint, ens: EigenEnsemble) -> RhoEnsemble:
         raise ValueError(f"z has {z.r} columns but the ensemble has rank {ens.rank}")
     amps = z.z @ ens.matrix()
     vecs = tuple(PureState(ens.dimA, ens.dimB, a, normalized=False) for a in amps)
-    return RhoEnsemble(vecs, ens)
+    return RhoEnsemble(vecs)
 
 
 def stiefel_from_gs(v: np.ndarray, U: np.ndarray) -> StiefelPoint:

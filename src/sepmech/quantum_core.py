@@ -11,14 +11,14 @@ All functions are pure; RNG state is caller-owned and never global.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
-DEFAULT_EIGENVALUE_CUTOFF = 1e-10
+EIGENVALUE_CUTOFF = 1e-10
 
 
 @dataclass(frozen=True)
@@ -98,17 +98,13 @@ class EigenEnsemble:
     dimB: int
     rank: int
     vectors: tuple[PureState, ...]
-    eigenvalues: np.ndarray = field(default=None)
+    eigenvalues: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "vectors", tuple(self.vectors))
         if len(self.vectors) != self.rank:
             raise ValueError("rank does not match number of vectors")
-        if self.eigenvalues is None:
-            ev = np.array([v.norm() ** 2 for v in self.vectors])
-            object.__setattr__(self, "eigenvalues", ev)
-        else:
-            object.__setattr__(self, "eigenvalues", np.asarray(self.eigenvalues, dtype=float))
+        object.__setattr__(self, "eigenvalues", np.asarray(self.eigenvalues, dtype=float))
 
     def matrix(self) -> np.ndarray:
         """Rows e_alpha stacked into an r x (mn) array."""
@@ -146,21 +142,19 @@ def partial_trace(state, keep: str) -> np.ndarray:
     raise TypeError("state must be a PureState or DensityMatrix")
 
 
-def eigen_ensemble(rho: DensityMatrix, cutoff: float = DEFAULT_EIGENVALUE_CUTOFF) -> EigenEnsemble:
-    """Eigenvector ensemble of rho: vectors sqrt(lam)*v for eigenvalues above cutoff.
+def eigen_ensemble(rho: DensityMatrix) -> EigenEnsemble:
+    """Eigenvector ensemble of rho: sqrt(lam)*v for eigenvalues above EIGENVALUE_CUTOFF.
 
     Eigenvalues are returned in descending order.  Degenerate eigenspaces may
     come out in any orthonormal basis; downstream quantities are invariant
     under that choice.
     """
-    if cutoff <= 0:
-        raise ValueError("cutoff must be positive")
     vals, vecs = np.linalg.eigh(rho.mat)
     if vals.min() < -PSD_TOL:
         raise ValueError("input is not positive semidefinite within tolerance")
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
-    sel = vals > cutoff
+    sel = vals > EIGENVALUE_CUTOFF
     vals, vecs = vals[sel], vecs[:, sel]
     vectors = [
         PureState(rho.dimA, rho.dimB, np.sqrt(lam) * vecs[:, k])
@@ -189,18 +183,17 @@ def haar_unitary(d: int, seed) -> np.ndarray:
     return _phase_fixed_q(z)
 
 
-def ppt_is_entangled(rho: DensityMatrix, allow_inconclusive: bool = False) -> bool:
-    """Partial-transpose test: True iff the partial transpose has a negative eigenvalue.
+def ppt_is_entangled(rho: DensityMatrix) -> bool | None:
+    """Partial-transpose (Peres-Horodecki) verdict on rho.
 
-    Exact (necessary and sufficient) for mn <= 6, i.e. 2x2 and 2x3.  For larger
-    systems the test is only necessary for separability; pass
-    allow_inconclusive=True to use it there, in which case False means
-    "PPT, not resolved" rather than "separable".
+    True when the partial transpose has an eigenvalue below -PSD_TOL: rho is
+    entangled, in any dimension.  Otherwise rho is PPT, which proves it
+    separable only for mn <= 6 (2x2 and 2x3): False there, and None (not
+    resolved) for larger systems.
     """
     m, n = rho.dimA, rho.dimB
-    if m * n > 6 and not allow_inconclusive:
-        raise ValueError("PPT is conclusive only for mn <= 6; "
-                         "set allow_inconclusive=True to run it anyway")
     t = rho.mat.reshape(m, n, m, n)
     pt = np.einsum("ajbi->aibj", t).reshape(m * n, m * n)
-    return bool(np.linalg.eigvalsh(pt).min() < -1e-10)
+    if np.linalg.eigvalsh(pt).min() < -PSD_TOL:
+        return True
+    return False if m * n <= 6 else None

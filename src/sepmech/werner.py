@@ -51,7 +51,6 @@ from .concurrence import h_matrices
 from .quantum_core import DensityMatrix, EigenEnsemble, PureState
 
 BETA_INTERNAL_SCALE = 64.0
-CLOSED_FORM_PREFACTOR = 1.0 / 32.0
 RESIDUAL_THRESHOLD = 1e-6
 # saddle_search keeps log gamma and log lam in [-30, 30].  At gamma = e^-30
 # (~1e-13) a boundary residual matches its gamma -> 0 limit to ~1e-12
@@ -100,7 +99,6 @@ class SaddleResult:
 @dataclass(frozen=True)
 class EquipartitionScan:
     p_grid: tuple
-    residuals: tuple
     region_start: float | None
     saddles: tuple
 
@@ -142,17 +140,16 @@ def werner_eigenensemble(p: float) -> EigenEnsemble:
     return _bell_ensemble((1 - 3 * p / 4, p / 4, p / 4, p / 4))
 
 
-def h_matrix(p: float) -> np.ndarray:
-    """h(p) = (1/8) diag(4-3p, p, p, p)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    return np.diag([(4 - 3 * p) / 8.0, p / 8.0, p / 8.0, p / 8.0]).astype(complex)
+def _werner_h(p: float):
+    """(h0, h1), the diagonal of h(p) = diag(h0, h1, h1, h1) = (1/8) diag(4-3p, p, p, p)."""
+    return (4 - 3 * p) / 8.0, p / 8.0
 
 
 def bell_diagonal_h(q0: float, q1: float, q2: float, q3: float) -> np.ndarray:
     """h of a Bell-diagonal state, computed generically from its eigenensemble.
 
-    Reduces to h_matrix(p) at (q0, q1, q2, q3) = (1-3p/4, p/4, p/4, p/4).
+    Reduces to the Werner h(p) = (1/8) diag(4-3p, p, p, p) at weights
+    (1-3p/4, p/4, p/4, p/4).
     A zero weight gives a matching zero on the diagonal; callers wanting a
     strictly positive h should drop that eigenvector and reduce the rank.
     """
@@ -161,19 +158,6 @@ def bell_diagonal_h(q0: float, q1: float, q2: float, q3: float) -> np.ndarray:
         raise ValueError("weights must be nonnegative and sum to 1")
     hset = h_matrices(_bell_ensemble(q))
     return hset.matrices[0, 0]
-
-
-def energy_closed_form(z, p: float) -> float:
-    """One-particle energy (1/32) |(4-3p) z1^2 + p z2^2 + p z3^2 + p z4^2|^2.
-
-    The quartic inside the modulus is 8 z^T h(p) z; the 1/32 makes this
-    equal to c2 of the ensemble vector psi(z), i.e. 2 |z^T h z|^2.
-    """
-    if not 0.0 < p <= 1.0:
-        raise ValueError("p must lie in (0, 1]")
-    z = np.asarray(z, dtype=complex).ravel()
-    quart = (4 - 3 * p) * z[0] ** 2 + p * (z[1] ** 2 + z[2] ** 2 + z[3] ** 2)
-    return CLOSED_FORM_PREFACTOR * float(np.abs(quart) ** 2)
 
 
 # 15-point Kronrod nodes and weights on [-1, 1], mirrored from the
@@ -247,24 +231,28 @@ def _require_converged(i0, err):
                               f"(estimate {i0!r}, rel error {err:.3e})")
 
 
-def _checked_moments(beta: float, op: OmegaPrime, p: float):
+def _werner_point(beta: float, p: float):
+    """(bt, h0, h1) at (beta, p); ValueError unless beta > 0 and p lies in
+    (0, 1], where h(p) is invertible."""
     if beta <= 0:
         raise ValueError("beta must be positive")
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
-    bt = BETA_INTERNAL_SCALE * beta
-    i0, mg, ml, mx, _, err = _moments(bt, op.gamma, op.lam)
+    return (BETA_INTERNAL_SCALE * beta, *_werner_h(p))
+
+
+def _checked_moments(beta: float, op: OmegaPrime, p: float):
+    bt, h0, h1 = _werner_point(beta, p)
+    i0, mg, ml, _, _, err = _moments(bt, op.gamma, op.lam)
     _require_converged(i0, err)
-    return bt, i0, mg, ml, mx
+    return bt, h0, h1, i0, mg, ml
 
 
 def log_z1_quadrature(beta: float, op: OmegaPrime, p: float) -> float:
     """log Z1 by one-dimensional quadrature, log-domain throughout."""
-    bt, i0, _, _, _ = _checked_moments(beta, op, p)
-    h11, h22 = (4 - 3 * p) / 8.0, p / 8.0
-    det_h = (4 - 3 * p) * p ** 3 / 4096.0
-    return (4.0 * np.log(np.pi) - np.log(4.0 * bt * det_h)
-            + op.gamma * h11 + 3.0 * op.lam * h22 + np.log(i0))
+    bt, h0, h1, i0, _, _ = _checked_moments(beta, op, p)
+    return (4.0 * np.log(np.pi) - np.log(4.0 * bt * h0 * h1 ** 3)
+            + op.gamma * h0 + 3.0 * op.lam * h1 + np.log(i0))
 
 
 def grad_log_z1(beta: float, op: OmegaPrime, p: float):
@@ -274,8 +262,8 @@ def grad_log_z1(beta: float, op: OmegaPrime, p: float):
     the lam component carries multiplicity 3 in the full gradient and in the
     Hilbert-Schmidt norm used by saddle_search.
     """
-    _, _, mg, ml, _ = _checked_moments(beta, op, p)
-    return (4 - 3 * p) / 8.0 - mg, p / 8.0 - ml
+    _, h0, h1, _, mg, ml = _checked_moments(beta, op, p)
+    return h0 - mg, h1 - ml
 
 
 def saddle_search(beta: float, p: float) -> SaddleResult:
@@ -301,12 +289,7 @@ def saddle_search(beta: float, p: float) -> SaddleResult:
     _moments evaluations.  mean_x is <x> from the pass at the returned
     point, and that pass must have converged: QuadratureError otherwise.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if not 0.0 < p <= 1.0:
-        raise ValueError("p must lie in (0, 1]")
-    bt = BETA_INTERNAL_SCALE * beta
-    h0, h1 = (4 - 3 * p) / 8.0, p / 8.0
+    bt, h0, h1 = _werner_point(beta, p)
     w1 = math.sqrt(3.0)  # lam carries multiplicity 3
     f_floor = (_EPS_F * math.hypot(h0, w1 * h1)) ** 2  # the third stop rule
 
@@ -355,8 +338,8 @@ def saddle_search(beta: float, p: float) -> SaddleResult:
 
 
 def equipartition_scan(p_grid, beta: float) -> EquipartitionScan:
-    """Minimized residual norm per grid p; detects the onset of the region
-    where the averaged constraints become satisfiable.
+    """One saddle per grid p; detects the onset of the region where the
+    averaged constraints become satisfiable.
 
     region_start is the smallest grid p from which every larger grid p is
     also a region member (SaddleResult.region_member), or None if the
@@ -369,8 +352,7 @@ def equipartition_scan(p_grid, beta: float) -> EquipartitionScan:
         if not sad.region_member:
             break
         region_start = p
-    return EquipartitionScan(p_grid, tuple(s.residual_norm for s in saddles),
-                             region_start, saddles)
+    return EquipartitionScan(p_grid, region_start, saddles)
 
 
 def avg_energy_werner(beta: float, p: float) -> float:
@@ -378,10 +360,16 @@ def avg_energy_werner(beta: float, p: float) -> float:
     with <x> from the saddle's own last quadrature pass.
 
     Raises ConstraintsUnsatisfiable when no positive multiplier solves the
-    averaged constraints at this p (outside the equipartition region).
+    averaged constraints at this p (outside the equipartition region), and
+    QuadratureError where 256 beta^2 (and with it <x>) underflows or the two
+    terms cancel 8 of their 16 digits, 1 - <x>/(256 beta) < 1e-8.
     """
     sad = saddle_search(beta, p)
     if not sad.region_member:
         raise ConstraintsUnsatisfiable(
             f"constraints unsatisfiable at p={p} (residual {sad.residual_norm:.3e})")
-    return 1.0 / beta - sad.mean_x / (256.0 * beta * beta)
+    bb = 256.0 * beta * beta
+    if not (bb >= np.finfo(float).tiny and 1.0 - sad.mean_x / (256.0 * beta) >= 1e-8):
+        raise QuadratureError(f"<<E_1>> at beta={beta!r} is lost to underflow or "
+                              f"cancellation in 1/beta - <x>/(256 beta^2)")
+    return 1.0 / beta - sad.mean_x / bb

@@ -2,6 +2,10 @@
 
 Each computes a quantity the library also computes, by a different route:
 
+- the paper's closed forms for the 2x2 Werner state: the matrix
+  h(p) = (1/8) diag(4-3p, p, p, p) and the one-particle energy
+  (1/32) |(4-3p) z1^2 + p (z2^2 + z3^2 + z4^2)|^2 (the library contracts
+  the eigenensemble generically, and uses only the diagonal of h(p));
 - the rank-4 energy tensor built from the antisymmetric projectors, and the
   energy as its quartic form (the library uses the factored h-matrix form);
 - the antisymmetric-component form of the concurrence (the library uses
@@ -28,11 +32,12 @@ which only the tests evaluate.  None of them is used by the library.
 """
 import numpy as np
 
-from sepmech import PureState, StiefelPoint, constraint_residual, energy, h_matrix
+from sepmech import PureState, StiefelPoint, constraint_residual, energy
 from sepmech.werner import BETA_INTERNAL_SCALE, _WG, _WK, _XK, QuadratureError
 
 TENSOR_PREFACTOR = 2.0
 SKEW_PREFACTOR = 2.0
+CLOSED_FORM_PREFACTOR = 1.0 / 32.0
 
 
 # --- energy as the quartic form of a rank-4 tensor --------------------------
@@ -101,6 +106,26 @@ def det_product_test(psi: PureState) -> float:
 
 
 # --- Werner channel ----------------------------------------------------------
+
+def h_matrix(p: float) -> np.ndarray:
+    """h(p) = (1/8) diag(4-3p, p, p, p)."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+    return np.diag([(4 - 3 * p) / 8.0, p / 8.0, p / 8.0, p / 8.0]).astype(complex)
+
+
+def energy_closed_form(z, p: float) -> float:
+    """One-particle energy (1/32) |(4-3p) z1^2 + p z2^2 + p z3^2 + p z4^2|^2.
+
+    The quartic inside the modulus is 8 z^T h(p) z; the 1/32 makes this
+    equal to c2 of the ensemble vector psi(z), i.e. 2 |z^T h z|^2.
+    """
+    if not 0.0 < p <= 1.0:
+        raise ValueError("p must lie in (0, 1]")
+    z = np.asarray(z, dtype=complex).ravel()
+    quart = (4 - 3 * p) * z[0] ** 2 + p * (z[1] ** 2 + z[2] ** 2 + z[3] ** 2)
+    return CLOSED_FORM_PREFACTOR * float(np.abs(quart) ** 2)
+
 
 def det_m(s: complex, omega: np.ndarray, p: float) -> complex:
     """Determinant of the 8x8 Gaussian block matrix [[omega, 2i sbar h], [2i s h, omegabar]].

@@ -11,13 +11,14 @@ import time
 import numpy as np
 import pytest
 
-from oracles import concurrence_sq_skew, cost_tensor, det_m, tensor_energy
+from oracles import (concurrence_sq_skew, cost_tensor, det_m, energy_closed_form,
+                     h_matrix, tensor_energy)
 from sepmech import (DensityMatrix, LagrangeMultipliers, OmegaPrime,
                      PureState, concurrence_sq, constraint_residual,
                      cost_operator, eigen_ensemble, energy,
-                     energy_closed_form, ensemble_from_stiefel,
+                     ensemble_from_stiefel,
                      equipartition_scan, fit_energy_scaling, grad_log_z1,
-                     h_matrix, haar_stiefel, haar_unitary, log_z1_quadrature,
+                     haar_stiefel, haar_unitary, log_z1_quadrature,
                      mc_energy_curve, ppt_is_entangled, saddle_search,
                      avg_energy_werner, sample_energies,
                      werner_eigenensemble, werner_state, z1_mc)
@@ -43,7 +44,7 @@ def test_criterion_01_region_onset_at_beta_10(capsys):
     scan = equipartition_scan(grid, 10.0)
     elapsed = time.perf_counter() - t0
     onset = scan.region_start
-    low = [r for p, r in zip(scan.p_grid, scan.residuals) if p <= 0.80 + 1e-12]
+    low = [s.residual_norm for p, s in zip(scan.p_grid, scan.saddles) if p <= 0.80 + 1e-12]
     ok = (onset is not None and abs(onset - 0.89) <= 0.02 + 1e-12
           and all(r > 10 * THRESHOLD for r in low) and elapsed < 300)
     report(capsys, "criterion 01 equipartition onset", ok,

@@ -68,6 +68,25 @@ def test_ppt_state_file(tmp_path, capsys):
     assert json.loads(out)["ppt_entangled"] is True
 
 
+@pytest.mark.parametrize("f, entangled, conclusive, probe_verdict",
+                         [(0.5, True, True, True), (0.0, False, False, None)])
+def test_ppt_and_probe_verdict_on_a_3x3_state(tmp_path, capsys, f, entangled,
+                                              conclusive, probe_verdict):
+    # f |Phi_3><Phi_3| + (1 - f) 1/9: NPT (entangled) at f = 0.5; at f = 0 it is
+    # PPT, which leaves a 3x3 state unresolved
+    phi = np.eye(3).ravel() / np.sqrt(3)
+    path = tmp_path / "rho.json"
+    path.write_text(DensityMatrix(3, 3, f * np.outer(phi, phi)
+                                  + (1 - f) * np.eye(9) / 9).to_json())
+    code, out, _ = run(capsys, "ppt", "--state", str(path))
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["ppt_entangled"] is entangled and rep["conclusive"] is conclusive
+    code, out, _ = run(capsys, "probe", "--state", str(path), "--seed", "1",
+                       "--samples", "200", "--beta", "1")
+    assert code == 0 and json.loads(out)["ppt_entangled"] is probe_verdict
+
+
 def test_state_source_must_be_unique(capsys):
     code, _, err = run(capsys, "ppt", "--werner", "0.5", "--state", "x.json")
     assert code == 2
@@ -323,6 +342,23 @@ def test_scaling_needs_three_distinct_betas(capsys, monkeypatch, beta):
     code, out, err = run(capsys, "scaling", "--werner", "0.9", "--beta", beta)
     assert code == 2 and out == ""
     assert err == "error: scaling fits a slope: need at least 3 distinct betas\n"
+
+
+@pytest.mark.parametrize("beta", ["1e-300,1e-299,1e-298", "1e-10,1e-9,1e-8"])
+def test_scaling_exits_4_where_the_energy_is_lost_to_cancellation(capsys, beta):
+    # 256 beta^2 underflows at 1e-300; at 1e-10 and 1e-9 the terms 1/beta and
+    # <x>/(256 beta^2) cancel more than 8 of their 16 digits
+    code, out, err = run(capsys, "scaling", "--werner", "0.9", "--beta", beta)
+    assert code == 4 and out == "" and "cancellation" in err
+
+
+def test_scaling_default_grid_keeps_the_energy_expression(capsys):
+    code, out, _ = run(capsys, "scaling", "--werner", "0.9")
+    assert code == 0
+    rows = [ln.split(",") for ln in out.splitlines()[2:-1]]
+    want = [1.0 / b - saddle_search(b, 0.9).mean_x / (256.0 * b * b)
+            for b in parse_beta("10:10000:12")]
+    assert [r[1] for r in rows] == [_fmt(e) for e in want]
 
 
 def test_scaling_requires_p(capsys):

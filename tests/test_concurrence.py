@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import concurrence_sq_skew, det_product_test
+from oracles import concurrence_sq_skew, det_product_test, h_matrix
 from sepmech import (PureState, concurrence_sq, eigen_ensemble, h_matrices,
-                     h_matrix, haar_unitary, is_product, werner_state,
+                     haar_unitary, is_product, werner_state,
                      werner_eigenensemble)
 from sepmech.concurrence import skew_basis
 

@@ -101,9 +101,10 @@ def test_eigen_ensemble_werner_half_norms():
     assert np.allclose(norms, [0.125, 0.125, 0.125, 0.625], atol=1e-12)
 
 
-def test_eigen_ensemble_requires_positive_cutoff():
-    with pytest.raises(ValueError):
-        eigen_ensemble(werner_state(0.5), cutoff=0.0)
+def test_eigen_ensemble_takes_no_cutoff():
+    # the eigenvalue cutoff is the module constant EIGENVALUE_CUTOFF
+    with pytest.raises(TypeError):
+        eigen_ensemble(werner_state(0.5), 1e-3)
 
 
 @given(seed=st.integers(0, 10**6), m=st.integers(2, 3), n=st.integers(2, 3))
@@ -153,9 +154,24 @@ def test_ppt_grid_matches_separability_threshold():
         assert ppt_is_entangled(werner_state(p)) == (p < 2.0 / 3.0)
 
 
-def test_ppt_large_dims_need_flag(rng, random_density):
-    rho = random_density(rng, 3, 3)
-    with pytest.raises(ValueError):
-        ppt_is_entangled(rho)
-    # with the flag a negative partial transpose is still conclusive evidence
-    assert ppt_is_entangled(rho, allow_inconclusive=True) in (True, False)
+def _isotropic(d: int, f: float) -> DensityMatrix:
+    """f |Phi_d><Phi_d| + (1 - f) 1/d^2 on C^d (x) C^d."""
+    phi = np.eye(d).ravel() / np.sqrt(d)
+    return DensityMatrix(d, d, f * np.outer(phi, phi) + (1 - f) * np.eye(d * d) / d ** 2)
+
+
+def test_ppt_three_way_verdict(rng, random_density):
+    # NPT proves entanglement in any dimension
+    assert ppt_is_entangled(werner_state(0.5)) is True
+    assert ppt_is_entangled(_isotropic(3, 0.5)) is True
+    psi = np.zeros(6)
+    psi[[0, 4]] = 1 / np.sqrt(2)
+    assert ppt_is_entangled(DensityMatrix(2, 3, 0.8 * np.outer(psi, psi)
+                                          + 0.2 * np.eye(6) / 6)) is True
+    # PPT proves separability only for mn <= 6 ...
+    assert ppt_is_entangled(werner_state(0.7)) is False
+    assert ppt_is_entangled(DensityMatrix(2, 3, np.eye(6) / 6)) is False
+    # ... and leaves larger systems unresolved
+    assert ppt_is_entangled(DensityMatrix(3, 3, np.eye(9) / 9)) is None
+    assert ppt_is_entangled(DensityMatrix(2, 4, np.eye(8) / 8)) is None
+    assert ppt_is_entangled(random_density(rng, 3, 3)) in (True, None)

@@ -6,12 +6,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import batch_energies_serial, jackknife_error, weighted_stats
+from oracles import batch_energies_serial, h_matrix, jackknife_error, weighted_stats
 
 from sepmech import ensembles, statmech
 from sepmech import (LagrangeMultipliers, McEstimate, StateDensityEstimate,
                      cost_operator, energy, estimate_state_density,
-                     fit_energy_scaling, fit_power_law, h_matrix,
+                     fit_energy_scaling, fit_power_law,
                      log_z1_quadrature, mc_energy_curve,
                      OmegaPrime, eigen_ensemble, sample_energies,
                      werner_eigenensemble, z1_mc)

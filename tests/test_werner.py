@@ -8,12 +8,12 @@ import pytest
 
 import mpmath
 
-from oracles import det_m, grad_log_z1_full, moments_einsum, panel_edges_doubling
+from oracles import (det_m, energy_closed_form, grad_log_z1_full, h_matrix,
+                     moments_einsum, panel_edges_doubling)
 from sepmech import (OmegaPrime, PureState, avg_energy_werner,
                      bell_diagonal_h, ConstraintsUnsatisfiable,
                      concurrence_sq, cost_operator, energy,
-                     energy_closed_form, equipartition_scan, grad_log_z1,
-                     h_matrix, h_matrices,
+                     equipartition_scan, grad_log_z1, h_matrices,
                      log_z1_quadrature, saddle_search, werner_eigenensemble,
                      werner_state)
 from sepmech import werner
@@ -77,6 +77,14 @@ def test_h_matrix_equals_generic_contraction():
     for p in np.linspace(0.05, 1.0, 20):
         got = h_matrices(werner_eigenensemble(p)).matrices[0, 0]
         assert np.max(np.abs(got - h_matrix(p))) < 1e-12
+
+
+def test_werner_h_is_the_diagonal_of_the_generic_contraction():
+    # the one closed form of h(p) the library uses, against h_matrices
+    for p in np.round(np.arange(0.05, 1.0001, 0.05), 12):
+        got = np.diag(h_matrices(werner_eigenensemble(p)).matrices[0, 0])
+        h0, h1 = werner._werner_h(p)
+        assert np.max(np.abs(got - [h0, h1, h1, h1])) < 1e-15
 
 
 def test_bell_diagonal_h_reduces_to_werner():
@@ -376,9 +384,9 @@ def test_scan_detects_region_boundary():
     assert scan.region_start == pytest.approx(0.89, abs=1e-12)
     # one membership rule: the scan's onset, the saddle's flag and the
     # energy's refusal all agree at every grid point
-    for p, res, sad in zip(scan.p_grid, scan.residuals, scan.saddles):
+    for p, sad in zip(scan.p_grid, scan.saddles):
         assert sad.region_member is (p >= scan.region_start)
-        assert sad.region_member is (res < RESIDUAL_THRESHOLD)
+        assert sad.region_member is (sad.residual_norm < RESIDUAL_THRESHOLD)
         if sad.region_member:
             assert avg_energy_werner(10.0, p) > 0
         else:
@@ -390,7 +398,7 @@ def test_scan_is_seed_reproducible():
     grid = (0.5, 0.9, 1.0)
     a = equipartition_scan(grid, 10.0)
     b = equipartition_scan(grid, 10.0)
-    assert a.residuals == b.residuals
+    assert a.saddles == b.saddles
     assert a.region_start == b.region_start == 0.9
 
 
@@ -413,6 +421,20 @@ def test_avg_energy_matches_beta_finite_difference():
 def test_avg_energy_raises_outside_region():
     with pytest.raises(ConstraintsUnsatisfiable):
         avg_energy_werner(10.0, 0.5)
+
+
+def test_avg_energy_at_tiny_beta_is_accurate_or_refused():
+    # as beta -> 0 <<E_1>> tends to a constant (~8.24 at p = 0.9); below
+    # beta ~1e-9 the closed form cancels, and below ~1e-155 256 beta^2 and
+    # <x> underflow (at 1e-160 <x> has lost 4 digits, at 1e-165 it is 0)
+    ref = avg_energy_werner(1e-8, 0.9)
+    refused = 0
+    for beta in 10.0 ** np.arange(-300.0, -7.9):
+        try:
+            assert abs(avg_energy_werner(beta, 0.9) / ref - 1) < 1e-6, beta
+        except QuadratureError:
+            refused += 1
+    assert refused == 292  # every beta up to 1e-9
 
 
 def test_avg_energy_equipartition_plateau():
