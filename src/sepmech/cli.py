@@ -21,34 +21,32 @@ takes no --seed; `scaling` echoes its --seed only.  Region membership in
 `scan`, `probe` and `scaling` is the library's one test,
 SaddleResult.region_member (residual below 1e-6); no flag changes it.
 
-Exit codes: 0 success, 2 invalid input, 3 constraints unsatisfiable at the
-requested p, 4 quadrature, convergence or precision failure.
+Exit codes: 0 success, 2 invalid input (InvalidInput: a check of the
+library or of this parser rejected it), 3 constraints unsatisfiable at the
+requested p, 4 quadrature, convergence or precision failure.  Every other
+exception is a bug and keeps its traceback.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from .costfn import cost_operator
 from .ensembles import caratheodory_length
-from .quantum_core import DensityMatrix, eigen_ensemble, ppt_is_entangled
-from .statmech import (_require_distinct_betas, estimate_state_density,
+from .quantum_core import DensityMatrix, InvalidInput, eigen_ensemble, ppt_is_entangled
+from .statmech import (_require_fit_betas, estimate_state_density,
                        fit_energy_scaling, mc_energy_curve, sample_energies)
 from .werner import (ConstraintsUnsatisfiable, QuadratureError, avg_energy_werner,
                      equipartition_scan, saddle_search, werner_state)
 
 MC_HISTOGRAM_BINS = 48
 
-
-class CliError(Exception):
-    """Invalid input."""
-
-
 # exit code per error; every other exception is a bug and keeps its traceback
-_EXIT_CODES = {CliError: 2, ConstraintsUnsatisfiable: 3, QuadratureError: 4}
+_EXIT_CODES = {InvalidInput: 2, ConstraintsUnsatisfiable: 3, QuadratureError: 4}
 
 
 def _fmt(x) -> str:
@@ -58,38 +56,40 @@ def _fmt(x) -> str:
 def parse_beta(text: str):
     """'10' -> [10.0]; '1,10,100' -> list; '10:10000:12' -> log-spaced grid."""
     text = str(text)
+    grid = ":" in text
     try:
-        if ":" in text:
+        if grid:
             lo, hi, n = text.split(":")
             lo, hi, n = float(lo), float(hi), int(n)
-            if not (0 < lo < hi < np.inf and n >= 2):
-                raise CliError(f"bad beta grid {text!r}: need 0 < lo < hi finite and n >= 2")
-            return list(np.logspace(np.log10(lo), np.log10(hi), n))
-        vals = [float(v) for v in text.split(",")]
+        else:
+            vals = [float(v) for v in text.split(",")]
     except ValueError:
-        raise CliError(f"bad beta {text!r}: expected a value, a list or lo:hi:n") from None
+        raise InvalidInput(f"bad beta {text!r}: expected a value, a list or lo:hi:n") from None
+    if grid:
+        if not (0 < lo < hi < np.inf and n >= 2):
+            raise InvalidInput(f"bad beta grid {text!r}: need 0 < lo < hi finite and n >= 2")
+        return list(np.logspace(np.log10(lo), np.log10(hi), n))
     if not all(0 <= v < np.inf for v in vals):
-        raise CliError("beta must be finite and >= 0")
+        raise InvalidInput("beta must be finite and >= 0")
     return vals
 
 
 def parse_p_grid(text: str):
-    """'a:step:b' -> inclusive linear grid."""
+    """'a:step:b' -> inclusive linear grid, never empty.  Whether each p is
+    a valid Werner parameter is the library's check (equipartition_scan)."""
     try:
         a, step, b = (float(v) for v in str(text).split(":"))
     except ValueError:
-        raise CliError(f"bad p grid {text!r}: expected a:step:b") from None
+        raise InvalidInput(f"bad p grid {text!r}: expected a:step:b") from None
     if not np.isfinite((a, step, b)).all():
-        raise CliError(f"bad p grid {text!r}: a, step and b must be finite")
+        raise InvalidInput(f"bad p grid {text!r}: a, step and b must be finite")
     if not (step > 0 and b >= a):
-        raise CliError(f"bad p grid {text!r}: need step > 0 and b >= a")
-    count = int(round((b - a) / step)) + 1
-    grid = [round(a + k * step, 12) for k in range(count) if a + k * step <= b + step * 1e-9]
-    if not grid:
-        raise CliError("empty p grid")
-    if grid[0] <= 0 or grid[-1] > 1:
-        raise CliError("p grid must lie in (0, 1]")
-    return grid
+        raise InvalidInput(f"bad p grid {text!r}: need step > 0 and b >= a")
+    steps = (b - a) / step
+    if not math.isfinite(steps):
+        raise InvalidInput(f"bad p grid {text!r}: (b - a) / step overflows")
+    return [round(a + k * step, 12) for k in range(int(round(steps)) + 1)
+            if a + k * step <= b + step * 1e-9]
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
@@ -106,14 +106,14 @@ def _merge_config(args: argparse.Namespace) -> dict:
             with open(args.config) as fh:
                 cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as e:
-            raise CliError(f"cannot read config file: {e}")
+            raise InvalidInput(f"cannot read config file: {e}")
         if not isinstance(cfg, dict):
-            raise CliError("config file must hold a JSON object")
+            raise InvalidInput("config file must hold a JSON object")
         for key, val in cfg.items():
             dest = key.replace("-", "_")
             if dest not in flags:
-                raise CliError(f"unknown config key {key!r}; {args.command} takes "
-                               f"{', '.join(sorted(flags))}")
+                raise InvalidInput(f"unknown config key {key!r}; {args.command} takes "
+                                   f"{', '.join(sorted(flags))}")
             if val is not None:
                 out[dest] = val
     for key in flags:
@@ -125,12 +125,13 @@ def _merge_config(args: argparse.Namespace) -> dict:
 def _number(cfg: dict, key: str) -> float:
     """cfg[key] as a float; a boolean or a value that is not a number exits 2."""
     val = cfg[key]
+    bad = InvalidInput(f"{key} must be a number, got {val!r}")
+    if isinstance(val, bool):
+        raise bad
     try:
-        if isinstance(val, bool):
-            raise TypeError
         return float(val)
     except (TypeError, ValueError):
-        raise CliError(f"{key} must be a number, got {val!r}") from None
+        raise bad from None
 
 
 def _load_state(cfg: dict):
@@ -138,17 +139,15 @@ def _load_state(cfg: dict):
     werner = cfg.get("werner")
     path = cfg.get("state")
     if (werner is None) == (path is None):
-        raise CliError("specify exactly one of --werner and --state")
+        raise InvalidInput("specify exactly one of --werner and --state")
     if werner is not None:
         p = _number(cfg, "werner")
-        if not 0.0 <= p <= 1.0:
-            raise CliError("invalid density matrix: Werner p outside [0, 1]")
         return werner_state(p), {"kind": "werner", "p": p}
     try:
         with open(path) as fh:
             rho = DensityMatrix.from_json(fh.read())
     except (OSError, ValueError, KeyError, TypeError) as e:
-        raise CliError(f"invalid density matrix: {e}")
+        raise InvalidInput(f"invalid density matrix: {e}")
     return rho, {"kind": "file", "path": str(path)}
 
 
@@ -158,30 +157,23 @@ def _count(cfg: dict, key: str, default: int, floor: int) -> int:
     A boolean, a fraction or a value below floor exits 2.
     """
     raw = cfg.get(key, default)
+    bad = InvalidInput(f"{key} must be an integer, got {raw!r}")
+    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+        raise bad
     try:
-        if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
-            raise ValueError
         val = int(raw)
     except (TypeError, ValueError):
-        raise CliError(f"{key} must be an integer, got {raw!r}") from None
+        raise bad from None
     if val < floor:
-        raise CliError(f"{key} must be >= {floor}, got {val}")
+        raise InvalidInput(f"{key} must be >= {floor}, got {val}")
     return val
 
 
 def _seed(cfg: dict, required: bool) -> int:
     """The non-negative --seed; 0 when absent and not required."""
     if required and "seed" not in cfg:
-        raise CliError("--seed is required for stochastic commands")
+        raise InvalidInput("--seed is required for stochastic commands")
     return _count(cfg, "seed", 0, 0)
-
-
-def _cost_operator(rho: DensityMatrix):
-    """Cost operator of rho's eigenensemble; a one-dimensional factor exits 2."""
-    if min(rho.dimA, rho.dimB) < 2:
-        raise CliError(f"a {rho.dimA}x{rho.dimB} state has a one-dimensional factor: "
-                       "it is a product state and has no h matrices to sample")
-    return cost_operator(eigen_ensemble(rho))
 
 
 def _recognize_werner(rho: DensityMatrix):
@@ -214,7 +206,7 @@ def cmd_probe(cfg: dict) -> int:
     m, n = rho.dimA, rho.dimB
 
     mc_seed = np.random.SeedSequence(seed).spawn(1)[0]
-    cop = _cost_operator(rho)
+    cop = cost_operator(eigen_ensemble(rho))
     curve = mc_energy_curve(
         sample_energies(cop, caratheodory_length(m, n), samples, mc_seed), betas)
     report = {
@@ -255,9 +247,7 @@ def cmd_scan(cfg: dict) -> int:
     grid = parse_p_grid(cfg.get("p_grid", "0.50:0.01:1.00"))
     betas = parse_beta(cfg.get("beta", "10"))
     if len(betas) != 1:
-        raise CliError("scan takes a single beta")
-    if betas[0] <= 0:
-        raise CliError("scan needs beta > 0")
+        raise InvalidInput("scan takes a single beta")
     scan = equipartition_scan(grid, betas[0])
     lines = [_header({**cfg, "beta": betas[0]}, "scan"),
              "p,residual,gamma_star,lambda_star,interior\n"]
@@ -274,18 +264,11 @@ def cmd_scan(cfg: dict) -> int:
 
 def cmd_scaling(cfg: dict) -> int:
     betas = parse_beta(cfg.get("beta", "10:10000:12"))
-    if min(betas) <= 0:
-        raise CliError("scaling needs beta > 0")
-    try:
-        _require_distinct_betas(betas)
-    except ValueError as e:
-        raise CliError(f"scaling fits a slope: {e}") from None
+    _require_fit_betas(betas)  # the fit's rule, checked before any solve
     seed = _seed(cfg, required=False)
     if cfg.get("werner") is None:
-        raise CliError("scaling requires --werner p")
+        raise InvalidInput("scaling requires --werner p")
     p = _number(cfg, "werner")
-    if not 0.0 < p <= 1.0:
-        raise CliError("p must lie in (0, 1]")
     points = [(b, avg_energy_werner(b, p)) for b in betas]
     fit = fit_energy_scaling(points)
     lines = [_header({**cfg, "seed": seed}, "scaling"),
@@ -309,7 +292,7 @@ def cmd_mc(cfg: dict) -> int:
     betas = parse_beta(cfg.get("beta", "1:100:9"))
     m, n = rho.dimA, rho.dimB
     N = caratheodory_length(m, n)
-    cop = _cost_operator(rho)
+    cop = cost_operator(eigen_ensemble(rho))
 
     energies = sample_energies(cop, N, samples, seed)
     curve = mc_energy_curve(energies, betas)

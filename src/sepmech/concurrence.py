@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum_core import EigenEnsemble, PureState, partial_trace
+from .quantum_core import EigenEnsemble, InvalidInput, PureState, partial_trace
 
 DEFAULT_PRODUCT_TOL = 1e-9
 
@@ -46,15 +46,17 @@ class HMatrixSet:
     after (A B A' B') -> (A A' B B') reordering of the two copies.
     """
 
-    r: int
-    d1: int
-    d2: int
     matrices: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrices", np.asarray(self.matrices, dtype=complex))
-        if self.matrices.shape != (self.d1, self.d2, self.r, self.r):
-            raise ValueError("h matrix array has wrong shape")
+        h = np.asarray(self.matrices, dtype=complex)
+        object.__setattr__(self, "matrices", h)
+        if h.ndim != 4 or h.shape[2] != h.shape[3]:
+            raise InvalidInput(f"h matrix array must have shape (d1, d2, r, r), got {h.shape}")
+
+    @property
+    def r(self) -> int:
+        return self.matrices.shape[2]
 
 
 def skew_basis(m: int) -> np.ndarray:
@@ -64,7 +66,9 @@ def skew_basis(m: int) -> np.ndarray:
     C^m (x) C^m; each is antisymmetric under swapping the two factors.
     """
     if m < 2:
-        raise ValueError("m must be >= 2")
+        raise InvalidInput(f"m must be >= 2, got {m}: a one-dimensional factor has no "
+                           "antisymmetric space, and a state with one is a product state "
+                           "with no h matrices")
     d = m * (m - 1) // 2
     vecs = np.zeros((d, m * m), dtype=complex)
     k = 0
@@ -91,7 +95,7 @@ def is_product(psi: PureState, tol: float = DEFAULT_PRODUCT_TOL) -> bool:
     """True iff the normalized concurrence squared c2(psi)/||psi||^4 is below tol."""
     nrm = psi.norm()
     if nrm == 0.0:
-        raise ValueError("zero vector has no product test")
+        raise InvalidInput("zero vector has no product test")
     return concurrence_sq(psi) / nrm ** 4 < tol
 
 
@@ -110,4 +114,4 @@ def h_matrices(ens: EigenEnsemble) -> HMatrixSet:
     zb = bB.conj().reshape(-1, n, n)
     # Phi_{alpha beta}[i, j, k, l] = C_alpha[i, k] C_beta[j, l]
     h = np.einsum("aij,bkl,xik,yjl->abxy", za, zb, C, C, optimize=True)
-    return HMatrixSet(r, bA.shape[0], bB.shape[0], h)
+    return HMatrixSet(h)

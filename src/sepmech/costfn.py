@@ -31,7 +31,7 @@ import numpy as np
 
 from .concurrence import HMatrixSet, h_matrices
 from .ensembles import StiefelPoint
-from .quantum_core import EigenEnsemble
+from .quantum_core import EigenEnsemble, InvalidInput
 
 H_FORM_PREFACTOR = 2.0
 _BLOCK_ROWS = 1024
@@ -58,11 +58,11 @@ class LagrangeMultipliers:
         w = np.asarray(self.omega, dtype=complex)
         object.__setattr__(self, "omega", w)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValueError("omega must be square")
+            raise InvalidInput("omega must be square")
         if np.max(np.abs(w - w.conj().T)) > 1e-12:
-            raise ValueError("omega must be Hermitian")
+            raise InvalidInput("omega must be Hermitian")
         if np.linalg.cond(w) > 1e14:
-            raise ValueError("omega must be nonsingular")
+            raise InvalidInput("omega must be nonsingular")
 
     @property
     def r(self) -> int:
@@ -98,7 +98,7 @@ def energy(z, cop: CostOperator):
     zm = _rows(z)
     r = cop.r
     if zm.shape[-1] != r:
-        raise ValueError(f"z has {zm.shape[-1]} columns, expected {r}")
+        raise InvalidInput(f"z has {zm.shape[-1]} columns, expected {r}")
     N = zm.shape[-2]
     xi, yi = np.triu_indices(r)
     h = cop.hset.matrices

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum_core import EigenEnsemble, PureState, _phase_fixed_q
-
-_QR_ROWS = 4096
+from .quantum_core import EigenEnsemble, InvalidInput, PureState, _phase_fixed_q
 
 
 @dataclass(frozen=True)
@@ -30,10 +28,10 @@ class StiefelPoint:
         z = np.asarray(self.z, dtype=complex)
         object.__setattr__(self, "z", z)
         if z.shape != (self.N, self.r):
-            raise ValueError(f"z has shape {z.shape}, expected ({self.N}, {self.r})")
+            raise InvalidInput(f"z has shape {z.shape}, expected ({self.N}, {self.r})")
         res = constraint_residual(z)
         if np.max(np.abs(res)) > 1e-10:
-            raise ValueError("columns are not orthonormal")
+            raise InvalidInput("columns are not orthonormal")
 
 
 @dataclass(frozen=True)
@@ -59,9 +57,9 @@ def constraint_residual(z) -> np.ndarray:
 def ensemble_from_stiefel(z: StiefelPoint, ens: EigenEnsemble) -> RhoEnsemble:
     """The length-N ensemble psi_i = sum_alpha z_{i alpha} e_alpha."""
     if z.r != ens.rank:
-        raise ValueError(f"z has {z.r} columns but the ensemble has rank {ens.rank}")
+        raise InvalidInput(f"z has {z.r} columns but the ensemble has rank {ens.rank}")
     amps = z.z @ ens.matrix()
-    vecs = tuple(PureState(ens.dimA, ens.dimB, a, normalized=False) for a in amps)
+    vecs = tuple(PureState(ens.dimA, ens.dimB, a) for a in amps)
     return RhoEnsemble(vecs)
 
 
@@ -79,61 +77,52 @@ def stiefel_from_gs(v: np.ndarray, U: np.ndarray) -> StiefelPoint:
     U = np.asarray(U, dtype=complex)
     r = U.shape[0]
     if U.shape != (r, r) or np.max(np.abs(U.conj().T @ U - np.eye(r))) > 1e-10:
-        raise ValueError("U must be unitary")
+        raise InvalidInput("U must be unitary")
     if v.size == 0:
         v = v.reshape(0, r)
     if v.shape[1] != r:
-        raise ValueError(f"v must have {r} columns")
+        raise InvalidInput(f"v must have {r} columns")
     B = np.vstack([np.eye(r, dtype=complex), v])
     return StiefelPoint(B.shape[0], r, _phase_fixed_q(B) @ U)
 
 
-def _now(fn, *args):
-    """Run fn(*args) at once: the default submit of _stiefel_batch."""
-    return fn(*args)
-
-
-def _sub_blocks(N: int, count: int, unit: int = 1) -> list:
-    """Slices of about _QR_ROWS rows that cover a stack of count N-row
-    matrices; each but the last holds a whole number of `unit` matrices."""
-    step = unit * max(1, _QR_ROWS // (N * unit))
-    return [slice(s, min(s + step, count)) for s in range(0, count, step)]
-
-
-def _stiefel_batch(N: int, r: int, count: int, rng, submit=_now, unit: int = 1) -> np.ndarray:
+def _stiefel_batch(N: int, r: int, count: int, rng, blocks=None, submit=None) -> np.ndarray:
     """count Haar points of V_{N,r}, stacked (count, N, r).
 
     The phase-fixed QR of an N x r Ginibre block; this is the same
     distribution as slicing r columns off a Haar N x N unitary, without
     paying for the discarded columns.  The whole real block is drawn before
-    the whole imaginary block, each one _sub_blocks(N, count, unit) piece at
-    a time (the same stream as one whole draw) through a small temporary,
-    so the only large array is the result.  Once a sub-block's imaginary
-    piece is drawn, submit(_phase_fixed_q, block, block) is called to write
-    its phased Q back over its Ginibre block.  The default runs it at once;
-    a caller that passes its own submit may run it later, on another
-    thread, and must wait for it before it reads that block.  The QR is per
-    matrix, so the sub-blocks do not change the result.
+    the whole imaginary block, each one slice of `blocks` at a time (the
+    same stream as one whole draw; the default is one slice of all count
+    matrices).  Once a slice's imaginary piece is drawn, submit(b, g[b]) is
+    called, where b is the slice and g[b] its Ginibre block, and must make
+    the phase-fixed Q of g[b] and write it back over g[b].  The default
+    does that at once; a caller that passes its own submit may do it later,
+    on another thread, and must wait for it before it reads that block.
+    The QR is per matrix, so the slices do not change the result.
     """
     g = np.empty((count, N, r), dtype=complex)
-    blocks = _sub_blocks(N, count, unit)
+    blocks = blocks or [slice(0, count)]
     for b in blocks:
         g.real[b] = rng.standard_normal(g[b].shape)
     for b in blocks:
         g.imag[b] = rng.standard_normal(g[b].shape)
-        submit(_phase_fixed_q, g[b], g[b])
+        if submit is None:
+            _phase_fixed_q(g[b], g[b])
+        else:
+            submit(b, g[b])
     return g
 
 
 def haar_stiefel(N: int, r: int, seed) -> StiefelPoint:
     """Uniform point of V_{N,r}; seed is an int, SeedSequence or Generator."""
     if not 1 <= r <= N:
-        raise ValueError(f"need N >= r >= 1, got N={N}, r={r}")
+        raise InvalidInput(f"need N >= r >= 1, got N={N}, r={r}")
     return StiefelPoint(N, r, _stiefel_batch(N, r, 1, np.random.default_rng(seed))[0])
 
 
 def caratheodory_length(m: int, n: int) -> int:
     """Ensemble length m^2 n^2 that always suffices for a separable state."""
     if m < 1 or n < 1:
-        raise ValueError("dimensions must be >= 1")
+        raise InvalidInput("dimensions must be >= 1")
     return m * m * n * n

@@ -21,6 +21,11 @@ PSD_TOL = 1e-10
 EIGENVALUE_CUTOFF = 1e-10
 
 
+class InvalidInput(ValueError):
+    """An argument breaks a rule of the library: the one error type for bad
+    input, so a caller (the command line among them) can tell it from a bug."""
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Bipartite mixed state: Hermitian, PSD, unit trace mn x mn matrix."""
@@ -34,15 +39,15 @@ class DensityMatrix:
         mat = np.asarray(self.mat, dtype=complex)
         object.__setattr__(self, "mat", mat)
         if mat.shape != (m * n, m * n):
-            raise ValueError(f"expected {(m*n, m*n)} matrix, got {mat.shape}")
+            raise InvalidInput(f"expected {(m*n, m*n)} matrix, got {mat.shape}")
         if not np.all(np.isfinite(mat.view(float))):
-            raise ValueError("non-finite entries in density matrix")
+            raise InvalidInput("non-finite entries in density matrix")
         if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
-            raise ValueError("density matrix is not Hermitian")
+            raise InvalidInput("density matrix is not Hermitian")
         if abs(np.trace(mat).real - 1.0) > TRACE_TOL or abs(np.trace(mat).imag) > TRACE_TOL:
-            raise ValueError("density matrix trace is not 1")
+            raise InvalidInput("density matrix trace is not 1")
         if np.linalg.eigvalsh(mat).min() < -PSD_TOL:
-            raise ValueError("density matrix has an eigenvalue below -1e-10")
+            raise InvalidInput("density matrix has an eigenvalue below -1e-10")
 
     def to_json(self) -> str:
         return json.dumps({
@@ -68,15 +73,12 @@ class PureState:
     dimA: int
     dimB: int
     amps: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         amps = np.asarray(self.amps, dtype=complex).ravel()
         object.__setattr__(self, "amps", amps)
         if amps.size != self.dimA * self.dimB:
-            raise ValueError(f"expected {self.dimA * self.dimB} amplitudes, got {amps.size}")
-        if self.normalized and abs(np.linalg.norm(amps) - 1.0) > 1e-12:
-            raise ValueError("state flagged normalized but its norm is not 1")
+            raise InvalidInput(f"expected {self.dimA * self.dimB} amplitudes, got {amps.size}")
 
     def coeff_matrix(self) -> np.ndarray:
         """Amplitudes as the m x n coefficient matrix C with psi = sum C_ab |ab>."""
@@ -96,15 +98,14 @@ class EigenEnsemble:
 
     dimA: int
     dimB: int
-    rank: int
     vectors: tuple[PureState, ...]
-    eigenvalues: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "vectors", tuple(self.vectors))
-        if len(self.vectors) != self.rank:
-            raise ValueError("rank does not match number of vectors")
-        object.__setattr__(self, "eigenvalues", np.asarray(self.eigenvalues, dtype=float))
+
+    @property
+    def rank(self) -> int:
+        return len(self.vectors)
 
     def matrix(self) -> np.ndarray:
         """Rows e_alpha stacked into an r x (mn) array."""
@@ -130,7 +131,7 @@ def partial_trace(state, keep: str) -> np.ndarray:
     (norm squared for pure states).
     """
     if keep not in ("A", "B"):
-        raise ValueError("keep must be 'A' or 'B'")
+        raise InvalidInput("keep must be 'A' or 'B'")
     if isinstance(state, PureState):
         return _pure_reduced(state, keep)
     if isinstance(state, DensityMatrix):
@@ -151,7 +152,7 @@ def eigen_ensemble(rho: DensityMatrix) -> EigenEnsemble:
     """
     vals, vecs = np.linalg.eigh(rho.mat)
     if vals.min() < -PSD_TOL:
-        raise ValueError("input is not positive semidefinite within tolerance")
+        raise InvalidInput("input is not positive semidefinite within tolerance")
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
     sel = vals > EIGENVALUE_CUTOFF
@@ -160,7 +161,7 @@ def eigen_ensemble(rho: DensityMatrix) -> EigenEnsemble:
         PureState(rho.dimA, rho.dimB, np.sqrt(lam) * vecs[:, k])
         for k, lam in enumerate(vals)
     ]
-    return EigenEnsemble(rho.dimA, rho.dimB, len(vectors), tuple(vectors), vals)
+    return EigenEnsemble(rho.dimA, rho.dimB, vectors)
 
 
 def _phase_fixed_q(b: np.ndarray, out=None) -> np.ndarray:
@@ -177,7 +178,7 @@ def _phase_fixed_q(b: np.ndarray, out=None) -> np.ndarray:
 def haar_unitary(d: int, seed) -> np.ndarray:
     """Haar-distributed d x d unitary: the phase-fixed QR of a complex Gaussian."""
     if d < 1:
-        raise ValueError("d must be >= 1")
+        raise InvalidInput("d must be >= 1")
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
     return _phase_fixed_q(z)

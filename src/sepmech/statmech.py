@@ -27,14 +27,15 @@ draws its Haar points in chunks of _CHUNK: each chunk takes its whole real
 Gaussian block and then its whole imaginary block from the stream, so
 changing _CHUNK changes the samples.  All drawing happens on the calling
 thread, in that order.  The rest runs on a pool of one thread per usable
-CPU that lives for one call: as soon as a QR sub-block's Gaussians are
-drawn, one task takes its phase-fixed QR and then its energies, while the
-calling thread draws the next piece and then the next chunk (at most one
-chunk ahead of the one being reduced).  Each task writes only its own rows
-and makes the same kernel calls on them as one serial pass would (the QR
-is per matrix, and a sub-block is a whole number of energy blocks), so the
-results depend neither on the number of workers nor on how they are
-scheduled.  Parallel use should derive one child seed per task via numpy
+CPU that lives for one call.  _sub_blocks cuts each chunk into sub-blocks
+of about _QR_ROWS rows, each a whole number of energy blocks.  As soon as
+a sub-block's Gaussians are drawn, one task takes its phase-fixed QR and
+then its energies, while the calling thread draws the next sub-block and
+then the next chunk (at most one chunk ahead of the one being reduced).
+Each task writes only its own rows and makes the same kernel calls on them
+as one serial pass would (the QR is per matrix), so the results depend
+neither on the number of workers nor on how they are scheduled.
+Parallel use should derive one child seed per task via numpy
 SeedSequence(seed).spawn, which is the splitting rule used by the
 command-line layer.
 """
@@ -46,10 +47,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costfn import CostOperator, LagrangeMultipliers, _block_size, energy
-from .ensembles import _stiefel_batch, _sub_blocks
+from .ensembles import _stiefel_batch
+from .quantum_core import InvalidInput, _phase_fixed_q
 
 JACKKNIFE_BLOCKS = 32
 _CHUNK = 8192
+_QR_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -79,12 +82,10 @@ class ScalingFit:
 
     For energy-vs-beta fits the abscissa is log beta and delta is the fitted
     numerator minus one, from <<E>> = (delta+1)/beta.  For state-density fits
-    the abscissa is log energy (stored in the same field) and delta is the
-    slope itself, from the power-law ansatz A eps^delta.
+    the abscissa is log energy and delta is the slope itself, from the
+    power-law ansatz A eps^delta.
     """
 
-    log_beta: tuple
-    log_energy: tuple
     slope: float
     intercept: float
     delta: float
@@ -100,21 +101,30 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _reduce_block(dest: np.ndarray, cop: CostOperator, qr, block: np.ndarray,
-                  out: np.ndarray) -> None:
-    """One sub-block's task: its phase-fixed QR qr(block, out), then its
-    energies into dest."""
-    qr(block, out)
-    dest[:] = energy(out, cop)
+def _sub_blocks(N: int, count: int) -> list:
+    """Slices of about _QR_ROWS rows that cover a stack of count N-row
+    matrices; each but the last holds a whole number of energy blocks
+    (_block_size(N) matrices), so a task makes the same `energy` kernel
+    calls on its rows as one serial pass over the stack would."""
+    unit = _block_size(N)
+    step = unit * max(1, _QR_ROWS // (N * unit))
+    return [slice(s, min(s + step, count)) for s in range(0, count, step)]
+
+
+def _reduce_block(dest: np.ndarray, cop: CostOperator, block: np.ndarray) -> None:
+    """One sub-block's task: the phase-fixed QR of its Ginibre block, in
+    place, then its energies into dest."""
+    _phase_fixed_q(block, block)
+    dest[:] = energy(block, cop)
 
 
 def _batch_energies(cop: CostOperator, N: int, samples: int, seed) -> np.ndarray:
     """E(z) for `samples` Haar Stiefel draws, chunked; order is seed-fixed.
 
-    The pipeline of the Determinism note above.  _stiefel_batch submits one
-    QR per _sub_blocks slice, in order, so the slices of out are handed out
-    in the same order.  At most two chunks are alive at a time: the one
-    being drawn and the one before it.
+    The pipeline of the Determinism note above: _stiefel_batch hands each
+    _sub_blocks slice of a chunk to the pool as soon as it is drawn, and the
+    task writes that slice of out.  At most two chunks are alive at a time:
+    the one being drawn and the one before it.
     """
     from concurrent.futures import ThreadPoolExecutor  # kept out of import time
 
@@ -128,17 +138,16 @@ def _batch_energies(cop: CostOperator, N: int, samples: int, seed) -> np.ndarray
     # page faults per call without it, ~2k with it).
     first = min(_CHUNK, samples)
     np.empty(min(first * N * cop.r, 1 << 21))
-    unit = _block_size(N)
-    workers = min(_cpu_count(), len(_sub_blocks(N, first, unit)))
+    workers = min(_cpu_count(), len(_sub_blocks(N, first)))
     with ThreadPoolExecutor(workers) as pool:
         try:
             before = []
             for done in range(0, samples, _CHUNK):
-                k = min(_CHUNK, samples - done)
-                dests = iter([out[done:][b] for b in _sub_blocks(N, k, unit)])
+                dest = out[done:done + _CHUNK]
                 tasks = []
-                _stiefel_batch(N, cop.r, k, rng, lambda *a: tasks.append(
-                    pool.submit(_reduce_block, next(dests), cop, *a)), unit)
+                _stiefel_batch(N, cop.r, dest.size, rng, _sub_blocks(N, dest.size),
+                               lambda b, block: tasks.append(
+                                   pool.submit(_reduce_block, dest[b], cop, block)))
                 for f in before:
                     f.result()
                 before = tasks
@@ -176,9 +185,9 @@ def sample_energies(cop: CostOperator, N: int, samples: int, seed) -> np.ndarray
     """E(z) for `samples` Haar draws z on V_{N,r}, the one sample set that
     mc_energy_curve and estimate_state_density reduce."""
     if samples < 1:
-        raise ValueError("samples must be >= 1")
+        raise InvalidInput("samples must be >= 1")
     if N < cop.r:
-        raise ValueError(f"ensemble length {N} below rank {cop.r}")
+        raise InvalidInput(f"ensemble length {N} below rank {cop.r}")
     return _batch_energies(cop, N, samples, seed)
 
 
@@ -193,7 +202,7 @@ def mc_energy_curve(energies, betas) -> list:
     out = []
     for beta in betas:
         if beta < 0:
-            raise ValueError("beta must be >= 0")
+            raise InvalidInput("beta must be >= 0")
         out.append(_reweighted(e, emin, beta))
     return out
 
@@ -205,7 +214,7 @@ def estimate_state_density(energies, bins: int) -> StateDensityEstimate:
     (resolving the near-zero power law) and linear above it.
     """
     if bins < 2:
-        raise ValueError("bins must be >= 2")
+        raise InvalidInput("bins must be >= 2")
     e = np.asarray(energies, dtype=float)
     lo, med, hi = float(e.min()), float(np.median(e)), float(e.max())
     nb_geo = bins // 2
@@ -233,33 +242,36 @@ def fit_power_law(hist: StateDensityEstimate, fit_window) -> ScalingFit:
     widths = np.diff(hist.bin_edges)
     keep = (centers >= lo) & (centers <= hi) & (hist.counts > 0)
     if keep.sum() < 3:
-        raise ValueError("need at least 3 nonempty bins in the fit window")
+        raise InvalidInput("need at least 3 nonempty bins in the fit window")
     lx = np.log(centers[keep])
     ly = np.log(hist.counts[keep] / widths[keep])
     slope, intercept, r2 = _loglog_fit(lx, ly)
-    return ScalingFit(tuple(lx), tuple(ly), slope, intercept,
-                      delta=slope, amplitude=float(np.exp(intercept)), r_squared=r2)
+    return ScalingFit(slope, intercept, delta=slope, amplitude=float(np.exp(intercept)),
+                      r_squared=r2)
 
 
-def _require_distinct_betas(betas) -> None:
-    """ValueError unless betas hold at least 3 distinct values: fewer leave
-    the slope of fit_energy_scaling undetermined."""
-    if len({float(b) for b in betas}) < 3:
-        raise ValueError("need at least 3 distinct betas")
+def _require_fit_betas(betas) -> None:
+    """InvalidInput unless betas hold at least 3 distinct values, all
+    positive: fewer leave the slope of fit_energy_scaling undetermined, and
+    its log-log fit needs beta > 0."""
+    betas = [float(b) for b in betas]
+    if len(set(betas)) < 3:
+        raise InvalidInput("need at least 3 distinct betas")
+    if min(betas) <= 0:
+        raise InvalidInput("beta must be positive")
 
 
 def fit_energy_scaling(points) -> ScalingFit:
     """Fit <<E>> ~ A / beta; delta = A - 1 from <<E>> = (delta+1)/beta."""
     pts = [(float(b), float(v)) for b, v in points]
-    _require_distinct_betas(b for b, _ in pts)
-    if any(b <= 0 or v <= 0 for b, v in pts):
-        raise ValueError("beta and energy must be positive")
+    _require_fit_betas(b for b, _ in pts)
+    if any(v <= 0 for _, v in pts):
+        raise InvalidInput("energy must be positive")
     lx = np.log([b for b, _ in pts])
     ly = np.log([v for _, v in pts])
     slope, intercept, r2 = _loglog_fit(lx, ly)
     amp = float(np.exp(intercept))
-    return ScalingFit(tuple(lx), tuple(ly), slope, intercept,
-                      delta=amp - 1.0, amplitude=amp, r_squared=r2)
+    return ScalingFit(slope, intercept, delta=amp - 1.0, amplitude=amp, r_squared=r2)
 
 
 def z1_mc(cop: CostOperator, beta: float, lm: LagrangeMultipliers, samples: int,
@@ -283,11 +295,11 @@ def z1_mc(cop: CostOperator, beta: float, lm: LagrangeMultipliers, samples: int,
     the real symmetric multipliers used throughout the Werner pipeline.
     """
     if not lm.is_positive_definite():
-        raise ValueError("omega must be positive-definite")
+        raise InvalidInput("omega must be positive-definite")
     if lm.r != cop.r:
-        raise ValueError("omega size does not match the cost operator rank")
+        raise InvalidInput("omega size does not match the cost operator rank")
     if samples < 1:
-        raise ValueError("samples must be >= 1")
+        raise InvalidInput("samples must be >= 1")
     omega = lm.omega
     r = lm.r
     rng = np.random.default_rng(seed)

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concurrence import h_matrices
-from .quantum_core import DensityMatrix, EigenEnsemble, PureState
+from .quantum_core import DensityMatrix, EigenEnsemble, InvalidInput, PureState
 
 BETA_INTERNAL_SCALE = 64.0
 RESIDUAL_THRESHOLD = 1e-6
@@ -58,6 +58,7 @@ RESIDUAL_THRESHOLD = 1e-6
 LOG_GAMMA_FLOOR = -30.0
 _MAX_EVALS = 200  # termination guard; over p in (0, 1], beta 1e-3..1e8 the most is 51
 _EPS_F = 4 * np.finfo(float).eps
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
 _GK_TOL = 1e-7
 
 
@@ -78,7 +79,7 @@ class OmegaPrime:
 
     def __post_init__(self):
         if not (self.gamma > 0 and self.lam > 0):
-            raise ValueError("gamma and lam must be positive")
+            raise InvalidInput("gamma and lam must be positive")
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,7 @@ _PHI_PLUS = np.array([1, 0, 0, 1]) / np.sqrt(2.0)
 def werner_state(p: float) -> DensityMatrix:
     """W(p) = (1-p) |Psi-><Psi-| + (p/4) identity."""
     if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+        raise InvalidInput("p must lie in [0, 1]")
     mat = (1 - p) * np.outer(_PSI_MINUS, _PSI_MINUS) + (p / 4.0) * np.eye(4)
     return DensityMatrix(2, 2, mat)
 
@@ -130,13 +131,13 @@ def _bell_ensemble(weights) -> EigenEnsemble:
             1j * np.sqrt(q2) * _PHI_MINUS,
             np.sqrt(q3) * _PHI_PLUS]
     vecs = tuple(PureState(2, 2, a) for a in amps)
-    return EigenEnsemble(2, 2, 4, vecs, np.asarray(weights, dtype=float))
+    return EigenEnsemble(2, 2, vecs)
 
 
 def werner_eigenensemble(p: float) -> EigenEnsemble:
     """The fixed eigenensemble of W(p) with the phase choice that makes h real."""
     if not 0.0 < p <= 1.0:
-        raise ValueError("p must lie in (0, 1]; p = 0 is a pure state")
+        raise InvalidInput("p must lie in (0, 1]; p = 0 is a pure state")
     return _bell_ensemble((1 - 3 * p / 4, p / 4, p / 4, p / 4))
 
 
@@ -155,7 +156,7 @@ def bell_diagonal_h(q0: float, q1: float, q2: float, q3: float) -> np.ndarray:
     """
     q = np.array([q0, q1, q2, q3], dtype=float)
     if q.min() < 0 or abs(q.sum() - 1.0) > 1e-12:
-        raise ValueError("weights must be nonnegative and sum to 1")
+        raise InvalidInput("weights must be nonnegative and sum to 1")
     hset = h_matrices(_bell_ensemble(q))
     return hset.matrices[0, 0]
 
@@ -179,9 +180,10 @@ def _panel_edges(bt: float, lo_scale: float, hi_scale: float) -> np.ndarray:
     for k < n, and xmax, where n (from the binary exponents) is the least k reaching xmax."""
     scales = (lo_scale, hi_scale, 4.0 * bt)
     lo = min(scales)
-    if not (lo > 0 and all(map(math.isfinite, scales))):
-        # a zero or non-finite scale leaves no finite geometric panel set
-        raise QuadratureError(f"panel scales must be positive and finite, got {scales}")
+    if not (lo >= _TINY and all(map(math.isfinite, scales))):
+        # a zero or non-finite scale leaves no finite geometric panel set, and a
+        # subnormal 4 bt = 256 beta (beta below ~8.7e-311) overflows x / 4bt
+        raise QuadratureError(f"panel scales must be normal positive floats, got {scales}")
     xmax = 4.0 * bt * 45.0 + 8.0 * max(lo_scale, hi_scale)
     (mf, ef), (mx, ex) = math.frexp(lo / 8.0), math.frexp(xmax)
     edges = np.ldexp(lo / 8.0, np.arange(-1, ex - ef + (mf < mx) + 1))
@@ -232,12 +234,12 @@ def _require_converged(i0, err):
 
 
 def _werner_point(beta: float, p: float):
-    """(bt, h0, h1) at (beta, p); ValueError unless beta > 0 and p lies in
+    """(bt, h0, h1) at (beta, p); InvalidInput unless beta > 0 and p lies in
     (0, 1], where h(p) is invertible."""
     if beta <= 0:
-        raise ValueError("beta must be positive")
+        raise InvalidInput("beta must be positive")
     if not 0.0 < p <= 1.0:
-        raise ValueError("p must lie in (0, 1]")
+        raise InvalidInput("p must lie in (0, 1]")
     return (BETA_INTERNAL_SCALE * beta, *_werner_h(p))
 
 
@@ -343,9 +345,12 @@ def equipartition_scan(p_grid, beta: float) -> EquipartitionScan:
 
     region_start is the smallest grid p from which every larger grid p is
     also a region member (SaddleResult.region_member), or None if the
-    largest grid p is not.
+    largest grid p is not.  InvalidInput, before any solve, unless beta > 0
+    and every grid p lies in (0, 1].
     """
     p_grid = tuple(float(p) for p in p_grid)
+    for p in p_grid:
+        _werner_point(beta, p)  # every input is checked before the first solve
     saddles = tuple(saddle_search(beta, p) for p in p_grid)
     region_start = None
     for p, sad in zip(reversed(p_grid), reversed(saddles)):
@@ -369,7 +374,7 @@ def avg_energy_werner(beta: float, p: float) -> float:
         raise ConstraintsUnsatisfiable(
             f"constraints unsatisfiable at p={p} (residual {sad.residual_norm:.3e})")
     bb = 256.0 * beta * beta
-    if not (bb >= np.finfo(float).tiny and 1.0 - sad.mean_x / (256.0 * beta) >= 1e-8):
+    if not (bb >= _TINY and 1.0 - sad.mean_x / (256.0 * beta) >= 1e-8):
         raise QuadratureError(f"<<E_1>> at beta={beta!r} is lost to underflow or "
                               f"cancellation in 1/beta - <x>/(256 beta^2)")
     return 1.0 / beta - sad.mean_x / bb

@@ -37,7 +37,7 @@ def random_pure():
 
     def make(rng, m, n):
         v = _ginibre(rng, m * n, 1).ravel()
-        return PureState(m, n, v / np.linalg.norm(v), normalized=True)
+        return PureState(m, n, v / np.linalg.norm(v))
 
     return make
 
@@ -50,6 +50,6 @@ def random_product():
         a = _ginibre(rng, m, 1).ravel()
         b = _ginibre(rng, n, 1).ravel()
         v = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
-        return PureState(m, n, v, normalized=True)
+        return PureState(m, n, v)
 
     return make

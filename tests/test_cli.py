@@ -8,12 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from sepmech import (DensityMatrix, cost_operator, eigen_ensemble,
                      estimate_state_density, mc_energy_curve, sample_energies,
                      saddle_search, statmech, werner, werner_state)
 from sepmech.cli import (MC_HISTOGRAM_BINS, _build_parser, _fmt, main,
-                         parse_beta, parse_p_grid, CliError)
+                         parse_beta, parse_p_grid)
+from sepmech.quantum_core import InvalidInput
 
 
 def run(capsys, *argv):
@@ -27,21 +29,23 @@ def test_parse_beta_forms():
     assert parse_beta("1,10,100") == [1.0, 10.0, 100.0]
     grid = parse_beta("10:10000:4")
     assert np.allclose(grid, [10.0, 100.0, 1000.0, 10000.0])
-    with pytest.raises(CliError):
+    with pytest.raises(InvalidInput):
         parse_beta("10:5:3")
-    with pytest.raises(CliError):
+    with pytest.raises(InvalidInput):
         parse_beta("-1")
+    with pytest.raises(InvalidInput, match="bad beta '1,abc'"):
+        parse_beta("1,abc")
 
 
 def test_parse_p_grid_forms():
     grid = parse_p_grid("0.50:0.01:0.53")
     assert grid == [0.5, 0.51, 0.52, 0.53]
-    with pytest.raises(CliError):
+    with pytest.raises(InvalidInput):
         parse_p_grid("0.9:0.1:0.5")
-    with pytest.raises(CliError):
-        parse_p_grid("0:0.1:0.5")
-    with pytest.raises(CliError):
+    with pytest.raises(InvalidInput):
         parse_p_grid("junk")
+    # the range of p is the library's rule (scan exits 2 on it), not the parser's
+    assert parse_p_grid("0:0.25:0.5") == [0.0, 0.25, 0.5]
 
 
 @pytest.mark.parametrize("argv", [["--p-grid=-inf:0.01:1"], ["--p-grid", "0.5:0.01:inf"],
@@ -100,13 +104,16 @@ def test_probe_requires_seed(capsys):
 
 
 def test_probe_rejects_invalid_state_file(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"dimA": 2, "dimB": 2,
-                               "re": (np.eye(4) / 2).ravel().tolist(),
-                               "im": np.zeros(16).tolist()}))
-    code, _, err = run(capsys, "probe", "--state", str(bad), "--seed", "1")
-    assert code == 2
-    assert "invalid density matrix" in err
+    for entry, why in [(0.5, "density matrix trace is not 1"),
+                       (float("nan"), "non-finite entries")]:
+        re = (np.eye(4) / 4).ravel()
+        re[0] = entry
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"dimA": 2, "dimB": 2, "re": re.tolist(),
+                                   "im": np.zeros(16).tolist()}))
+        code, out, err = run(capsys, "probe", "--state", str(bad), "--seed", "1")
+        assert code == 2 and out == ""
+        assert f"invalid density matrix: {why}" in err
 
 
 def test_probe_report_structure(capsys):
@@ -313,7 +320,7 @@ def test_region_membership_follows_the_library_threshold(capsys, monkeypatch):
     assert code == 0, err
 
 
-@pytest.mark.parametrize("exc, code", [(CliError, 2),
+@pytest.mark.parametrize("exc, code", [(InvalidInput, 2),
                                        (werner.ConstraintsUnsatisfiable, 3),
                                        (werner.QuadratureError, 4)])
 def test_error_subclass_keeps_its_exit_code(capsys, monkeypatch, exc, code):
@@ -341,7 +348,7 @@ def test_scaling_needs_three_distinct_betas(capsys, monkeypatch, beta):
     monkeypatch.setattr(werner, "_moments", None)
     code, out, err = run(capsys, "scaling", "--werner", "0.9", "--beta", beta)
     assert code == 2 and out == ""
-    assert err == "error: scaling fits a slope: need at least 3 distinct betas\n"
+    assert err == "error: need at least 3 distinct betas\n"
 
 
 @pytest.mark.parametrize("beta", ["1e-300,1e-299,1e-298", "1e-10,1e-9,1e-8"])
@@ -562,3 +569,61 @@ def test_zero_or_negative_value_is_honoured_or_rejected(capsys, command, flag, v
         assert float(_echoed(command, flag, out)) == float(value)
     else:
         assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--beta", "1e-318", "--p-grid", "0.9:0.05:1.0"],
+    ["scan", "--beta", "1e-316", "--p-grid", "0.85:0.05:1"],
+    ["scaling", "--werner", "0.9", "--beta", "5e-324,1e-8,1e-7"],
+    ["scaling", "--werner", "0.9", "--beta", "1e-320:1e-300:3"],
+])
+def test_subnormal_beta_exits_4(capsys, argv):
+    # 256 beta below the smallest normal float leaves the quadrature no
+    # panel scale: it is refused before the weight's exponent overflows
+    with np.errstate(over="raise"):
+        code, out, err = run(capsys, *argv)
+    assert code == 4 and out == "" and "normal positive floats" in err
+
+
+def test_tiny_normal_beta_keeps_the_scan_onset(capsys):
+    code, out, _ = run(capsys, "scan", "--beta", "1e-300", "--p-grid", "0.85:0.05:1")
+    assert code == 0 and out.endswith(f"# region_start={_fmt(0.85)}\n")
+
+
+def test_p_grid_with_too_many_steps_exits_2(capsys):
+    # (b - a) / step overflows to inf
+    code, out, err = run(capsys, "scan", "--p-grid", "0.5:1e-320:1")
+    assert code == 2 and out == "" and "overflows" in err
+
+
+@given(a=st.floats(allow_nan=False, allow_infinity=False),
+       step=st.floats(min_value=5e-324, allow_infinity=False),
+       steps=st.integers(0, 200), frac=st.floats(0.0, 1.0))
+@settings(max_examples=300, deadline=None)
+def test_p_grid_is_never_empty_and_starts_at_a(a, step, steps, frac):
+    # b - a is kept within 201 steps so the grid stays small
+    b = a + (steps + frac) * step
+    assume(np.isfinite(b))
+    grid = parse_p_grid(f"{a!r}:{step!r}:{b!r}")
+    assert grid and grid[0] == round(a, 12)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["scan", "--beta", "1e-320", "--p-grid", "0.5:0.1:1.5"], "p must lie in (0, 1]"),
+    (["scaling", "--werner", "0.5", "--beta", "10,100,0"], "beta must be positive"),
+])
+def test_a_bad_later_input_exits_2_before_any_solve(capsys, monkeypatch, argv, message):
+    # p = 1.1 in the grid, beta = 0 in the list: the library checks every
+    # input first, so an earlier point cannot end the run with exit 3 or 4
+    # (with _moments gone, a solve would end in a TypeError)
+    monkeypatch.setattr(werner, "_moments", None)
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("content", [None, "{not json"])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    code, out, err = run(capsys, "ppt", "--werner", "0.5", "--config", str(cfg))
+    assert code == 2 and out == "" and "cannot read config file" in err

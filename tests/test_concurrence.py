@@ -11,18 +11,18 @@ from sepmech import (PureState, concurrence_sq, eigen_ensemble, h_matrices,
                      werner_eigenensemble)
 from sepmech.concurrence import skew_basis
 
-SINGLET = PureState(2, 2, np.array([0, 1, -1, 0]) / np.sqrt(2), normalized=True)
+SINGLET = PureState(2, 2, np.array([0, 1, -1, 0]) / np.sqrt(2))
 
 
 def _random_pure(rng, m, n, normalize=True):
     v = rng.standard_normal(m * n) + 1j * rng.standard_normal(m * n)
     if normalize:
         v = v / np.linalg.norm(v)
-    return PureState(m, n, v, normalized=normalize)
+    return PureState(m, n, v)
 
 
 def test_concurrence_product_vector_vanishes():
-    assert concurrence_sq(PureState(2, 2, [1, 0, 0, 0], normalized=True)) == 0.0
+    assert concurrence_sq(PureState(2, 2, [1, 0, 0, 0])) == 0.0
 
 
 def test_concurrence_singlet_is_half():
@@ -90,7 +90,7 @@ def test_skew_basis_m2_is_singlet_direction():
 
 
 def test_is_product_examples():
-    plus1 = PureState(2, 2, np.array([0, 1, 0, 1]) / np.sqrt(2), normalized=True)
+    plus1 = PureState(2, 2, np.array([0, 1, 0, 1]) / np.sqrt(2))
     assert is_product(plus1)
     assert not is_product(SINGLET)
     with pytest.raises(ValueError):
@@ -99,7 +99,7 @@ def test_is_product_examples():
 
 def test_is_product_weakly_entangled_state():
     th = 0.01
-    psi = PureState(2, 2, [np.cos(th), 0, 0, np.sin(th)], normalized=True)
+    psi = PureState(2, 2, [np.cos(th), 0, 0, np.sin(th)])
     assert not is_product(psi, tol=1e-12)
     assert abs(concurrence_sq(psi) - np.sin(2 * th) ** 2 / 2) < 1e-12
 
@@ -112,7 +112,7 @@ def test_is_product_matches_schmidt_rank(seed):
         a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         v = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
-        psi = PureState(2, 3, v, normalized=True)
+        psi = PureState(2, 3, v)
     else:
         psi = _random_pure(rng, 2, 3)
     sv = np.linalg.svd(psi.coeff_matrix(), compute_uv=False)
@@ -121,7 +121,7 @@ def test_is_product_matches_schmidt_rank(seed):
 
 
 def test_det_product_test_values():
-    assert abs(det_product_test(PureState(2, 2, [1, 0, 0, 0], normalized=True))) < 1e-14
+    assert abs(det_product_test(PureState(2, 2, [1, 0, 0, 0]))) < 1e-14
     assert abs(det_product_test(SINGLET) - 0.25) < 1e-14
     with pytest.raises(ValueError):
         det_product_test(PureState(2, 2, [2, 0, 0, 0]))
@@ -135,7 +135,7 @@ def test_det_product_test_agrees_with_is_product(seed):
         a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         v = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
-        psi = PureState(2, 2, v, normalized=True)
+        psi = PureState(2, 2, v)
     else:
         psi = _random_pure(rng, 2, 2)
     assert (abs(det_product_test(psi)) < 1e-9) == is_product(psi)

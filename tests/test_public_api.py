@@ -1,14 +1,22 @@
-"""The package namespace: exactly the public names, each importable, and
-the one-way rule between the library and the test oracles."""
+"""The package namespace: exactly the public names, each importable, the
+one-way rule between the library and the test oracles, the library's one
+error type for bad input, and records that hold no unread field."""
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sepmech
+from sepmech import (LagrangeMultipliers, OmegaPrime, PureState, cost_operator,
+                     estimate_state_density, haar_unitary, partial_trace,
+                     stiefel_from_gs, werner_eigenensemble, z1_mc)
+from sepmech.quantum_core import InvalidInput
 
 SRC = Path(sepmech.__file__).parent
-ORACLES = Path(__file__).with_name("oracles.py")
+TESTS = Path(__file__).parent
+PERFBENCH = TESTS.parent / "perfbench"
+ORACLES = TESTS / "oracles.py"
 
 PUBLIC = [
     "ConstraintsUnsatisfiable", "CostOperator", "DensityMatrix", "EigenEnsemble",
@@ -87,3 +95,66 @@ def test_every_private_module_name_is_used_in_the_library():
                 if name not in _used_names(rest):
                     unused.append(f"{mod}:{name}")
     assert unused == []
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return "dataclass" in {getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+                           for d in cls.decorator_list}
+
+
+def test_every_dataclass_field_is_read():
+    # a field that nothing reads as an attribute, outside its own class body,
+    # is derived or dead: it goes, or becomes a property
+    src = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    rest = [ast.parse(path.read_text())
+            for path in sorted(TESTS.glob("*.py")) + sorted(PERFBENCH.rglob("*.py"))]
+    reads = [n for tree in src + rest for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)]
+    unread = []
+    for cls in (s for tree in src for s in tree.body
+                if isinstance(s, ast.ClassDef) and _is_dataclass(s)):
+        inside = set(map(id, ast.walk(cls)))
+        for stmt in cls.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                name = stmt.target.id
+                if not any(n.attr == name and id(n) not in inside for n in reads):
+                    unread.append(f"{cls.name}.{name}")
+    assert unread == []
+
+
+def test_the_library_raises_no_bare_value_error():
+    # bad input raises InvalidInput, which the command line maps to exit 2
+    found = [f"{path.name}:{n.lineno}" for path in sorted(SRC.glob("*.py"))
+             for n in ast.walk(ast.parse(path.read_text()))
+             if isinstance(n, ast.Raise) and n.exc is not None
+             and "ValueError" in {getattr(n.exc, "id", None),
+                                  getattr(getattr(n.exc, "func", None), "id", None)}]
+    assert found == []
+
+
+def test_invalid_input_is_a_value_error_outside_the_public_names():
+    assert issubclass(InvalidInput, ValueError)
+    assert "InvalidInput" not in sepmech.__all__
+
+
+_COP = cost_operator(werner_eigenensemble(0.5))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: PureState(2, 2, [1, 0, 0]),
+    lambda: haar_unitary(0, seed=1),
+    lambda: LagrangeMultipliers(np.diag([1.0, 0.0])),
+    lambda: stiefel_from_gs(np.ones((2, 3)), np.eye(2)),
+    lambda: estimate_state_density([1.0, 2.0, 3.0], 1),
+    lambda: z1_mc(_COP, 1.0, LagrangeMultipliers(np.eye(4)), 0, seed=1),
+    lambda: OmegaPrime(0, 1),
+], ids=["amplitude-count", "haar-d0", "singular-omega", "gs-columns", "bins-1",
+        "z1-samples-0", "omega-prime-gamma-0"])
+def test_library_check_raises_invalid_input(call):
+    with pytest.raises(InvalidInput):
+        call()
+
+
+def test_partial_trace_of_a_non_state_is_a_type_error():
+    with pytest.raises(TypeError, match="PureState or DensityMatrix"):
+        partial_trace(np.eye(4) / 4, "A")

@@ -28,13 +28,13 @@ def test_tensor_product_flips_basis_state():
 
 
 def test_partial_trace_singlet_is_maximally_mixed():
-    psi = PureState(2, 2, np.array([0, 1, -1, 0]) / np.sqrt(2), normalized=True)
+    psi = PureState(2, 2, np.array([0, 1, -1, 0]) / np.sqrt(2))
     assert np.allclose(partial_trace(psi, "A"), np.eye(2) / 2, atol=1e-12)
     assert np.allclose(partial_trace(psi, "B"), np.eye(2) / 2, atol=1e-12)
 
 
 def test_partial_trace_product_state():
-    psi = PureState(2, 2, [1, 0, 0, 0], normalized=True)
+    psi = PureState(2, 2, [1, 0, 0, 0])
     assert np.allclose(partial_trace(psi, "A"), np.diag([1.0, 0.0]), atol=1e-12)
 
 
@@ -45,7 +45,7 @@ def test_partial_trace_werner_reduction():
 
 
 def test_partial_trace_rejects_bad_tag():
-    psi = PureState(2, 2, [1, 0, 0, 0], normalized=True)
+    psi = PureState(2, 2, [1, 0, 0, 0])
     with pytest.raises(ValueError):
         partial_trace(psi, "C")
 
@@ -56,7 +56,7 @@ def test_partial_trace_schmidt_symmetry(seed, m, n):
     # nonzero spectra of the two reductions of a pure state coincide
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(m * n) + 1j * rng.standard_normal(m * n)
-    psi = PureState(m, n, v / np.linalg.norm(v), normalized=True)
+    psi = PureState(m, n, v / np.linalg.norm(v))
     ea = np.sort(np.linalg.eigvalsh(partial_trace(psi, "A")))[::-1]
     eb = np.sort(np.linalg.eigvalsh(partial_trace(psi, "B")))[::-1]
     k = min(m, n)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from oracles import batch_energies_serial, h_matrix, jackknife_error, weighted_stats
 
-from sepmech import ensembles, statmech
+from sepmech import statmech
 from sepmech import (LagrangeMultipliers, McEstimate, StateDensityEstimate,
                      cost_operator, energy, estimate_state_density,
                      fit_energy_scaling, fit_power_law,
@@ -107,7 +107,7 @@ def test_the_pool_runs_the_energies_off_the_calling_thread(workers, monkeypatch)
 
 
 @pytest.mark.parametrize("module, name", [(statmech, "energy"),
-                                          (ensembles, "_phase_fixed_q")])
+                                          (statmech, "_phase_fixed_q")])
 def test_worker_exception_surfaces_and_the_pool_is_gone(workers, monkeypatch, module, name):
     class Boom(RuntimeError):
         pass
