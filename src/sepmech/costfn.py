@@ -13,15 +13,23 @@ constraint surface z^dag z = 1 exactly when that point is a separable
 decomposition, so the global constrained minimum decides separability.
 
 `energy` is the one evaluation of this form in the package; the Monte
-Carlo estimators call it on stacks of Stiefel points.  Because each h^{ab}
-is symmetric, z_i^T h^{ab} z_i = sum_{x<=y} (2 - delta_xy) h^{ab}_{xy}
-z_ix z_iy: a row enters only through its r(r+1)/2 pair products.  `energy`
-builds Hp[(x<=y), ab] = (2 - delta_xy) h^{ab}_{xy} once per call and, in
-blocks of about _BLOCK_ROWS rows, forms the pair products of every row
-and multiplies them by Hp in one complex matrix product.  The blocks keep
-the temporaries small whatever the stack size.  BLAS may round a row
-differently by its place in the product, so a caller that splits a stack
-and wants the bits of one call splits it at multiples of _block_size(N).
+Carlo estimators call it on stacks of Stiefel points.  It does not form the
+h matrices: with C_i the m x n coefficient matrix of psi_i, z_i^T h^{ab} z_i
+is the 2x2 minor C_ik C_jl - C_il C_jk for the pairs a = (i < j) and
+b = (k < l), so
+
+    E(z) = 2 sum_i sum_{i<j, k<l} |C_ik C_jl - C_il C_jk|^2.
+
+In blocks of about _BLOCK_ROWS rows, `energy` forms the amplitudes of every
+row by one complex matrix product with the eigenvectors, gathers the four
+factors of every minor with index arrays fixed by (m, n), and sums the
+squared moduli per stacked matrix.  That is 2 d1 d2 + mn r complex
+products per row (99 at 3x3 and full rank), against r(r+1)/2 (d1 d2 + 1)
+for the pair products and matrix product of the h form (450).  The block
+scratch is allocated once per call and keeps the temporaries small whatever
+the stack size.  BLAS may round a row differently by its place in the
+product, so a caller that splits a stack and wants the bits of one call
+splits it at multiples of _block_size(N).
 """
 from __future__ import annotations
 
@@ -33,19 +41,30 @@ from .concurrence import HMatrixSet, h_matrices
 from .ensembles import StiefelPoint
 from .quantum_core import EigenEnsemble, InvalidInput
 
-H_FORM_PREFACTOR = 2.0
+MINOR_PREFACTOR = 2.0
 _BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
 class CostOperator:
-    """The h matrices that define E(z) for a fixed eigenensemble."""
+    """E(z) for a fixed m x n eigenensemble of rank r, in the layout of
+    `energy`.
+
+    amps is (mn, r): column alpha holds the amplitudes of e_alpha, row
+    i*n + k its (i, k) coefficient.  minors is (4, d1*d2): the rows
+    (ik, jl, il, jk) of amps that enter the minor C_ik C_jl - C_il C_jk, one
+    column per pair a = (i < j), b = (k < l) in the (a, b) order of hset.
+    hset holds the h matrices of the same form, z^T h^{ab} z being that
+    minor, for callers that inspect them; `energy` does not read it.
+    """
 
     hset: HMatrixSet
+    amps: np.ndarray
+    minors: np.ndarray
 
     @property
     def r(self) -> int:
-        return self.hset.r
+        return self.amps.shape[1]
 
 
 @dataclass(frozen=True)
@@ -72,9 +91,19 @@ class LagrangeMultipliers:
         return bool(np.linalg.eigvalsh(self.omega).min() > 0.0)
 
 
+def _minor_rows(m: int, n: int) -> np.ndarray:
+    """(4, d1*d2) rows (ik, jl, il, jk) of the m x n coefficient matrix,
+    flattened row-major, for each 2x2 minor i < j, k < l in lexicographic order."""
+    return np.array([(i * n + k, j * n + l, i * n + l, j * n + k)
+                     for i in range(m) for j in range(i + 1, m)
+                     for k in range(n) for l in range(k + 1, n)], dtype=np.intp).T
+
+
 def cost_operator(ens: EigenEnsemble) -> CostOperator:
     """The cost operator of a fixed eigenensemble."""
-    return CostOperator(h_matrices(ens))
+    hset = h_matrices(ens)  # InvalidInput on a one-dimensional factor
+    return CostOperator(hset, np.ascontiguousarray(ens.matrix().T),
+                        _minor_rows(ens.dimA, ens.dimB))
 
 
 def _rows(z) -> np.ndarray:
@@ -90,7 +119,8 @@ def _block_size(N: int) -> int:
 
 
 def energy(z, cop: CostOperator):
-    """E(z) = 2 sum_i sum_ab |z_i^T h^{ab} z_i|^2 over the last two axes of z.
+    """E(z) = 2 sum_i sum_ab |z_i^T h^{ab} z_i|^2 over the last two axes of z,
+    evaluated as 2 sum_i of the squared 2x2 minors of psi_i's coefficients.
 
     z is a row (r,), an N x r matrix or StiefelPoint (both give a float), or
     a stack (..., N, r), which gives one value per stacked matrix.
@@ -100,17 +130,29 @@ def energy(z, cop: CostOperator):
     if zm.shape[-1] != r:
         raise InvalidInput(f"z has {zm.shape[-1]} columns, expected {r}")
     N = zm.shape[-2]
-    xi, yi = np.triu_indices(r)
-    h = cop.hset.matrices
-    Hp = (h[:, :, xi, yi] * np.where(xi == yi, 1.0, 2.0)).reshape(-1, xi.size).T
     flat = zm.reshape(-1, N, r)
     e = np.empty(flat.shape[0])
     step = _block_size(N)
+    ik, jl, il, jk = cop.minors
+    mn, d = cop.amps.shape[0], ik.size
+    # block scratch for the amplitudes and the minors, allocated once per call
+    sizes = (mn, d, d, d)
+    bufs = [np.empty(size * min(step, flat.shape[0]) * N, dtype=complex) for size in sizes]
     for s in range(0, flat.shape[0], step):
-        rows = flat[s:s + step].reshape(-1, r)
-        q = (rows[:, xi] * rows[:, yi]) @ Hp
-        # |q|^2 summed over the N rows and all (a, b) of each matrix
-        q = q.view(float).reshape(-1, N * 2 * Hp.shape[1])
-        e[s:s + step] = H_FORM_PREFACTOR * np.einsum("ij,ij->i", q, q)
+        block = flat[s:s + step]
+        rows = block.shape[0] * N
+        amp, minor, fac, sub = (buf[:size * rows].reshape(size, rows)
+                                for buf, size in zip(bufs, sizes))
+        np.matmul(cop.amps, block.reshape(rows, r).T, out=amp)
+        # mode="clip" never clips (the rows are in range) but, unlike the
+        # default, lets take write into out without an intermediate buffer
+        np.multiply(np.take(amp, ik, axis=0, out=minor, mode="clip"),
+                    np.take(amp, jl, axis=0, out=fac, mode="clip"), out=minor)
+        np.multiply(np.take(amp, il, axis=0, out=sub, mode="clip"),
+                    np.take(amp, jk, axis=0, out=fac, mode="clip"), out=sub)
+        np.subtract(minor, sub, out=minor)
+        # |minor|^2 summed over the N rows and all (a, b) of each matrix
+        q = minor.view(float).reshape(d, block.shape[0], 2 * N)
+        e[s:s + step] = MINOR_PREFACTOR * np.einsum("dbk,dbk->b", q, q)
     e = e.reshape(zm.shape[:-2])
     return float(e) if e.ndim == 0 else e

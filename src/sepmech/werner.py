@@ -211,8 +211,13 @@ def _moments(bt: float, g: float, lam: float):
     A, B = g * ra, lam * rb
     f = np.empty((9,) + x.shape)  # the nine integrands, filled in place
     w, wA, wB = f[0], f[1], f[2]
+    # x / 4bt overflows only where 4bt is tiny (beta below ~1e-308); exp(-x/4bt)
+    # is 0 for any x past 1e300 * 4bt, so such x are capped there, and a pass
+    # whose last edge lies below the cap (every normal one) is left as it is
+    cap = 1e300 * 4.0 * bt
+    xe = x if edges[-1] <= cap else np.minimum(x, cap)
     # the panel half-widths ride in the weight, so each node sum is an integral
-    np.multiply(np.exp(x / (-4.0 * bt)) * half[:, None], np.sqrt(ra) * rb * np.sqrt(rb), out=w)
+    np.multiply(np.exp(xe / (-4.0 * bt)) * half[:, None], np.sqrt(ra) * rb * np.sqrt(rb), out=w)
     for row, (u, v) in enumerate(((w, A), (w, B), (w, x), (wA, A), (wB, B), (wA, B),
                                   (w * (x - a), ra * ra), (w * (x - b), rb * rb)), 1):
         np.multiply(u, v, out=f[row])

@@ -7,7 +7,10 @@ Each computes a quantity the library also computes, by a different route:
   (1/32) |(4-3p) z1^2 + p (z2^2 + z3^2 + z4^2)|^2 (the library contracts
   the eigenensemble generically, and uses only the diagonal of h(p));
 - the rank-4 energy tensor built from the antisymmetric projectors, and the
-  energy as its quartic form (the library uses the factored h-matrix form);
+  energy as its quartic form; and the energy in the h-matrix form, from the
+  pair products of each row and one matrix product with the h matrices
+  (the library sums the squared 2x2 minors of each ensemble vector's
+  coefficients);
 - the antisymmetric-component form of the concurrence (the library uses
   ||psi||^4 - tr sigma_A^2);
 - the determinant product test det(sigma_A - 1);
@@ -36,6 +39,7 @@ from sepmech import PureState, StiefelPoint, constraint_residual, energy
 from sepmech.werner import BETA_INTERNAL_SCALE, _WG, _WK, _XK, QuadratureError
 
 TENSOR_PREFACTOR = 2.0
+H_FORM_PREFACTOR = 2.0
 SKEW_PREFACTOR = 2.0
 CLOSED_FORM_PREFACTOR = 1.0 / 32.0
 
@@ -63,17 +67,42 @@ def cost_tensor(ens) -> np.ndarray:
         "abP,PQ,cdQ->abcd", phi.conj(), proj, phi, optimize=True)
 
 
-def tensor_energy(z, tensor: np.ndarray) -> float:
-    """E(z) via the rank-4 tensor; z is a single row or an N x r matrix."""
+def tensor_energy(z, tensor: np.ndarray):
+    """E(z) via the rank-4 tensor; z is a single row or an N x r matrix (gives
+    a float) or a stack (..., N, r) (one value per stacked matrix)."""
     if isinstance(z, StiefelPoint):
         z = z.z
     zm = np.asarray(z, dtype=complex)
     zm = zm[None, :] if zm.ndim == 1 else zm
-    if zm.shape[1] != tensor.shape[0]:
-        raise ValueError(f"z has {zm.shape[1]} columns, expected {tensor.shape[0]}")
-    per_row = np.einsum("ia,ib,abmn,im,in->i",
+    if zm.shape[-1] != tensor.shape[0]:
+        raise ValueError(f"z has {zm.shape[-1]} columns, expected {tensor.shape[0]}")
+    per_row = np.einsum("...ia,...ib,abmn,...im,...in->...i",
                         zm.conj(), zm.conj(), tensor, zm, zm, optimize=True)
-    return float(np.sum(per_row.real))
+    e = per_row.real.sum(axis=-1)
+    return float(e) if e.ndim == 0 else e
+
+
+def h_form_energy(z, hset):
+    """E(z) = 2 sum_i sum_ab |z_i^T h^{ab} z_i|^2 from hset.matrices (d1, d2, r, r).
+
+    Each h^{ab} is symmetric, so z_i^T h^{ab} z_i = sum_{x<=y} (2 - delta_xy)
+    h^{ab}_xy z_ix z_iy: the r(r+1)/2 pair products of every row times
+    Hp[(x<=y), ab] in one complex matrix product.  z is taken as by
+    tensor_energy.
+    """
+    if isinstance(z, StiefelPoint):
+        z = z.z
+    zm = np.asarray(z, dtype=complex)
+    zm = zm[None, :] if zm.ndim == 1 else zm
+    h = hset.matrices
+    r = h.shape[-1]
+    xi, yi = np.triu_indices(r)
+    Hp = (h[:, :, xi, yi] * np.where(xi == yi, 1.0, 2.0)).reshape(-1, xi.size).T
+    rows = zm.reshape(-1, r)
+    q = (rows[:, xi] * rows[:, yi]) @ Hp
+    per_row = np.sum(np.abs(q) ** 2, axis=1).reshape(zm.shape[:-1])
+    e = H_FORM_PREFACTOR * per_row.sum(axis=-1)
+    return float(e) if e.ndim == 0 else e
 
 
 # --- concurrence from antisymmetric components ------------------------------

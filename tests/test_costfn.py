@@ -1,15 +1,15 @@
-"""Cost function over ensemble space: the h-matrix energy, checked against
-the rank-4 tensor oracle and the concurrence sum, and the
-multiplier-extended Hamiltonian."""
+"""Cost function over ensemble space: the minors energy kernel, checked
+against the h-form and rank-4 tensor oracles and the concurrence sum, and
+the multiplier-extended Hamiltonian."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import cost_tensor, full_hamiltonian, tensor_energy
+from oracles import cost_tensor, full_hamiltonian, h_form_energy, tensor_energy
 from sepmech import costfn
 from sepmech.ensembles import _stiefel_batch
-from sepmech import (DensityMatrix, LagrangeMultipliers, concurrence_sq,
-                     cost_operator, eigen_ensemble, energy,
+from sepmech import (DensityMatrix, LagrangeMultipliers, StiefelPoint,
+                     concurrence_sq, cost_operator, eigen_ensemble, energy,
                      ensemble_from_stiefel, haar_stiefel, haar_unitary,
                      werner_eigenensemble, werner_state)
 
@@ -86,30 +86,65 @@ def test_energy_of_a_stack_is_per_matrix(rng):
     assert energy(zs[:, :1, :], cop).shape == (5,)
 
 
-@pytest.mark.parametrize("m, N", [(2, 16), (3, 81)])
-def test_energy_matches_tensor_oracle_across_row_blocks(m, N):
-    rng = np.random.default_rng(12345 + m)
-    ens = eigen_ensemble(_random_density(rng, m, m))
-    assert ens.rank == m * m
+# (m, n, rank, N): the two sampler shapes keep their ids; each shape also
+# runs at N = 1, the (samples, 1, r) stack of one-row ensembles that z1_mc
+# passes, and at N = r
+_KERNEL_CASES = [pytest.param(2, 2, 4, 16, id="2-16"), pytest.param(3, 3, 9, 81, id="3-81")] + [
+    pytest.param(m, n, rank, N, id=f"{m}x{n}-rank{rank}-N{N}")
+    for m, n, rank in ((2, 2, 4), (2, 3, 6), (3, 2, 6), (3, 3, 9), (3, 3, 4), (3, 4, 12))
+    for N in (1, rank)]
+
+
+@pytest.mark.parametrize("m, n, rank, N", _KERNEL_CASES)
+def test_energy_matches_tensor_oracle_across_row_blocks(m, n, rank, N, random_density):
+    # the minors kernel against the h form built from cop.hset and the
+    # rank-4 tensor, on stacks that end inside, at and past a block boundary
+    rng = np.random.default_rng(12345 + 10 * m + n + rank + N)
+    ens = eigen_ensemble(random_density(rng, m, n, rank))
+    assert ens.rank == rank
     cop, tensor = cost_operator(ens), cost_tensor(ens)
 
-    def close(got, want):
-        return np.max(np.abs(got - want) / want) < 1e-12
-
-    block = max(1, costfn._BLOCK_ROWS // N)
-    for count in (1, block - 1, block, block + 1):
-        zs = _stiefel_batch(N, ens.rank, count, rng)
-        got = energy(zs, cop)
-        assert got.shape == (count,)
-        assert close(got, np.array([tensor_energy(z, tensor) for z in zs]))
-    pt = haar_stiefel(N, ens.rank, rng)
-    for z in (pt, pt.z, pt.z[0]):
+    def check(z, shape):
         got = energy(z, cop)
-        assert isinstance(got, float) and close(got, tensor_energy(z, tensor))
-    # the (samples, 1, r) stack of one-row ensembles that z1_mc passes
-    got = energy(pt.z[:, None, :], cop)
-    assert got.shape == (N,)
-    assert close(got, np.array([tensor_energy(row, tensor) for row in pt.z]))
+        assert np.shape(got) == shape
+        assert np.max(np.abs(got - h_form_energy(z, cop.hset)) / got) < 1e-13
+        # the tensor form rounds at the scale of sum_i ||psi_i||^4, which bounds
+        # E(z) and exceeds it by orders of magnitude on a row near a product vector
+        zm = z.z if isinstance(z, StiefelPoint) else np.asarray(z)
+        psi = np.atleast_2d(zm) @ ens.matrix()
+        norm4 = np.sum(np.sum(np.abs(psi) ** 2, axis=-1) ** 2, axis=-1)
+        assert np.max(np.abs(got - tensor_energy(z, tensor)) / norm4) < 1e-13
+
+    block = costfn._block_size(N)
+    for count in (1, block - 1, block, block + 1):
+        zs = (_stiefel_batch(N, rank, count, rng) if N >= rank
+              else rng.standard_normal((count, N, rank)) + 1j * rng.standard_normal((count, N, rank)))
+        check(zs, (count,))
+    if N >= rank:
+        pt = haar_stiefel(N, rank, rng)
+        for z in (pt, pt.z, pt.z[0]):
+            check(z, ())
+            assert isinstance(energy(z, cop), float)
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 3)])
+def test_product_decomposition_of_a_separable_state_has_zero_energy(m, n):
+    # rho = sum_k psi_k psi_k^dag over product vectors psi_k = a_k (x) b_k; the
+    # Stiefel point z with z @ E = Psi is a separable decomposition, so every
+    # 2x2 minor of every psi_k vanishes and E(z) is zero up to rounding
+    rng = np.random.default_rng(2024 + m * n)
+    K = m * n + 3
+    a = rng.standard_normal((K, m)) + 1j * rng.standard_normal((K, m))
+    b = rng.standard_normal((K, n)) + 1j * rng.standard_normal((K, n))
+    psi = np.einsum("ki,kj->kij", a, b).reshape(K, m * n)
+    mat = psi.T @ psi.conj()
+    psi /= np.sqrt(np.trace(mat).real)
+    ens = eigen_ensemble(DensityMatrix(m, n, mat / np.trace(mat).real))
+    assert ens.rank == m * n
+    z = psi @ np.linalg.pinv(ens.matrix())
+    assert np.max(np.abs(z.conj().T @ z - np.eye(ens.rank))) < 1e-10
+    assert np.max(np.abs(z @ ens.matrix() - psi)) < 1e-12
+    assert energy(z, cost_operator(ens)) <= 1e-28
 
 
 def test_energy_column_mismatch_raises(rng):
