@@ -86,32 +86,20 @@ def stiefel_from_gs(v: np.ndarray, U: np.ndarray) -> StiefelPoint:
     return StiefelPoint(B.shape[0], r, _phase_fixed_q(B) @ U)
 
 
-def _stiefel_batch(N: int, r: int, count: int, rng, blocks=None, submit=None) -> np.ndarray:
+def _stiefel_batch(N: int, r: int, count: int, rng) -> np.ndarray:
     """count Haar points of V_{N,r}, stacked (count, N, r).
 
     The phase-fixed QR of an N x r Ginibre block; this is the same
     distribution as slicing r columns off a Haar N x N unitary, without
-    paying for the discarded columns.  The whole real block is drawn before
-    the whole imaginary block, each one slice of `blocks` at a time (the
-    same stream as one whole draw; the default is one slice of all count
-    matrices).  Once a slice's imaginary piece is drawn, submit(b, g[b]) is
-    called, where b is the slice and g[b] its Ginibre block, and must make
-    the phase-fixed Q of g[b] and write it back over g[b].  The default
-    does that at once; a caller that passes its own submit may do it later,
-    on another thread, and must wait for it before it reads that block.
-    The QR is per matrix, so the slices do not change the result.
+    paying for the discarded columns.  The whole real block is drawn from
+    rng before the whole imaginary block, and the phased Q is written back
+    over the Ginibre block.  The sampler calls this once per sub-block,
+    each with its own generator, on its pool's threads.
     """
     g = np.empty((count, N, r), dtype=complex)
-    blocks = blocks or [slice(0, count)]
-    for b in blocks:
-        g.real[b] = rng.standard_normal(g[b].shape)
-    for b in blocks:
-        g.imag[b] = rng.standard_normal(g[b].shape)
-        if submit is None:
-            _phase_fixed_q(g[b], g[b])
-        else:
-            submit(b, g[b])
-    return g
+    g.real = rng.standard_normal(g.shape)
+    g.imag = rng.standard_normal(g.shape)
+    return _phase_fixed_q(g, g)
 
 
 def haar_stiefel(N: int, r: int, seed) -> StiefelPoint:

@@ -20,22 +20,18 @@ on average by a Hermitian positive multiplier omega: z is drawn from the
 complex Gaussian with covariance omega^{-1} and the e^{-beta E_1} factor is
 importance-sampled against it.
 
-Determinism: each sampler (sample_energies, z1_mc) consumes a single
-generator seeded from the argument, draws in a fixed order and reduces in
-grid order, so fixed seeds give bit-identical results.  sample_energies
-draws its Haar points in chunks of _CHUNK: each chunk takes its whole real
-Gaussian block and then its whole imaginary block from the stream, so
-changing _CHUNK changes the samples.  All drawing happens on the calling
-thread, in that order.  The rest runs on a pool of one thread per usable
-CPU that lives for one call.  _sub_blocks cuts each chunk into sub-blocks
-of about _QR_ROWS rows, each a whole number of energy blocks.  As soon as
-a sub-block's Gaussians are drawn, one task takes its phase-fixed QR and
-then its energies, while the calling thread draws the next sub-block and
-then the next chunk (at most one chunk ahead of the one being reduced).
-Each task writes only its own rows and makes the same kernel calls on them
-as one serial pass would (the QR is per matrix), so the results depend
-neither on the number of workers nor on how they are scheduled.
-Parallel use should derive one child seed per task via numpy
+Determinism: fixed seeds give bit-identical results.  z1_mc consumes a
+single generator seeded from the argument.  sample_energies cuts the whole
+sample into _sub_blocks slices of about _QR_ROWS rows, each a whole number
+of energy blocks, and spawns one child generator per slice from its seed,
+in slice order (a SeedSequence passed in is copied first, so it is not
+advanced).  Each slice is one task on a pool of one thread per usable CPU
+that lives for one call: it draws its Ginibre block from its own generator,
+takes the phase-fixed QR and writes its slice's energies.  Nothing is drawn
+on the calling thread.  A task's values depend only on its slice and its
+child seed, so the results depend neither on the number of workers nor on
+how they are scheduled; changing _QR_ROWS changes the samples.  Parallel
+use should derive one child seed per task via numpy
 SeedSequence(seed).spawn, which is the splitting rule used by the
 command-line layer.
 """
@@ -48,10 +44,9 @@ import numpy as np
 
 from .costfn import CostOperator, LagrangeMultipliers, _block_size, energy
 from .ensembles import _stiefel_batch
-from .quantum_core import InvalidInput, _phase_fixed_q
+from .quantum_core import InvalidInput
 
 JACKKNIFE_BLOCKS = 32
-_CHUNK = 8192
 _QR_ROWS = 4096
 
 
@@ -104,58 +99,47 @@ def _cpu_count() -> int:
 def _sub_blocks(N: int, count: int) -> list:
     """Slices of about _QR_ROWS rows that cover a stack of count N-row
     matrices; each but the last holds a whole number of energy blocks
-    (_block_size(N) matrices), so a task makes the same `energy` kernel
-    calls on its rows as one serial pass over the stack would."""
+    (_block_size(N) matrices), so no task's `energy` call ends in a
+    partial block except the last.  Each slice is one sampler task with
+    its own stream, so these slices fix the samples."""
     unit = _block_size(N)
     step = unit * max(1, _QR_ROWS // (N * unit))
     return [slice(s, min(s + step, count)) for s in range(0, count, step)]
 
 
-def _reduce_block(dest: np.ndarray, cop: CostOperator, block: np.ndarray) -> None:
-    """One sub-block's task: the phase-fixed QR of its Ginibre block, in
-    place, then its energies into dest."""
-    _phase_fixed_q(block, block)
-    dest[:] = energy(block, cop)
+def _child_streams(seed, n: int) -> list:
+    """n child generators of seed, in order; seed is as for default_rng.  A
+    SeedSequence is copied before spawning, which would advance it."""
+    if isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(**seed.state)
+    return np.random.default_rng(seed).spawn(n)
 
 
 def _batch_energies(cop: CostOperator, N: int, samples: int, seed) -> np.ndarray:
-    """E(z) for `samples` Haar Stiefel draws, chunked; order is seed-fixed.
+    """E(z) for `samples` Haar Stiefel draws; order is seed-fixed.
 
-    The pipeline of the Determinism note above: _stiefel_batch hands each
-    _sub_blocks slice of a chunk to the pool as soon as it is drawn, and the
-    task writes that slice of out.  At most two chunks are alive at a time:
-    the one being drawn and the one before it.
+    The rule of the Determinism note above: one pool task per _sub_blocks
+    slice draws that slice from its own child generator and writes that
+    slice of out, so one sub-block per worker is alive at a time.
     """
     from concurrent.futures import ThreadPoolExecutor  # kept out of import time
 
-    rng = np.random.default_rng(seed)
+    blocks = _sub_blocks(N, samples)
     out = np.empty(samples)
-    # An untouched array the size of a chunk's real block (at most 16 MiB,
+
+    def task(b, rng):
+        out[b] = energy(_stiefel_batch(N, cop.r, b.stop - b.start, rng), cop)
+
+    # An untouched array the size of the sample's real block (at most 16 MiB,
     # below the 32 MiB up to which glibc adapts), freed at once: glibc then
     # raises its mmap threshold past it, so the temporaries of each task's
-    # QR and energy call come from a warm heap instead of being mapped and
-    # faulted in anew each time (3000 3x3 draws at N=81 in a fresh process:
-    # ~9k page faults per call and 0.23 s without it, ~1.4k and 0.20 s with it).
-    first = min(_CHUNK, samples)
-    np.empty(min(first * N * cop.r, 1 << 21))
-    workers = min(_cpu_count(), len(_sub_blocks(N, first)))
-    with ThreadPoolExecutor(workers) as pool:
-        try:
-            before = []
-            for done in range(0, samples, _CHUNK):
-                dest = out[done:done + _CHUNK]
-                tasks = []
-                _stiefel_batch(N, cop.r, dest.size, rng, _sub_blocks(N, dest.size),
-                               lambda b, block: tasks.append(
-                                   pool.submit(_reduce_block, dest[b], cop, block)))
-                for f in before:
-                    f.result()
-                before = tasks
-            for f in before:
-                f.result()
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    # draw, QR and energy call come from a warm heap instead of being mapped
+    # and faulted in anew each time (3000 3x3 draws at N=81 in a fresh
+    # process: ~16k page faults in the first call without it, ~1.3k with it).
+    np.empty(min(samples * N * cop.r, 1 << 21))
+    with ThreadPoolExecutor(min(_cpu_count(), len(blocks))) as pool:
+        # map cancels the tasks not yet started once one of them raises
+        list(pool.map(task, blocks, _child_streams(seed, len(blocks))))
     return out
 
 

@@ -21,11 +21,12 @@ Each computes a quantity the library also computes, by a different route:
   its integrands stacked and its Kronrod and Gauss sums by einsum (the
   library forms the edges in closed form, fills one preallocated array and
   forms both sums with one matmul);
-- the Haar-Stiefel draw as one unblocked QR of the whole Ginibre stack (the
-  library runs the QR in sub-blocks and must give the same bits);
-- the sampled energies on one thread, chunk by chunk: whole real block,
-  whole imaginary block, QR, energy (the library pipelines them on a thread
-  pool and must give the same bits);
+- the Haar-Stiefel draw from the sum of its real and imaginary Gaussian
+  blocks and a separate phase product (the library fills one buffer and
+  writes the phased Q back over it, and must give the same bits);
+- the sampled energies on one thread, slice by slice, each slice drawn
+  from its own child of SeedSequence(seed) (the library runs the slices as
+  tasks on a thread pool and must give the same bits);
 - the reweighted mean, effective sample size and jackknife error, each
   from its own weight vector and the jackknife from index blocks (the
   library forms the weights once per beta and slices them).
@@ -251,13 +252,13 @@ def stiefel_batch_unblocked(N: int, r: int, count: int, rng) -> np.ndarray:
     return q * (d / np.abs(d))[:, None, :]
 
 
-def batch_energies_serial(cop, N: int, samples: int, seed, chunk: int) -> np.ndarray:
-    """E(z) of `samples` Haar draws from one generator, chunk by chunk."""
-    rng = np.random.default_rng(seed)
+def batch_energies_serial(cop, N: int, samples: int, seed: int, blocks) -> np.ndarray:
+    """E(z) of `samples` Haar draws on one thread: slice k of `blocks` is
+    drawn from the k-th child of SeedSequence(seed)."""
     out = np.empty(samples)
-    for done in range(0, samples, chunk):
-        k = min(chunk, samples - done)
-        out[done:done + k] = energy(stiefel_batch_unblocked(N, cop.r, k, rng), cop)
+    for b, child in zip(blocks, np.random.SeedSequence(seed).spawn(len(blocks))):
+        zs = stiefel_batch_unblocked(N, cop.r, b.stop - b.start, np.random.default_rng(child))
+        out[b] = energy(zs, cop)
     return out
 
 

@@ -401,6 +401,19 @@ def test_mc_rerun_is_byte_identical(tmp_path, capsys):
     assert (tmp_path / "re_energy.csv").read_bytes() == first
 
 
+def test_mc_output_does_not_depend_on_the_cpu_count(tmp_path, capsys, monkeypatch):
+    # what `taskset` changes: the sampler's pool size
+    outputs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(statmech, "_cpu_count", lambda: cpus)
+        code, _, err = run(capsys, "mc", "--werner", "0.2", "--seed", "3",
+                           "--samples", "3000", "--out", str(tmp_path / "run"))
+        assert code == 0, err
+        outputs.append([(tmp_path / f"run_{kind}.csv").read_bytes()
+                        for kind in ("density", "energy")])
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("argv", [
     ["mc", "--werner", "0.2", "--seed", "3", "--samples", "1000", "--beta", "1,10"],
     ["probe", "--werner", "0.5", "--seed", "1", "--samples", "1000", "--beta", "1,10"],

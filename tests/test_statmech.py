@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from oracles import batch_energies_serial, h_matrix, jackknife_error, weighted_stats
 
-from sepmech import statmech
+from sepmech import ensembles, statmech
 from sepmech import (LagrangeMultipliers, McEstimate, StateDensityEstimate,
                      cost_operator, energy, estimate_state_density,
                      fit_energy_scaling, fit_power_law,
@@ -61,9 +61,13 @@ def workers(request, monkeypatch):
     return request.param
 
 
+def serial(cop, N, samples, seed):
+    return batch_energies_serial(cop, N, samples, seed, statmech._sub_blocks(N, samples))
+
+
 @pytest.mark.parametrize("state, N, samples", [
-    ("2x2", 16, statmech._CHUNK + 17),  # two chunks, the last one partial
-    ("3x3", 81, 3000),
+    ("2x2", 16, 8209),                  # 33 sub-blocks, the last of 17 rows
+    ("3x3", 81, 3000),                  # 63 sub-blocks, the last of 24 matrices
     ("2x2", 5, 3000),                   # N divides neither _QR_ROWS nor the energy block
     ("2x2", 4, 3000),                   # N = r
     ("2x2", 16, 1),
@@ -77,21 +81,21 @@ def test_sampler_is_bit_identical_to_the_serial_oracle(workers, random_density,
     baseline = threading.active_count()
     got = sample_energies(cop, N, samples, seed=samples)
     assert threading.active_count() == baseline
-    assert np.array_equal(got, batch_energies_serial(cop, N, samples, samples, statmech._CHUNK))
+    assert np.array_equal(got, serial(cop, N, samples, samples))
 
 
 def test_sampler_is_bit_identical_with_more_workers_than_cores(monkeypatch):
     # eight workers and a tiny switch interval: a lost, doubled or misplaced
     # write of any task would change the bits
     monkeypatch.setattr(statmech, "_cpu_count", lambda: 8)
-    samples = 2 * statmech._CHUNK + 5
+    samples = 16389  # 65 sub-blocks, the last of 5 rows
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         got = sample_energies(COP02, 16, samples, seed=8)
     finally:
         sys.setswitchinterval(interval)
-    assert np.array_equal(got, batch_energies_serial(COP02, 16, samples, 8, statmech._CHUNK))
+    assert np.array_equal(got, serial(COP02, 16, samples, 8))
 
 
 def test_the_pool_runs_the_energies_off_the_calling_thread(workers, monkeypatch):
@@ -106,11 +110,39 @@ def test_the_pool_runs_the_energies_off_the_calling_thread(workers, monkeypatch)
     assert seen and threading.get_ident() not in seen and len(seen) <= workers
 
 
+def test_the_pool_draws_off_the_calling_thread(workers, monkeypatch):
+    seen = []
+    draw = statmech._stiefel_batch
+
+    def spy(N, r, count, rng):
+        seen.append((threading.get_ident(), count))
+        return draw(N, r, count, rng)
+
+    monkeypatch.setattr(statmech, "_stiefel_batch", spy)
+    sample_energies(COP02, 16, 3000, seed=1)
+    assert threading.get_ident() not in {t for t, _ in seen}
+    assert sorted(c for _, c in seen) == sorted(b.stop - b.start
+                                               for b in statmech._sub_blocks(16, 3000))
+
+
+def test_the_same_seed_sequence_twice_gives_the_same_samples():
+    # spawning the child streams must not advance a SeedSequence passed in
+    ss = np.random.SeedSequence(7)
+    first = sample_energies(COP02, 16, 3000, ss)
+    assert ss.n_children_spawned == 0
+    assert np.array_equal(sample_energies(COP02, 16, 3000, ss), first)
+
+
+def test_an_int_seed_and_its_seed_sequence_give_the_same_samples():
+    assert np.array_equal(sample_energies(COP02, 16, 3000, 7),
+                          sample_energies(COP02, 16, 3000, np.random.SeedSequence(7)))
+
+
 @pytest.mark.parametrize("module, name", [
     (statmech, "energy"),
     # an id that differs from the energy case's early, so the two cases'
     # names stay distinct when a report shortens them
-    pytest.param(statmech, "_phase_fixed_q", id="statmech._phase_fixed_q"),
+    pytest.param(ensembles, "_phase_fixed_q", id="ensembles._phase_fixed_q"),
 ])
 def test_worker_exception_surfaces_and_the_pool_is_gone(workers, monkeypatch, module, name):
     class Boom(RuntimeError):
@@ -123,11 +155,11 @@ def test_worker_exception_surfaces_and_the_pool_is_gone(workers, monkeypatch, mo
     with monkeypatch.context() as patch:
         patch.setattr(module, name, boom)
         with pytest.raises(Boom, match=name):
-            sample_energies(COP02, 16, statmech._CHUNK + 17, seed=4)
+            sample_energies(COP02, 16, 8209, seed=4)
     assert threading.active_count() == baseline
     got = sample_energies(COP02, 16, 3000, seed=4)
     assert threading.active_count() == baseline
-    assert np.array_equal(got, batch_energies_serial(COP02, 16, 3000, 4, statmech._CHUNK))
+    assert np.array_equal(got, serial(COP02, 16, 3000, 4))
 
 
 def test_curve_is_deterministic_and_monotone():
@@ -300,12 +332,12 @@ def test_z1_matches_quadrature_at_werner_point():
     assert abs(vals.mean() - ref) < 3 * se
 
 
-def test_batch_energies_peak_memory_is_below_two_drawn_chunks(random_density):
-    # 3000 draws of a full-rank 3x3 state are one chunk of 3000 x 81 x 9
-    # complex values; the energies must not need a second copy of it
+def test_batch_energies_peak_memory_is_below_one_drawn_chunk(random_density):
+    # 3000 draws of a full-rank 3x3 state are 3000 x 81 x 9 complex values
+    # (35.0 MB); each task holds only its own sub-block, so the sampler
+    # never holds all of them at once
     cop = cost_operator(eigen_ensemble(random_density(np.random.default_rng(12345), 3, 3)))
     samples, N = 3000, 81
-    assert samples <= statmech._CHUNK
     chunk_bytes = samples * N * cop.r * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
@@ -313,4 +345,4 @@ def test_batch_energies_peak_memory_is_below_two_drawn_chunks(random_density):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * chunk_bytes
+    assert peak < chunk_bytes
