@@ -20,16 +20,15 @@ b = (k < l), so
 
     E(z) = 2 sum_i sum_{i<j, k<l} |C_ik C_jl - C_il C_jk|^2.
 
-In blocks of about _BLOCK_ROWS rows, `energy` forms the amplitudes of every
+In one pass over the whole stack, `energy` forms the amplitudes of every
 row by one complex matrix product with the eigenvectors, gathers the four
 factors of every minor with index arrays fixed by (m, n), and sums the
 squared moduli per stacked matrix.  That is 2 d1 d2 + mn r complex
 products per row (99 at 3x3 and full rank), against r(r+1)/2 (d1 d2 + 1)
-for the pair products and matrix product of the h form (450).  The block
-scratch is allocated once per call and keeps the temporaries small whatever
-the stack size.  BLAS may round a row differently by its place in the
-product, so a caller that splits a stack and wants the bits of one call
-splits it at multiples of _block_size(N).
+for the pair products and matrix product of the h form (450).  Its
+temporaries grow with the stack, to at most mn + 4 d1 d2 complex values per
+row; the sampler in `statmech` passes one sub-block of a few thousand rows
+at a time, which keeps them small.
 """
 from __future__ import annotations
 
@@ -42,7 +41,6 @@ from .ensembles import StiefelPoint
 from .quantum_core import EigenEnsemble, InvalidInput
 
 MINOR_PREFACTOR = 2.0
-_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -113,11 +111,6 @@ def _rows(z) -> np.ndarray:
     return z[None, :] if z.ndim == 1 else z
 
 
-def _block_size(N: int) -> int:
-    """Stacked N-row matrices per block of `energy`, about _BLOCK_ROWS rows."""
-    return max(1, _BLOCK_ROWS // N)
-
-
 def energy(z, cop: CostOperator):
     """E(z) = 2 sum_i sum_ab |z_i^T h^{ab} z_i|^2 over the last two axes of z,
     evaluated as 2 sum_i of the squared 2x2 minors of psi_i's coefficients.
@@ -130,29 +123,12 @@ def energy(z, cop: CostOperator):
     if zm.shape[-1] != r:
         raise InvalidInput(f"z has {zm.shape[-1]} columns, expected {r}")
     N = zm.shape[-2]
-    flat = zm.reshape(-1, N, r)
-    e = np.empty(flat.shape[0])
-    step = _block_size(N)
+    amp = cop.amps @ zm.reshape(-1, r).T  # (mn, rows): every row's amplitudes
     ik, jl, il, jk = cop.minors
-    mn, d = cop.amps.shape[0], ik.size
-    # block scratch for the amplitudes and the minors, allocated once per call
-    sizes = (mn, d, d, d)
-    bufs = [np.empty(size * min(step, flat.shape[0]) * N, dtype=complex) for size in sizes]
-    for s in range(0, flat.shape[0], step):
-        block = flat[s:s + step]
-        rows = block.shape[0] * N
-        amp, minor, fac, sub = (buf[:size * rows].reshape(size, rows)
-                                for buf, size in zip(bufs, sizes))
-        np.matmul(cop.amps, block.reshape(rows, r).T, out=amp)
-        # mode="clip" never clips (the rows are in range) but, unlike the
-        # default, lets take write into out without an intermediate buffer
-        np.multiply(np.take(amp, ik, axis=0, out=minor, mode="clip"),
-                    np.take(amp, jl, axis=0, out=fac, mode="clip"), out=minor)
-        np.multiply(np.take(amp, il, axis=0, out=sub, mode="clip"),
-                    np.take(amp, jk, axis=0, out=fac, mode="clip"), out=sub)
-        np.subtract(minor, sub, out=minor)
-        # |minor|^2 summed over the N rows and all (a, b) of each matrix
-        q = minor.view(float).reshape(d, block.shape[0], 2 * N)
-        e[s:s + step] = MINOR_PREFACTOR * np.einsum("dbk,dbk->b", q, q)
+    minor = amp[ik] * amp[jl]
+    minor -= amp[il] * amp[jk]
+    # |minor|^2 summed over the N rows and all (a, b) of each matrix
+    q = minor.view(float).reshape(ik.size, -1, 2 * N)
+    e = MINOR_PREFACTOR * np.einsum("dbk,dbk->b", q, q)
     e = e.reshape(zm.shape[:-2])
     return float(e) if e.ndim == 0 else e

@@ -22,18 +22,18 @@ importance-sampled against it.
 
 Determinism: fixed seeds give bit-identical results.  z1_mc consumes a
 single generator seeded from the argument.  sample_energies cuts the whole
-sample into _sub_blocks slices of about _QR_ROWS rows, each a whole number
-of energy blocks, and spawns one child generator per slice from its seed,
-in slice order (a SeedSequence passed in is copied first, so it is not
-advanced).  Each slice is one task on a pool of one thread per usable CPU
-that lives for one call: it draws its Ginibre block from its own generator,
-takes the phase-fixed QR and writes its slice's energies.  Nothing is drawn
-on the calling thread.  A task's values depend only on its slice and its
-child seed, so the results depend neither on the number of workers nor on
-how they are scheduled; changing _QR_ROWS changes the samples.  Parallel
-use should derive one child seed per task via numpy
-SeedSequence(seed).spawn, which is the splitting rule used by the
-command-line layer.
+sample into _sub_blocks slices of _QR_ROWS // N matrices (at least one)
+and spawns one child generator per slice from its seed, in slice order (a
+SeedSequence passed in is copied first, so it is not advanced).  Each slice
+is one task on a pool of one thread per usable CPU that lives for one
+call: it draws its Ginibre block from its own generator, takes the
+phase-fixed QR and writes its slice's energies with one `energy` call, so
+the slice is the only row block.  Nothing is drawn on the calling thread.
+A task's values depend only on its slice and its child seed, so the
+results depend neither on the number of workers nor on how they are
+scheduled; changing _QR_ROWS changes the samples.  Parallel use should
+derive one child seed per task via numpy SeedSequence(seed).spawn, which
+is the splitting rule used by the command-line layer.
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costfn import CostOperator, LagrangeMultipliers, _block_size, energy
+from .costfn import CostOperator, LagrangeMultipliers, energy
 from .ensembles import _stiefel_batch
 from .quantum_core import InvalidInput
 
@@ -97,13 +97,11 @@ def _cpu_count() -> int:
 
 
 def _sub_blocks(N: int, count: int) -> list:
-    """Slices of about _QR_ROWS rows that cover a stack of count N-row
-    matrices; each but the last holds a whole number of energy blocks
-    (_block_size(N) matrices), so no task's `energy` call ends in a
-    partial block except the last.  Each slice is one sampler task with
-    its own stream, so these slices fix the samples."""
-    unit = _block_size(N)
-    step = unit * max(1, _QR_ROWS // (N * unit))
+    """Slices of _QR_ROWS // N matrices (at least one) that cover a stack of
+    count N-row matrices; the last may be shorter.  Each slice is one
+    sampler task with its own stream, drawn and evaluated whole, so these
+    slices fix the samples."""
+    step = max(1, _QR_ROWS // N)
     return [slice(s, min(s + step, count)) for s in range(0, count, step)]
 
 
@@ -135,7 +133,7 @@ def _batch_energies(cop: CostOperator, N: int, samples: int, seed) -> np.ndarray
     # raises its mmap threshold past it, so the temporaries of each task's
     # draw, QR and energy call come from a warm heap instead of being mapped
     # and faulted in anew each time (3000 3x3 draws at N=81 in a fresh
-    # process: ~16k page faults in the first call without it, ~1.3k with it).
+    # process: ~2.3k page faults in the first call without it, ~1.6k with it).
     np.empty(min(samples * N * cop.r, 1 << 21))
     with ThreadPoolExecutor(min(_cpu_count(), len(blocks))) as pool:
         # map cancels the tasks not yet started once one of them raises
@@ -185,8 +183,8 @@ def mc_energy_curve(energies, betas) -> list:
     emin = float(e.min())
     out = []
     for beta in betas:
-        if beta < 0:
-            raise InvalidInput("beta must be >= 0")
+        if not 0.0 <= beta < np.inf:
+            raise InvalidInput("beta must be finite and >= 0")
         out.append(_reweighted(e, emin, beta))
     return out
 
@@ -236,21 +234,21 @@ def fit_power_law(hist: StateDensityEstimate, fit_window) -> ScalingFit:
 
 def _require_fit_betas(betas) -> None:
     """InvalidInput unless betas hold at least 3 distinct values, all
-    positive: fewer leave the slope of fit_energy_scaling undetermined, and
-    its log-log fit needs beta > 0."""
+    positive and finite: fewer leave the slope of fit_energy_scaling
+    undetermined, and its log-log fit needs 0 < beta < inf."""
     betas = [float(b) for b in betas]
     if len(set(betas)) < 3:
         raise InvalidInput("need at least 3 distinct betas")
-    if min(betas) <= 0:
-        raise InvalidInput("beta must be positive")
+    if not all(0.0 < b < np.inf for b in betas):
+        raise InvalidInput("beta must be positive and finite")
 
 
 def fit_energy_scaling(points) -> ScalingFit:
     """Fit <<E>> ~ A / beta; delta = A - 1 from <<E>> = (delta+1)/beta."""
     pts = [(float(b), float(v)) for b, v in points]
     _require_fit_betas(b for b, _ in pts)
-    if any(v <= 0 for _, v in pts):
-        raise InvalidInput("energy must be positive")
+    if not all(0.0 < v < np.inf for _, v in pts):
+        raise InvalidInput("energy must be positive and finite")
     lx = np.log([b for b, _ in pts])
     ly = np.log([v for _, v in pts])
     slope, intercept, r2 = _loglog_fit(lx, ly)
@@ -278,6 +276,8 @@ def z1_mc(cop: CostOperator, beta: float, lm: LagrangeMultipliers, samples: int,
     in this index order is the transpose of omega^{-1}; the two coincide for
     the real symmetric multipliers used throughout the Werner pipeline.
     """
+    if not 0.0 <= beta < np.inf:
+        raise InvalidInput("beta must be finite and >= 0")
     if not lm.is_positive_definite():
         raise InvalidInput("omega must be positive-definite")
     if lm.r != cop.r:

@@ -47,7 +47,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concurrence import h_matrices
 from .quantum_core import DensityMatrix, EigenEnsemble, InvalidInput, PureState
 
 BETA_INTERNAL_SCALE = 64.0
@@ -147,18 +146,18 @@ def _werner_h(p: float):
 
 
 def bell_diagonal_h(q0: float, q1: float, q2: float, q3: float) -> np.ndarray:
-    """h of a Bell-diagonal state, computed generically from its eigenensemble.
+    """h = diag(q0, q1, q2, q3) / 2 of a Bell-diagonal state with weights q.
 
-    Reduces to the Werner h(p) = (1/8) diag(4-3p, p, p, p) at weights
-    (1-3p/4, p/4, p/4, p/4).
+    This is the one h matrix of its eigenensemble in the phase choice of
+    _bell_ensemble; it reduces to the Werner h(p) = (1/8) diag(4-3p, p, p, p)
+    at weights (1-3p/4, p/4, p/4, p/4).
     A zero weight gives a matching zero on the diagonal; callers wanting a
     strictly positive h should drop that eigenvector and reduce the rank.
     """
     q = np.array([q0, q1, q2, q3], dtype=float)
     if q.min() < 0 or abs(q.sum() - 1.0) > 1e-12:
         raise InvalidInput("weights must be nonnegative and sum to 1")
-    hset = h_matrices(_bell_ensemble(q))
-    return hset.matrices[0, 0]
+    return np.diag(q) / 2
 
 
 # 15-point Kronrod nodes and weights on [-1, 1], mirrored from the
@@ -239,10 +238,10 @@ def _require_converged(i0, err):
 
 
 def _werner_point(beta: float, p: float):
-    """(bt, h0, h1) at (beta, p); InvalidInput unless beta > 0 and p lies in
-    (0, 1], where h(p) is invertible."""
-    if beta <= 0:
-        raise InvalidInput("beta must be positive")
+    """(bt, h0, h1) at (beta, p); InvalidInput unless 0 < beta < inf and p
+    lies in (0, 1], where h(p) is invertible."""
+    if not 0.0 < beta < math.inf:
+        raise InvalidInput("beta must be positive and finite")
     if not 0.0 < p <= 1.0:
         raise InvalidInput("p must lie in (0, 1]")
     return (BETA_INTERNAL_SCALE * beta, *_werner_h(p))

@@ -626,7 +626,7 @@ def test_p_grid_is_never_empty_and_starts_at_a(a, step, steps, frac):
 
 @pytest.mark.parametrize("argv, message", [
     (["scan", "--beta", "1e-320", "--p-grid", "0.5:0.1:1.5"], "p must lie in (0, 1]"),
-    (["scaling", "--werner", "0.5", "--beta", "10,100,0"], "beta must be positive"),
+    (["scaling", "--werner", "0.5", "--beta", "10,100,0"], "beta must be positive and finite"),
 ])
 def test_a_bad_later_input_exits_2_before_any_solve(capsys, monkeypatch, argv, message):
     # p = 1.1 in the grid, beta = 0 in the list: the library checks every

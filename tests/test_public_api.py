@@ -9,8 +9,9 @@ import pytest
 
 import sepmech
 from sepmech import (LagrangeMultipliers, OmegaPrime, PureState, cost_operator,
-                     estimate_state_density, haar_unitary, partial_trace,
-                     stiefel_from_gs, werner_eigenensemble, z1_mc)
+                     estimate_state_density, fit_energy_scaling, haar_unitary,
+                     mc_energy_curve, partial_trace, saddle_search, stiefel_from_gs,
+                     werner_eigenensemble, z1_mc)
 from sepmech.quantum_core import InvalidInput
 
 SRC = Path(sepmech.__file__).parent
@@ -138,6 +139,7 @@ def test_invalid_input_is_a_value_error_outside_the_public_names():
 
 
 _COP = cost_operator(werner_eigenensemble(0.5))
+_NAN, _INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize("call", [
@@ -148,8 +150,19 @@ _COP = cost_operator(werner_eigenensemble(0.5))
     lambda: estimate_state_density([1.0, 2.0, 3.0], 1),
     lambda: z1_mc(_COP, 1.0, LagrangeMultipliers(np.eye(4)), 0, seed=1),
     lambda: OmegaPrime(0, 1),
+    lambda: mc_energy_curve([1.0, 2.0], [_NAN]),
+    lambda: mc_energy_curve([1.0, 2.0], [_INF]),
+    lambda: fit_energy_scaling([(1.0, 1.0), (2.0, 0.5), (_NAN, 0.3)]),
+    lambda: fit_energy_scaling([(1.0, 1.0), (2.0, 0.5), (_INF, 0.3)]),
+    lambda: fit_energy_scaling([(1.0, 1.0), (2.0, _NAN), (3.0, 0.3)]),
+    lambda: z1_mc(_COP, _NAN, LagrangeMultipliers(np.eye(4)), 10, seed=1),
+    lambda: z1_mc(_COP, -1.0, LagrangeMultipliers(np.eye(4)), 10, seed=1),
+    lambda: saddle_search(_NAN, 0.5),
+    lambda: saddle_search(_INF, 0.5),
 ], ids=["amplitude-count", "haar-d0", "singular-omega", "gs-columns", "bins-1",
-        "z1-samples-0", "omega-prime-gamma-0"])
+        "z1-samples-0", "omega-prime-gamma-0", "mc-curve-beta-nan", "mc-curve-beta-inf",
+        "fit-beta-nan", "fit-beta-inf", "fit-energy-nan", "z1-beta-nan", "z1-beta-negative",
+        "saddle-beta-nan", "saddle-beta-inf"])
 def test_library_check_raises_invalid_input(call):
     with pytest.raises(InvalidInput):
         call()

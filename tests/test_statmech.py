@@ -67,8 +67,8 @@ def serial(cop, N, samples, seed):
 
 @pytest.mark.parametrize("state, N, samples", [
     ("2x2", 16, 8209),                  # 33 sub-blocks, the last of 17 rows
-    ("3x3", 81, 3000),                  # 63 sub-blocks, the last of 24 matrices
-    ("2x2", 5, 3000),                   # N divides neither _QR_ROWS nor the energy block
+    ("3x3", 81, 3017),                  # 61 sub-blocks, the last of 17 matrices
+    ("2x2", 5, 3000),                   # N does not divide _QR_ROWS: 4 sub-blocks, the last of 543
     ("2x2", 4, 3000),                   # N = r
     ("2x2", 16, 1),
 ])

@@ -95,6 +95,14 @@ def test_bell_diagonal_h_reduces_to_werner():
                        np.eye(4) / 8, atol=1e-12)
 
 
+def test_bell_diagonal_h_is_the_h_matrix_of_the_bell_ensemble():
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        q = rng.dirichlet(np.ones(4))
+        want = h_matrices(werner._bell_ensemble(q)).matrices[0, 0]
+        assert np.max(np.abs(bell_diagonal_h(*q) - want)) < 1e-15
+
+
 def test_bell_diagonal_h_zero_weight_and_validation():
     h = bell_diagonal_h(0.5, 0.5, 0.0, 0.0)
     assert abs(h[2, 2]) < 1e-14 and abs(h[3, 3]) < 1e-14
