@@ -29,6 +29,7 @@ exception is a bug and keeps its traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -40,7 +41,7 @@ from .ensembles import caratheodory_length
 from .quantum_core import DensityMatrix, InvalidInput, eigen_ensemble, ppt_is_entangled
 from .statmech import (_require_fit_betas, estimate_state_density,
                        fit_energy_scaling, mc_energy_curve, sample_energies)
-from .werner import (ConstraintsUnsatisfiable, QuadratureError, avg_energy_werner,
+from .werner import (ConstraintsUnsatisfiable, QuadratureError, _avg_energies,
                      equipartition_scan, saddle_search, werner_state)
 
 MC_HISTOGRAM_BINS = 48
@@ -269,7 +270,7 @@ def cmd_scaling(cfg: dict) -> int:
     if cfg.get("werner") is None:
         raise InvalidInput("scaling requires --werner p")
     p = _number(cfg, "werner")
-    points = [(b, avg_energy_werner(b, p)) for b in betas]
+    points = list(zip(betas, _avg_energies(betas, p)))
     fit = fit_energy_scaling(points)
     lines = [_header({**cfg, "seed": seed}, "scaling"),
              "beta,avg_energy,analytic_flag\n"]
@@ -326,6 +327,7 @@ def cmd_ppt(cfg: dict) -> int:
     return 0
 
 
+@functools.cache  # built once per process: in-process callers of main reuse it
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="sepmech",
                                  description="separability probing via "

@@ -23,10 +23,11 @@ importance-sampled against it.
 Determinism: fixed seeds give bit-identical results.  z1_mc consumes a
 single generator seeded from the argument.  sample_energies cuts the whole
 sample into _sub_blocks slices of _QR_ROWS // N matrices (at least one)
-and spawns one child generator per slice from its seed, in slice order (a
-SeedSequence passed in is copied first, so it is not advanced).  Each slice
-is one task on a pool of one thread per usable CPU that lives for one
-call: it draws its Ginibre block from its own generator, takes the
+and spawns one child SeedSequence per slice from its seed, in slice order
+(a SeedSequence passed in is copied first, so it is not advanced).  Each
+slice is one task on a pool of one thread per usable CPU that lives for one
+call: it builds its own generator from its child seed, draws its Ginibre
+block from it, takes the
 phase-fixed QR and writes its slice's energies with one `energy` call, so
 the slice is the only row block.  Nothing is drawn on the calling thread.
 A task's values depend only on its slice and its child seed, so the
@@ -105,12 +106,14 @@ def _sub_blocks(N: int, count: int) -> list:
     return [slice(s, min(s + step, count)) for s in range(0, count, step)]
 
 
-def _child_streams(seed, n: int) -> list:
-    """n child generators of seed, in order; seed is as for default_rng.  A
-    SeedSequence is copied before spawning, which would advance it."""
+def _child_seeds(seed, n: int) -> list:
+    """The n child SeedSequences of seed, in order; seed is as for
+    default_rng, and default_rng of child k is the k-th child generator
+    of default_rng(seed).  A SeedSequence is copied before spawning, which
+    would advance it."""
     if isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(**seed.state)
-    return np.random.default_rng(seed).spawn(n)
+    return np.random.default_rng(seed).bit_generator.seed_seq.spawn(n)
 
 
 def _batch_energies(cop: CostOperator, N: int, samples: int, seed) -> np.ndarray:
@@ -125,7 +128,8 @@ def _batch_energies(cop: CostOperator, N: int, samples: int, seed) -> np.ndarray
     blocks = _sub_blocks(N, samples)
     out = np.empty(samples)
 
-    def task(b, rng):
+    def task(b, child):
+        rng = np.random.default_rng(child)  # built on the worker, off the calling thread
         out[b] = energy(_stiefel_batch(N, cop.r, b.stop - b.start, rng), cop)
 
     # An untouched array the size of the sample's real block (at most 16 MiB,
@@ -137,7 +141,7 @@ def _batch_energies(cop: CostOperator, N: int, samples: int, seed) -> np.ndarray
     np.empty(min(samples * N * cop.r, 1 << 21))
     with ThreadPoolExecutor(min(_cpu_count(), len(blocks))) as pool:
         # map cancels the tasks not yet started once one of them raises
-        list(pool.map(task, blocks, _child_streams(seed, len(blocks))))
+        list(pool.map(task, blocks, _child_seeds(seed, len(blocks))))
     return out
 
 

@@ -29,7 +29,9 @@ down to the rounding level of its residual h - <A, B>, a difference of
 numbers of size |h|, whose computed value below that is only noise.
 Outside the region the minimum runs to gamma -> 0 with a finite residual;
 the solve clamps log gamma at a fixed floor and reports a boundary point
-when it ends there with the objective rising in log gamma.
+when it ends there with the objective rising in log gamma.  The scan and
+the energies of a beta grid solve all their points in lockstep, one
+vectorized pass over every unfinished point per Newton step (_saddles).
 
 Units: the public beta multiplies the bare quartic |(4-3p) z1^2 + p z2^2
 + p z3^2 + p z4^2|^2, which is the convention the scan and scaling
@@ -59,6 +61,9 @@ _MAX_EVALS = 200  # termination guard; over p in (0, 1], beta 1e-3..1e8 the most
 _EPS_F = 4 * np.finfo(float).eps
 _TINY = float(np.finfo(float).tiny)  # the smallest normal float
 _GK_TOL = 1e-7
+# GK15 nodes per _moments call of a lockstep round, padding counted, so a
+# round's transient arrays do not grow with the grid
+_NODE_BUDGET = 8192
 
 
 class ConstraintsUnsatisfiable(RuntimeError):
@@ -190,44 +195,56 @@ def _panel_edges(bt: float, lo_scale: float, hi_scale: float) -> np.ndarray:
     return edges
 
 
-def _moments(bt: float, g: float, lam: float):
-    """Moments of the weight exp(-x/4bt) (x+g^2)^{-1/2} (x+lam^2)^{-3/2}.
+def _moments(bt, g, lam, edges) -> list:
+    """Moments of the weight exp(-x/4bt) (x+g^2)^{-1/2} (x+lam^2)^{-3/2} at n points.
 
-    With A = g/(x+g^2) and B = lam/(x+lam^2), returns
-    (I0, <A>, <B>, <x>, jac, gk_error) from one vectorized Gauss-Kronrod
-    pass over shared panels.  jac is the exact derivative of (<A>, <B>) in
-    (log g, log lam): differentiating the weight brings down -A and -3B, so
-    it needs only the further moments <A^2>, <B^2>, <AB>,
-    <(x-g^2)/(x+g^2)^2> and <(x-lam^2)/(x+lam^2)^2>.  gk_error covers
-    I0, <A>, <B> and <x>.  jac is a 2x2 array, the rest Python floats.
+    bt, g and lam hold n floats and edges their n panel-edge arrays (from
+    _panel_edges).  With A = g/(x+g^2) and B = lam/(x+lam^2), returns one
+    row (I0, <A>, <B>, <x>, j00, j01, j10, j11, gk_error) of Python floats
+    per point, from one vectorized Gauss-Kronrod pass over the panels of
+    all n points.  jac = [[j00, j01], [j10, j11]] is the exact derivative
+    of (<A>, <B>) in (log g, log lam): differentiating the weight brings
+    down -A and -3B, so it needs only the further moments <A^2>, <B^2>,
+    <AB>, <(x-g^2)/(x+g^2)^2> and <(x-lam^2)/(x+lam^2)^2>.  gk_error covers
+    I0, <A>, <B> and <x>.  Each point's panels are padded to the most of
+    any point with zero-width panels at its last edge, which add exact
+    zeros to its sums, so every row has the bits of a pass of its point alone.
     """
-    a, b = g * g, lam * lam
-    edges = _panel_edges(bt, a, b)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    x = mid[:, None] + half[:, None] * _XK  # (panels, 15)
+    n, panels = len(edges), max(map(len, edges)) - 1
+    padded = np.empty((panels + 1, n))  # one column of edges per point
+    for col, e in zip(padded.T, edges):
+        col[:e.size], col[e.size:] = e, e[-1]
+    bta, ga, la = np.array([bt, g, lam], dtype=float)[..., None]
+    a, b = ga * ga, la * la
+    mid = 0.5 * (padded[1:] + padded[:-1])[..., None]
+    half = 0.5 * (padded[1:] - padded[:-1])[..., None]
+    x = mid + half * _XK  # (panels, points, 15)
     ra, rb = 1.0 / (x + a), 1.0 / (x + b)
-    A, B = g * ra, lam * rb
+    A, B = ga * ra, la * rb
     f = np.empty((9,) + x.shape)  # the nine integrands, filled in place
     w, wA, wB = f[0], f[1], f[2]
     # x / 4bt overflows only where 4bt is tiny (beta below ~1e-308); exp(-x/4bt)
-    # is 0 for any x past 1e300 * 4bt, so such x are capped there, and a pass
-    # whose last edge lies below the cap (every normal one) is left as it is
-    cap = 1e300 * 4.0 * bt
-    xe = x if edges[-1] <= cap else np.minimum(x, cap)
+    # is 0 for any x past 1e300 * 4bt, so such x are capped there (the cap
+    # is inf wherever 4bt is large, and leaves every x of a normal pass as it is)
+    with np.errstate(over="ignore"):
+        xe = np.minimum(x, 1e300 * 4.0 * bta)
     # the panel half-widths ride in the weight, so each node sum is an integral
-    np.multiply(np.exp(xe / (-4.0 * bt)) * half[:, None], np.sqrt(ra) * rb * np.sqrt(rb), out=w)
+    np.multiply(np.exp(xe / (-4.0 * bta)) * half, np.sqrt(ra) * rb * np.sqrt(rb), out=w)
     for row, (u, v) in enumerate(((w, A), (w, B), (w, x), (wA, A), (wB, B), (wA, B),
                                   (w * (x - a), ra * ra), (w * (x - b), rb * rb)), 1):
         np.multiply(u, v, out=f[row])
-    kg = (f.reshape(-1, 15) @ _W_KG).reshape(9, -1, 2).sum(axis=1)
-    k = kg[:, 0].tolist()
-    err = max(abs(kk - gq) / max(abs(kk), 1e-300) for kk, gq in zip(k, kg[:4, 1].tolist()))
-    mA, mB, mx, mAA, mBB, mAB, cA, cB = (v / k[0] for v in k[1:])
-    cov = mAB - mA * mB
-    jac = np.array([[g * (cA - (mAA - mA * mA)), -3.0 * lam * cov],
-                    [-g * cov, lam * (cB - 3.0 * (mBB - mB * mB))]])
-    return k[0], mA, mB, mx, jac, err
+    # the node sums of every panel, then their sum over the panel axis, which
+    # numpy adds up in panel order (it is not the last axis), the padding last
+    kg = (f.reshape(-1, 15) @ _W_KG).reshape(9, panels, 2 * n).sum(axis=1).reshape(9, n, 2)
+    rows = []
+    for gp, lp, sums in zip(g, lam, kg.transpose(1, 0, 2).tolist()):
+        k = [kk for kk, _ in sums]
+        err = max(abs(kk - gq) / max(abs(kk), 1e-300) for kk, gq in sums[:4])
+        mA, mB, mx, mAA, mBB, mAB, cA, cB = (v / k[0] for v in k[1:])
+        cov = mAB - mA * mB
+        rows.append((k[0], mA, mB, mx, gp * (cA - (mAA - mA * mA)), -3.0 * lp * cov,
+                     -gp * cov, lp * (cB - 3.0 * (mBB - mB * mB)), err))
+    return rows
 
 
 def _require_converged(i0, err):
@@ -249,7 +266,8 @@ def _werner_point(beta: float, p: float):
 
 def _checked_moments(beta: float, op: OmegaPrime, p: float):
     bt, h0, h1 = _werner_point(beta, p)
-    i0, mg, ml, _, _, err = _moments(bt, op.gamma, op.lam)
+    g, lam = op.gamma, op.lam
+    i0, mg, ml, *_, err = _moments([bt], [g], [lam], [_panel_edges(bt, g * g, lam * lam)])[0]
     _require_converged(i0, err)
     return bt, h0, h1, i0, mg, ml
 
@@ -292,10 +310,20 @@ def saddle_search(beta: float, p: float) -> SaddleResult:
     residual: the solve ends with log gamma on the floor and the objective
     still rising in log gamma.  That certificate marks a boundary point
     (interior=False); every other end is interior.  iterations counts the
-    _moments evaluations.  mean_x is <x> from the pass at the returned
-    point, and that pass must have converged: QuadratureError otherwise.
+    quadrature passes at the point.  mean_x is <x> from the pass at the
+    returned point, and that pass must have converged: QuadratureError
+    otherwise.  This is the one-point case of the lockstep solve of a grid
+    (_saddles).
     """
-    bt, h0, h1 = _werner_point(beta, p)
+    return next(_saddles([(beta, p)]))
+
+
+def _saddle_steps(bt: float, h0: float, h1: float):
+    """saddle_search's solve of one point, as a generator: it yields each
+    quadrature pass it needs as its point's _moments arguments (bt, gamma,
+    lam, panel edges), is sent that point's row of the pass, and returns the
+    SaddleResult.  A QuadratureError of _panel_edges or of the final pass's
+    _require_converged ends it."""
     w1 = math.sqrt(3.0)  # lam carries multiplicity 3
     f_floor = (_EPS_F * math.hypot(h0, w1 * h1)) ** 2  # the third stop rule
 
@@ -303,14 +331,15 @@ def saddle_search(beta: float, p: float) -> SaddleResult:
         return min(max(v, LOG_GAMMA_FLOOR), -LOG_GAMMA_FLOOR)
 
     def residual(u):
-        i0, mg, ml, mx, jac, err = _moments(bt, math.exp(u[0]), math.exp(u[1]))
-        (j00, j01), (j10, j11) = jac.tolist()
+        g, lam = math.exp(u[0]), math.exp(u[1])
+        edges = _panel_edges(bt, g * g, lam * lam)
+        i0, mg, ml, mx, j00, j01, j10, j11, err = yield bt, g, lam, edges
         r0, r1 = h0 - mg, w1 * (h1 - ml)
         return r0 * r0 + r1 * r1, (r0, r1), (-j00, -j01, -w1 * j10, -w1 * j11), (i0, mx, err)
 
     lam_inf = 1 / (3 * h1 - h0) if 3 * h1 > 2 * h0 else 0.0  # 0.0: no beta -> inf solution
     u = (clip(math.log(1 / h0 - lam_inf)), clip(math.log(lam_inf or 1 / h1)))
-    state, mu, evals = residual(u), 0.0, 1
+    state, mu, evals = (yield from residual(u)), 0.0, 1
     while evals < _MAX_EVALS and state[0] > f_floor:
         (u0, u1), (f, (r0, r1), (j00, j01, j10, j11), _) = u, state
         g0, g1 = j00 * r0 + j10 * r1, j01 * r0 + j11 * r1  # J^T r
@@ -332,7 +361,7 @@ def saddle_search(beta: float, p: float) -> SaddleResult:
         model = (r0 + j00 * s0 + j01 * s1) ** 2 + (r1 + j10 * s0 + j11 * s1) ** 2
         if not crossed and f - model <= _EPS_F * f:
             break  # the linear model promises no decrease above rounding
-        trial, evals = residual(un), evals + 1
+        trial, evals = (yield from residual(un)), evals + 1
         if trial[0] < f:
             u, state, mu = un, trial, 0.1 * mu
         else:
@@ -341,6 +370,54 @@ def saddle_search(beta: float, p: float) -> SaddleResult:
     _require_converged(i0, err)
     boundary = u[0] <= LOG_GAMMA_FLOOR and J[0] * r0 + J[2] * r1 > 0  # (J^T r)_gamma
     return SaddleResult(math.exp(u[0]), math.exp(u[1]), math.sqrt(f), not boundary, evals, mx)
+
+
+def _chunks(asks: dict):
+    """The keys of asks, in grid order, cut into _moments calls of at most
+    _NODE_BUDGET nodes each (at least one point), counting every point at
+    the most panels of its call."""
+    chunk, panels = [], 0
+    for i, (*_, edges) in asks.items():
+        panels = max(panels, edges.size - 1)
+        if chunk and 15 * panels * (len(chunk) + 1) > _NODE_BUDGET:
+            yield chunk
+            chunk, panels = [], edges.size - 1
+        chunk.append(i)
+    yield chunk
+
+
+def _saddles(points):
+    """The SaddleResult of each (beta, p) point, in order; InvalidInput,
+    before any solve, unless every point is valid (_werner_point).
+
+    The solves run in lockstep: each round evaluates the next pass of every
+    unfinished solve, in _moments calls over chunks of the points (_chunks),
+    so each point's arithmetic is that of a solve on its own.  A point whose
+    solve failed raises its QuadratureError when the iteration reaches it,
+    so the first failure in grid order is the one reported.
+    """
+    solves = [_saddle_steps(*_werner_point(beta, p)) for beta, p in points]
+    outcomes, asks = [None] * len(solves), {}
+
+    def advance(i, row):
+        try:
+            asks[i] = solves[i].send(row)
+        except StopIteration as done:
+            outcomes[i] = done.value
+        except QuadratureError as e:
+            outcomes[i] = e
+
+    for i in range(len(solves)):
+        advance(i, None)
+    while asks:
+        batch, asks = asks, {}
+        for chunk in _chunks(batch):
+            for i, row in zip(chunk, _moments(*zip(*(batch[i] for i in chunk)))):
+                advance(i, row)
+    for out in outcomes:
+        if isinstance(out, QuadratureError):
+            raise out
+        yield out
 
 
 def equipartition_scan(p_grid, beta: float) -> EquipartitionScan:
@@ -353,9 +430,7 @@ def equipartition_scan(p_grid, beta: float) -> EquipartitionScan:
     and every grid p lies in (0, 1].
     """
     p_grid = tuple(float(p) for p in p_grid)
-    for p in p_grid:
-        _werner_point(beta, p)  # every input is checked before the first solve
-    saddles = tuple(saddle_search(beta, p) for p in p_grid)
+    saddles = tuple(_saddles([(beta, p) for p in p_grid]))
     region_start = None
     for p, sad in zip(reversed(p_grid), reversed(saddles)):
         if not sad.region_member:
@@ -373,12 +448,21 @@ def avg_energy_werner(beta: float, p: float) -> float:
     QuadratureError where 256 beta^2 (and with it <x>) underflows or the two
     terms cancel 8 of their 16 digits, 1 - <x>/(256 beta) < 1e-8.
     """
-    sad = saddle_search(beta, p)
-    if not sad.region_member:
-        raise ConstraintsUnsatisfiable(
-            f"constraints unsatisfiable at p={p} (residual {sad.residual_norm:.3e})")
-    bb = 256.0 * beta * beta
-    if not (bb >= _TINY and 1.0 - sad.mean_x / (256.0 * beta) >= 1e-8):
-        raise QuadratureError(f"<<E_1>> at beta={beta!r} is lost to underflow or "
-                              f"cancellation in 1/beta - <x>/(256 beta^2)")
-    return 1.0 / beta - sad.mean_x / bb
+    return _avg_energies([beta], p)[0]
+
+
+def _avg_energies(betas, p: float) -> list:
+    """avg_energy_werner at each beta of betas, the saddles solved in
+    lockstep (_saddles); the first beta in order whose saddle or energy
+    fails raises."""
+    out = []
+    for beta, sad in zip(betas, _saddles([(beta, p) for beta in betas])):
+        if not sad.region_member:
+            raise ConstraintsUnsatisfiable(
+                f"constraints unsatisfiable at p={p} (residual {sad.residual_norm:.3e})")
+        bb = 256.0 * beta * beta
+        if not (bb >= _TINY and 1.0 - sad.mean_x / (256.0 * beta) >= 1e-8):
+            raise QuadratureError(f"<<E_1>> at beta={beta!r} is lost to underflow or "
+                                  f"cancellation in 1/beta - <x>/(256 beta^2)")
+        out.append(1.0 / beta - sad.mean_x / bb)
+    return out

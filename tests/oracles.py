@@ -21,6 +21,9 @@ Each computes a quantity the library also computes, by a different route:
   its integrands stacked and its Kronrod and Gauss sums by einsum (the
   library forms the edges in closed form, fills one preallocated array and
   forms both sums with one matmul);
+- the quadrature pass of one point on its own panels (the library passes
+  many points at once over panels padded to a common count, and must give
+  the same bits);
 - the Haar-Stiefel draw from the sum of its real and imaginary Gaussian
   blocks and a separate phase product (the library fills one buffer and
   writes the phased Q back over it, and must give the same bits);
@@ -37,7 +40,8 @@ which only the tests evaluate.  None of them is used by the library.
 import numpy as np
 
 from sepmech import PureState, StiefelPoint, constraint_residual, energy
-from sepmech.werner import BETA_INTERNAL_SCALE, _WG, _WK, _XK, QuadratureError
+from sepmech.werner import (BETA_INTERNAL_SCALE, _WG, _WK, _W_KG, _XK, QuadratureError,
+                            _panel_edges)
 
 TENSOR_PREFACTOR = 2.0
 H_FORM_PREFACTOR = 2.0
@@ -236,6 +240,36 @@ def moments_einsum(bt: float, g: float, lam: float):
     gq = np.einsum("mpn,n,p->m", f[:4], _WG, half)
     err = np.max(np.abs(k[:4] - gq) / np.maximum(np.abs(k[:4]), 1e-300))
     mA, mB, mx, mAA, mBB, mAB, cA, cB = k[1:] / k[0]
+    cov = mAB - mA * mB
+    jac = np.array([[g * (cA - (mAA - mA * mA)), -3.0 * lam * cov],
+                    [-g * cov, lam * (cB - 3.0 * (mBB - mB * mB))]])
+    return k[0], mA, mB, mx, jac, err
+
+
+def moments_one_point(bt: float, g: float, lam: float, edges=None):
+    """(I0, <A>, <B>, <x>, jac, gk_error) of one GK15 pass at one point, over
+    edges (by default _panel_edges), in werner._moments's arithmetic; jac
+    is a 2x2 array, the rest Python floats."""
+    a, b = g * g, lam * lam
+    if edges is None:
+        edges = _panel_edges(bt, a, b)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    x = mid[:, None] + half[:, None] * _XK  # (panels, 15)
+    ra, rb = 1.0 / (x + a), 1.0 / (x + b)
+    A, B = g * ra, lam * rb
+    f = np.empty((9,) + x.shape)
+    w, wA, wB = f[0], f[1], f[2]
+    cap = 1e300 * 4.0 * bt
+    xe = x if edges[-1] <= cap else np.minimum(x, cap)
+    np.multiply(np.exp(xe / (-4.0 * bt)) * half[:, None], np.sqrt(ra) * rb * np.sqrt(rb), out=w)
+    for row, (u, v) in enumerate(((w, A), (w, B), (w, x), (wA, A), (wB, B), (wA, B),
+                                  (w * (x - a), ra * ra), (w * (x - b), rb * rb)), 1):
+        np.multiply(u, v, out=f[row])
+    kg = (f.reshape(-1, 15) @ _W_KG).reshape(9, -1, 2).sum(axis=1)
+    k = kg[:, 0].tolist()
+    err = max(abs(kk - gq) / max(abs(kk), 1e-300) for kk, gq in zip(k, kg[:4, 1].tolist()))
+    mA, mB, mx, mAA, mBB, mAB, cA, cB = (v / k[0] for v in k[1:])
     cov = mAB - mA * mB
     jac = np.array([[g * (cA - (mAA - mA * mA)), -3.0 * lam * cov],
                     [-g * cov, lam * (cB - 3.0 * (mBB - mB * mB))]])

@@ -243,6 +243,13 @@ LONG_OPTIONS = {
 }
 
 
+def test_main_reuses_one_parser_and_no_option_carries_over(capsys):
+    assert _build_parser() is _build_parser()
+    assert run(capsys, "ppt", "--werner", "0.3", "--out", os.devnull) == (0, "", "")
+    code, out, _ = run(capsys, "ppt", "--werner", "0.7")
+    assert code == 0 and json.loads(out)["state"] == {"kind": "werner", "p": 0.7}
+
+
 def test_each_command_takes_exactly_its_options():
     sub = next(a for a in _build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
@@ -295,17 +302,17 @@ def test_scaling_outside_region_exits_3(capsys):
 def test_scaling_runs_one_saddle_per_beta(capsys, monkeypatch):
     betas = parse_beta("10:100000:6")
     iterations = sum(saddle_search(b, 0.95).iterations for b in betas)
-    calls = []
+    points = []  # the points of each _moments call
     moments = werner._moments
 
     def counted(*args):
-        calls.append(args)
+        points.extend(zip(*args[:3]))
         return moments(*args)
 
     monkeypatch.setattr(werner, "_moments", counted)
     code, _, err = run(capsys, "scaling", "--werner", "0.95", "--beta", "10:100000:6")
     assert code == 0, err
-    assert len(calls) == iterations
+    assert len(points) == iterations
 
 
 def test_region_membership_follows_the_library_threshold(capsys, monkeypatch):
@@ -336,7 +343,7 @@ def test_error_subclass_keeps_its_exit_code(capsys, monkeypatch, exc, code):
 
 def test_scan_exits_4_when_the_quadrature_does_not_converge(capsys, monkeypatch):
     moments = werner._moments
-    monkeypatch.setattr(werner, "_moments", lambda *a: (*moments(*a)[:5], 1.0))
+    monkeypatch.setattr(werner, "_moments", lambda *a: [(*row[:8], 1.0) for row in moments(*a)])
     code, out, err = run(capsys, "scan", "--p-grid", "0.85:0.05:0.90")
     assert code == 4 and "did not converge" in err and out == ""
 

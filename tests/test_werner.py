@@ -9,7 +9,7 @@ import pytest
 import mpmath
 
 from oracles import (det_m, energy_closed_form, grad_log_z1_full, h_matrix,
-                     moments_einsum, panel_edges_doubling)
+                     moments_einsum, moments_one_point, panel_edges_doubling)
 from sepmech import (OmegaPrime, PureState, avg_energy_werner,
                      bell_diagonal_h, ConstraintsUnsatisfiable,
                      concurrence_sq, cost_operator, energy,
@@ -245,9 +245,15 @@ def test_saddle_outside_region():
     assert sad.residual_norm > 1e-2
 
 
+def _one_pass(bt, g, lam):
+    """The _moments row of one point, as (I0, <A>, <B>, <x>, jac, gk_error)."""
+    (i0, mA, mB, mx, *jac, err), = _moments([bt], [g], [lam], [_panel_edges(bt, g * g, lam * lam)])
+    return i0, mA, mB, mx, np.reshape(jac, (2, 2)), err
+
+
 def _residual_jacobian(beta, g, lam):
     """Analytic d(res_gamma, res_lambda)/d(log gamma, log lam) from _moments."""
-    return -_moments(BETA_INTERNAL_SCALE * beta, g, lam)[4]
+    return -_one_pass(BETA_INTERNAL_SCALE * beta, g, lam)[4]
 
 
 def _central_jacobian(beta, g, lam, p, step):
@@ -291,7 +297,7 @@ def test_moments_jacobian_gamma_column_at_the_floor():
 def test_moments_rejects_zero_scale_promptly():
     # gamma = 0 leaves no positive panel scale; this used to loop forever
     with time_limit(5.0), pytest.raises(QuadratureError):
-        _moments(640.0, 0.0, 6.0)
+        _one_pass(640.0, 0.0, 6.0)
 
 
 def test_panel_edges_match_the_doubling_oracle():
@@ -315,7 +321,7 @@ def test_panel_edges_on_an_exact_power_of_two_end():
                                           (1e5, np.exp(LOG_GAMMA_FLOOR), 4.7),
                                           (0.1, 3.0, 0.2)])
 def test_moments_match_the_einsum_oracle(beta, g, lam):
-    got = _moments(BETA_INTERNAL_SCALE * beta, g, lam)
+    got = _one_pass(BETA_INTERNAL_SCALE * beta, g, lam)
     want = moments_einsum(BETA_INTERNAL_SCALE * beta, g, lam)
     for name, x, y in zip(("I0", "<A>", "<B>", "<x>"), got, want):
         assert type(x) is float and abs(x / y - 1) < 1e-12, name
@@ -324,6 +330,90 @@ def test_moments_match_the_einsum_oracle(beta, g, lam):
     # above), so the Jacobian is compared relative to its largest entry
     assert np.max(np.abs(got[4] - want[4])) < 1e-12 * np.max(np.abs(want[4]))
     assert type(got[5]) is float
+
+
+def _quadrature_sweep():
+    """(bt, g, lam, edges) of single passes whose panel counts mix: beta
+    from 1e-3 to 1e8 with log gamma from the floor (~110 panels) up, the
+    1e300 * 4bt cap (beta 1e-305), and panel sets cut to 1 to 13 panels."""
+    points = []
+    for beta in np.logspace(-3, 8, 12).tolist() + [1e-305]:
+        for log_g in (LOG_GAMMA_FLOOR, -12.0, -1.0, 0.5, 3.0):
+            for lam in (0.2, 5.98, 40.0):
+                bt, g = BETA_INTERNAL_SCALE * beta, float(np.exp(log_g))
+                points.append((bt, g, lam, _panel_edges(bt, g * g, lam * lam)))
+    cut = [(bt, g, lam, e[:k + 1]) for bt, g, lam, e in points[::17] for k in (1, 5, 8, 13)]
+    return points + cut
+
+
+def test_batched_moments_match_the_one_point_oracle_bit_for_bit():
+    points = _quadrature_sweep()
+    panels = {e.size - 1 for *_, e in points}
+    assert min(panels) == 1 and max(panels) >= 110 and 13 in panels
+    capped = [e[-1] > 1e300 * 4.0 * bt for bt, *_, e in points]
+    assert 0 < sum(capped) < len(points)
+    want = {}
+    for i, pt in enumerate(points):
+        i0, mA, mB, mx, jac, err = moments_one_point(*pt)
+        want[i] = np.array([i0, mA, mB, mx, *jac.ravel(), err]).tobytes()
+    # the whole sweep in one call, and in calls of three in reverse order
+    order = list(range(len(points)))
+    for chunk in [order] + [order[::-1][k:k + 3] for k in range(0, len(order), 3)]:
+        rows = _moments(*zip(*(points[i] for i in chunk)))
+        for i, row in zip(chunk, rows):
+            assert all(type(v) is float for v in row)
+            assert np.array(row).tobytes() == want[i], points[i][:3]
+
+
+def test_a_saddle_is_the_same_alone_in_its_grid_and_in_the_reversed_grid():
+    points = [(beta, p) for beta in (1e-3, 10.0, 1e4, 1e8) for p in (0.3, 0.85, 0.89, 0.95, 1.0)]
+    alone = [repr(saddle_search(beta, p)) for beta, p in points]
+    assert "interior=True" in "".join(alone) and "interior=False" in "".join(alone)
+    assert [repr(s) for s in werner._saddles(points)] == alone
+    assert [repr(s) for s in werner._saddles(points[::-1])] == alone[::-1]
+    grid = [p for _, p in points[5:10]]
+    assert [repr(s) for s in equipartition_scan(grid[::-1], 10.0).saddles] == alone[5:10][::-1]
+
+
+def test_a_lockstep_pass_stays_within_the_node_budget(monkeypatch):
+    # padded nodes per _moments call, whatever the grid length; a call
+    # holds one point at least
+    nodes = []
+
+    def counted(*args):
+        edges = args[3]
+        nodes.append((len(edges), 15 * len(edges) * (max(map(len, edges)) - 1)))
+        return _moments(*args)
+
+    monkeypatch.setattr(werner, "_moments", counted)
+    equipartition_scan(np.round(np.arange(0.01, 1.0001, 0.01), 12), 10.0)
+    assert max(points for points, _ in nodes) > 1
+    assert all(n <= werner._NODE_BUDGET or points == 1 for points, n in nodes)
+    assert max(n for _, n in nodes) > werner._NODE_BUDGET // 2
+
+
+def test_the_first_failure_in_grid_order_is_reported(monkeypatch):
+    # at beta = 10, p = 0.5 takes 8 passes and p = 0.95 takes 4; with no
+    # pass converged each fails on its last pass, so in lockstep p = 0.95
+    # fails first, and at beta = 1e-318 the first pass already fails
+    assert saddle_search(10.0, 0.5).iterations > saddle_search(10.0, 0.95).iterations
+    monkeypatch.setattr(werner, "_moments",
+                        lambda *args: [(*row[:8], 1.0) for row in _moments(*args)])
+    alone = {}
+    for p in (0.5, 0.95):
+        with pytest.raises(QuadratureError, match="did not converge") as failed:
+            saddle_search(10.0, p)
+        alone[p] = str(failed.value)
+    assert alone[0.5] != alone[0.95]
+    for grid in ((0.5, 0.95), (0.95, 0.5)):
+        with pytest.raises(QuadratureError) as failed:
+            equipartition_scan(grid, 10.0)
+        assert str(failed.value) == alone[grid[0]]
+    with pytest.raises(QuadratureError) as failed:
+        list(werner._saddles([(10.0, 0.5), (1e-318, 0.9)]))
+    assert str(failed.value) == alone[0.5]
+    with pytest.raises(QuadratureError, match="normal positive floats"):
+        list(werner._saddles([(1e-318, 0.9), (10.0, 0.5)]))
 
 
 def test_saddle_solves_stop_at_the_rounding_floor():
@@ -365,13 +455,13 @@ def test_saddle_interior_flag_switches_at_onset():
 def test_saddle_mean_x_is_the_moment_at_the_returned_point():
     for beta, p in ((10.0, 0.9), (10.0, 0.5)):
         sad = saddle_search(beta, p)
-        want = _moments(BETA_INTERNAL_SCALE * beta, sad.gamma_star, sad.lambda_star)[3]
+        want = _one_pass(BETA_INTERNAL_SCALE * beta, sad.gamma_star, sad.lambda_star)[3]
         assert sad.mean_x == want
 
 
 def test_saddle_raises_when_its_final_pass_does_not_converge(monkeypatch):
     def unconverged(*args):
-        return (*_moments(*args)[:5], 1.0)  # GK error far above _GK_TOL
+        return [(*row[:8], 1.0) for row in _moments(*args)]  # GK error far above _GK_TOL
 
     monkeypatch.setattr(werner, "_moments", unconverged)
     for p in (0.9, 0.5):  # interior and boundary ends
@@ -454,15 +544,15 @@ def test_avg_energy_equipartition_plateau():
 
 
 def test_avg_energy_runs_no_quadrature_beyond_its_saddle(monkeypatch):
-    calls = []
+    points = []  # the points of each _moments call
 
     def counted(*args):
-        calls.append(args)
+        points.extend(zip(*args[:3]))
         return _moments(*args)
 
     monkeypatch.setattr(werner, "_moments", counted)
     for beta, p in ((10.0, 0.9), (1e4, 1.0)):
         iterations = saddle_search(beta, p).iterations
-        calls.clear()
+        points.clear()
         avg_energy_werner(beta, p)
-        assert len(calls) == iterations
+        assert len(points) == iterations
