@@ -11,20 +11,23 @@ Commands:
 
 States come from `--werner p` or `--state file.json` (format: {"dimA", "dimB",
 "re", "im"}, row-major); `mc` and `probe` need both factors of dimension
->= 2.  A JSON config file may supply any flag of the subcommand by its long
-name (`p-grid` or `p_grid`); explicit flags win, a null value counts as
-absent, and any other key is invalid input.  A value is never replaced by a
-default: it is used or rejected.  Stochastic commands require --seed, embed
-the full configuration in a '#' header of their output, and rerun
-byte-identically from the same configuration.  `scan` is deterministic and
-takes no --seed; `scaling` echoes its --seed only.  Region membership in
-`scan`, `probe` and `scaling` is the library's one test,
-SaddleResult.region_member (residual below 1e-6); no flag changes it.
+>= 2.  Arguments may also come from a file: `sepmech scan @run.args --beta
+100` reads run.args as one token per line (`--p-grid=0.5:0.01:1.0`), as if
+typed in its place, so the same parser and checks apply and a later token
+wins.  A token that starts with `@` always names such a file: write
+`--state ./@x.json` for a path that starts with one.  A value is never
+replaced by a default: it is used or rejected.  Stochastic commands require
+--seed, embed the full configuration in a '#' header of their output, and
+rerun byte-identically from the same configuration.  `scan` is
+deterministic and takes no --seed; `scaling` echoes its --seed only.
+Region membership in `scan`, `probe` and `scaling` is the library's one
+test, SaddleResult.region_member (residual below 1e-6); no flag changes it.
 
-Exit codes: 0 success, 2 invalid input (InvalidInput: a check of the
-library or of this parser rejected it), 3 constraints unsatisfiable at the
-requested p, 4 quadrature, convergence or precision failure.  Every other
-exception is a bug and keeps its traceback.
+Exit codes: 0 success, 2 invalid input (an InvalidInput from a check of
+the library or of this module, or argparse refusing a token or an argument
+file), 3 constraints unsatisfiable at the requested p, 4 quadrature,
+convergence or precision failure.  Every other exception is a bug and keeps
+its traceback.
 """
 from __future__ import annotations
 
@@ -56,7 +59,6 @@ def _fmt(x) -> str:
 
 def parse_beta(text: str):
     """'10' -> [10.0]; '1,10,100' -> list; '10:10000:12' -> log-spaced grid."""
-    text = str(text)
     grid = ":" in text
     try:
         if grid:
@@ -79,7 +81,7 @@ def parse_p_grid(text: str):
     """'a:step:b' -> inclusive linear grid, never empty.  Whether each p is
     a valid Werner parameter is the library's check (equipartition_scan)."""
     try:
-        a, step, b = (float(v) for v in str(text).split(":"))
+        a, step, b = (float(v) for v in text.split(":"))
     except ValueError:
         raise InvalidInput(f"bad p grid {text!r}: expected a:step:b") from None
     if not np.isfinite((a, step, b)).all():
@@ -93,48 +95,6 @@ def parse_p_grid(text: str):
             if a + k * step <= b + step * 1e-9]
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    """Flag values override config-file values; the result holds no None.
-
-    Config keys must name a flag of the subcommand (`p-grid` or `p_grid`);
-    a JSON null counts as absent.  Absent options take their defaults
-    through cfg.get(key, default).
-    """
-    flags = {k for k in vars(args) if k not in ("command", "config", "func")}
-    out = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
-            raise InvalidInput(f"cannot read config file: {e}")
-        if not isinstance(cfg, dict):
-            raise InvalidInput("config file must hold a JSON object")
-        for key, val in cfg.items():
-            dest = key.replace("-", "_")
-            if dest not in flags:
-                raise InvalidInput(f"unknown config key {key!r}; {args.command} takes "
-                                   f"{', '.join(sorted(flags))}")
-            if val is not None:
-                out[dest] = val
-    for key in flags:
-        if getattr(args, key) is not None:
-            out[key] = getattr(args, key)
-    return out
-
-
-def _number(cfg: dict, key: str) -> float:
-    """cfg[key] as a float; a boolean or a value that is not a number exits 2."""
-    val = cfg[key]
-    bad = InvalidInput(f"{key} must be a number, got {val!r}")
-    if isinstance(val, bool):
-        raise bad
-    try:
-        return float(val)
-    except (TypeError, ValueError):
-        raise bad from None
-
-
 def _load_state(cfg: dict):
     """Return (DensityMatrix, descriptor) from --werner or --state."""
     werner = cfg.get("werner")
@@ -142,29 +102,18 @@ def _load_state(cfg: dict):
     if (werner is None) == (path is None):
         raise InvalidInput("specify exactly one of --werner and --state")
     if werner is not None:
-        p = _number(cfg, "werner")
-        return werner_state(p), {"kind": "werner", "p": p}
+        return werner_state(werner), {"kind": "werner", "p": werner}
     try:
         with open(path) as fh:
             rho = DensityMatrix.from_json(fh.read())
     except (OSError, ValueError, KeyError, TypeError) as e:
         raise InvalidInput(f"invalid density matrix: {e}")
-    return rho, {"kind": "file", "path": str(path)}
+    return rho, {"kind": "file", "path": path}
 
 
 def _count(cfg: dict, key: str, default: int, floor: int) -> int:
-    """Integer option cfg[key], default when absent.
-
-    A boolean, a fraction or a value below floor exits 2.
-    """
-    raw = cfg.get(key, default)
-    bad = InvalidInput(f"{key} must be an integer, got {raw!r}")
-    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
-        raise bad
-    try:
-        val = int(raw)
-    except (TypeError, ValueError):
-        raise bad from None
+    """Integer option cfg[key], default when absent; below floor exits 2."""
+    val = cfg.get(key, default)
     if val < floor:
         raise InvalidInput(f"{key} must be >= {floor}, got {val}")
     return val
@@ -267,10 +216,9 @@ def cmd_scaling(cfg: dict) -> int:
     betas = parse_beta(cfg.get("beta", "10:10000:12"))
     _require_fit_betas(betas)  # the fit's rule, checked before any solve
     seed = _seed(cfg, required=False)
-    if cfg.get("werner") is None:
+    if "werner" not in cfg:
         raise InvalidInput("scaling requires --werner p")
-    p = _number(cfg, "werner")
-    points = list(zip(betas, _avg_energies(betas, p)))
+    points = list(zip(betas, _avg_energies(betas, cfg["werner"])))
     fit = fit_energy_scaling(points)
     lines = [_header({**cfg, "seed": seed}, "scaling"),
              "beta,avg_energy,analytic_flag\n"]
@@ -331,7 +279,8 @@ def cmd_ppt(cfg: dict) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="sepmech",
                                  description="separability probing via "
-                                             "ensemble statistical mechanics")
+                                             "ensemble statistical mechanics",
+                                 fromfile_prefix_chars="@")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(sp, state=True, seed=True):
@@ -343,8 +292,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if seed:
             sp.add_argument("--seed", type=int, help="RNG seed")
         sp.add_argument("--out", metavar="PATH", help="output file")
-        sp.add_argument("--config", metavar="PATH",
-                        help="JSON config file; flags override it")
 
     sp = sub.add_parser("probe", help="PPT + MC + saddle summary of one state")
     common(sp)
@@ -379,7 +326,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(_merge_config(args))
+        return args.func({k: v for k, v in vars(args).items()
+                          if v is not None and k not in ("command", "func")})
     except tuple(_EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(e, cls))

@@ -94,8 +94,8 @@ def concurrence_sq(psi: PureState) -> float:
 def is_product(psi: PureState, tol: float = DEFAULT_PRODUCT_TOL) -> bool:
     """True iff the normalized concurrence squared c2(psi)/||psi||^4 is below tol."""
     nrm = psi.norm()
-    if nrm == 0.0:
-        raise InvalidInput("zero vector has no product test")
+    if not 0.0 < nrm < np.inf:
+        raise InvalidInput("only a nonzero finite vector has a product test")
     return concurrence_sq(psi) / nrm ** 4 < tol
 
 

@@ -76,8 +76,8 @@ class LagrangeMultipliers:
         object.__setattr__(self, "omega", w)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise InvalidInput("omega must be square")
-        if np.max(np.abs(w - w.conj().T)) > 1e-12:
-            raise InvalidInput("omega must be Hermitian")
+        if not np.max(np.abs(w - w.conj().T)) <= 1e-12:
+            raise InvalidInput("omega must be finite and Hermitian")
         if np.linalg.cond(w) > 1e14:
             raise InvalidInput("omega must be nonsingular")
 

@@ -30,7 +30,7 @@ class StiefelPoint:
         if z.shape != (self.N, self.r):
             raise InvalidInput(f"z has shape {z.shape}, expected ({self.N}, {self.r})")
         res = constraint_residual(z)
-        if np.max(np.abs(res)) > 1e-10:
+        if not np.max(np.abs(res)) <= 1e-10:
             raise InvalidInput("columns are not orthonormal")
 
 
@@ -76,12 +76,14 @@ def stiefel_from_gs(v: np.ndarray, U: np.ndarray) -> StiefelPoint:
     v = np.atleast_2d(np.asarray(v, dtype=complex))
     U = np.asarray(U, dtype=complex)
     r = U.shape[0]
-    if U.shape != (r, r) or np.max(np.abs(U.conj().T @ U - np.eye(r))) > 1e-10:
+    if U.shape != (r, r) or not np.max(np.abs(U.conj().T @ U - np.eye(r))) <= 1e-10:
         raise InvalidInput("U must be unitary")
     if v.size == 0:
         v = v.reshape(0, r)
     if v.shape[1] != r:
         raise InvalidInput(f"v must have {r} columns")
+    if not np.isfinite(v).all():  # before the QR, which would warn on it
+        raise InvalidInput("v must be finite")
     B = np.vstack([np.eye(r, dtype=complex), v])
     return StiefelPoint(B.shape[0], r, _phase_fixed_q(B) @ U)
 
@@ -111,6 +113,6 @@ def haar_stiefel(N: int, r: int, seed) -> StiefelPoint:
 
 def caratheodory_length(m: int, n: int) -> int:
     """Ensemble length m^2 n^2 that always suffices for a separable state."""
-    if m < 1 or n < 1:
+    if not (m >= 1 and n >= 1):
         raise InvalidInput("dimensions must be >= 1")
     return m * m * n * n

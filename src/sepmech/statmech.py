@@ -177,13 +177,22 @@ def sample_energies(cop: CostOperator, N: int, samples: int, seed) -> np.ndarray
     return _batch_energies(cop, N, samples, seed)
 
 
+def _energy_array(energies) -> np.ndarray:
+    """energies as a float array; InvalidInput unless it is non-empty, 1-D
+    and finite, as the two reductions below need."""
+    e = np.asarray(energies, dtype=float)
+    if not (e.ndim == 1 and e.size and np.isfinite(e).all()):
+        raise InvalidInput("energies must be a non-empty 1-D array of finite values")
+    return e
+
+
 def mc_energy_curve(energies, betas) -> list:
     """<<E>> estimates over a beta grid from one common sample set.
 
     Reusing the energies across beta makes the curve a pure reweighting of
     fixed values, so it is monotone non-increasing in beta by construction.
     """
-    e = np.asarray(energies, dtype=float)
+    e = _energy_array(energies)
     emin = float(e.min())
     out = []
     for beta in betas:
@@ -201,7 +210,7 @@ def estimate_state_density(energies, bins: int) -> StateDensityEstimate:
     """
     if bins < 2:
         raise InvalidInput("bins must be >= 2")
-    e = np.asarray(energies, dtype=float)
+    e = _energy_array(energies)
     lo, med, hi = float(e.min()), float(np.median(e)), float(e.max())
     nb_geo = bins // 2
     if lo > 0 and med > lo * (1 + 1e-9) and hi > med * (1 + 1e-9):

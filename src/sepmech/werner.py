@@ -160,7 +160,7 @@ def bell_diagonal_h(q0: float, q1: float, q2: float, q3: float) -> np.ndarray:
     strictly positive h should drop that eigenvector and reduce the rank.
     """
     q = np.array([q0, q1, q2, q3], dtype=float)
-    if q.min() < 0 or abs(q.sum() - 1.0) > 1e-12:
+    if not (q.min() >= 0 and abs(q.sum() - 1.0) <= 1e-12):
         raise InvalidInput("weights must be nonnegative and sum to 1")
     return np.diag(q) / 2
 

@@ -19,7 +19,11 @@ from sepmech.quantum_core import InvalidInput
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """(exit code, stdout, stderr) of main, an exit by argparse included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as e:
+        code = e.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -221,25 +225,22 @@ _VALUE_BASE = {
     ("scaling", "--threshold", "0.1"), ("scaling", "--self-test", None),
     ("ppt", "--seed", "7"), ("scan", "--threshold", "0.1"), ("scan", "--seed", "7"),
     ("probe", "--threshold", "0.1"),
+    *((command, "--config", "run.json") for command in _VALUE_BASE),
 ])
-def test_removed_flag_is_gone(tmp_path, capsys, command, flag, value):
-    # region membership is the library's own test; ppt and scan draw no random numbers
-    argv = _VALUE_BASE[command]
+def test_removed_flag_is_gone(command, flag, value):
+    # region membership is the library's own test; ppt and scan draw no random
+    # numbers; options come from flags or an argument file, not a JSON config
     with pytest.raises(SystemExit) as exc:
-        main(argv + [flag] + ([value] if value else []))
+        main(_VALUE_BASE[command] + [flag] + ([value] if value else []))
     assert exc.value.code == 2
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({flag[2:]: value or True}))
-    code, out, err = run(capsys, *argv, "--config", str(cfg))
-    assert code == 2 and "unknown config key" in err and out == ""
 
 
 LONG_OPTIONS = {
-    "mc": ["--beta", "--config", "--out", "--samples", "--seed", "--state", "--werner"],
-    "ppt": ["--config", "--out", "--state", "--werner"],
-    "probe": ["--beta", "--config", "--out", "--samples", "--seed", "--state", "--werner"],
-    "scaling": ["--beta", "--config", "--out", "--seed", "--werner"],
-    "scan": ["--beta", "--config", "--out", "--p-grid"],
+    "mc": ["--beta", "--out", "--samples", "--seed", "--state", "--werner"],
+    "ppt": ["--out", "--state", "--werner"],
+    "probe": ["--beta", "--out", "--samples", "--seed", "--state", "--werner"],
+    "scaling": ["--beta", "--out", "--seed", "--werner"],
+    "scan": ["--beta", "--out", "--p-grid"],
 }
 
 
@@ -259,12 +260,74 @@ def test_each_command_takes_exactly_its_options():
     assert got == LONG_OPTIONS
 
 
-def _modules_loaded_by_cli_import() -> set:
+def _args_file(path, tokens):
+    """An argument file: one token per line."""
+    path.write_text("".join(f"{t}\n" for t in tokens))
+    return f"@{path}"
+
+
+@pytest.mark.parametrize("command", sorted(_VALUE_BASE))
+def test_argument_file_run_matches_the_inline_flags(tmp_path, capsys, command):
+    # the file may hold the options, or the command with them
+    argv = _VALUE_BASE[command]
+    inline = run(capsys, *argv)
+    assert inline[0] == 0
+    assert run(capsys, command, _args_file(tmp_path / "opts.args", argv[1:])) == inline
+    assert run(capsys, _args_file(tmp_path / "all.args", argv)) == inline
+
+
+def test_a_later_token_wins_over_the_argument_file(tmp_path, capsys):
+    args = _args_file(tmp_path / "run.args", ["--werner", "0.5"])
+    for argv, p in [(["--werner", "0.8", args], 0.5), ([args, "--werner", "0.8"], 0.8)]:
+        code, out, _ = run(capsys, "ppt", *argv)
+        assert code == 0 and json.loads(out)["state"]["p"] == p
+
+
+def test_a_missing_argument_file_exits_2(tmp_path, capsys):
+    code, out, err = run(capsys, "scan", f"@{tmp_path / 'missing.args'}")
+    assert code == 2 and out == "" and "No such file" in err
+
+
+@pytest.mark.parametrize("command,token", [
+    ("mc", "--seed=2.7"), ("probe", "--samples=0"), ("mc", "--samples=0"),
+    ("ppt", "--werner=abc"), ("probe", "--werner=abc"), ("mc", "--werner=abc"),
+    ("scaling", "--werner=abc"),
+])
+def test_argument_file_value_is_checked_as_on_the_command_line(tmp_path, capsys,
+                                                               command, token):
+    # the same parser reads both: no value is coerced or replaced by a default
+    inline = run(capsys, *_VALUE_BASE[command], token)
+    assert inline[0] == 2 and inline[1] == ""
+    args = _args_file(tmp_path / "run.args", [token])
+    assert run(capsys, *_VALUE_BASE[command], args) == inline
+
+
+def _env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH."""
     src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["ppt", "--werner", "0.7"], 0),
+    (["scan", "--beta", "0"], 2),
+    (["scan", "@missing.args"], 2),
+    (["scaling", "--werner", "0.5", "--beta", "10:100:3"], 3),
+    (["scan", "--beta", "1e-318", "--p-grid", "0.9:0.05:1.0"], 4),
+], ids=["ppt", "scan-beta-0", "missing-args-file", "scaling-outside-region",
+        "scan-subnormal-beta"])
+def test_entry_point_exit_code(tmp_path, argv, code):
+    # sys.exit(main()), as the sepmech console script runs it
+    done = subprocess.run([sys.executable, "-m", "sepmech.cli", *argv], cwd=tmp_path,
+                          env=_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == code, done.stderr
+    assert (done.stderr == "") == (code == 0)
+
+
+def _modules_loaded_by_cli_import() -> set:
     code = "import json, sys, sepmech.cli; print(json.dumps(sorted(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True,
                          text=True, timeout=120, check=True).stdout
     return set(json.loads(out))
 
@@ -478,82 +541,6 @@ def test_mc_sample_floor(capsys):
     assert "samples" in err
 
 
-def test_config_file_supplies_flags(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"werner": 0.5, "seed": 9, "samples": 1500,
-                               "beta": "1,10"}))
-    code, out, _ = run(capsys, "probe", "--config", str(cfg))
-    assert code == 0
-    rep = json.loads(out)
-    assert rep["mc"]["samples"] == 1500
-    assert rep["ppt_entangled"] is True
-
-
-def test_flags_override_config(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"werner": 0.5}))
-    code, out, _ = run(capsys, "ppt", "--config", str(cfg), "--werner", "0.8")
-    assert code == 0
-    assert json.loads(out)["ppt_entangled"] is False
-
-
-def test_config_must_be_object(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text("[1,2,3]")
-    code, _, err = run(capsys, "ppt", "--config", str(cfg), "--werner", "0.5")
-    assert code == 2
-    assert "JSON object" in err
-
-
-def test_config_rejects_unknown_key(tmp_path, capsys):
-    # the removed --tol, or any misspelt key, must not pass silently
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"tol": 1e-9}))
-    code, out, err = run(capsys, "scan", "--p-grid", "0.90:0.01:0.91",
-                         "--config", str(cfg))
-    assert code == 2
-    assert "'tol'" in err and out == ""
-
-
-@pytest.mark.parametrize("command", ["ppt", "probe", "mc", "scaling"])
-def test_config_werner_must_be_a_number(tmp_path, capsys, command):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"werner": "abc"}))
-    seed = [] if command == "ppt" else ["--seed", "1"]
-    code, out, err = run(capsys, command, "--config", str(cfg), *seed)
-    assert code == 2
-    assert "werner must be a number" in err and out == ""
-
-
-@pytest.mark.parametrize("command,key,value", [
-    ("mc", "seed", 2.7), ("probe", "samples", 1500.5),
-    ("probe", "samples", True),
-    ("ppt", "werner", True), ("probe", "werner", False),
-    ("scaling", "werner", True),
-])
-def test_config_value_is_not_coerced(tmp_path, capsys, command, key, value):
-    # a fraction for an integer option, or a boolean for any option, exits 2
-    base = {"mc": {"werner": 0.5, "seed": 1, "samples": 200, "beta": "1"},
-            "probe": {"werner": 0.5, "seed": 1, "samples": 200, "beta": "1"},
-            "scaling": {"beta": "10:100:3"}, "ppt": {}}[command]
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**base, key: value}))
-    code, out, err = run(capsys, command, "--config", str(cfg))
-    assert code == 2
-    assert f"{key} must be" in err and out == ""
-
-
-def test_config_long_name_is_honoured_and_null_is_absent(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"p-grid": "0.90:0.01:0.91", "beta": 100,
-                               "out": None}))
-    code, out, _ = run(capsys, "scan", "--config", str(cfg))
-    assert code == 0
-    header = json.loads(out.splitlines()[0][2:])
-    assert header == {"command": "scan", "p_grid": "0.90:0.01:0.91", "beta": 100.0}
-    assert len(out.splitlines()) == 2 + 2 + 1
-
-
 def _echoed(command, flag, out):
     """The value of flag as the command's output reports it."""
     if command in ("probe", "ppt"):
@@ -641,12 +628,3 @@ def test_a_bad_later_input_exits_2_before_any_solve(capsys, monkeypatch, argv, m
     # (with _moments gone, a solve would end in a TypeError)
     monkeypatch.setattr(werner, "_moments", None)
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
-
-
-@pytest.mark.parametrize("content", [None, "{not json"])
-def test_unreadable_config_file_exits_2(tmp_path, capsys, content):
-    cfg = tmp_path / "cfg.json"
-    if content is not None:
-        cfg.write_text(content)
-    code, out, err = run(capsys, "ppt", "--werner", "0.5", "--config", str(cfg))
-    assert code == 2 and out == "" and "cannot read config file" in err

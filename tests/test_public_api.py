@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 import sepmech
-from sepmech import (LagrangeMultipliers, OmegaPrime, PureState, cost_operator,
+from sepmech import (LagrangeMultipliers, OmegaPrime, PureState, StiefelPoint,
+                     bell_diagonal_h, caratheodory_length, cost_operator,
                      estimate_state_density, fit_energy_scaling, haar_unitary,
-                     mc_energy_curve, partial_trace, saddle_search, stiefel_from_gs,
-                     werner_eigenensemble, z1_mc)
+                     is_product, mc_energy_curve, partial_trace, saddle_search,
+                     stiefel_from_gs, werner_eigenensemble, z1_mc)
 from sepmech.quantum_core import InvalidInput
 
 SRC = Path(sepmech.__file__).parent
@@ -159,10 +160,26 @@ _NAN, _INF = float("nan"), float("inf")
     lambda: z1_mc(_COP, -1.0, LagrangeMultipliers(np.eye(4)), 10, seed=1),
     lambda: saddle_search(_NAN, 0.5),
     lambda: saddle_search(_INF, 0.5),
+    lambda: mc_energy_curve([], [1.0]),
+    lambda: mc_energy_curve([1.0, _NAN], [1.0]),
+    lambda: mc_energy_curve([1.0, _INF], [1.0]),
+    lambda: estimate_state_density([], 4),
+    lambda: estimate_state_density([1.0, 2.0, _NAN], 4),
+    lambda: estimate_state_density([1.0, 2.0, _INF], 4),
+    lambda: bell_diagonal_h(_NAN, 0.5, 0.25, 0.25),
+    lambda: StiefelPoint(2, 1, [[_NAN], [0.0]]),
+    lambda: stiefel_from_gs(np.ones((1, 2)), np.diag([1.0, _NAN])),
+    lambda: stiefel_from_gs(np.array([[_NAN, 0.0]]), np.eye(2)),
+    lambda: LagrangeMultipliers(np.diag([1.0, _NAN])),
+    lambda: caratheodory_length(_NAN, 2),
+    lambda: is_product(PureState(2, 2, [_NAN, 0, 0, 0])),
 ], ids=["amplitude-count", "haar-d0", "singular-omega", "gs-columns", "bins-1",
         "z1-samples-0", "omega-prime-gamma-0", "mc-curve-beta-nan", "mc-curve-beta-inf",
         "fit-beta-nan", "fit-beta-inf", "fit-energy-nan", "z1-beta-nan", "z1-beta-negative",
-        "saddle-beta-nan", "saddle-beta-inf"])
+        "saddle-beta-nan", "saddle-beta-inf", "mc-curve-empty", "mc-curve-energy-nan",
+        "mc-curve-energy-inf", "density-empty", "density-energy-nan", "density-energy-inf",
+        "bell-h-nan", "stiefel-point-nan", "gs-u-nan", "gs-v-nan", "omega-nan",
+        "caratheodory-nan", "is-product-nan"])
 def test_library_check_raises_invalid_input(call):
     with pytest.raises(InvalidInput):
         call()
