@@ -9,13 +9,11 @@ the gap.  A closed-form pipeline for 2x2 Werner and Bell-diagonal states
 reduces the one-particle partition function to a one-dimensional integral
 with an explicit saddle condition.
 """
-from .quantum_core import (DensityMatrix, EigenEnsemble, PureState,
-                           eigen_ensemble, haar_unitary, partial_trace,
-                           ppt_is_entangled)
+from .quantum_core import (DensityMatrix, Ensemble, PureState, eigen_ensemble,
+                           haar_unitary, partial_trace, ppt_is_entangled)
 from .concurrence import HMatrixSet, concurrence_sq, h_matrices, is_product
-from .ensembles import (RhoEnsemble, StiefelPoint, caratheodory_length,
-                        constraint_residual, ensemble_from_stiefel,
-                        haar_stiefel, stiefel_from_gs)
+from .ensembles import (StiefelPoint, caratheodory_length, constraint_residual,
+                        ensemble_from_stiefel, haar_stiefel, stiefel_from_gs)
 from .costfn import CostOperator, LagrangeMultipliers, cost_operator, energy
 from .statmech import (McEstimate, ScalingFit, StateDensityEstimate,
                        estimate_state_density, fit_energy_scaling,
@@ -30,10 +28,10 @@ from .werner import (ConstraintsUnsatisfiable, EquipartitionScan, OmegaPrime,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DensityMatrix", "EigenEnsemble", "PureState", "eigen_ensemble",
+    "DensityMatrix", "Ensemble", "PureState", "eigen_ensemble",
     "haar_unitary", "partial_trace", "ppt_is_entangled",
     "HMatrixSet", "concurrence_sq", "h_matrices", "is_product",
-    "RhoEnsemble", "StiefelPoint", "caratheodory_length", "constraint_residual",
+    "StiefelPoint", "caratheodory_length", "constraint_residual",
     "ensemble_from_stiefel", "haar_stiefel", "stiefel_from_gs",
     "CostOperator", "LagrangeMultipliers", "cost_operator", "energy",
     "McEstimate", "ScalingFit", "StateDensityEstimate",

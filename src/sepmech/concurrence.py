@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum_core import EigenEnsemble, InvalidInput, PureState, partial_trace
+from .quantum_core import Ensemble, InvalidInput, PureState, partial_trace
 
 DEFAULT_PRODUCT_TOL = 1e-9
 
@@ -99,7 +99,7 @@ def is_product(psi: PureState, tol: float = DEFAULT_PRODUCT_TOL) -> bool:
     return concurrence_sq(psi) / nrm ** 4 < tol
 
 
-def h_matrices(ens: EigenEnsemble) -> HMatrixSet:
+def h_matrices(ens: Ensemble) -> HMatrixSet:
     """All h^{ab} matrices of an eigenvector ensemble.
 
     h[a, b, alpha, beta] = <zeta_a (x) zeta~_b | e_alpha (x) e_beta> with the
@@ -109,7 +109,7 @@ def h_matrices(ens: EigenEnsemble) -> HMatrixSet:
     """
     m, n, r = ens.dimA, ens.dimB, ens.rank
     bA, bB = skew_basis(m), skew_basis(n)
-    C = ens.matrix().reshape(r, m, n)
+    C = ens.amps.reshape(r, m, n)
     za = bA.conj().reshape(-1, m, m)
     zb = bB.conj().reshape(-1, n, n)
     # Phi_{alpha beta}[i, j, k, l] = C_alpha[i, k] C_beta[j, l]

@@ -38,7 +38,7 @@ import numpy as np
 
 from .concurrence import HMatrixSet, h_matrices
 from .ensembles import StiefelPoint
-from .quantum_core import EigenEnsemble, InvalidInput
+from .quantum_core import Ensemble, InvalidInput
 
 MINOR_PREFACTOR = 2.0
 
@@ -48,10 +48,11 @@ class CostOperator:
     """E(z) for a fixed m x n eigenensemble of rank r, in the layout of
     `energy`.
 
-    amps is (mn, r): column alpha holds the amplitudes of e_alpha, row
-    i*n + k its (i, k) coefficient.  minors is (4, d1*d2): the rows
-    (ik, jl, il, jk) of amps that enter the minor C_ik C_jl - C_il C_jk, one
-    column per pair a = (i < j), b = (k < l) in the (a, b) order of hset.
+    amps is (mn, r), the transpose of the eigenensemble's `Ensemble.amps`:
+    column alpha holds the amplitudes of e_alpha, row i*n + k its (i, k)
+    coefficient.  minors is (4, d1*d2): the rows (ik, jl, il, jk) of amps
+    that enter the minor C_ik C_jl - C_il C_jk, one column per pair
+    a = (i < j), b = (k < l) in the (a, b) order of hset.
     hset holds the h matrices of the same form, z^T h^{ab} z being that
     minor, for callers that inspect them; `energy` does not read it.
     """
@@ -76,7 +77,7 @@ class LagrangeMultipliers:
         object.__setattr__(self, "omega", w)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise InvalidInput("omega must be square")
-        if not np.max(np.abs(w - w.conj().T)) <= 1e-12:
+        if not (np.isfinite(w).all() and np.max(np.abs(w - w.conj().T)) <= 1e-12):
             raise InvalidInput("omega must be finite and Hermitian")
         if np.linalg.cond(w) > 1e14:
             raise InvalidInput("omega must be nonsingular")
@@ -97,10 +98,10 @@ def _minor_rows(m: int, n: int) -> np.ndarray:
                      for k in range(n) for l in range(k + 1, n)], dtype=np.intp).T
 
 
-def cost_operator(ens: EigenEnsemble) -> CostOperator:
+def cost_operator(ens: Ensemble) -> CostOperator:
     """The cost operator of a fixed eigenensemble."""
     hset = h_matrices(ens)  # InvalidInput on a one-dimensional factor
-    return CostOperator(hset, np.ascontiguousarray(ens.matrix().T),
+    return CostOperator(hset, np.ascontiguousarray(ens.amps.T),
                         _minor_rows(ens.dimA, ens.dimB))
 
 

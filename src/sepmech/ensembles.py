@@ -9,11 +9,12 @@ constraint residual, and reconstruction of ensembles.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum_core import EigenEnsemble, InvalidInput, PureState, _phase_fixed_q
+from .quantum_core import Ensemble, InvalidInput, _phase_fixed_q
 
 
 @dataclass(frozen=True)
@@ -29,21 +30,11 @@ class StiefelPoint:
         object.__setattr__(self, "z", z)
         if z.shape != (self.N, self.r):
             raise InvalidInput(f"z has shape {z.shape}, expected ({self.N}, {self.r})")
+        if not np.isfinite(z).all():  # before the residual, which would warn on inf
+            raise InvalidInput("z must be finite")
         res = constraint_residual(z)
         if not np.max(np.abs(res)) <= 1e-10:
             raise InvalidInput("columns are not orthonormal")
-
-
-@dataclass(frozen=True)
-class RhoEnsemble:
-    """Unordered collection of N subnormalized vectors summing to rho."""
-
-    vectors: tuple
-
-    def reconstruct(self) -> np.ndarray:
-        """Sum_i |psi_i><psi_i|."""
-        amps = np.stack([psi.amps for psi in self.vectors])
-        return amps.T @ amps.conj()
 
 
 def constraint_residual(z) -> np.ndarray:
@@ -54,13 +45,11 @@ def constraint_residual(z) -> np.ndarray:
     return z.conj().T @ z - np.eye(z.shape[1])
 
 
-def ensemble_from_stiefel(z: StiefelPoint, ens: EigenEnsemble) -> RhoEnsemble:
+def ensemble_from_stiefel(z: StiefelPoint, ens: Ensemble) -> Ensemble:
     """The length-N ensemble psi_i = sum_alpha z_{i alpha} e_alpha."""
     if z.r != ens.rank:
         raise InvalidInput(f"z has {z.r} columns but the ensemble has rank {ens.rank}")
-    amps = z.z @ ens.matrix()
-    vecs = tuple(PureState(ens.dimA, ens.dimB, a) for a in amps)
-    return RhoEnsemble(vecs)
+    return Ensemble(ens.dimA, ens.dimB, z.z @ ens.amps)
 
 
 def stiefel_from_gs(v: np.ndarray, U: np.ndarray) -> StiefelPoint:
@@ -76,7 +65,8 @@ def stiefel_from_gs(v: np.ndarray, U: np.ndarray) -> StiefelPoint:
     v = np.atleast_2d(np.asarray(v, dtype=complex))
     U = np.asarray(U, dtype=complex)
     r = U.shape[0]
-    if U.shape != (r, r) or not np.max(np.abs(U.conj().T @ U - np.eye(r))) <= 1e-10:
+    if (U.shape != (r, r) or not np.isfinite(U).all()
+            or not np.max(np.abs(U.conj().T @ U - np.eye(r))) <= 1e-10):
         raise InvalidInput("U must be unitary")
     if v.size == 0:
         v = v.reshape(0, r)
@@ -113,6 +103,6 @@ def haar_stiefel(N: int, r: int, seed) -> StiefelPoint:
 
 def caratheodory_length(m: int, n: int) -> int:
     """Ensemble length m^2 n^2 that always suffices for a separable state."""
-    if not (m >= 1 and n >= 1):
-        raise InvalidInput("dimensions must be >= 1")
+    if not all(isinstance(d, numbers.Integral) and d >= 1 for d in (m, n)):
+        raise InvalidInput("dimensions must be integers >= 1")
     return m * m * n * n

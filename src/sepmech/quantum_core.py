@@ -79,6 +79,8 @@ class PureState:
         object.__setattr__(self, "amps", amps)
         if amps.size != self.dimA * self.dimB:
             raise InvalidInput(f"expected {self.dimA * self.dimB} amplitudes, got {amps.size}")
+        if not np.isfinite(amps).all():
+            raise InvalidInput("non-finite amplitudes")
 
     def coeff_matrix(self) -> np.ndarray:
         """Amplitudes as the m x n coefficient matrix C with psi = sum C_ab |ab>."""
@@ -89,32 +91,40 @@ class PureState:
 
 
 @dataclass(frozen=True)
-class EigenEnsemble:
-    """Subnormalized eigenvectors e_alpha = sqrt(lambda_alpha) |v_alpha> of a state.
+class Ensemble:
+    """Subnormalized vectors psi_i of a decomposition rho = sum_i |psi_i><psi_i|.
 
-    Serves as the fixed reference decomposition: every length-N ensemble of
-    the same state is z @ [e_1 ... e_r] for a Stiefel matrix z.
+    amps is (k, mn), one row of amplitudes per vector, held C-contiguous.
+    The eigenensemble e_alpha = sqrt(lambda_alpha) |v_alpha> is the fixed
+    reference decomposition: every length-N ensemble of the same state is
+    z @ amps for a Stiefel matrix z (Hughston-Jozsa-Wootters).
     """
 
     dimA: int
     dimB: int
-    vectors: tuple[PureState, ...]
+    amps: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "vectors", tuple(self.vectors))
+        amps = np.ascontiguousarray(self.amps, dtype=complex)
+        object.__setattr__(self, "amps", amps)
+        if amps.ndim != 2 or amps.shape[1] != self.dimA * self.dimB:
+            raise InvalidInput(f"expected rows of {self.dimA * self.dimB} amplitudes, "
+                               f"got shape {amps.shape}")
+        if not np.isfinite(amps).all():
+            raise InvalidInput("non-finite amplitudes")
 
     @property
     def rank(self) -> int:
-        return len(self.vectors)
+        return self.amps.shape[0]
 
-    def matrix(self) -> np.ndarray:
-        """Rows e_alpha stacked into an r x (mn) array."""
-        return np.stack([v.amps for v in self.vectors])
+    @property
+    def vectors(self) -> tuple[PureState, ...]:
+        """The rows of amps, one PureState per vector."""
+        return tuple(PureState(self.dimA, self.dimB, a) for a in self.amps)
 
     def reconstruct(self) -> np.ndarray:
-        """Sum_alpha |e_alpha><e_alpha|."""
-        E = self.matrix()
-        return E.T @ E.conj()
+        """Sum_i |psi_i><psi_i|."""
+        return self.amps.T @ self.amps.conj()
 
 
 def _pure_reduced(psi: PureState, keep: str) -> np.ndarray:
@@ -143,7 +153,7 @@ def partial_trace(state, keep: str) -> np.ndarray:
     raise TypeError("state must be a PureState or DensityMatrix")
 
 
-def eigen_ensemble(rho: DensityMatrix) -> EigenEnsemble:
+def eigen_ensemble(rho: DensityMatrix) -> Ensemble:
     """Eigenvector ensemble of rho: sqrt(lam)*v for eigenvalues above EIGENVALUE_CUTOFF.
 
     Eigenvalues are returned in descending order.  Degenerate eigenspaces may
@@ -156,12 +166,7 @@ def eigen_ensemble(rho: DensityMatrix) -> EigenEnsemble:
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
     sel = vals > EIGENVALUE_CUTOFF
-    vals, vecs = vals[sel], vecs[:, sel]
-    vectors = [
-        PureState(rho.dimA, rho.dimB, np.sqrt(lam) * vecs[:, k])
-        for k, lam in enumerate(vals)
-    ]
-    return EigenEnsemble(rho.dimA, rho.dimB, vectors)
+    return Ensemble(rho.dimA, rho.dimB, (vecs[:, sel] * np.sqrt(vals[sel])).T)
 
 
 def _phase_fixed_q(b: np.ndarray, out=None) -> np.ndarray:

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum_core import DensityMatrix, EigenEnsemble, InvalidInput, PureState
+from .quantum_core import DensityMatrix, Ensemble, InvalidInput
 
 BETA_INTERNAL_SCALE = 64.0
 RESIDUAL_THRESHOLD = 1e-6
@@ -123,22 +123,20 @@ def werner_state(p: float) -> DensityMatrix:
     return DensityMatrix(2, 2, mat)
 
 
-def _bell_ensemble(weights) -> EigenEnsemble:
+def _bell_ensemble(weights) -> Ensemble:
     """Ensemble [sqrt(q0) Psi-, i sqrt(q1) Psi+, i sqrt(q2) Phi-, sqrt(q3) Phi+].
 
     The i phases on the middle two vectors are what make every h-matrix
     entry real and nonnegative, hence h diagonal.
     """
     q0, q1, q2, q3 = weights
-    amps = [np.sqrt(q0) * _PSI_MINUS,
-            1j * np.sqrt(q1) * _PSI_PLUS,
-            1j * np.sqrt(q2) * _PHI_MINUS,
-            np.sqrt(q3) * _PHI_PLUS]
-    vecs = tuple(PureState(2, 2, a) for a in amps)
-    return EigenEnsemble(2, 2, vecs)
+    return Ensemble(2, 2, [np.sqrt(q0) * _PSI_MINUS,
+                           1j * np.sqrt(q1) * _PSI_PLUS,
+                           1j * np.sqrt(q2) * _PHI_MINUS,
+                           np.sqrt(q3) * _PHI_PLUS])
 
 
-def werner_eigenensemble(p: float) -> EigenEnsemble:
+def werner_eigenensemble(p: float) -> Ensemble:
     """The fixed eigenensemble of W(p) with the phase choice that makes h real."""
     if not 0.0 < p <= 1.0:
         raise InvalidInput("p must lie in (0, 1]; p = 0 is a pure state")

@@ -64,7 +64,7 @@ def cost_tensor(ens) -> np.ndarray:
     """E_{alpha beta mu nu} = 2 <e_a (x) e_b| P_m (x) P_n |e_m (x) e_n> after
     (A B A' B') -> (A A' B B') reordering, for a fixed eigenensemble."""
     m, n, r = ens.dimA, ens.dimB, ens.rank
-    C = ens.matrix().reshape(r, m, n)
+    C = ens.amps.reshape(r, m, n)
     # reorder(e_a (x) e_b) as vectors on (A A') (x) (B B')
     phi = np.einsum("aij,bkl->abikjl", C, C).reshape(r, r, m * m * n * n)
     proj = np.kron(_swap_projector(m), _swap_projector(n))

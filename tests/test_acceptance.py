@@ -290,7 +290,7 @@ def test_criterion_10_invariant_suites(capsys):
         u = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
         rot = DensityMatrix(2, 2, u @ rho.mat @ u.conj().T)
         ens, ens_rot = eigen_ensemble(rho), eigen_ensemble(rot)
-        W = np.linalg.solve(ens_rot.matrix().T, u @ ens.matrix().T)
+        W = np.linalg.solve(ens_rot.amps.T, u @ ens.amps.T)
         z = haar_stiefel(7, ens.rank, rng).z
         e1 = energy(z, cost_operator(ens))
         e2 = energy(z @ W.T, cost_operator(ens_rot))

@@ -31,7 +31,7 @@ def test_product_eigenbasis_of_mixed_identity_has_zero_energy():
     # the computational eigenbasis of I/4 is a separable decomposition
     ens = eigen_ensemble(werner_state(1.0))
     # rotate the Bell-like eigenvectors onto the computational product basis
-    E = ens.matrix()
+    E = ens.amps
     target = np.eye(4, dtype=complex) / 2.0
     z = np.linalg.solve(E.T, target.T).T
     cop = cost_operator(ens)
@@ -111,7 +111,7 @@ def test_energy_matches_tensor_oracle_across_row_blocks(m, n, rank, N, random_de
         # the tensor form rounds at the scale of sum_i ||psi_i||^4, which bounds
         # E(z) and exceeds it by orders of magnitude on a row near a product vector
         zm = z.z if isinstance(z, StiefelPoint) else np.asarray(z)
-        psi = np.atleast_2d(zm) @ ens.matrix()
+        psi = np.atleast_2d(zm) @ ens.amps
         norm4 = np.sum(np.sum(np.abs(psi) ** 2, axis=-1) ** 2, axis=-1)
         assert np.max(np.abs(got - tensor_energy(z, tensor)) / norm4) < 1e-13
 
@@ -140,9 +140,9 @@ def test_product_decomposition_of_a_separable_state_has_zero_energy(m, n):
     psi /= np.sqrt(np.trace(mat).real)
     ens = eigen_ensemble(DensityMatrix(m, n, mat / np.trace(mat).real))
     assert ens.rank == m * n
-    z = psi @ np.linalg.pinv(ens.matrix())
+    z = psi @ np.linalg.pinv(ens.amps)
     assert np.max(np.abs(z.conj().T @ z - np.eye(ens.rank))) < 1e-10
-    assert np.max(np.abs(z @ ens.matrix() - psi)) < 1e-12
+    assert np.max(np.abs(z @ ens.amps - psi)) < 1e-12
     assert energy(z, cost_operator(ens)) <= 1e-28
 
 
@@ -162,7 +162,7 @@ def test_energy_local_unitary_class_invariance(rng):
         rot = DensityMatrix(2, 2, u @ rho.mat @ u.conj().T)
         ens, ens_rot = eigen_ensemble(rho), eigen_ensemble(rot)
         # map z through the frame change between the two eigenbases
-        W = np.linalg.solve(ens_rot.matrix().T, (u @ ens.matrix().T))
+        W = np.linalg.solve(ens_rot.amps.T, (u @ ens.amps.T))
         z = haar_stiefel(7, ens.rank, rng).z
         zr = z @ W.T
         assert np.max(np.abs(zr.conj().T @ zr - np.eye(ens.rank))) < 1e-9

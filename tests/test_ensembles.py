@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import stiefel_batch_unblocked
 from sepmech import ensembles
-from sepmech import (StiefelPoint, caratheodory_length, constraint_residual,
-                     eigen_ensemble, ensemble_from_stiefel, haar_stiefel,
-                     haar_unitary, stiefel_from_gs, werner_state)
+from sepmech import (Ensemble, StiefelPoint, caratheodory_length,
+                     constraint_residual, eigen_ensemble, ensemble_from_stiefel,
+                     haar_stiefel, haar_unitary, stiefel_from_gs, werner_state)
 
 
 def test_stiefel_point_validates_columns():
@@ -57,6 +57,18 @@ def test_identity_block_recovers_eigenensemble():
         assert np.allclose(got.amps, ref.amps, atol=1e-14)
     for got in re.vectors[4:]:
         assert np.max(np.abs(got.amps)) < 1e-14
+
+
+@pytest.mark.parametrize("m, n, rank", [(2, 2, 4), (2, 3, 2), (3, 3, 9)])
+def test_both_ensemble_maps_return_one_record(rng, random_density, m, n, rank):
+    # the eigenensemble and its Stiefel images are one record, whose amps is
+    # the C-contiguous stack of its vectors' amplitudes
+    ens = eigen_ensemble(random_density(rng, m, n, rank))
+    re = ensemble_from_stiefel(haar_stiefel(rank + 3, rank, rng), ens)
+    for e, k in ((ens, rank), (re, rank + 3)):
+        assert type(e) is Ensemble and (e.dimA, e.dimB, e.rank) == (m, n, k)
+        assert e.amps.flags.c_contiguous and e.amps.shape == (k, m * n)
+        assert np.array_equal(e.amps, np.stack([v.amps for v in e.vectors]))
 
 
 @given(seed=st.integers(0, 10**6), N=st.integers(4, 16))

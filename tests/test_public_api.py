@@ -2,17 +2,20 @@
 one-way rule between the library and the test oracles, the library's one
 error type for bad input, and records that hold no unread field."""
 import ast
+import importlib.util
+import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sepmech
-from sepmech import (LagrangeMultipliers, OmegaPrime, PureState, StiefelPoint,
-                     bell_diagonal_h, caratheodory_length, cost_operator,
+from sepmech import (Ensemble, LagrangeMultipliers, OmegaPrime, PureState,
+                     StiefelPoint, bell_diagonal_h, caratheodory_length, cost_operator,
                      estimate_state_density, fit_energy_scaling, haar_unitary,
                      is_product, mc_energy_curve, partial_trace, saddle_search,
-                     stiefel_from_gs, werner_eigenensemble, z1_mc)
+                     stiefel_from_gs, werner_eigenensemble, werner_state, z1_mc)
 from sepmech.quantum_core import InvalidInput
 
 SRC = Path(sepmech.__file__).parent
@@ -21,9 +24,9 @@ PERFBENCH = TESTS.parent / "perfbench"
 ORACLES = TESTS / "oracles.py"
 
 PUBLIC = [
-    "ConstraintsUnsatisfiable", "CostOperator", "DensityMatrix", "EigenEnsemble",
+    "ConstraintsUnsatisfiable", "CostOperator", "DensityMatrix", "Ensemble",
     "EquipartitionScan", "HMatrixSet", "LagrangeMultipliers", "McEstimate",
-    "OmegaPrime", "PureState", "QuadratureError", "RhoEnsemble", "SaddleResult",
+    "OmegaPrime", "PureState", "QuadratureError", "SaddleResult",
     "ScalingFit", "StateDensityEstimate", "StiefelPoint", "avg_energy_werner",
     "bell_diagonal_h", "caratheodory_length", "concurrence_sq",
     "constraint_residual", "cost_operator", "eigen_ensemble", "energy",
@@ -36,15 +39,17 @@ PUBLIC = [
 ]
 
 # alternative formulas and test-only helpers now kept in tests/oracles.py,
-# and deleted helpers (tensor_product is np.kron)
+# deleted helpers (tensor_product is np.kron), and the two ensemble records
+# that Ensemble replaces
 REMOVED = ["energy_via_h", "concurrence_sq_skew", "SkewBasis", "skew_basis",
            "det_product_test", "det_m", "grad_log_z1_full", "WernerParams",
            "mc_average_energy", "full_hamiltonian", "tensor_product",
-           "weighted_stats", "h_matrix", "energy_closed_form"]
+           "weighted_stats", "h_matrix", "energy_closed_form",
+           "EigenEnsemble", "RhoEnsemble"]
 
 
 def test_all_lists_exactly_the_public_names():
-    assert len(PUBLIC) == 44
+    assert len(PUBLIC) == 43
     assert sorted(sepmech.__all__) == PUBLIC
 
 
@@ -58,6 +63,29 @@ def test_removed_name_is_not_importable(name):
     with pytest.raises(ImportError):
         exec(f"from sepmech import {name}", {})
     assert not hasattr(sepmech, name)
+
+
+def test_the_benchmark_imports_only_public_names():
+    # perfbench/ is not edited with the library, so a refactor that drops or
+    # renames a name it imports would break the benchmark and nothing else
+    imported = sorted({(path.name, alias.name) for path in PERFBENCH.glob("*.py")
+                       for n in ast.walk(ast.parse(path.read_text()))
+                       if isinstance(n, ast.ImportFrom) and n.module == "sepmech"
+                       for alias in n.names})
+    assert imported
+    assert [f"{f}:{name}" for f, name in imported if name not in sepmech.__all__] == []
+
+
+def test_the_benchmark_haar_oracle_runs_on_the_library(monkeypatch):
+    # the one benchmark check that walks the library's records itself
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    got = workloads.haar_energy_oracle(werner_state(0.2), 16, 3, np.random.default_rng(0))
+    assert len(got) == 2
+    assert all(isinstance(x, float) and math.isfinite(x) for x in got)
 
 
 def _module_level_names(stmt) -> list:
@@ -173,13 +201,24 @@ _NAN, _INF = float("nan"), float("inf")
     lambda: LagrangeMultipliers(np.diag([1.0, _NAN])),
     lambda: caratheodory_length(_NAN, 2),
     lambda: is_product(PureState(2, 2, [_NAN, 0, 0, 0])),
+    lambda: PureState(2, 2, [_NAN, 0, 0, 0]),
+    lambda: PureState(2, 2, [_INF, 0, 0, 0]),
+    lambda: Ensemble(2, 2, [[_NAN, 0, 0, 0]]),
+    lambda: Ensemble(2, 2, np.ones((2, 3))),
+    lambda: Ensemble(2, 2, np.ones(4)),
+    lambda: caratheodory_length(1.5, 2),
+    lambda: LagrangeMultipliers(np.diag([1.0, _INF])),
+    lambda: StiefelPoint(2, 1, [[_INF], [0.0]]),
+    lambda: stiefel_from_gs(np.ones((1, 2)), np.diag([1.0, _INF])),
 ], ids=["amplitude-count", "haar-d0", "singular-omega", "gs-columns", "bins-1",
         "z1-samples-0", "omega-prime-gamma-0", "mc-curve-beta-nan", "mc-curve-beta-inf",
         "fit-beta-nan", "fit-beta-inf", "fit-energy-nan", "z1-beta-nan", "z1-beta-negative",
         "saddle-beta-nan", "saddle-beta-inf", "mc-curve-empty", "mc-curve-energy-nan",
         "mc-curve-energy-inf", "density-empty", "density-energy-nan", "density-energy-inf",
         "bell-h-nan", "stiefel-point-nan", "gs-u-nan", "gs-v-nan", "omega-nan",
-        "caratheodory-nan", "is-product-nan"])
+        "caratheodory-nan", "is-product-nan", "pure-state-nan", "pure-state-inf",
+        "ensemble-nan", "ensemble-width", "ensemble-1d", "caratheodory-fraction",
+        "omega-inf", "stiefel-point-inf", "gs-u-inf"])
 def test_library_check_raises_invalid_input(call):
     with pytest.raises(InvalidInput):
         call()

@@ -128,7 +128,7 @@ def test_closed_form_energy_matches_tensor_route(rng):
             z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             want = energy(z, cop)
             assert abs(energy_closed_form(z, p) - want) < 1e-12 * max(1.0, want)
-            psi = (z[None, :] @ ens.matrix()).ravel()
+            psi = (z[None, :] @ ens.amps).ravel()
             assert abs(want - concurrence_sq(PureState(2, 2, psi))) < 1e-12
 
 
