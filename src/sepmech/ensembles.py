@@ -61,6 +61,12 @@ def stiefel_from_gs(v: np.ndarray, U: np.ndarray) -> StiefelPoint:
     r x r block of z U^dag is R^{-1}: upper-triangular with a positive real
     diagonal.  The top r rows of the result stay linearly independent, which
     is what makes this a chart rather than a global parametrization.
+
+    Q comes from a two-pass Cholesky-QR, which needs the Gram matrix
+    1 + v^dag v to be numerically positive definite: its largest eigenvalue
+    1 + ||v||_2^2 must stay well below 1/eps ~ 4.5e15, which holds for
+    entries of v up to ~1e7 on small charts.  Past that the call may raise
+    InvalidInput.
     """
     v = np.atleast_2d(np.asarray(v, dtype=complex))
     U = np.asarray(U, dtype=complex)
@@ -75,23 +81,32 @@ def stiefel_from_gs(v: np.ndarray, U: np.ndarray) -> StiefelPoint:
     if not np.isfinite(v).all():  # before the QR, which would warn on it
         raise InvalidInput("v must be finite")
     B = np.vstack([np.eye(r, dtype=complex), v])
-    return StiefelPoint(B.shape[0], r, _phase_fixed_q(B) @ U)
+    try:
+        q = _phase_fixed_q(B)
+    except np.linalg.LinAlgError:
+        raise InvalidInput("1 + v^dag v is not numerically positive definite: keep "
+                           "||v||_2^2 well below 1e15 (entries up to ~1e7)") from None
+    return StiefelPoint(B.shape[0], r, q @ U)
 
 
 def _stiefel_batch(N: int, r: int, count: int, rng) -> np.ndarray:
     """count Haar points of V_{N,r}, stacked (count, N, r).
 
-    The phase-fixed QR of an N x r Ginibre block; this is the same
-    distribution as slicing r columns off a Haar N x N unitary, without
-    paying for the discarded columns.  The whole real block is drawn from
-    rng before the whole imaginary block, and the phased Q is written back
-    over the Ginibre block.  The sampler calls this once per sub-block,
-    each with its own generator, on its pool's threads.
+    The Q, with R's diagonal positive real, of the thin QR of an N x r
+    Ginibre block, by Cholesky-QR; this is the same distribution as slicing
+    r columns off a Haar N x N unitary, without paying for the discarded
+    columns.  One Cholesky-QR pass leaves a block with N >= r^2 (every
+    ensemble length m^2 n^2 the sampler draws) orthonormal to ~2e-15, since
+    such a block is well conditioned; narrower blocks, N = r among them,
+    take the second pass.  The whole real block is drawn from rng before the
+    whole imaginary block, and Q is written back over the Ginibre block.
+    The sampler calls this once per sub-block, each with its own generator,
+    on its pool's threads.
     """
     g = np.empty((count, N, r), dtype=complex)
     g.real = rng.standard_normal(g.shape)
     g.imag = rng.standard_normal(g.shape)
-    return _phase_fixed_q(g, g)
+    return _phase_fixed_q(g, g, 1 if N >= r * r else 2)
 
 
 def haar_stiefel(N: int, r: int, seed) -> StiefelPoint:

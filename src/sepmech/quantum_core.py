@@ -169,19 +169,30 @@ def eigen_ensemble(rho: DensityMatrix) -> Ensemble:
     return Ensemble(rho.dimA, rho.dimB, (vecs[:, sel] * np.sqrt(vals[sel])).T)
 
 
-def _phase_fixed_q(b: np.ndarray, out=None) -> np.ndarray:
-    """Q of the thin QR of b (..., N, r), with the phases of R's diagonal
-    folded into Q so that R's diagonal is positive real: the unique such
-    factorization of a full-rank block (Mezzadri, math-ph/0609050).  The
-    phase fix removes the QR sign ambiguity that would otherwise bias a Haar
-    draw.  Written into out when given."""
-    q, rr = np.linalg.qr(b)
-    d = np.diagonal(rr, axis1=-2, axis2=-1)
-    return np.multiply(q, (d / np.abs(d))[..., None, :], out=out)
+def _phase_fixed_q(b: np.ndarray, out=None, passes: int = 2) -> np.ndarray:
+    """Q of the thin QR factorization b = Q R of b (..., N, r) whose R has a
+    positive real diagonal: the unique such factorization of a full-rank
+    block, and the one whose Q is Haar-distributed when b is a Ginibre block
+    (Mezzadri, math-ph/0609050).  Computed as a Cholesky-QR: R is the
+    conjugate transpose of the Cholesky factor of the Gram matrix b^dag b,
+    and Q = b R^{-1}.  One pass loses orthogonality like cond(b)^2 eps, so
+    by default the Q of the first pass is factored once more (CholQR2:
+    Fukaya et al., ScalA 2014; Yamamoto et al., ETNA 44, 306 (2015)), which
+    leaves it orthonormal to rounding; passes=1 is for blocks the caller
+    knows to be well conditioned.  Written into out when given.  Raises
+    numpy's LinAlgError when a Gram matrix is not numerically positive
+    definite."""
+    q = b
+    for k in range(passes):
+        gram = np.matmul(q.conj().swapaxes(-1, -2), q)
+        r_inv = np.linalg.inv(np.linalg.cholesky(gram).conj().swapaxes(-1, -2))
+        q = np.matmul(q, r_inv, out=out if k == passes - 1 else None)
+    return q
 
 
 def haar_unitary(d: int, seed) -> np.ndarray:
-    """Haar-distributed d x d unitary: the phase-fixed QR of a complex Gaussian."""
+    """Haar-distributed d x d unitary: the Q, with R's diagonal positive real,
+    of a complex Gaussian matrix, by two-pass Cholesky-QR."""
     if d < 1:
         raise InvalidInput("d must be >= 1")
     rng = np.random.default_rng(seed)

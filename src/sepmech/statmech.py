@@ -27,14 +27,13 @@ and spawns one child SeedSequence per slice from its seed, in slice order
 (a SeedSequence passed in is copied first, so it is not advanced).  Each
 slice is one task on a pool of one thread per usable CPU that lives for one
 call: it builds its own generator from its child seed, draws its Ginibre
-block from it, takes the
-phase-fixed QR and writes its slice's energies with one `energy` call, so
-the slice is the only row block.  Nothing is drawn on the calling thread.
-A task's values depend only on its slice and its child seed, so the
-results depend neither on the number of workers nor on how they are
-scheduled; changing _QR_ROWS changes the samples.  Parallel use should
-derive one child seed per task via numpy SeedSequence(seed).spawn, which
-is the splitting rule used by the command-line layer.
+block from it, takes its Cholesky-QR and writes its slice's energies with
+one `energy` call, so the slice is the only row block.  Nothing is drawn
+on the calling thread.  A task's values depend only on its slice and its
+child seed, so the results depend neither on the number of workers nor on
+how they are scheduled; changing _QR_ROWS changes the samples.  Parallel
+use should derive one child seed per task via numpy SeedSequence(seed).spawn,
+which is the splitting rule used by the command-line layer.
 """
 from __future__ import annotations
 

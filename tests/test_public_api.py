@@ -210,6 +210,7 @@ _NAN, _INF = float("nan"), float("inf")
     lambda: LagrangeMultipliers(np.diag([1.0, _INF])),
     lambda: StiefelPoint(2, 1, [[_INF], [0.0]]),
     lambda: stiefel_from_gs(np.ones((1, 2)), np.diag([1.0, _INF])),
+    lambda: stiefel_from_gs(np.full((1, 2), 1e9), np.eye(2)),
 ], ids=["amplitude-count", "haar-d0", "singular-omega", "gs-columns", "bins-1",
         "z1-samples-0", "omega-prime-gamma-0", "mc-curve-beta-nan", "mc-curve-beta-inf",
         "fit-beta-nan", "fit-beta-inf", "fit-energy-nan", "z1-beta-nan", "z1-beta-negative",
@@ -218,7 +219,7 @@ _NAN, _INF = float("nan"), float("inf")
         "bell-h-nan", "stiefel-point-nan", "gs-u-nan", "gs-v-nan", "omega-nan",
         "caratheodory-nan", "is-product-nan", "pure-state-nan", "pure-state-inf",
         "ensemble-nan", "ensemble-width", "ensemble-1d", "caratheodory-fraction",
-        "omega-inf", "stiefel-point-inf", "gs-u-inf"])
+        "omega-inf", "stiefel-point-inf", "gs-u-inf", "gs-ill-conditioned"])
 def test_library_check_raises_invalid_input(call):
     with pytest.raises(InvalidInput):
         call()

@@ -6,7 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import batch_energies_serial, h_matrix, jackknife_error, weighted_stats
+from oracles import (ENERGY_ROUNDING, batch_energies_serial, h_matrix, haar_mean_energy,
+                     jackknife_error, weighted_stats)
 
 from sepmech import ensembles, statmech
 from sepmech import (LagrangeMultipliers, McEstimate, StateDensityEstimate,
@@ -14,7 +15,7 @@ from sepmech import (LagrangeMultipliers, McEstimate, StateDensityEstimate,
                      fit_energy_scaling, fit_power_law,
                      log_z1_quadrature, mc_energy_curve,
                      OmegaPrime, eigen_ensemble, sample_energies,
-                     werner_eigenensemble, z1_mc)
+                     werner_eigenensemble, werner_state, z1_mc)
 
 COP02 = cost_operator(werner_eigenensemble(0.2))
 COP10 = cost_operator(werner_eigenensemble(1.0))
@@ -62,7 +63,16 @@ def workers(request, monkeypatch):
 
 
 def serial(cop, N, samples, seed):
-    return batch_energies_serial(cop, N, samples, seed, statmech._sub_blocks(N, samples))
+    """The sampler's slices and child seeds run one after another on this
+    thread, each drawn by the library's own _stiefel_batch."""
+    return batch_energies_serial(cop, N, samples, seed, statmech._sub_blocks(N, samples),
+                                 draw=ensembles._stiefel_batch)
+
+
+def assert_near_householder(got, cop, N, samples, seed):
+    """got agrees with the serial run on the Householder draw to rounding."""
+    want = batch_energies_serial(cop, N, samples, seed, statmech._sub_blocks(N, samples))
+    assert np.max(np.abs(got - want) / want) <= ENERGY_ROUNDING
 
 
 @pytest.mark.parametrize("state, N, samples", [
@@ -82,6 +92,7 @@ def test_sampler_is_bit_identical_to_the_serial_oracle(workers, random_density,
     got = sample_energies(cop, N, samples, seed=samples)
     assert threading.active_count() == baseline
     assert np.array_equal(got, serial(cop, N, samples, samples))
+    assert_near_householder(got, cop, N, samples, samples)
 
 
 def test_sampler_is_bit_identical_with_more_workers_than_cores(monkeypatch):
@@ -96,6 +107,7 @@ def test_sampler_is_bit_identical_with_more_workers_than_cores(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(got, serial(COP02, 16, samples, 8))
+    assert_near_householder(got, COP02, 16, samples, 8)
 
 
 def test_the_pool_runs_the_energies_off_the_calling_thread(workers, monkeypatch):
@@ -151,6 +163,7 @@ def test_worker_exception_surfaces_and_the_pool_is_gone(workers, monkeypatch, mo
     def boom(*args):
         raise Boom(name)
 
+    before = sample_energies(COP02, 16, 3000, seed=4)
     baseline = threading.active_count()
     with monkeypatch.context() as patch:
         patch.setattr(module, name, boom)
@@ -159,7 +172,26 @@ def test_worker_exception_surfaces_and_the_pool_is_gone(workers, monkeypatch, mo
     assert threading.active_count() == baseline
     got = sample_energies(COP02, 16, 3000, seed=4)
     assert threading.active_count() == baseline
-    assert np.array_equal(got, serial(COP02, 16, 3000, 4))
+    assert np.array_equal(got, before)
+
+
+@pytest.mark.parametrize("state, N, samples", [
+    ("W(0.2)", 16, 40000),
+    ("W(0.9)", 16, 40000),
+    ("2x3-rank-3", 36, 20000),
+    ("3x3", 81, 5000),
+])
+def test_sample_mean_is_the_exact_haar_mean(random_density, state, N, samples):
+    # the beta = 0 mean over Haar draws has a closed form in the purities of
+    # rho and its reductions; a draw that is not Haar-uniform on V_{N,r}
+    # would move the sample mean away from it
+    rho = {"W(0.2)": lambda: werner_state(0.2),
+           "W(0.9)": lambda: werner_state(0.9),
+           "2x3-rank-3": lambda: random_density(np.random.default_rng(23), 2, 3, rank=3),
+           "3x3": lambda: random_density(np.random.default_rng(33), 3, 3)}[state]()
+    e = sample_energies(cost_operator(eigen_ensemble(rho)), N, samples, seed=12)
+    se = e.std(ddof=1) / np.sqrt(samples)
+    assert abs(e.mean() - haar_mean_energy(rho, N)) <= 4 * se
 
 
 def test_curve_is_deterministic_and_monotone():
