@@ -89,6 +89,34 @@ def stiefel_from_gs(v: np.ndarray, U: np.ndarray) -> StiefelPoint:
     return StiefelPoint(B.shape[0], r, q @ U)
 
 
+def _batch_last_q(g: np.ndarray, passes: int) -> np.ndarray:
+    """The Q of `_phase_fixed_q` for a stack laid out batch-last: g is
+    (r, N, count), column a of matrix c being g[a, :, c], and every numpy
+    call spans the whole stack instead of looping over its matrices in
+    LAPACK.  Each pass forms the Gram matrices A[a, b] = sum_n conj(g[a, n])
+    g[b, n] for b >= a, turns their upper triangles in place into R with
+    A = R^dag R by a right-looking Cholesky, and solves Q R = g by the
+    forward substitution Q_k = (g_k - sum_{j<k} Q_j R_jk) / R_kk.  g is
+    overwritten with Q and returned.  A Gram matrix that is not numerically
+    positive definite gives NaN and numpy's RuntimeWarning where
+    `_phase_fixed_q` raises; a Ginibre block has one with probability 0."""
+    r = g.shape[0]
+    a = np.zeros((r, r, g.shape[2]), dtype=complex)  # the lower triangle is scratch
+    t = np.empty_like(g)
+    for _ in range(passes):
+        for i in range(r):
+            np.multiply(g[i].conj(), g[i:], out=t[i:])
+            t[i:].sum(axis=1, out=a[i, i:])
+        for k in range(r):
+            a[k, k:] *= 1.0 / np.sqrt(a[k, k].real)
+            a[k + 1:, k + 1:] -= a[k, k + 1:, None].conj() * a[k, None, k + 1:]
+        for k in range(r):
+            g[k] *= 1.0 / a[k, k].real
+            np.multiply(g[k], a[k, k + 1:, None], out=t[k + 1:])
+            g[k + 1:] -= t[k + 1:]
+    return g
+
+
 def _stiefel_batch(N: int, r: int, count: int, rng) -> np.ndarray:
     """count Haar points of V_{N,r}, stacked (count, N, r).
 
@@ -99,20 +127,35 @@ def _stiefel_batch(N: int, r: int, count: int, rng) -> np.ndarray:
     ensemble length m^2 n^2 the sampler draws) orthonormal to ~2e-15, since
     such a block is well conditioned; narrower blocks, N = r among them,
     take the second pass.  The whole real block is drawn from rng before the
-    whole imaginary block, and Q is written back over the Ginibre block.
-    The sampler calls this once per sub-block, each with its own generator,
-    on its pool's threads.
+    whole imaginary block.  The sampler calls this once per sub-block, each
+    with its own generator, on its pool's threads.
+
+    Two kernels give that Q, equal to rounding, and the shape of one matrix
+    picks between them.  Where N r^2 <= 512, which holds for every 2x2 draw
+    (16 x r, r <= 4), the block is drawn into a batch-last (r, N, count)
+    buffer, factored by `_batch_last_q` in a few dozen numpy calls over the
+    whole stack, and returned as its (count, N, r) view: there, per-matrix
+    LAPACK calls cost more than their arithmetic and do not scale across
+    the pool's threads.  Larger matrices (3x3's 81 x 9) are factored in
+    place by `_phase_fixed_q`, whose batched LAPACK calls win once a matrix
+    holds more work; the two kernels cost the same near N r^2 ~ 600.
     """
-    g = np.empty((count, N, r), dtype=complex)
-    g.real = rng.standard_normal(g.shape)
-    g.imag = rng.standard_normal(g.shape)
-    return _phase_fixed_q(g, g, 1 if N >= r * r else 2)
+    passes = 1 if N >= r * r else 2
+    batch_last = N * r * r <= 512
+    g = np.empty((r, N, count) if batch_last else (count, N, r), dtype=complex)
+    z = g.T if batch_last else g  # the (count, N, r) view the draw fills
+    z.real = rng.standard_normal(z.shape)
+    z.imag = rng.standard_normal(z.shape)
+    if batch_last:
+        return _batch_last_q(g, passes).T
+    return _phase_fixed_q(g, g, passes)
 
 
 def haar_stiefel(N: int, r: int, seed) -> StiefelPoint:
     """Uniform point of V_{N,r}; seed is an int, SeedSequence or Generator."""
-    if not 1 <= r <= N:
-        raise InvalidInput(f"need N >= r >= 1, got N={N}, r={r}")
+    if not (isinstance(N, numbers.Integral) and isinstance(r, numbers.Integral)
+            and 1 <= r <= N):
+        raise InvalidInput(f"need integers N >= r >= 1, got N={N}, r={r}")
     return StiefelPoint(N, r, _stiefel_batch(N, r, 1, np.random.default_rng(seed))[0])
 
 

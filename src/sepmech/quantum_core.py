@@ -11,6 +11,7 @@ All functions are pure; RNG state is caller-owned and never global.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,7 +182,10 @@ def _phase_fixed_q(b: np.ndarray, out=None, passes: int = 2) -> np.ndarray:
     leaves it orthonormal to rounding; passes=1 is for blocks the caller
     knows to be well conditioned.  Written into out when given.  Raises
     numpy's LinAlgError when a Gram matrix is not numerically positive
-    definite."""
+    definite.  Each batched call loops over the stacked matrices in
+    LAPACK, so the Haar sampler factors stacks of small matrices (every 2x2
+    draw) with the batch-last form of the same Cholesky-QR instead,
+    `ensembles._batch_last_q`; `ensembles._stiefel_batch` holds the rule."""
     q = b
     for k in range(passes):
         gram = np.matmul(q.conj().swapaxes(-1, -2), q)
@@ -193,8 +197,8 @@ def _phase_fixed_q(b: np.ndarray, out=None, passes: int = 2) -> np.ndarray:
 def haar_unitary(d: int, seed) -> np.ndarray:
     """Haar-distributed d x d unitary: the Q, with R's diagonal positive real,
     of a complex Gaussian matrix, by two-pass Cholesky-QR."""
-    if d < 1:
-        raise InvalidInput("d must be >= 1")
+    if not (isinstance(d, numbers.Integral) and d >= 1):
+        raise InvalidInput("d must be an integer >= 1")
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
     return _phase_fixed_q(z)

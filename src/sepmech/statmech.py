@@ -28,15 +28,20 @@ and spawns one child SeedSequence per slice from its seed, in slice order
 slice is one task on a pool of one thread per usable CPU that lives for one
 call: it builds its own generator from its child seed, draws its Ginibre
 block from it, takes its Cholesky-QR and writes its slice's energies with
-one `energy` call, so the slice is the only row block.  Nothing is drawn
-on the calling thread.  A task's values depend only on its slice and its
-child seed, so the results depend neither on the number of workers nor on
-how they are scheduled; changing _QR_ROWS changes the samples.  Parallel
+one `energy` call, so the slice is the only row block.  The QR kernel,
+batch-last numpy calls for small matrices (every 2x2 draw) or batched
+LAPACK calls for larger ones (see ensembles._stiefel_batch), is picked
+from N and r alone, so every slice of a call takes the same one; the two
+kernels agree to rounding, not bit for bit.  Nothing is drawn on the
+calling thread.  A task's values depend only on its slice and its child
+seed, so the results depend neither on the number of workers nor on how
+they are scheduled; changing _QR_ROWS changes the samples.  Parallel
 use should derive one child seed per task via numpy SeedSequence(seed).spawn,
 which is the splitting rule used by the command-line layer.
 """
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -169,6 +174,8 @@ def _reweighted(e: np.ndarray, emin: float, beta: float) -> McEstimate:
 def sample_energies(cop: CostOperator, N: int, samples: int, seed) -> np.ndarray:
     """E(z) for `samples` Haar draws z on V_{N,r}, the one sample set that
     mc_energy_curve and estimate_state_density reduce."""
+    if not (isinstance(N, numbers.Integral) and isinstance(samples, numbers.Integral)):
+        raise InvalidInput(f"N and samples must be integers, got N={N}, samples={samples}")
     if samples < 1:
         raise InvalidInput("samples must be >= 1")
     if N < cop.r:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import Q_ROUNDING, ginibre_unblocked, stiefel_batch_unblocked
-from sepmech import ensembles
+from sepmech import ensembles, statmech
 from sepmech import (Ensemble, StiefelPoint, caratheodory_length,
                      constraint_residual, eigen_ensemble, ensemble_from_stiefel,
                      haar_stiefel, haar_unitary, stiefel_from_gs, werner_state)
@@ -182,16 +182,23 @@ def test_caratheodory_length_values():
         caratheodory_length(0, 2)
 
 
+# the sampler's one-pass Q of a Ginibre stack (count, N, r) by the kernel its
+# shape picks: 16 x 4 is factored batch-last, 81 x 9 by the batched LAPACK calls
+SELECTED_KERNEL = {
+    (16, 4): lambda g: ensembles._batch_last_q(np.ascontiguousarray(g.T), 1).T,
+    (81, 9): lambda g: ensembles._phase_fixed_q(g, None, 1),
+}
+
+
 @pytest.mark.parametrize("N, r", [(16, 4), (81, 9)])
 def test_blocked_sampler_is_bit_identical_to_unblocked(N, r):
-    # filling one buffer gives the bits of the one-pass Cholesky-QR (N >= r^2
-    # here) of the summed blocks, and the same Q as the Householder QR of
-    # those blocks to rounding (oracles.Q_ROUNDING)
+    # filling one buffer gives the bits of the selected kernel's one-pass
+    # Cholesky-QR (N >= r^2 here) of the summed blocks, and the same Q as the
+    # Householder QR of those blocks to rounding (oracles.Q_ROUNDING)
     for count in (1, 2, 48, 257):
         a, b, c = (np.random.default_rng(count) for _ in range(3))
         got = ensembles._stiefel_batch(N, r, count, a)
-        assert np.array_equal(got, ensembles._phase_fixed_q(ginibre_unblocked(N, r, count, c),
-                                                            None, 1))
+        assert np.array_equal(got, SELECTED_KERNEL[N, r](ginibre_unblocked(N, r, count, c)))
         assert np.max(np.abs(got - stiefel_batch_unblocked(N, r, count, b))) <= Q_ROUNDING
         # both leave the generator in the same state
         assert np.array_equal(a.standard_normal(8), b.standard_normal(8))
@@ -216,12 +223,17 @@ def assert_thin_qr(q, g):
     assert np.max(np.abs(q @ r - g) / np.abs(g).max(axis=(-2, -1), keepdims=True)) <= 1e-13
 
 
-@pytest.mark.parametrize("N, r", [(4, 4), (9, 9), (5, 4), (10, 9), (16, 4), (81, 9)])
+@pytest.mark.parametrize("N, r", [(4, 4), (9, 9), (5, 4), (10, 9), (16, 4), (81, 9),
+                                  (36, 3), (36, 6), (81, 2)])
 def test_haar_draw_is_the_phase_fixed_thin_qr(N, r):
-    # N < r^2 takes the second Cholesky-QR pass and N >= r^2 only one
+    # whole sampler sub-blocks on both sides of the kernel rule: N r^2 <= 512,
+    # (4, 4), (5, 4), (16, 4), (36, 3) and (81, 2), is factored batch-last and
+    # the rest by LAPACK; N < r^2 takes the second Cholesky-QR pass and
+    # N >= r^2 only one
+    count = statmech._sub_blocks(N, statmech._QR_ROWS)[0].stop
     for seed in range(4):
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert_thin_qr(ensembles._stiefel_batch(N, r, 200, a), ginibre_unblocked(N, r, 200, b))
+        assert_thin_qr(ensembles._stiefel_batch(N, r, count, a), ginibre_unblocked(N, r, count, b))
 
 
 @pytest.mark.parametrize("d", [2, 4, 16])

@@ -13,9 +13,10 @@ import pytest
 import sepmech
 from sepmech import (Ensemble, LagrangeMultipliers, OmegaPrime, PureState,
                      StiefelPoint, bell_diagonal_h, caratheodory_length, cost_operator,
-                     estimate_state_density, fit_energy_scaling, haar_unitary,
-                     is_product, mc_energy_curve, partial_trace, saddle_search,
-                     stiefel_from_gs, werner_eigenensemble, werner_state, z1_mc)
+                     estimate_state_density, fit_energy_scaling, haar_stiefel,
+                     haar_unitary, is_product, mc_energy_curve, partial_trace,
+                     sample_energies, saddle_search, stiefel_from_gs,
+                     werner_eigenensemble, werner_state, z1_mc)
 from sepmech.quantum_core import InvalidInput
 
 SRC = Path(sepmech.__file__).parent
@@ -211,6 +212,11 @@ _NAN, _INF = float("nan"), float("inf")
     lambda: StiefelPoint(2, 1, [[_INF], [0.0]]),
     lambda: stiefel_from_gs(np.ones((1, 2)), np.diag([1.0, _INF])),
     lambda: stiefel_from_gs(np.full((1, 2), 1e9), np.eye(2)),
+    lambda: haar_stiefel(16.0, 4, 1),
+    lambda: haar_stiefel(16, 2.5, 1),
+    lambda: haar_unitary(2.0, 1),
+    lambda: sample_energies(_COP, 16.5, 10, 1),
+    lambda: sample_energies(_COP, 16, 10.5, 1),
 ], ids=["amplitude-count", "haar-d0", "singular-omega", "gs-columns", "bins-1",
         "z1-samples-0", "omega-prime-gamma-0", "mc-curve-beta-nan", "mc-curve-beta-inf",
         "fit-beta-nan", "fit-beta-inf", "fit-energy-nan", "z1-beta-nan", "z1-beta-negative",
@@ -219,7 +225,9 @@ _NAN, _INF = float("nan"), float("inf")
         "bell-h-nan", "stiefel-point-nan", "gs-u-nan", "gs-v-nan", "omega-nan",
         "caratheodory-nan", "is-product-nan", "pure-state-nan", "pure-state-inf",
         "ensemble-nan", "ensemble-width", "ensemble-1d", "caratheodory-fraction",
-        "omega-inf", "stiefel-point-inf", "gs-u-inf", "gs-ill-conditioned"])
+        "omega-inf", "stiefel-point-inf", "gs-u-inf", "gs-ill-conditioned",
+        "haar-stiefel-float-n", "haar-stiefel-fraction-r", "haar-float-d",
+        "sample-fraction-n", "sample-fraction-count"])
 def test_library_check_raises_invalid_input(call):
     with pytest.raises(InvalidInput):
         call()

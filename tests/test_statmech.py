@@ -150,29 +150,51 @@ def test_an_int_seed_and_its_seed_sequence_give_the_same_samples():
                           sample_energies(COP02, 16, 3000, np.random.SeedSequence(7)))
 
 
-@pytest.mark.parametrize("module, name", [
-    (statmech, "energy"),
-    # an id that differs from the energy case's early, so the two cases'
-    # names stay distinct when a report shortens them
-    pytest.param(ensembles, "_phase_fixed_q", id="ensembles._phase_fixed_q"),
+@pytest.mark.parametrize("module, names", [
+    pytest.param(statmech, ("energy",), id="sepmech.statmech-energy"),
+    # both QR kernels, so the one the shape picks raises; an id that differs
+    # from the energy case's early, so the two cases' names stay distinct
+    # when a report shortens them
+    pytest.param(ensembles, ("_phase_fixed_q", "_batch_last_q"), id="ensembles._phase_fixed_q"),
 ])
-def test_worker_exception_surfaces_and_the_pool_is_gone(workers, monkeypatch, module, name):
+def test_worker_exception_surfaces_and_the_pool_is_gone(workers, monkeypatch, module, names):
     class Boom(RuntimeError):
         pass
 
     def boom(*args):
-        raise Boom(name)
+        raise Boom(names[0])
 
     before = sample_energies(COP02, 16, 3000, seed=4)
     baseline = threading.active_count()
     with monkeypatch.context() as patch:
-        patch.setattr(module, name, boom)
-        with pytest.raises(Boom, match=name):
+        for name in names:
+            patch.setattr(module, name, boom)
+        with pytest.raises(Boom, match=names[0]):
             sample_energies(COP02, 16, 8209, seed=4)
     assert threading.active_count() == baseline
     got = sample_energies(COP02, 16, 3000, seed=4)
     assert threading.active_count() == baseline
     assert np.array_equal(got, before)
+
+
+def test_only_the_3x3_draw_reaches_lapack(random_density, monkeypatch):
+    # the 2x2 sampler's sub-blocks of 16 x 4 matrices are factored batch-last,
+    # without per-matrix LAPACK calls, and 3x3's 81 x 9 ones by LAPACK
+    class LinalgCalled(RuntimeError):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise LinalgCalled
+
+    cop3 = cost_operator(eigen_ensemble(random_density(np.random.default_rng(81), 3, 3)))
+    want = sample_energies(COP02, 16, 3000, seed=6)
+    with monkeypatch.context() as patch:
+        for name in np.linalg.__all__:
+            if name != "LinAlgError":
+                patch.setattr(np.linalg, name, refuse)
+        assert np.array_equal(sample_energies(COP02, 16, 3000, seed=6), want)
+        with pytest.raises(LinalgCalled):
+            sample_energies(cop3, 81, 100, seed=6)
 
 
 @pytest.mark.parametrize("state, N, samples", [
