@@ -10,10 +10,11 @@ reduces the one-particle partition function to a one-dimensional integral
 with an explicit saddle condition.
 """
 from .quantum_core import (DensityMatrix, Ensemble, PureState, eigen_ensemble,
-                           haar_unitary, partial_trace, ppt_is_entangled)
+                           partial_trace, ppt_is_entangled)
 from .concurrence import HMatrixSet, concurrence_sq, h_matrices, is_product
 from .ensembles import (StiefelPoint, caratheodory_length, constraint_residual,
-                        ensemble_from_stiefel, haar_stiefel, stiefel_from_gs)
+                        ensemble_from_stiefel, haar_stiefel, haar_unitary,
+                        stiefel_from_gs)
 from .costfn import CostOperator, LagrangeMultipliers, cost_operator, energy
 from .statmech import (McEstimate, ScalingFit, StateDensityEstimate,
                        estimate_state_density, fit_energy_scaling,
@@ -29,10 +30,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DensityMatrix", "Ensemble", "PureState", "eigen_ensemble",
-    "haar_unitary", "partial_trace", "ppt_is_entangled",
+    "partial_trace", "ppt_is_entangled",
     "HMatrixSet", "concurrence_sq", "h_matrices", "is_product",
     "StiefelPoint", "caratheodory_length", "constraint_residual",
-    "ensemble_from_stiefel", "haar_stiefel", "stiefel_from_gs",
+    "ensemble_from_stiefel", "haar_stiefel", "haar_unitary", "stiefel_from_gs",
     "CostOperator", "LagrangeMultipliers", "cost_operator", "energy",
     "McEstimate", "ScalingFit", "StateDensityEstimate",
     "estimate_state_density", "fit_energy_scaling", "fit_power_law",

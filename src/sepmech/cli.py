@@ -41,7 +41,8 @@ import numpy as np
 
 from .costfn import cost_operator
 from .ensembles import caratheodory_length
-from .quantum_core import DensityMatrix, InvalidInput, eigen_ensemble, ppt_is_entangled
+from .quantum_core import (DensityMatrix, InvalidInput, _require_count, eigen_ensemble,
+                           ppt_is_entangled)
 from .statmech import (_require_fit_betas, estimate_state_density,
                        fit_energy_scaling, mc_energy_curve, sample_energies)
 from .werner import (ConstraintsUnsatisfiable, QuadratureError, _avg_energies,
@@ -113,10 +114,7 @@ def _load_state(cfg: dict):
 
 def _count(cfg: dict, key: str, default: int, floor: int) -> int:
     """Integer option cfg[key], default when absent; below floor exits 2."""
-    val = cfg.get(key, default)
-    if val < floor:
-        raise InvalidInput(f"{key} must be >= {floor}, got {val}")
-    return val
+    return _require_count(cfg.get(key, default), key, floor)
 
 
 def _seed(cfg: dict, required: bool) -> int:

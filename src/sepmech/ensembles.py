@@ -4,17 +4,16 @@ Every decomposition rho = sum_i |psi_i><psi_i| of length N is reachable from
 a fixed eigenvector ensemble {e_alpha} through an N x r matrix z with
 orthonormal columns (z^dag z = 1), via psi_i = sum_alpha z_{i alpha} e_alpha.
 The z matrices form the complex Stiefel manifold V_{N,r}; this module
-provides points on it (an explicit QR chart and Haar sampling), the
-constraint residual, and reconstruction of ensembles.
+provides points on it (an explicit QR chart, Haar sampling and Haar
+unitaries), the constraint residual, and reconstruction of ensembles.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum_core import Ensemble, InvalidInput, _phase_fixed_q
+from .quantum_core import Ensemble, InvalidInput, _require_count
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,7 @@ def stiefel_from_gs(v: np.ndarray, U: np.ndarray) -> StiefelPoint:
     diagonal.  The top r rows of the result stay linearly independent, which
     is what makes this a chart rather than a global parametrization.
 
-    Q comes from a two-pass Cholesky-QR, which needs the Gram matrix
+    Q comes from a two-pass `_cholesky_qr`, which needs the Gram matrix
     1 + v^dag v to be numerically positive definite: its largest eigenvalue
     1 + ||v||_2^2 must stay well below 1/eps ~ 4.5e15, which holds for
     entries of v up to ~1e7 on small charts.  Past that the call may raise
@@ -82,11 +81,32 @@ def stiefel_from_gs(v: np.ndarray, U: np.ndarray) -> StiefelPoint:
         raise InvalidInput("v must be finite")
     B = np.vstack([np.eye(r, dtype=complex), v])
     try:
-        q = _phase_fixed_q(B)
+        q = _cholesky_qr(B.shape[0], r, 1, 2, lambda b: np.copyto(b, B))[0]
     except np.linalg.LinAlgError:
         raise InvalidInput("1 + v^dag v is not numerically positive definite: keep "
                            "||v||_2^2 well below 1e15 (entries up to ~1e7)") from None
     return StiefelPoint(B.shape[0], r, q @ U)
+
+
+def _phase_fixed_q(b: np.ndarray, out=None, passes: int = 2) -> np.ndarray:
+    """Q of the thin QR factorization b = Q R of b (..., N, r) whose R has a
+    positive real diagonal: the unique such factorization of a full-rank
+    block, and the one whose Q is Haar-distributed when b is a Ginibre block
+    (Mezzadri, math-ph/0609050).  Computed as a Cholesky-QR: R is the
+    conjugate transpose of the Cholesky factor of the Gram matrix b^dag b,
+    and Q = b R^{-1}.  One pass loses orthogonality like cond(b)^2 eps, so
+    by default the Q of the first pass is factored once more (CholQR2:
+    Fukaya et al., ScalA 2014; Yamamoto et al., ETNA 44, 306 (2015)), which
+    leaves it orthonormal to rounding; passes=1 is for blocks the caller
+    knows to be well conditioned.  Written into out when given.  Raises
+    numpy's LinAlgError when a Gram matrix is not numerically positive
+    definite.  Each batched call loops over the stacked matrices in LAPACK."""
+    q = b
+    for k in range(passes):
+        gram = np.matmul(q.conj().swapaxes(-1, -2), q)
+        r_inv = np.linalg.inv(np.linalg.cholesky(gram).conj().swapaxes(-1, -2))
+        q = np.matmul(q, r_inv, out=out if k == passes - 1 else None)
+    return q
 
 
 def _batch_last_q(g: np.ndarray, passes: int) -> np.ndarray:
@@ -97,70 +117,82 @@ def _batch_last_q(g: np.ndarray, passes: int) -> np.ndarray:
     g[b, n] for b >= a, turns their upper triangles in place into R with
     A = R^dag R by a right-looking Cholesky, and solves Q R = g by the
     forward substitution Q_k = (g_k - sum_{j<k} Q_j R_jk) / R_kk.  g is
-    overwritten with Q and returned.  A Gram matrix that is not numerically
-    positive definite gives NaN and numpy's RuntimeWarning where
-    `_phase_fixed_q` raises; a Ginibre block has one with probability 0."""
+    overwritten with Q and returned.  Like LAPACK, it raises numpy's
+    LinAlgError, and warns of nothing, when a pivot is not positive in some
+    matrix of a finite stack; a Ginibre block has one with probability 0."""
     r = g.shape[0]
     a = np.zeros((r, r, g.shape[2]), dtype=complex)  # the lower triangle is scratch
     t = np.empty_like(g)
-    for _ in range(passes):
-        for i in range(r):
-            np.multiply(g[i].conj(), g[i:], out=t[i:])
-            t[i:].sum(axis=1, out=a[i, i:])
-        for k in range(r):
-            a[k, k:] *= 1.0 / np.sqrt(a[k, k].real)
-            a[k + 1:, k + 1:] -= a[k, k + 1:, None].conj() * a[k, None, k + 1:]
-        for k in range(r):
-            g[k] *= 1.0 / a[k, k].real
-            np.multiply(g[k], a[k, k + 1:, None], out=t[k + 1:])
-            g[k + 1:] -= t[k + 1:]
+    try:
+        # a pivot that is not positive trips the divide or invalid flag of
+        # 1 / sqrt(pivot): no test of the pivots slows the stacks that pass
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            for _ in range(passes):
+                for i in range(r):
+                    np.multiply(g[i].conj(), g[i:], out=t[i:])
+                    t[i:].sum(axis=1, out=a[i, i:])
+                for k in range(r):
+                    a[k, k:] *= 1.0 / np.sqrt(a[k, k].real)
+                    a[k + 1:, k + 1:] -= a[k, k + 1:, None].conj() * a[k, None, k + 1:]
+                for k in range(r):
+                    g[k] *= 1.0 / a[k, k].real
+                    np.multiply(g[k], a[k, k + 1:, None], out=t[k + 1:])
+                    g[k + 1:] -= t[k + 1:]
+    except FloatingPointError:
+        raise np.linalg.LinAlgError("Matrix is not positive definite") from None
     return g
 
 
-def _stiefel_batch(N: int, r: int, count: int, rng) -> np.ndarray:
-    """count Haar points of V_{N,r}, stacked (count, N, r).
-
-    The Q, with R's diagonal positive real, of the thin QR of an N x r
-    Ginibre block, by Cholesky-QR; this is the same distribution as slicing
-    r columns off a Haar N x N unitary, without paying for the discarded
-    columns.  One Cholesky-QR pass leaves a block with N >= r^2 (every
-    ensemble length m^2 n^2 the sampler draws) orthonormal to ~2e-15, since
-    such a block is well conditioned; narrower blocks, N = r among them,
-    take the second pass.  The whole real block is drawn from rng before the
-    whole imaginary block.  The sampler calls this once per sub-block, each
-    with its own generator, on its pool's threads.
-
-    Two kernels give that Q, equal to rounding, and the shape of one matrix
-    picks between them.  Where N r^2 <= 512, which holds for every 2x2 draw
-    (16 x r, r <= 4), the block is drawn into a batch-last (r, N, count)
-    buffer, factored by `_batch_last_q` in a few dozen numpy calls over the
-    whole stack, and returned as its (count, N, r) view: there, per-matrix
-    LAPACK calls cost more than their arithmetic and do not scale across
-    the pool's threads.  Larger matrices (3x3's 81 x 9) are factored in
-    place by `_phase_fixed_q`, whose batched LAPACK calls win once a matrix
-    holds more work; the two kernels cost the same near N r^2 ~ 600.
-    """
-    passes = 1 if N >= r * r else 2
+def _cholesky_qr(N: int, r: int, count: int, passes: int, fill) -> np.ndarray:
+    """The Q of `passes` Cholesky-QR passes over count N x r matrices,
+    stacked (count, N, r): every Q of the package comes from here.  fill(b)
+    writes the matrices into b, the (count, N, r) view of a buffer laid out
+    for the kernel that the shape of one matrix picks; the two kernels agree
+    to rounding, and both raise numpy's LinAlgError on a Gram matrix that is
+    not numerically positive definite.  Where N r^2 <= 512, which holds for
+    every 2x2 sampler draw (16 x r, r <= 4), the buffer is (r, N, count) and
+    `_batch_last_q` factors it: per-matrix LAPACK calls cost more than their
+    arithmetic there and do not scale across the sampler's threads.  Larger
+    matrices (3x3's 81 x 9) are factored in place by `_phase_fixed_q`, whose
+    batched LAPACK calls win once a matrix holds more work; the two cost the
+    same near N r^2 ~ 600."""
     batch_last = N * r * r <= 512
     g = np.empty((r, N, count) if batch_last else (count, N, r), dtype=complex)
-    z = g.T if batch_last else g  # the (count, N, r) view the draw fills
-    z.real = rng.standard_normal(z.shape)
-    z.imag = rng.standard_normal(z.shape)
+    fill(g.T if batch_last else g)
     if batch_last:
         return _batch_last_q(g, passes).T
     return _phase_fixed_q(g, g, passes)
 
 
+def _stiefel_batch(N: int, r: int, count: int, rng) -> np.ndarray:
+    """count Haar points of V_{N,r}, stacked (count, N, r): the Q of
+    `_cholesky_qr` of an N x r Ginibre block, the same distribution as r
+    columns of a Haar N x N unitary without paying for the rest.  The whole
+    real block is drawn from rng before the whole imaginary block.  One
+    pass leaves a block with N >= r^2 (every ensemble length m^2 n^2 the
+    sampler draws) orthonormal to ~2e-15, since such a block is well
+    conditioned; narrower blocks, N = r among them, take the second pass.
+    """
+    def draw(b):
+        b.real = rng.standard_normal(b.shape)
+        b.imag = rng.standard_normal(b.shape)
+    return _cholesky_qr(N, r, count, 1 if N >= r * r else 2, draw)
+
+
 def haar_stiefel(N: int, r: int, seed) -> StiefelPoint:
     """Uniform point of V_{N,r}; seed is an int, SeedSequence or Generator."""
-    if not (isinstance(N, numbers.Integral) and isinstance(r, numbers.Integral)
-            and 1 <= r <= N):
-        raise InvalidInput(f"need integers N >= r >= 1, got N={N}, r={r}")
+    _require_count(N, "N", _require_count(r, "r"))
     return StiefelPoint(N, r, _stiefel_batch(N, r, 1, np.random.default_rng(seed))[0])
+
+
+def haar_unitary(d: int, seed) -> np.ndarray:
+    """Haar-distributed d x d unitary: haar_stiefel(d, d, seed) as an array."""
+    _require_count(d, "d")
+    return _stiefel_batch(d, d, 1, np.random.default_rng(seed))[0]
 
 
 def caratheodory_length(m: int, n: int) -> int:
     """Ensemble length m^2 n^2 that always suffices for a separable state."""
-    if not all(isinstance(d, numbers.Integral) and d >= 1 for d in (m, n)):
-        raise InvalidInput("dimensions must be integers >= 1")
+    _require_count(m, "m")
+    _require_count(n, "n")
     return m * m * n * n

@@ -3,10 +3,9 @@
 Bipartite states live on C^m (x) C^n.  Pure states are stored as flat
 amplitude vectors in row-major (a, b) order, density matrices as
 mn x mn arrays, so np.kron(a, b) is the tensor product.  Provides partial
-traces, eigenvector ensembles of a mixed state, Haar-random unitaries, and
-the partial transpose (PPT) entanglement test.
-
-All functions are pure; RNG state is caller-owned and never global.
+traces, eigenvector ensembles of a mixed state and the partial transpose
+(PPT) entanglement test, all pure functions, and the package's one check of
+sizes and counts.
 """
 from __future__ import annotations
 
@@ -25,6 +24,16 @@ EIGENVALUE_CUTOFF = 1e-10
 class InvalidInput(ValueError):
     """An argument breaks a rule of the library: the one error type for bad
     input, so a caller (the command line among them) can tell it from a bug."""
+
+
+def _require_count(value, name: str, floor: int = 1):
+    """value, a size or count; InvalidInput unless it is an integer (a
+    numbers.Integral other than bool) at or above floor."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    if value < floor:
+        raise InvalidInput(f"{name} must be >= {floor}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -168,40 +177,6 @@ def eigen_ensemble(rho: DensityMatrix) -> Ensemble:
     vals, vecs = vals[order], vecs[:, order]
     sel = vals > EIGENVALUE_CUTOFF
     return Ensemble(rho.dimA, rho.dimB, (vecs[:, sel] * np.sqrt(vals[sel])).T)
-
-
-def _phase_fixed_q(b: np.ndarray, out=None, passes: int = 2) -> np.ndarray:
-    """Q of the thin QR factorization b = Q R of b (..., N, r) whose R has a
-    positive real diagonal: the unique such factorization of a full-rank
-    block, and the one whose Q is Haar-distributed when b is a Ginibre block
-    (Mezzadri, math-ph/0609050).  Computed as a Cholesky-QR: R is the
-    conjugate transpose of the Cholesky factor of the Gram matrix b^dag b,
-    and Q = b R^{-1}.  One pass loses orthogonality like cond(b)^2 eps, so
-    by default the Q of the first pass is factored once more (CholQR2:
-    Fukaya et al., ScalA 2014; Yamamoto et al., ETNA 44, 306 (2015)), which
-    leaves it orthonormal to rounding; passes=1 is for blocks the caller
-    knows to be well conditioned.  Written into out when given.  Raises
-    numpy's LinAlgError when a Gram matrix is not numerically positive
-    definite.  Each batched call loops over the stacked matrices in
-    LAPACK, so the Haar sampler factors stacks of small matrices (every 2x2
-    draw) with the batch-last form of the same Cholesky-QR instead,
-    `ensembles._batch_last_q`; `ensembles._stiefel_batch` holds the rule."""
-    q = b
-    for k in range(passes):
-        gram = np.matmul(q.conj().swapaxes(-1, -2), q)
-        r_inv = np.linalg.inv(np.linalg.cholesky(gram).conj().swapaxes(-1, -2))
-        q = np.matmul(q, r_inv, out=out if k == passes - 1 else None)
-    return q
-
-
-def haar_unitary(d: int, seed) -> np.ndarray:
-    """Haar-distributed d x d unitary: the Q, with R's diagonal positive real,
-    of a complex Gaussian matrix, by two-pass Cholesky-QR."""
-    if not (isinstance(d, numbers.Integral) and d >= 1):
-        raise InvalidInput("d must be an integer >= 1")
-    rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
-    return _phase_fixed_q(z)
 
 
 def ppt_is_entangled(rho: DensityMatrix) -> bool | None:

@@ -28,11 +28,9 @@ and spawns one child SeedSequence per slice from its seed, in slice order
 slice is one task on a pool of one thread per usable CPU that lives for one
 call: it builds its own generator from its child seed, draws its Ginibre
 block from it, takes its Cholesky-QR and writes its slice's energies with
-one `energy` call, so the slice is the only row block.  The QR kernel,
-batch-last numpy calls for small matrices (every 2x2 draw) or batched
-LAPACK calls for larger ones (see ensembles._stiefel_batch), is picked
-from N and r alone, so every slice of a call takes the same one; the two
-kernels agree to rounding, not bit for bit.  Nothing is drawn on the
+one `energy` call, so the slice is the only row block.  Each slice goes
+through ensembles._stiefel_batch, whose QR kernel depends on N and r alone,
+so every slice of a call takes the same one.  Nothing is drawn on the
 calling thread.  A task's values depend only on its slice and its child
 seed, so the results depend neither on the number of workers nor on how
 they are scheduled; changing _QR_ROWS changes the samples.  Parallel
@@ -41,7 +39,6 @@ which is the splitting rule used by the command-line layer.
 """
 from __future__ import annotations
 
-import numbers
 import os
 from dataclasses import dataclass
 
@@ -49,7 +46,7 @@ import numpy as np
 
 from .costfn import CostOperator, LagrangeMultipliers, energy
 from .ensembles import _stiefel_batch
-from .quantum_core import InvalidInput
+from .quantum_core import InvalidInput, _require_count
 
 JACKKNIFE_BLOCKS = 32
 _QR_ROWS = 4096
@@ -174,12 +171,8 @@ def _reweighted(e: np.ndarray, emin: float, beta: float) -> McEstimate:
 def sample_energies(cop: CostOperator, N: int, samples: int, seed) -> np.ndarray:
     """E(z) for `samples` Haar draws z on V_{N,r}, the one sample set that
     mc_energy_curve and estimate_state_density reduce."""
-    if not (isinstance(N, numbers.Integral) and isinstance(samples, numbers.Integral)):
-        raise InvalidInput(f"N and samples must be integers, got N={N}, samples={samples}")
-    if samples < 1:
-        raise InvalidInput("samples must be >= 1")
-    if N < cop.r:
-        raise InvalidInput(f"ensemble length {N} below rank {cop.r}")
+    _require_count(N, "N", cop.r)
+    _require_count(samples, "samples")
     return _batch_energies(cop, N, samples, seed)
 
 
@@ -214,8 +207,7 @@ def estimate_state_density(energies, bins: int) -> StateDensityEstimate:
     Bin edges are geometric from the smallest sampled energy up to the median
     (resolving the near-zero power law) and linear above it.
     """
-    if bins < 2:
-        raise InvalidInput("bins must be >= 2")
+    _require_count(bins, "bins", 2)
     e = _energy_array(energies)
     lo, med, hi = float(e.min()), float(np.median(e)), float(e.max())
     nb_geo = bins // 2
@@ -301,8 +293,7 @@ def z1_mc(cop: CostOperator, beta: float, lm: LagrangeMultipliers, samples: int,
         raise InvalidInput("omega must be positive-definite")
     if lm.r != cop.r:
         raise InvalidInput("omega size does not match the cost operator rank")
-    if samples < 1:
-        raise InvalidInput("samples must be >= 1")
+    _require_count(samples, "samples")
     omega = lm.omega
     r = lm.r
     rng = np.random.default_rng(seed)

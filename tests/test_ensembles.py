@@ -242,3 +242,28 @@ def test_haar_unitary_is_the_phase_fixed_qr(d):
         rng = np.random.default_rng(seed)
         g = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
         assert_thin_qr(haar_unitary(d, seed), g)
+
+
+@pytest.mark.parametrize("d", [1, 2, 9, 16, 81])
+def test_haar_unitary_is_the_samplers_square_draw(d):
+    # d <= 8 takes the batch-last kernel and the rest LAPACK; 16 and 81 are
+    # the sizes the benchmark's Haar oracle draws
+    a, b = np.random.default_rng(d), np.random.default_rng(d)
+    assert np.array_equal(haar_unitary(d, a), ensembles._stiefel_batch(d, d, 1, b)[0])
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("passes", [1, 2])
+@pytest.mark.parametrize("N, r", [(4, 2), (81, 9)])
+def test_a_rank_deficient_block_raises_in_either_kernel(N, r, passes):
+    # the first two columns are both all ones, so the second Cholesky pivot
+    # is exactly zero in either kernel (two equal Ginibre columns leave a
+    # pivot of rounding size and either sign); (4, 2) is factored batch-last
+    # and (81, 9) by LAPACK, and both raise rather than warn and return NaN
+    rng = np.random.default_rng(N)
+
+    def fill(b):
+        b[...] = ginibre_unblocked(N, r, 1, rng)
+        b[..., :2] = 1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        ensembles._cholesky_qr(N, r, 1, passes, fill)

@@ -128,6 +128,24 @@ def test_every_private_module_name_is_used_in_the_library():
     assert unused == []
 
 
+def test_every_q_comes_from_the_one_dispatcher():
+    # the two Cholesky-QR kernels live in ensembles beside the shape rule
+    # that picks between them, and only that rule names them; quantum_core
+    # holds states, draws nothing and takes no QR
+    kernels = {"_phase_fixed_q", "_batch_last_q"}
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    defined = sorted(f"{mod}:{name}" for mod, tree in trees.items() for stmt in tree.body
+                     for name in _module_level_names(stmt) if name in kernels)
+    assert defined == ["ensembles.py:_batch_last_q", "ensembles.py:_phase_fixed_q"]
+    callers = sorted(f"{mod}:{name}" for mod, tree in trees.items() for stmt in tree.body
+                     if _used_names([stmt]) & kernels
+                     for name in _module_level_names(stmt))
+    assert callers == ["ensembles.py:_cholesky_qr"]
+    drawn = _used_names([trees["quantum_core.py"]]) & {"default_rng", "standard_normal",
+                                                       "cholesky", "qr"}
+    assert drawn == set()
+
+
 def _is_dataclass(cls: ast.ClassDef) -> bool:
     return "dataclass" in {getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
                            for d in cls.decorator_list}
@@ -217,6 +235,10 @@ _NAN, _INF = float("nan"), float("inf")
     lambda: haar_unitary(2.0, 1),
     lambda: sample_energies(_COP, 16.5, 10, 1),
     lambda: sample_energies(_COP, 16, 10.5, 1),
+    lambda: z1_mc(_COP, 1.0, LagrangeMultipliers(np.eye(4)), 2.5, 1),
+    lambda: estimate_state_density([1.0, 2.0, 3.0], 7.0),
+    lambda: haar_unitary(True, 1),
+    lambda: sample_energies(_COP, 16, True, 1),
 ], ids=["amplitude-count", "haar-d0", "singular-omega", "gs-columns", "bins-1",
         "z1-samples-0", "omega-prime-gamma-0", "mc-curve-beta-nan", "mc-curve-beta-inf",
         "fit-beta-nan", "fit-beta-inf", "fit-energy-nan", "z1-beta-nan", "z1-beta-negative",
@@ -227,7 +249,8 @@ _NAN, _INF = float("nan"), float("inf")
         "ensemble-nan", "ensemble-width", "ensemble-1d", "caratheodory-fraction",
         "omega-inf", "stiefel-point-inf", "gs-u-inf", "gs-ill-conditioned",
         "haar-stiefel-float-n", "haar-stiefel-fraction-r", "haar-float-d",
-        "sample-fraction-n", "sample-fraction-count"])
+        "sample-fraction-n", "sample-fraction-count", "z1-fraction-samples",
+        "density-float-bins", "haar-bool-d", "sample-bool-count"])
 def test_library_check_raises_invalid_input(call):
     with pytest.raises(InvalidInput):
         call()
