@@ -26,9 +26,10 @@ factors of every minor with index arrays fixed by (m, n), and sums the
 squared moduli per stacked matrix.  That is 2 d1 d2 + mn r complex
 products per row (99 at 3x3 and full rank), against r(r+1)/2 (d1 d2 + 1)
 for the pair products and matrix product of the h form (450).  Its
-temporaries grow with the stack, to at most mn + 4 d1 d2 complex values per
-row; the sampler in `statmech` passes one sub-block of a few thousand rows
-at a time, which keeps them small.
+temporaries grow with the stack, to at most mn + 3 d1 d2 complex values per
+row; the sampler in `statmech` passes one sub-block at a time (4,050 rows
+at 3x3, 9,216 at 2x2), which keeps them small.  The rows are read in the
+stack's memory order, C or Fortran, so neither layout is copied.
 """
 from __future__ import annotations
 
@@ -117,19 +118,31 @@ def energy(z, cop: CostOperator):
     evaluated as 2 sum_i of the squared 2x2 minors of psi_i's coefficients.
 
     z is a row (r,), an N x r matrix or StiefelPoint (both give a float), or
-    a stack (..., N, r), which gives one value per stacked matrix.
+    a stack (..., N, r), which gives one value per stacked matrix.  A
+    Fortran-ordered stack, such as the sampler's batch-last Q with row n of
+    matrix c at n * count + c, is read in that order rather than copied;
+    any other is read in C order, matrix by matrix.
     """
     zm = _rows(z)
     r = cop.r
     if zm.shape[-1] != r:
         raise InvalidInput(f"z has {zm.shape[-1]} columns, expected {r}")
     N = zm.shape[-2]
-    amp = cop.amps @ zm.reshape(-1, r).T  # (mn, rows): every row's amplitudes
+    order = "F" if np.isfortran(zm) else "C"
+    amp = cop.amps @ zm.reshape(-1, r, order=order).T  # (mn, rows): every row's amplitudes
     ik, jl, il, jk = cop.minors
-    minor = amp[ik] * amp[jl]
-    minor -= amp[il] * amp[jk]
-    # |minor|^2 summed over the N rows and all (a, b) of each matrix
-    q = minor.view(float).reshape(ik.size, -1, 2 * N)
-    e = MINOR_PREFACTOR * np.einsum("dbk,dbk->b", q, q)
-    e = e.reshape(zm.shape[:-2])
+    minor = amp[ik]  # products in place: three (d1 d2, rows) arrays at most
+    minor *= amp[jl]
+    t = amp[il]
+    t *= amp[jk]
+    minor -= t
+    # |minor|^2 summed over the N rows and all (a, b) of each matrix, whose
+    # rows are adjacent in C order and a stack apart in Fortran order
+    q = minor.view(float)
+    if order == "F":
+        q = q.reshape(ik.size * N, -1, 2)
+    else:
+        q = q.reshape(ik.size, -1, 2 * N)
+    e = MINOR_PREFACTOR * np.einsum("asb,asb->s", q, q)
+    e = e.reshape(zm.shape[:-2], order=order)
     return float(e) if e.ndim == 0 else e

@@ -147,10 +147,12 @@ def _cholesky_qr(N: int, r: int, count: int, passes: int, fill) -> np.ndarray:
     """The Q of `passes` Cholesky-QR passes over count N x r matrices,
     stacked (count, N, r): every Q of the package comes from here.  fill(b)
     writes the matrices into b, the (count, N, r) view of a buffer laid out
-    for the kernel that the shape of one matrix picks; the two kernels agree
-    to rounding, and both raise numpy's LinAlgError on a Gram matrix that is
-    not numerically positive definite.  Where N r^2 <= 512, which holds for
-    every 2x2 sampler draw (16 x r, r <= 4), the buffer is (r, N, count) and
+    for the kernel that the shape of one matrix picks, and the Q comes back
+    as the same view of that buffer: C-ordered, or Fortran-ordered where
+    the buffer is batch-last.  The two kernels agree to rounding, and both
+    raise numpy's LinAlgError on a Gram matrix that is not numerically
+    positive definite.  Where N r^2 <= 512, which holds for every 2x2
+    sampler draw (16 x r, r <= 4), the buffer is (r, N, count) and
     `_batch_last_q` factors it: per-matrix LAPACK calls cost more than their
     arithmetic there and do not scale across the sampler's threads.  Larger
     matrices (3x3's 81 x 9) are factored in place by `_phase_fixed_q`, whose
@@ -165,17 +167,19 @@ def _cholesky_qr(N: int, r: int, count: int, passes: int, fill) -> np.ndarray:
 
 
 def _stiefel_batch(N: int, r: int, count: int, rng) -> np.ndarray:
-    """count Haar points of V_{N,r}, stacked (count, N, r): the Q of
-    `_cholesky_qr` of an N x r Ginibre block, the same distribution as r
-    columns of a Haar N x N unitary without paying for the rest.  The whole
-    real block is drawn from rng before the whole imaginary block.  One
-    pass leaves a block with N >= r^2 (every ensemble length m^2 n^2 the
-    sampler draws) orthonormal to ~2e-15, since such a block is well
-    conditioned; narrower blocks, N = r among them, take the second pass.
+    """count Haar points of V_{N,r}, stacked (count, N, r) in the layout of
+    `_cholesky_qr`: the Q of an N x r Ginibre block, the same distribution
+    as r columns of a Haar N x N unitary without paying for the rest.  One
+    standard_normal call fills the kernel's buffer in memory order, the real
+    and imaginary part of each entry side by side: the entries run
+    (a, n, c) over column a, row n and matrix c where the buffer is
+    batch-last, and (c, n, a) otherwise.  One pass leaves a block with
+    N >= r^2 (every ensemble length m^2 n^2 the sampler draws) orthonormal
+    to ~2e-15, since such a block is well conditioned; narrower blocks,
+    N = r among them, take the second pass.
     """
     def draw(b):
-        b.real = rng.standard_normal(b.shape)
-        b.imag = rng.standard_normal(b.shape)
+        rng.standard_normal(out=b.ravel("K").view(float))  # ravel("K") is a view here
     return _cholesky_qr(N, r, count, 1 if N >= r * r else 2, draw)
 
 

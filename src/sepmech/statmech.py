@@ -22,20 +22,23 @@ importance-sampled against it.
 
 Determinism: fixed seeds give bit-identical results.  z1_mc consumes a
 single generator seeded from the argument.  sample_energies cuts the whole
-sample into _sub_blocks slices of _QR_ROWS // N matrices (at least one)
-and spawns one child SeedSequence per slice from its seed, in slice order
-(a SeedSequence passed in is copied first, so it is not advanced).  Each
-slice is one task on a pool of one thread per usable CPU that lives for one
-call: it builds its own generator from its child seed, draws its Ginibre
-block from it, takes its Cholesky-QR and writes its slice's energies with
-one `energy` call, so the slice is the only row block.  Each slice goes
-through ensembles._stiefel_batch, whose QR kernel depends on N and r alone,
-so every slice of a call takes the same one.  Nothing is drawn on the
-calling thread.  A task's values depend only on its slice and its child
-seed, so the results depend neither on the number of workers nor on how
-they are scheduled; changing _QR_ROWS changes the samples.  Parallel
-use should derive one child seed per task via numpy SeedSequence(seed).spawn,
-which is the splitting rule used by the command-line layer.
+sample into _sub_blocks slices of _QR_ENTRIES // (N r) matrices (at least
+one), so a slice holds about the same number of complex entries at every
+shape, and spawns one child SeedSequence per slice from its seed, in slice
+order (a SeedSequence passed in is copied first, so it is not advanced).
+Each slice is one task on a pool of one thread per usable CPU that lives
+for one call: it builds its own generator from its child seed, fills the
+QR kernel's buffer with its Ginibre block by one standard_normal call,
+takes its Cholesky-QR and writes its slice's energies with one `energy`
+call, so the slice is the only row block.  Each slice goes through
+ensembles._stiefel_batch, whose QR kernel and buffer layout depend on N
+and r alone, so every slice of a call takes the same ones.  Nothing is
+drawn on the calling thread.  A task's values depend only on its slice and
+its child seed, so the results depend neither on the number of workers nor
+on how they are scheduled; changing _QR_ENTRIES or the kernel rule of
+ensembles._cholesky_qr changes the samples.  Parallel use should derive one
+child seed per task via numpy SeedSequence(seed).spawn, which is the
+splitting rule used by the command-line layer.
 """
 from __future__ import annotations
 
@@ -49,7 +52,7 @@ from .ensembles import _stiefel_batch
 from .quantum_core import InvalidInput, _require_count
 
 JACKKNIFE_BLOCKS = 32
-_QR_ROWS = 4096
+_QR_ENTRIES = 36864  # 4096 rows of 9 columns: 50 full-rank 3x3 matrices
 
 
 @dataclass(frozen=True)
@@ -98,12 +101,15 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _sub_blocks(N: int, count: int) -> list:
-    """Slices of _QR_ROWS // N matrices (at least one) that cover a stack of
-    count N-row matrices; the last may be shorter.  Each slice is one
-    sampler task with its own stream, drawn and evaluated whole, so these
-    slices fix the samples."""
-    step = max(1, _QR_ROWS // N)
+def _sub_blocks(N: int, r: int, count: int) -> list:
+    """Slices of _QR_ENTRIES // (N r) matrices (at least one) that cover a
+    stack of count N x r matrices; the last may be shorter.  Each slice is
+    one sampler task with its own stream, drawn and evaluated whole, so
+    these slices fix the samples.  Sized by entries, a task holds ~0.6 MB
+    per complex buffer at any shape: 50 matrices at 81 x 9, 576 at 16 x 4,
+    enough numpy work per call for the small matrices to gain from the
+    pool's threads."""
+    step = max(1, _QR_ENTRIES // (N * r))
     return [slice(s, min(s + step, count)) for s in range(0, count, step)]
 
 
@@ -126,20 +132,21 @@ def _batch_energies(cop: CostOperator, N: int, samples: int, seed) -> np.ndarray
     """
     from concurrent.futures import ThreadPoolExecutor  # kept out of import time
 
-    blocks = _sub_blocks(N, samples)
+    blocks = _sub_blocks(N, cop.r, samples)
     out = np.empty(samples)
 
     def task(b, child):
         rng = np.random.default_rng(child)  # built on the worker, off the calling thread
         out[b] = energy(_stiefel_batch(N, cop.r, b.stop - b.start, rng), cop)
 
-    # An untouched array the size of the sample's real block (at most 16 MiB,
-    # below the 32 MiB up to which glibc adapts), freed at once: glibc then
-    # raises its mmap threshold past it, so the temporaries of each task's
+    # An untouched 16 MiB array, freed at once: glibc then raises its mmap
+    # threshold to 16 MiB (below the 32 MiB up to which it adapts) and its
+    # trim threshold to twice that, so the ~0.6 MB buffers of each task's
     # draw, QR and energy call come from a warm heap instead of being mapped
-    # and faulted in anew each time (3000 3x3 draws at N=81 in a fresh
-    # process: ~2.3k page faults in the first call without it, ~1.6k with it).
-    np.empty(min(samples * N * cop.r, 1 << 21))
+    # and faulted in anew each time.  First call in a fresh process, without
+    # it and with it: 3000 3x3 draws at N=81 37k-41k and ~1.9k page faults,
+    # 1e5 2x2 draws at N=16 27k-59k and ~1.6k.
+    np.empty(1 << 21)
     with ThreadPoolExecutor(min(_cpu_count(), len(blocks))) as pool:
         # map cancels the tasks not yet started once one of them raises
         list(pool.map(task, blocks, _child_seeds(seed, len(blocks))))
@@ -151,18 +158,20 @@ def _reweighted(e: np.ndarray, emin: float, beta: float) -> McEstimate:
 
     The weights are formed once and shared by the mean, the effective
     sample size (sum w)^2 / sum w^2 and the delete-one-block jackknife
-    error over JACKKNIFE_BLOCKS contiguous blocks.  The error is undefined
-    when removing some block leaves zero total weight (one block carries
-    all of it, as at very large beta); then it is inf.
+    error over min(JACKKNIFE_BLOCKS, samples) contiguous blocks, none of
+    them empty, so below JACKKNIFE_BLOCKS samples it is the delete-one
+    jackknife (s / sqrt(n) at beta = 0).  The error is undefined when
+    removing some block leaves zero total weight (one block carries all of
+    it, as at very large beta, or one sample); then it is inf.
     """
     w = np.exp(-beta * (e - emin))  # shift-invariant, avoids underflow
     we = w * e
     sw, swe = w.sum(), we.sum()
-    rest = np.array([sw - b.sum() for b in np.array_split(w, JACKKNIFE_BLOCKS)])
+    n = min(JACKKNIFE_BLOCKS, e.size)
+    rest = np.array([sw - b.sum() for b in np.array_split(w, n)])
     error = float("inf")
     if np.all(rest > 0):
-        thetas = np.array([swe - b.sum() for b in np.array_split(we, JACKKNIFE_BLOCKS)]) / rest
-        n = JACKKNIFE_BLOCKS
+        thetas = np.array([swe - b.sum() for b in np.array_split(we, n)]) / rest
         error = float(np.sqrt((n - 1) / n * np.sum((thetas - thetas.mean()) ** 2)))
     return McEstimate(float(beta), e.size, float(swe / sw), error, emin,
                       float(sw * sw / (w * w).sum()))

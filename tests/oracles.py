@@ -24,10 +24,10 @@ Each computes a quantity the library also computes, by a different route:
 - the quadrature pass of one point on its own panels (the library passes
   many points at once over panels padded to a common count, and must give
   the same bits);
-- the Haar-Stiefel draw as the Householder QR of the sum of its real and
-  imaginary Gaussian blocks, with a separate phase product (the library
-  fills one buffer and writes the Cholesky-QR factor back over it, and must
-  agree to rounding);
+- the Haar-Stiefel draw as the Householder QR of a Ginibre block built
+  from separate real and imaginary normals, with a separate phase product
+  (the library fills the float view of one buffer with one call and writes
+  the Cholesky-QR factor back over it, and must agree to rounding);
 - the sampled energies on one thread, slice by slice, each slice drawn
   from its own child of SeedSequence(seed) (the library runs the slices as
   tasks on a thread pool and must give the same bits with its own draw, and
@@ -292,9 +292,15 @@ ENERGY_ROUNDING = 1e-12
 
 
 def ginibre_unblocked(N: int, r: int, count: int, rng) -> np.ndarray:
-    """The sampler's count x N x r Ginibre block: the whole real block is
-    drawn before the whole imaginary block, and the two are summed."""
-    return rng.standard_normal((count, N, r)) + 1j * rng.standard_normal((count, N, r))
+    """The sampler's count x N x r Ginibre block: a real and an imaginary
+    normal for each entry in turn, the entries ordered column, row, matrix
+    where N r^2 <= 512 (the batch-last kernel's sizes) and matrix, row,
+    column otherwise, and the pairs summed."""
+    if N * r * r <= 512:
+        x = rng.standard_normal((r, N, count, 2)).transpose(2, 1, 0, 3)
+    else:
+        x = rng.standard_normal((count, N, r, 2))
+    return x[..., 0] + 1j * x[..., 1]
 
 
 def stiefel_batch_unblocked(N: int, r: int, count: int, rng) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Cost function over ensemble space: the minors energy kernel, checked
 against the h-form and rank-4 tensor oracles and the concurrence sum, and
 the multiplier-extended Hamiltonian."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -83,6 +85,45 @@ def test_energy_of_a_stack_is_per_matrix(rng):
     want = np.array([energy(z, cop) for z in zs])
     assert np.max(np.abs(got - want)) < 1e-14 * np.max(want)
     assert energy(zs[:, :1, :], cop).shape == (5,)
+
+
+def _batch_last(z):
+    """z with the same values, laid out as the sampler's batch-last Q: a
+    Fortran-ordered stack, row n of matrix c at n * count + c."""
+    return np.ascontiguousarray(z.T).T
+
+
+@pytest.mark.parametrize("m, n, rank, stack", [(2, 2, 4, (576, 16)), (3, 3, 9, (50, 81)),
+                                               (2, 3, 6, (3, 5, 36)), (2, 2, 4, (1, 4))])
+def test_energy_of_a_batch_last_stack_matches_its_c_copy(random_density, m, n, rank, stack):
+    # the Fortran-ordered stack is summed in its own memory order, so it
+    # agrees with the C-ordered copy to rounding, stack axes included
+    rng = np.random.default_rng(m * n + rank + len(stack))
+    cop = cost_operator(eigen_ensemble(random_density(rng, m, n, rank)))
+    z = _batch_last(rng.standard_normal(stack + (rank,)) + 1j * rng.standard_normal(stack + (rank,)))
+    assert np.isfortran(z)
+    want = energy(np.ascontiguousarray(z), cop)
+    got = energy(z, cop)
+    assert got.shape == stack[:-1]
+    assert np.max(np.abs(got - want) / want) <= 1e-14
+
+
+def test_energy_reads_the_samplers_batch_last_q_without_a_copy():
+    # a re-layout copy of the 2x2 sampler's (576, 16, 4) Q would be alive
+    # beside the amplitudes, past the peak of the minors that follow
+    cop = cost_operator(werner_eigenensemble(0.2))
+    z = _stiefel_batch(16, 4, 576, np.random.default_rng(5))
+    zc = np.ascontiguousarray(z)
+    assert np.isfortran(z)
+
+    def peak(stack):
+        tracemalloc.start()
+        try:
+            energy(stack, cop)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak(z) <= peak(zc)
 
 
 # (m, n, rank, N): the two sampler shapes keep their ids; each shape also

@@ -230,7 +230,7 @@ def test_haar_draw_is_the_phase_fixed_thin_qr(N, r):
     # (4, 4), (5, 4), (16, 4), (36, 3) and (81, 2), is factored batch-last and
     # the rest by LAPACK; N < r^2 takes the second Cholesky-QR pass and
     # N >= r^2 only one
-    count = statmech._sub_blocks(N, statmech._QR_ROWS)[0].stop
+    count = statmech._sub_blocks(N, r, statmech._QR_ENTRIES)[0].stop
     for seed in range(4):
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
         assert_thin_qr(ensembles._stiefel_batch(N, r, count, a), ginibre_unblocked(N, r, count, b))
@@ -239,9 +239,7 @@ def test_haar_draw_is_the_phase_fixed_thin_qr(N, r):
 @pytest.mark.parametrize("d", [2, 4, 16])
 def test_haar_unitary_is_the_phase_fixed_qr(d):
     for seed in range(50):
-        rng = np.random.default_rng(seed)
-        g = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
-        assert_thin_qr(haar_unitary(d, seed), g)
+        assert_thin_qr(haar_unitary(d, seed), ginibre_unblocked(d, d, 1, np.random.default_rng(seed))[0])
 
 
 @pytest.mark.parametrize("d", [1, 2, 9, 16, 81])

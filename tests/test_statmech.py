@@ -50,7 +50,7 @@ def test_curve_matches_the_separate_weight_formulas(samples):
     betas = [0.0, 1.0, 10.0, 100.0, 1e7]
     for est in mc_energy_curve(e, betas):
         mean, ess = weighted_stats(e, est.beta)
-        err = jackknife_error(e, est.beta, statmech.JACKKNIFE_BLOCKS)
+        err = jackknife_error(e, est.beta, min(statmech.JACKKNIFE_BLOCKS, samples))
         assert (est.mean_energy, est.effective_sample_size, est.std_error) == (mean, ess, err)
         assert est.min_energy_seen == e.min() and est.samples == samples
 
@@ -65,21 +65,21 @@ def workers(request, monkeypatch):
 def serial(cop, N, samples, seed):
     """The sampler's slices and child seeds run one after another on this
     thread, each drawn by the library's own _stiefel_batch."""
-    return batch_energies_serial(cop, N, samples, seed, statmech._sub_blocks(N, samples),
+    return batch_energies_serial(cop, N, samples, seed, statmech._sub_blocks(N, cop.r, samples),
                                  draw=ensembles._stiefel_batch)
 
 
 def assert_near_householder(got, cop, N, samples, seed):
     """got agrees with the serial run on the Householder draw to rounding."""
-    want = batch_energies_serial(cop, N, samples, seed, statmech._sub_blocks(N, samples))
+    want = batch_energies_serial(cop, N, samples, seed, statmech._sub_blocks(N, cop.r, samples))
     assert np.max(np.abs(got - want) / want) <= ENERGY_ROUNDING
 
 
 @pytest.mark.parametrize("state, N, samples", [
-    ("2x2", 16, 8209),                  # 33 sub-blocks, the last of 17 rows
-    ("3x3", 81, 3017),                  # 61 sub-blocks, the last of 17 matrices
-    ("2x2", 5, 3000),                   # N does not divide _QR_ROWS: 4 sub-blocks, the last of 543
-    ("2x2", 4, 3000),                   # N = r
+    ("2x2", 16, 8209),                  # 15 sub-blocks of 576, the last of 145 matrices
+    ("3x3", 81, 3017),                  # 61 sub-blocks of 50, the last of 17 matrices
+    ("2x2", 5, 3000),                   # N r does not divide _QR_ENTRIES: 2 sub-blocks, the last of 1157
+    ("2x2", 4, 3000),                   # N = r: 2 sub-blocks, the last of 696
     ("2x2", 16, 1),
 ])
 def test_sampler_is_bit_identical_to_the_serial_oracle(workers, random_density,
@@ -99,7 +99,7 @@ def test_sampler_is_bit_identical_with_more_workers_than_cores(monkeypatch):
     # eight workers and a tiny switch interval: a lost, doubled or misplaced
     # write of any task would change the bits
     monkeypatch.setattr(statmech, "_cpu_count", lambda: 8)
-    samples = 16389  # 65 sub-blocks, the last of 5 rows
+    samples = 16389  # 29 sub-blocks, the last of 261 matrices
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -134,7 +134,7 @@ def test_the_pool_draws_off_the_calling_thread(workers, monkeypatch):
     sample_energies(COP02, 16, 3000, seed=1)
     assert threading.get_ident() not in {t for t, _ in seen}
     assert sorted(c for _, c in seen) == sorted(b.stop - b.start
-                                               for b in statmech._sub_blocks(16, 3000))
+                                               for b in statmech._sub_blocks(16, 4, 3000))
 
 
 def test_the_same_seed_sequence_twice_gives_the_same_samples():
@@ -249,6 +249,16 @@ def test_jackknife_error_shrinks_with_samples():
     e1 = mc_energy_curve(sample_energies(COP02, 16, 2000, seed=3), [5.0])[0]
     e2 = mc_energy_curve(sample_energies(COP02, 16, 32000, seed=3), [5.0])[0]
     assert e2.std_error < e1.std_error
+
+
+@pytest.mark.parametrize("samples", [2, 5, 31])
+def test_jackknife_error_below_the_block_count_is_the_standard_error(samples):
+    # fewer samples than JACKKNIFE_BLOCKS: one sample per block, none empty,
+    # and the delete-one jackknife of the plain mean is s / sqrt(n) exactly
+    e = sample_energies(COP02, 16, samples, seed=samples)
+    est = mc_energy_curve(e, [0.0])[0]
+    want = e.std(ddof=1) / np.sqrt(samples)
+    assert abs(est.std_error - want) <= 1e-12 * want
 
 
 def test_jackknife_error_is_inf_when_one_block_holds_all_weight():
