@@ -45,7 +45,7 @@ class DensityMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
-        m, n = self.dimA, self.dimB
+        m, n = _require_count(self.dimA, "dimA"), _require_count(self.dimB, "dimB")
         mat = np.asarray(self.mat, dtype=complex)
         object.__setattr__(self, "mat", mat)
         if mat.shape != (m * n, m * n):
@@ -70,10 +70,9 @@ class DensityMatrix:
     @staticmethod
     def from_json(text: str) -> "DensityMatrix":
         d = json.loads(text)
-        m, n = int(d["dimA"]), int(d["dimB"])
-        mat = (np.asarray(d["re"], dtype=float)
-               + 1j * np.asarray(d["im"], dtype=float)).reshape(m * n, m * n)
-        return DensityMatrix(m, n, mat)
+        mat = np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
+        side = round(mat.size ** 0.5)  # the dimensions are checked, not trusted
+        return DensityMatrix(d["dimA"], d["dimB"], mat.reshape(side, side))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,8 @@ factorization det h^2 det(4|s|^2 + w' wbar') against the direct 8x8
 determinant of the Gaussian block matrix.
 
 The gradient and its exact Jacobian in (log gamma, log lam) are further
-moments of the same weight, computed in one Gauss-Kronrod pass, so
+moments of the same weight, computed in one pass of the trapezoid rule on
+a double-exponential map of x (_moments), so
 saddle_search is a Levenberg-Marquardt (Newton) solve of a few passes
 from a closed-form start.  It stops at the latest when the objective is
 down to the rounding level of its residual h - <A, B>, a difference of
@@ -60,9 +61,12 @@ LOG_GAMMA_FLOOR = -30.0
 _MAX_EVALS = 200  # termination guard; over p in (0, 1], beta 1e-3..1e8 the most is 51
 _EPS_F = 4 * np.finfo(float).eps
 _TINY = float(np.finfo(float).tiny)  # the smallest normal float
-_GK_TOL = 1e-7
-# GK15 nodes per _moments call of a lockstep round, padding counted, so a
-# round's transient arrays do not grow with the grid
+_GK_TOL = 1e-7  # bound on the relative error estimate of a _moments pass
+# the trapezoid rule of _moments: step and first node in u, x = s exp(u - e^{-u})
+_STEP = 0.2
+_U0 = -4.0
+# trapezoid nodes per _moments call of a lockstep round, padding counted, so
+# a round's transient arrays do not grow with the grid
 _NODE_BUDGET = 8192
 
 
@@ -163,86 +167,93 @@ def bell_diagonal_h(q0: float, q1: float, q2: float, q3: float) -> np.ndarray:
     return np.diag(q) / 2
 
 
-# 15-point Kronrod nodes and weights on [-1, 1], mirrored from the
-# nonnegative halves below, with the embedded 7-point Gauss weights on the
-# odd-index nodes; the K-G difference is the per-panel error estimate.
-_XK, _WK, _WG = (np.concatenate([sign * pos[:0:-1], pos]) for sign, pos in (
-    (-1, np.array([0.0, 0.207784955007898, 0.405845151377397, 0.586087235467691,
-                   0.741531185599394, 0.864864423359769, 0.949107912342759, 0.991455371120813])),
-    (1, np.array([0.209482141084728, 0.204432940075298, 0.190350578064785, 0.169004726639267,
-                  0.140653259715525, 0.104790010322250, 0.063092092629979, 0.022935322010529])),
-    (1, np.array([0.417959183673469, 0.0, 0.381830050505119, 0.0,
-                  0.279705391489277, 0.0, 0.129484966168870, 0.0]))))
-_W_KG = np.column_stack([_WK, _WG])  # one matmul forms both node sums
+def _grid(bt: float, a: float, b: float):
+    """(log s, n): the trapezoid nodes of _moments at the point with 4 bt and
+    the squared multipliers a = g^2, b = lam^2 as its scales.
 
-
-def _panel_edges(bt: float, lo_scale: float, hi_scale: float) -> np.ndarray:
-    """Geometric panels from the smallest structural scale out to the point
-    where the exponential factor alone is below e^{-45} of its peak: 0, lo/8 * 2^k
-    for k < n, and xmax, where n (from the binary exponents) is the least k reaching xmax."""
-    scales = (lo_scale, hi_scale, 4.0 * bt)
+    The nodes are x_j = s exp(t_j), t_j = u_j - e^{-u_j}, u_j = _U0 + j _STEP
+    for j < n, with s = min(a, b, 4 bt) / 64.  n - 1 is the first even j
+    with x_j at or past the point where the exponential factor alone is
+    below e^{-45} of its peak, xmax = 180 bt + 8 max(a, b).  Both come from
+    logarithms, so no x_j overflows however far apart the scales lie.
+    """
+    scales = (a, b, 4.0 * bt)
     lo = min(scales)
-    if not (lo >= _TINY and all(map(math.isfinite, scales))):
-        # a zero or non-finite scale leaves no finite geometric panel set, and a
+    xmax = 4.0 * bt * 45.0 + 8.0 * max(a, b)
+    if not (lo >= _TINY and all(map(math.isfinite, scales + (xmax,)))):
+        # a zero or non-finite scale or end leaves no finite node set, and a
         # subnormal 4 bt = 256 beta (beta below ~8.7e-311) overflows x / 4bt
-        raise QuadratureError(f"panel scales must be normal positive floats, got {scales}")
-    xmax = 4.0 * bt * 45.0 + 8.0 * max(lo_scale, hi_scale)
-    (mf, ef), (mx, ex) = math.frexp(lo / 8.0), math.frexp(xmax)
-    edges = np.ldexp(lo / 8.0, np.arange(-1, ex - ef + (mf < mx) + 1))
-    edges[0], edges[-1] = 0.0, xmax
-    return edges
+        raise QuadratureError(f"quadrature scales must be normal positive floats with a "
+                              f"finite end 180 bt + 8 max(a, b), got {scales}")
+    log_s = math.log(lo) - math.log(64.0)
+    span = math.log(xmax) - log_s  # x_j >= xmax where t_j >= span
+    # span >= log(45 * 64) ~ 8, where e^{-u} < _STEP, so the first j with
+    # t_j >= span is one of the two after the rounded closed form
+    j = max(math.ceil((span - _U0) / _STEP) - 1, 0)
+    j += sum(u - math.exp(-u) < span for u in (_U0 + j * _STEP, _U0 + (j + 1) * _STEP))
+    return log_s, j + j % 2 + 1
 
 
-def _moments(bt, g, lam, edges) -> list:
+def _moments(bt, g, lam, grids) -> list:
     """Moments of the weight exp(-x/4bt) (x+g^2)^{-1/2} (x+lam^2)^{-3/2} at n points.
 
-    bt, g and lam hold n floats and edges their n panel-edge arrays (from
-    _panel_edges).  With A = g/(x+g^2) and B = lam/(x+lam^2), returns one
-    row (I0, <A>, <B>, <x>, j00, j01, j10, j11, gk_error) of Python floats
-    per point, from one vectorized Gauss-Kronrod pass over the panels of
-    all n points.  jac = [[j00, j01], [j10, j11]] is the exact derivative
-    of (<A>, <B>) in (log g, log lam): differentiating the weight brings
-    down -A and -3B, so it needs only the further moments <A^2>, <B^2>,
-    <AB>, <(x-g^2)/(x+g^2)^2> and <(x-lam^2)/(x+lam^2)^2>.  gk_error covers
-    I0, <A>, <B> and <x>.  Each point's panels are padded to the most of
-    any point with zero-width panels at its last edge, which add exact
-    zeros to its sums, so every row has the bits of a pass of its point alone.
+    bt, g and lam hold n floats and grids their n node sets (from _grid).
+    With A = g/(x+g^2) and B = lam/(x+lam^2), returns one row (I0, <A>, <B>,
+    <x>, j00, j01, j10, j11, error) of Python floats per point, from one
+    vectorized pass of the trapezoid rule in u over the nodes of all n
+    points.  The integrand is analytic in a strip about the real u axis and
+    decays double-exponentially at both ends, so the rule converges
+    geometrically in 1/_STEP; error is the relative difference of the step
+    and double-step sums, the latter over the even nodes, for I0, <A>, <B>
+    and <x>.  jac = [[j00, j01], [j10, j11]] is the exact derivative of
+    (<A>, <B>) in (log g, log lam): differentiating the weight brings down
+    -A and -3B, so it needs only the further moments <A^2>, <B^2>, <AB>,
+    <(x-g^2)/(x+g^2)^2> and <(x-lam^2)/(x+lam^2)^2>.  The node axis is split
+    into pairs and an even/odd axis ahead of the point axis, so the sums
+    over the pairs never run along the innermost axis and numpy adds them
+    up in node order; a point's nodes are padded to the most of any point
+    with zero-weight nodes held at its last one, which add exact zeros, so
+    every row has the bits of a pass of its point alone.
     """
-    n, panels = len(edges), max(map(len, edges)) - 1
-    padded = np.empty((panels + 1, n))  # one column of edges per point
-    for col, e in zip(padded.T, edges):
-        col[:e.size], col[e.size:] = e, e[-1]
-    bta, ga, la = np.array([bt, g, lam], dtype=float)[..., None]
+    log_s, nodes = np.array(grids).T
+    j = np.arange(nodes.max() + 1).reshape(-1, 2, 1)  # (pairs, even/odd, 1)
+    u = _U0 + j * _STEP
+    eu = np.exp(-u)
+    t = u - eu
+    last = t.ravel()[nodes.astype(int) - 1]
+    x = np.exp(np.minimum(t, last) + log_s)  # (pairs, 2, points)
+    dw = np.where(j < nodes, _STEP * (1.0 + eu), 0.0) * x  # dx = x (1 + e^{-u}) du
+    bta, ga, la = np.array([bt, g, lam], dtype=float)
     a, b = ga * ga, la * la
-    mid = 0.5 * (padded[1:] + padded[:-1])[..., None]
-    half = 0.5 * (padded[1:] - padded[:-1])[..., None]
-    x = mid + half * _XK  # (panels, points, 15)
     ra, rb = 1.0 / (x + a), 1.0 / (x + b)
     A, B = ga * ra, la * rb
     f = np.empty((9,) + x.shape)  # the nine integrands, filled in place
     w, wA, wB = f[0], f[1], f[2]
     # x / 4bt overflows only where 4bt is tiny (beta below ~1e-308); exp(-x/4bt)
-    # is 0 for any x past 1e300 * 4bt, so such x are capped there (the cap
-    # is inf wherever 4bt is large, and leaves every x of a normal pass as it is)
-    with np.errstate(over="ignore"):
-        xe = np.minimum(x, 1e300 * 4.0 * bta)
-    # the panel half-widths ride in the weight, so each node sum is an integral
-    np.multiply(np.exp(xe / (-4.0 * bta)) * half, np.sqrt(ra) * rb * np.sqrt(rb), out=w)
-    for row, (u, v) in enumerate(((w, A), (w, B), (w, x), (wA, A), (wB, B), (wA, B),
+    # is 0 for any x past 1e300 * 4bt, so such x are capped there (the cap,
+    # a Python float, is inf without a warning wherever 4bt is large, and
+    # leaves every x of a normal pass as it is)
+    xe = np.minimum(x, [1e300 * 4.0 * float(v) for v in bt])
+    # the trapezoid weights ride in w, so each node sum is an integral
+    np.multiply(np.exp(xe / (-4.0 * bta)) * dw, np.sqrt(ra) * rb * np.sqrt(rb), out=w)
+    for row, (y, v) in enumerate(((w, A), (w, B), (w, x), (wA, A), (wB, B), (wA, B),
                                   (w * (x - a), ra * ra), (w * (x - b), rb * rb)), 1):
-        np.multiply(u, v, out=f[row])
-    # the node sums of every panel, then their sum over the panel axis, which
-    # numpy adds up in panel order (it is not the last axis), the padding last
-    kg = (f.reshape(-1, 15) @ _W_KG).reshape(9, panels, 2 * n).sum(axis=1).reshape(9, n, 2)
-    rows = []
-    for gp, lp, sums in zip(g, lam, kg.transpose(1, 0, 2).tolist()):
-        k = [kk for kk, _ in sums]
-        err = max(abs(kk - gq) / max(abs(kk), 1e-300) for kk, gq in sums[:4])
-        mA, mB, mx, mAA, mBB, mAB, cA, cB = (v / k[0] for v in k[1:])
-        cov = mAB - mA * mB
-        rows.append((k[0], mA, mB, mx, gp * (cA - (mAA - mA * mA)), -3.0 * lp * cov,
-                     -gp * cov, lp * (cB - 3.0 * (mBB - mB * mB)), err))
-    return rows
+        np.multiply(y, v, out=f[row])
+    even, odd = f.sum(axis=1).transpose(1, 0, 2)  # (9, points) each
+    k = even + odd
+    # the relative step-h versus step-2h differences of I0, <A>, <B> and <x>
+    e0, e1, e2, e3 = np.abs(k[:4] - 2.0 * even[:4]) / np.maximum(np.abs(k[:4]), 1e-300)
+    m = k[1:] / k[0]
+    mA, mB, _, mAA, mBB, mAB, cA, cB = m
+    cov = mAB - mA * mB
+    rows = np.empty((9, len(grids)))
+    rows[0], rows[1:4] = k[0], m[:3]
+    np.multiply(ga, cA - (mAA - mA * mA), out=rows[4])
+    np.multiply(-3.0 * la, cov, out=rows[5])
+    np.multiply(-ga, cov, out=rows[6])
+    np.multiply(la, cB - 3.0 * (mBB - mB * mB), out=rows[7])
+    np.maximum(np.maximum(e0, e1), np.maximum(e2, e3), out=rows[8])
+    return rows.T.tolist()
 
 
 def _require_converged(i0, err):
@@ -265,7 +276,7 @@ def _werner_point(beta: float, p: float):
 def _checked_moments(beta: float, op: OmegaPrime, p: float):
     bt, h0, h1 = _werner_point(beta, p)
     g, lam = op.gamma, op.lam
-    i0, mg, ml, *_, err = _moments([bt], [g], [lam], [_panel_edges(bt, g * g, lam * lam)])[0]
+    i0, mg, ml, *_, err = _moments([bt], [g], [lam], [_grid(bt, g * g, lam * lam)])[0]
     _require_converged(i0, err)
     return bt, h0, h1, i0, mg, ml
 
@@ -319,8 +330,8 @@ def saddle_search(beta: float, p: float) -> SaddleResult:
 def _saddle_steps(bt: float, h0: float, h1: float):
     """saddle_search's solve of one point, as a generator: it yields each
     quadrature pass it needs as its point's _moments arguments (bt, gamma,
-    lam, panel edges), is sent that point's row of the pass, and returns the
-    SaddleResult.  A QuadratureError of _panel_edges or of the final pass's
+    lam, node grid), is sent that point's row of the pass, and returns the
+    SaddleResult.  A QuadratureError of _grid or of the final pass's
     _require_converged ends it."""
     w1 = math.sqrt(3.0)  # lam carries multiplicity 3
     f_floor = (_EPS_F * math.hypot(h0, w1 * h1)) ** 2  # the third stop rule
@@ -330,8 +341,8 @@ def _saddle_steps(bt: float, h0: float, h1: float):
 
     def residual(u):
         g, lam = math.exp(u[0]), math.exp(u[1])
-        edges = _panel_edges(bt, g * g, lam * lam)
-        i0, mg, ml, mx, j00, j01, j10, j11, err = yield bt, g, lam, edges
+        grid = _grid(bt, g * g, lam * lam)
+        i0, mg, ml, mx, j00, j01, j10, j11, err = yield bt, g, lam, grid
         r0, r1 = h0 - mg, w1 * (h1 - ml)
         return r0 * r0 + r1 * r1, (r0, r1), (-j00, -j01, -w1 * j10, -w1 * j11), (i0, mx, err)
 
@@ -373,13 +384,14 @@ def _saddle_steps(bt: float, h0: float, h1: float):
 def _chunks(asks: dict):
     """The keys of asks, in grid order, cut into _moments calls of at most
     _NODE_BUDGET nodes each (at least one point), counting every point at
-    the most panels of its call."""
-    chunk, panels = [], 0
-    for i, (*_, edges) in asks.items():
-        panels = max(panels, edges.size - 1)
-        if chunk and 15 * panels * (len(chunk) + 1) > _NODE_BUDGET:
+    the most nodes of its call plus the zero-weight one that pairs its
+    last."""
+    chunk, size = [], 0
+    for i, (*_, (_, nodes)) in asks.items():
+        size = max(size, nodes + 1)
+        if chunk and size * (len(chunk) + 1) > _NODE_BUDGET:
             yield chunk
-            chunk, panels = [], edges.size - 1
+            chunk, size = [], nodes + 1
         chunk.append(i)
     yield chunk
 

@@ -17,13 +17,13 @@ Each computes a quantity the library also computes, by a different route:
 - the direct 8x8 determinant of the Werner Gaussian block matrix;
 - the multiplier gradient at a generic Hermitian w' (the library restricts
   w' to diag(gamma, lam, lam, lam));
-- the GK15 panel edges by repeated doubling, and the quadrature pass with
-  its integrands stacked and its Kronrod and Gauss sums by einsum (the
-  library forms the edges in closed form, fills one preallocated array and
-  forms both sums with one matmul);
-- the quadrature pass of one point on its own panels (the library passes
-  many points at once over panels padded to a common count, and must give
-  the same bits);
+- the quadrature pass as 15-point Gauss-Kronrod on octave panels, the
+  panel edges by repeated doubling, the integrands stacked and the Kronrod
+  and Gauss sums by einsum (the library takes the trapezoid rule on a
+  double-exponential map of x);
+- the library's trapezoid pass of one point on its own nodes, its even and
+  odd node sums by cumulative sums (the library passes many points at once
+  over nodes padded to a common count, and must give the same bits);
 - the Haar-Stiefel draw as the Householder QR of a Ginibre block built
   from separate real and imaginary normals, with a separate phase product
   (the library fills the float view of one buffer with one call and writes
@@ -41,11 +41,12 @@ Each computes a quantity the library also computes, by a different route:
 It also holds the multiplier-extended Hamiltonian E(z) + sum omega C(z),
 which only the tests evaluate.  None of them is used by the library.
 """
+import math
+
 import numpy as np
 
 from sepmech import PureState, StiefelPoint, constraint_residual, energy
-from sepmech.werner import (BETA_INTERNAL_SCALE, _WG, _WK, _W_KG, _XK, QuadratureError,
-                            _panel_edges)
+from sepmech.werner import _STEP, _U0, BETA_INTERNAL_SCALE, QuadratureError, _grid
 
 TENSOR_PREFACTOR = 2.0
 H_FORM_PREFACTOR = 2.0
@@ -213,6 +214,18 @@ def grad_log_z1_full(beta: float, omega_prime: np.ndarray, p: float) -> np.ndarr
 
 # --- GK15 quadrature pass ----------------------------------------------------
 
+# 15-point Kronrod nodes and weights on [-1, 1], mirrored from the
+# nonnegative halves below, with the embedded 7-point Gauss weights on the
+# odd-index nodes; the K-G difference is the per-panel error estimate.
+_XK, _WK, _WG = (np.concatenate([sign * pos[:0:-1], pos]) for sign, pos in (
+    (-1, np.array([0.0, 0.207784955007898, 0.405845151377397, 0.586087235467691,
+                   0.741531185599394, 0.864864423359769, 0.949107912342759, 0.991455371120813])),
+    (1, np.array([0.209482141084728, 0.204432940075298, 0.190350578064785, 0.169004726639267,
+                  0.140653259715525, 0.104790010322250, 0.063092092629979, 0.022935322010529])),
+    (1, np.array([0.417959183673469, 0.0, 0.381830050505119, 0.0,
+                  0.279705391489277, 0.0, 0.129484966168870, 0.0]))))
+
+
 def panel_edges_doubling(bt: float, lo_scale: float, hi_scale: float) -> np.ndarray:
     """0, then lo/8 doubled until it reaches xmax, the last edge clipped to xmax."""
     scales = (lo_scale, hi_scale, 4.0 * bt)
@@ -230,7 +243,7 @@ def panel_edges_doubling(bt: float, lo_scale: float, hi_scale: float) -> np.ndar
 
 
 def moments_einsum(bt: float, g: float, lam: float):
-    """(I0, <A>, <B>, <x>, jac, gk_error) of one GK15 pass, as werner._moments."""
+    """(I0, <A>, <B>, <x>, jac, gk_error), the row of werner._moments, by one GK15 pass."""
     a, b = g * g, lam * lam
     edges = panel_edges_doubling(bt, a, b)
     mid = 0.5 * (edges[1:] + edges[:-1])
@@ -250,29 +263,41 @@ def moments_einsum(bt: float, g: float, lam: float):
     return k[0], mA, mB, mx, jac, err
 
 
-def moments_one_point(bt: float, g: float, lam: float, edges=None):
-    """(I0, <A>, <B>, <x>, jac, gk_error) of one GK15 pass at one point, over
-    edges (by default _panel_edges), in werner._moments's arithmetic; jac
-    is a 2x2 array, the rest Python floats."""
+# --- the library's trapezoid pass, one point at a time -------------------------
+
+def node_count_loop(bt: float, a: float, b: float) -> int:
+    """The node count of werner._grid by stepping u until t = u - e^{-u}
+    reaches log(xmax / s), then on to an even last index."""
+    lo = min(a, b, 4.0 * bt)
+    xmax = 4.0 * bt * 45.0 + 8.0 * max(a, b)
+    span = math.log(xmax) - (math.log(lo) - math.log(64.0))
+    j = 0
+    while _U0 + j * _STEP - math.exp(-(_U0 + j * _STEP)) < span:
+        j += 1
+    return j + j % 2 + 1
+
+
+def moments_one_point(bt: float, g: float, lam: float, grid=None):
+    """(I0, <A>, <B>, <x>, jac, error) of the library's trapezoid pass at one
+    point, over its own nodes (by default werner._grid) and one zero that
+    pairs the last, in werner._moments's arithmetic; jac is a 2x2 array,
+    the rest Python floats."""
     a, b = g * g, lam * lam
-    if edges is None:
-        edges = _panel_edges(bt, a, b)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    x = mid[:, None] + half[:, None] * _XK  # (panels, 15)
+    log_s, nodes = _grid(bt, a, b) if grid is None else grid
+    u = _U0 + np.arange(nodes) * _STEP
+    eu = np.exp(-u)
+    x = np.exp((u - eu) + log_s)
     ra, rb = 1.0 / (x + a), 1.0 / (x + b)
     A, B = g * ra, lam * rb
-    f = np.empty((9,) + x.shape)
-    w, wA, wB = f[0], f[1], f[2]
-    cap = 1e300 * 4.0 * bt
-    xe = x if edges[-1] <= cap else np.minimum(x, cap)
-    np.multiply(np.exp(xe / (-4.0 * bt)) * half[:, None], np.sqrt(ra) * rb * np.sqrt(rb), out=w)
-    for row, (u, v) in enumerate(((w, A), (w, B), (w, x), (wA, A), (wB, B), (wA, B),
-                                  (w * (x - a), ra * ra), (w * (x - b), rb * rb)), 1):
-        np.multiply(u, v, out=f[row])
-    kg = (f.reshape(-1, 15) @ _W_KG).reshape(9, -1, 2).sum(axis=1)
-    k = kg[:, 0].tolist()
-    err = max(abs(kk - gq) / max(abs(kk), 1e-300) for kk, gq in zip(k, kg[:4, 1].tolist()))
+    xe = np.minimum(x, 1e300 * 4.0 * bt)
+    w = np.exp(xe / (-4.0 * bt)) * (_STEP * (1.0 + eu) * x) * (np.sqrt(ra) * rb * np.sqrt(rb))
+    f = np.zeros((9, nodes + 1))
+    f[:, :-1] = [w, w * A, w * B, w * x, w * A * A, w * B * B, w * A * B,
+                 w * (x - a) * (ra * ra), w * (x - b) * (rb * rb)]
+    # the even and the odd node sums, each added up in node order
+    even, odd = f.reshape(9, -1, 2).cumsum(axis=1)[:, -1].T
+    k = (even + odd).tolist()
+    err = max(abs(kk - k2) / max(abs(kk), 1e-300) for kk, k2 in zip(k, (2.0 * even[:4]).tolist()))
     mA, mB, mx, mAA, mBB, mAB, cA, cB = (v / k[0] for v in k[1:])
     cov = mAB - mA * mB
     jac = np.array([[g * (cA - (mAA - mA * mA)), -3.0 * lam * cov],

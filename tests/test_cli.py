@@ -120,6 +120,22 @@ def test_probe_rejects_invalid_state_file(tmp_path, capsys):
         assert f"invalid density matrix: {why}" in err
 
 
+@pytest.mark.parametrize("dims, why", [
+    ({"dimA": 2.5, "dimB": 2}, "dimA must be an integer, got 2.5"),
+    ({"dimA": -2, "dimB": -2}, "dimA must be >= 1, got -2"),
+    ({"dimA": True, "dimB": 4}, "dimA must be an integer, got True"),
+    ({"dimA": "2", "dimB": 2}, "dimA must be an integer, got '2'"),
+], ids=["fraction", "negative", "bool", "string"])
+def test_state_file_dimensions_are_checked_not_coerced(tmp_path, capsys, dims, why):
+    # each names a 4 x 4 matrix that W(1) fills, so only the check can refuse it
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({**dims, "re": (np.eye(4) / 4).ravel().tolist(),
+                                "im": np.zeros(16).tolist()}))
+    code, out, err = run(capsys, "ppt", "--state", str(path))
+    assert code == 2 and out == ""
+    assert f"invalid density matrix: {why}" in err
+
+
 def test_probe_report_structure(capsys):
     code, out, _ = run(capsys, "probe", "--werner", "0.5", "--seed", "7",
                        "--samples", "3000", "--beta", "1,10")

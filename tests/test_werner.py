@@ -9,7 +9,7 @@ import pytest
 import mpmath
 
 from oracles import (det_m, energy_closed_form, grad_log_z1_full, h_matrix,
-                     moments_einsum, moments_one_point, panel_edges_doubling)
+                     moments_einsum, moments_one_point, node_count_loop)
 from sepmech import (OmegaPrime, PureState, avg_energy_werner,
                      bell_diagonal_h, ConstraintsUnsatisfiable,
                      concurrence_sq, cost_operator, energy,
@@ -18,8 +18,8 @@ from sepmech import (OmegaPrime, PureState, avg_energy_werner,
                      werner_state)
 from sepmech import werner
 from sepmech.werner import (BETA_INTERNAL_SCALE, LOG_GAMMA_FLOOR,
-                            RESIDUAL_THRESHOLD, QuadratureError, _moments,
-                            _panel_edges)
+                            RESIDUAL_THRESHOLD, QuadratureError, _STEP, _grid,
+                            _moments)
 
 
 @contextmanager
@@ -247,7 +247,7 @@ def test_saddle_outside_region():
 
 def _one_pass(bt, g, lam):
     """The _moments row of one point, as (I0, <A>, <B>, <x>, jac, gk_error)."""
-    (i0, mA, mB, mx, *jac, err), = _moments([bt], [g], [lam], [_panel_edges(bt, g * g, lam * lam)])
+    (i0, mA, mB, mx, *jac, err), = _moments([bt], [g], [lam], [_grid(bt, g * g, lam * lam)])
     return i0, mA, mB, mx, np.reshape(jac, (2, 2)), err
 
 
@@ -295,24 +295,20 @@ def test_moments_jacobian_gamma_column_at_the_floor():
 
 
 def test_moments_rejects_zero_scale_promptly():
-    # gamma = 0 leaves no positive panel scale; this used to loop forever
+    # gamma = 0 leaves no positive quadrature scale; this used to loop forever
     with time_limit(5.0), pytest.raises(QuadratureError):
         _one_pass(640.0, 0.0, 6.0)
 
 
-def test_panel_edges_match_the_doubling_oracle():
+def test_node_count_matches_the_loop():
+    # the closed form with its two-node correction against stepping u node
+    # by node, over the saddles' scales and at bt down to the smallest
+    # normal float, where log(xmax / s) exceeds 700 and s is subnormal
     rng = np.random.default_rng(20)
-    bts = 10.0 ** rng.uniform(-1, 8, 5000)
-    scales = 10.0 ** rng.uniform(-30, 4, (5000, 2))
-    for bt, (a, b) in zip(bts, scales):
-        assert np.array_equal(_panel_edges(bt, a, b), panel_edges_doubling(bt, a, b)), (bt, a, b)
-
-
-def test_panel_edges_on_an_exact_power_of_two_end():
-    # lo/8 = 0.5 doubles exactly onto xmax = 4*45 + 8*9.5 = 256
-    edges = _panel_edges(1.0, 9.5, 9.5)
-    assert np.array_equal(edges, panel_edges_doubling(1.0, 9.5, 9.5))
-    assert edges[-2:].tolist() == [128.0, 256.0]
+    bts = np.concatenate([10.0 ** rng.uniform(-1, 10, 5000), 2.0 ** -np.arange(1000, 1023)])
+    scales = 10.0 ** rng.uniform(-27, 8, (bts.size, 2))
+    for bt, (a, b) in zip(bts.tolist(), scales.tolist()):
+        assert _grid(bt, a, b)[1] == node_count_loop(bt, a, b), (bt, a, b)
 
 
 @pytest.mark.parametrize("beta, g, lam", [(10.0, 0.520432, 5.816898),
@@ -332,33 +328,59 @@ def test_moments_match_the_einsum_oracle(beta, g, lam):
     assert type(got[5]) is float
 
 
+def test_moments_match_the_gk15_oracle_over_a_sweep():
+    # 5000 seeded points over the saddles' range: beta 1e-3..1e8, log gamma
+    # from the floor up, log lam in +-8.  The Jacobian is compared relative
+    # to its largest entry, as above.  Largest gaps seen: 7.3e-15 on the
+    # moments, 2.7e-11 on the Jacobian; largest error estimate 5.2e-9
+    rng = np.random.default_rng(26)
+    bts = BETA_INTERNAL_SCALE * 10.0 ** rng.uniform(-3, 8, 5000)
+    gs = np.exp(rng.uniform(LOG_GAMMA_FLOOR, 8.0, 5000))
+    lams = np.exp(rng.uniform(-8.0, 8.0, 5000))
+    points = list(zip(bts.tolist(), gs.tolist(), lams.tolist()))
+    rows = []
+    for k in range(0, len(points), 100):
+        chunk = points[k:k + 100]
+        rows += _moments(*zip(*chunk), [_grid(bt, g * g, lam * lam) for bt, g, lam in chunk])
+    for pt, (*got, err) in zip(points, rows):
+        i0, mA, mB, mx, jac, _ = moments_einsum(*pt)
+        assert np.max(np.abs(np.array(got[:4]) / [i0, mA, mB, mx] - 1)) < 1e-13, pt
+        assert np.max(np.abs(np.array(got[4:]) - jac.ravel())) < 1e-10 * np.max(np.abs(jac)), pt
+        assert err <= 1e-8, pt
+
+
 def _quadrature_sweep():
-    """(bt, g, lam, edges) of single passes whose panel counts mix: beta
-    from 1e-3 to 1e8 with log gamma from the floor (~110 panels) up, the
-    1e300 * 4bt cap (beta 1e-305), and panel sets cut to 1 to 13 panels."""
+    """(bt, g, lam, grid) of single passes whose node counts mix: beta
+    from 1e-3 to 1e8 with log gamma from the floor (~480 nodes) up, the
+    1e300 * 4bt cap (beta 1e-305, ~3600 nodes), and grids cut to 1 to 27
+    nodes at beta 1e-3 and up."""
     points = []
     for beta in np.logspace(-3, 8, 12).tolist() + [1e-305]:
         for log_g in (LOG_GAMMA_FLOOR, -12.0, -1.0, 0.5, 3.0):
             for lam in (0.2, 5.98, 40.0):
                 bt, g = BETA_INTERNAL_SCALE * beta, float(np.exp(log_g))
-                points.append((bt, g, lam, _panel_edges(bt, g * g, lam * lam)))
-    cut = [(bt, g, lam, e[:k + 1]) for bt, g, lam, e in points[::17] for k in (1, 5, 8, 13)]
+                points.append((bt, g, lam, _grid(bt, g * g, lam * lam)))
+    cut = [(bt, g, lam, (log_s, n)) for bt, g, lam, (log_s, _) in points[:180:17]
+           for n in (1, 3, 11, 27)]
     return points + cut
 
 
 def test_batched_moments_match_the_one_point_oracle_bit_for_bit():
     points = _quadrature_sweep()
-    panels = {e.size - 1 for *_, e in points}
-    assert min(panels) == 1 and max(panels) >= 110 and 13 in panels
-    capped = [e[-1] > 1e300 * 4.0 * bt for bt, *_, e in points]
+    nodes = {n for *_, (_, n) in points}
+    assert min(nodes) == 1 and max(nodes) >= 3000 and 27 in nodes
+    # the last node's x, to within e^{-u} < 1e-3 relative, against the cap
+    capped = [log_s + _STEP * (n - 1) - 4.0 > np.log(1e300 * 4.0 * bt)
+              for bt, *_, (log_s, n) in points]
     assert 0 < sum(capped) < len(points)
     want = {}
     for i, pt in enumerate(points):
         i0, mA, mB, mx, jac, err = moments_one_point(*pt)
         want[i] = np.array([i0, mA, mB, mx, *jac.ravel(), err]).tobytes()
-    # the whole sweep in one call, and in calls of three in reverse order
+    # each point in a call of its own, the whole sweep in one call, and in
+    # calls of three in reverse order
     order = list(range(len(points)))
-    for chunk in [order] + [order[::-1][k:k + 3] for k in range(0, len(order), 3)]:
+    for chunk in [[i] for i in order] + [order] + [order[::-1][k:k + 3] for k in range(0, len(order), 3)]:
         rows = _moments(*zip(*(points[i] for i in chunk)))
         for i, row in zip(chunk, rows):
             assert all(type(v) is float for v in row)
@@ -376,13 +398,14 @@ def test_a_saddle_is_the_same_alone_in_its_grid_and_in_the_reversed_grid():
 
 
 def test_a_lockstep_pass_stays_within_the_node_budget(monkeypatch):
-    # padded nodes per _moments call, whatever the grid length; a call
-    # holds one point at least
+    # padded nodes per _moments call, whatever the grid length, counting
+    # the zero-weight node that pairs each point's last; a call holds one
+    # point at least
     nodes = []
 
     def counted(*args):
-        edges = args[3]
-        nodes.append((len(edges), 15 * len(edges) * (max(map(len, edges)) - 1)))
+        grids = args[3]
+        nodes.append((len(grids), len(grids) * (max(n for _, n in grids) + 1)))
         return _moments(*args)
 
     monkeypatch.setattr(werner, "_moments", counted)
@@ -461,7 +484,7 @@ def test_saddle_mean_x_is_the_moment_at_the_returned_point():
 
 def test_saddle_raises_when_its_final_pass_does_not_converge(monkeypatch):
     def unconverged(*args):
-        return [(*row[:8], 1.0) for row in _moments(*args)]  # GK error far above _GK_TOL
+        return [(*row[:8], 1.0) for row in _moments(*args)]  # error estimate far above _GK_TOL
 
     monkeypatch.setattr(werner, "_moments", unconverged)
     for p in (0.9, 0.5):  # interior and boundary ends
