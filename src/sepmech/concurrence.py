@@ -1,4 +1,4 @@
-"""Pure-state product test and the h matrices.
+"""Generalized concurrence of a pure state and the h matrices.
 
 The generalized concurrence squared
 
@@ -33,8 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quantum_core import Ensemble, InvalidInput, PureState, partial_trace
-
-DEFAULT_PRODUCT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -89,14 +87,6 @@ def concurrence_sq(psi: PureState) -> float:
     sigma = partial_trace(psi, "A")
     val = n4 - float(np.trace(sigma @ sigma).real)
     return max(val, 0.0)
-
-
-def is_product(psi: PureState, tol: float = DEFAULT_PRODUCT_TOL) -> bool:
-    """True iff the normalized concurrence squared c2(psi)/||psi||^4 is below tol."""
-    nrm = psi.norm()
-    if not 0.0 < nrm < np.inf:
-        raise InvalidInput("only a nonzero finite vector has a product test")
-    return concurrence_sq(psi) / nrm ** 4 < tol
 
 
 def h_matrices(ens: Ensemble) -> HMatrixSet:

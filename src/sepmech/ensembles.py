@@ -4,8 +4,10 @@ Every decomposition rho = sum_i |psi_i><psi_i| of length N is reachable from
 a fixed eigenvector ensemble {e_alpha} through an N x r matrix z with
 orthonormal columns (z^dag z = 1), via psi_i = sum_alpha z_{i alpha} e_alpha.
 The z matrices form the complex Stiefel manifold V_{N,r}; this module
-provides points on it (an explicit QR chart, Haar sampling and Haar
-unitaries), the constraint residual, and reconstruction of ensembles.
+provides points on it (Haar sampling and Haar unitaries), the constraint
+residual, and reconstruction of ensembles.  The paper's explicit chart,
+Gram-Schmidt of the identity stacked on a free block, is kept in the test
+suite as an independent oracle for the module's Cholesky-QR.
 """
 from __future__ import annotations
 
@@ -49,43 +51,6 @@ def ensemble_from_stiefel(z: StiefelPoint, ens: Ensemble) -> Ensemble:
     if z.r != ens.rank:
         raise InvalidInput(f"z has {z.r} columns but the ensemble has rank {ens.rank}")
     return Ensemble(ens.dimA, ens.dimB, z.z @ ens.amps)
-
-
-def stiefel_from_gs(v: np.ndarray, U: np.ndarray) -> StiefelPoint:
-    """Explicit chart: z = Q @ U, with Q R = (1_r stacked on v) the QR
-    factorization whose R has a positive real diagonal.
-
-    v is (N-r) x r and fills the free block below the identity, and U is an
-    r x r unitary.  Q is what Gram-Schmidt makes of the columns, so the top
-    r x r block of z U^dag is R^{-1}: upper-triangular with a positive real
-    diagonal.  The top r rows of the result stay linearly independent, which
-    is what makes this a chart rather than a global parametrization.
-
-    Q comes from a two-pass `_cholesky_qr`, which needs the Gram matrix
-    1 + v^dag v to be numerically positive definite: its largest eigenvalue
-    1 + ||v||_2^2 must stay well below 1/eps ~ 4.5e15, which holds for
-    entries of v up to ~1e7 on small charts.  Past that the call may raise
-    InvalidInput.
-    """
-    v = np.atleast_2d(np.asarray(v, dtype=complex))
-    U = np.asarray(U, dtype=complex)
-    r = U.shape[0]
-    if (U.shape != (r, r) or not np.isfinite(U).all()
-            or not np.max(np.abs(U.conj().T @ U - np.eye(r))) <= 1e-10):
-        raise InvalidInput("U must be unitary")
-    if v.size == 0:
-        v = v.reshape(0, r)
-    if v.shape[1] != r:
-        raise InvalidInput(f"v must have {r} columns")
-    if not np.isfinite(v).all():  # before the QR, which would warn on it
-        raise InvalidInput("v must be finite")
-    B = np.vstack([np.eye(r, dtype=complex), v])
-    try:
-        q = _cholesky_qr(B.shape[0], r, 1, 2, lambda b: np.copyto(b, B))[0]
-    except np.linalg.LinAlgError:
-        raise InvalidInput("1 + v^dag v is not numerically positive definite: keep "
-                           "||v||_2^2 well below 1e15 (entries up to ~1e7)") from None
-    return StiefelPoint(B.shape[0], r, q @ U)
 
 
 def _phase_fixed_q(b: np.ndarray, out=None, passes: int = 2) -> np.ndarray:

@@ -84,10 +84,11 @@ class PureState:
     amps: np.ndarray
 
     def __post_init__(self):
+        m, n = _require_count(self.dimA, "dimA"), _require_count(self.dimB, "dimB")
         amps = np.asarray(self.amps, dtype=complex).ravel()
         object.__setattr__(self, "amps", amps)
-        if amps.size != self.dimA * self.dimB:
-            raise InvalidInput(f"expected {self.dimA * self.dimB} amplitudes, got {amps.size}")
+        if amps.size != m * n:
+            raise InvalidInput(f"expected {m * n} amplitudes, got {amps.size}")
         if not np.isfinite(amps).all():
             raise InvalidInput("non-finite amplitudes")
 
@@ -114,11 +115,11 @@ class Ensemble:
     amps: np.ndarray
 
     def __post_init__(self):
+        m, n = _require_count(self.dimA, "dimA"), _require_count(self.dimB, "dimB")
         amps = np.ascontiguousarray(self.amps, dtype=complex)
         object.__setattr__(self, "amps", amps)
-        if amps.ndim != 2 or amps.shape[1] != self.dimA * self.dimB:
-            raise InvalidInput(f"expected rows of {self.dimA * self.dimB} amplitudes, "
-                               f"got shape {amps.shape}")
+        if amps.ndim != 2 or amps.shape[1] != m * n:
+            raise InvalidInput(f"expected rows of {m * n} amplitudes, got shape {amps.shape}")
         if not np.isfinite(amps).all():
             raise InvalidInput("non-finite amplitudes")
 

@@ -9,11 +9,11 @@ manifold (its natural invariant measure) and reweight with e^{-beta E}.
 One sample set feeds both reductions: sample_energies draws the energies
 once, and mc_energy_curve (the reweighting over a beta grid) and
 estimate_state_density (the normalized histogram of E) are pure functions
-of that array, so a caller that needs both pays for one draw.  The log-log
-fits behind the scaling conjecture follow: for separable states the
-density near zero is expected to follow A eps^delta, which forces
-<<E>> = (delta+1)/beta, while entangled states keep a gap and <<E>> stays
-bounded away from zero.
+of that array, so a caller that needs both pays for one draw.
+fit_energy_scaling is the log-log fit behind the scaling conjecture: for
+separable states the density near zero is expected to follow A eps^delta,
+which forces <<E>> = (delta+1)/beta, while entangled states keep a gap and
+<<E>> stays bounded away from zero.
 
 z1_mc handles the one-particle ensemble with the constraints enforced only
 on average by a Hermitian positive multiplier omega: z is drawn from the
@@ -78,13 +78,8 @@ class StateDensityEstimate:
 
 @dataclass(frozen=True)
 class ScalingFit:
-    """Least-squares line through (log x, log y) pairs.
-
-    For energy-vs-beta fits the abscissa is log beta and delta is the fitted
-    numerator minus one, from <<E>> = (delta+1)/beta.  For state-density fits
-    the abscissa is log energy and delta is the slope itself, from the
-    power-law ansatz A eps^delta.
-    """
+    """Least-squares line through (log beta, log <<E>>) pairs; delta is the
+    fitted numerator minus one, from <<E>> = (delta+1)/beta."""
 
     slope: float
     intercept: float
@@ -229,29 +224,6 @@ def estimate_state_density(energies, bins: int) -> StateDensityEstimate:
     return StateDensityEstimate(edges, counts / e.size, e.size)
 
 
-def _loglog_fit(lx: np.ndarray, ly: np.ndarray):
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
-    ss_tot = np.sum((ly - ly.mean()) ** 2)
-    r2 = 1.0 - np.sum(resid ** 2) / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), float(intercept), float(r2)
-
-
-def fit_power_law(hist: StateDensityEstimate, fit_window) -> ScalingFit:
-    """Fit density ~ A eps^delta on bins whose centers lie in fit_window."""
-    lo, hi = fit_window
-    centers = 0.5 * (hist.bin_edges[1:] + hist.bin_edges[:-1])
-    widths = np.diff(hist.bin_edges)
-    keep = (centers >= lo) & (centers <= hi) & (hist.counts > 0)
-    if keep.sum() < 3:
-        raise InvalidInput("need at least 3 nonempty bins in the fit window")
-    lx = np.log(centers[keep])
-    ly = np.log(hist.counts[keep] / widths[keep])
-    slope, intercept, r2 = _loglog_fit(lx, ly)
-    return ScalingFit(slope, intercept, delta=slope, amplitude=float(np.exp(intercept)),
-                      r_squared=r2)
-
-
 def _require_fit_betas(betas) -> None:
     """InvalidInput unless betas hold at least 3 distinct values, all
     positive and finite: fewer leave the slope of fit_energy_scaling
@@ -271,9 +243,12 @@ def fit_energy_scaling(points) -> ScalingFit:
         raise InvalidInput("energy must be positive and finite")
     lx = np.log([b for b, _ in pts])
     ly = np.log([v for _, v in pts])
-    slope, intercept, r2 = _loglog_fit(lx, ly)
+    slope, intercept = np.polyfit(lx, ly, 1)
+    ss_tot = np.sum((ly - ly.mean()) ** 2)
+    r2 = 1.0 - np.sum((ly - (slope * lx + intercept)) ** 2) / ss_tot if ss_tot > 0 else 1.0
     amp = float(np.exp(intercept))
-    return ScalingFit(slope, intercept, delta=amp - 1.0, amplitude=amp, r_squared=r2)
+    return ScalingFit(float(slope), float(intercept), delta=amp - 1.0, amplitude=amp,
+                      r_squared=float(r2))
 
 
 def z1_mc(cop: CostOperator, beta: float, lm: LagrangeMultipliers, samples: int,

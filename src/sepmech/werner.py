@@ -1,4 +1,4 @@
-"""Closed-form 2x2 Werner / Bell-diagonal pipeline.
+"""Closed-form 2x2 Werner pipeline.
 
 For W(p) = (1-p)|Psi-><Psi-| + (p/4) 1 (x) 1 the doubled antisymmetric
 space is one-dimensional, so the whole h-matrix set collapses to a single
@@ -150,21 +150,6 @@ def werner_eigenensemble(p: float) -> Ensemble:
 def _werner_h(p: float):
     """(h0, h1), the diagonal of h(p) = diag(h0, h1, h1, h1) = (1/8) diag(4-3p, p, p, p)."""
     return (4 - 3 * p) / 8.0, p / 8.0
-
-
-def bell_diagonal_h(q0: float, q1: float, q2: float, q3: float) -> np.ndarray:
-    """h = diag(q0, q1, q2, q3) / 2 of a Bell-diagonal state with weights q.
-
-    This is the one h matrix of its eigenensemble in the phase choice of
-    _bell_ensemble; it reduces to the Werner h(p) = (1/8) diag(4-3p, p, p, p)
-    at weights (1-3p/4, p/4, p/4, p/4).
-    A zero weight gives a matching zero on the diagonal; callers wanting a
-    strictly positive h should drop that eigenvector and reduce the rank.
-    """
-    q = np.array([q0, q1, q2, q3], dtype=float)
-    if not (q.min() >= 0 and abs(q.sum() - 1.0) <= 1e-12):
-        raise InvalidInput("weights must be nonnegative and sum to 1")
-    return np.diag(q) / 2
 
 
 def _grid(bt: float, a: float, b: float):

@@ -24,6 +24,11 @@ Each computes a quantity the library also computes, by a different route:
 - the library's trapezoid pass of one point on its own nodes, its even and
   odd node sums by cumulative sums (the library passes many points at once
   over nodes padded to a common count, and must give the same bits);
+- the h matrix diag(q)/2 of a Bell-diagonal state (the library contracts
+  the eigenensemble generically);
+- the paper's explicit chart of the Stiefel manifold, Gram-Schmidt of the
+  identity stacked on a free block, as a Householder QR with a phase fix
+  (the library has no chart, and its Cholesky-QR must give the same Q);
 - the Haar-Stiefel draw as the Householder QR of a Ginibre block built
   from separate real and imaginary normals, with a separate phase product
   (the library fills the float view of one buffer with one call and writes
@@ -151,6 +156,13 @@ def h_matrix(p: float) -> np.ndarray:
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     return np.diag([(4 - 3 * p) / 8.0, p / 8.0, p / 8.0, p / 8.0]).astype(complex)
+
+
+def bell_diagonal_h(q) -> np.ndarray:
+    """h = diag(q0, q1, q2, q3) / 2, the one h matrix of the Bell-diagonal
+    state with weights q in the eigenensemble phases of werner._bell_ensemble;
+    at the weights (1-3p/4, p/4, p/4, p/4) it is the Werner h(p)."""
+    return np.diag(np.asarray(q, dtype=float)) / 2
 
 
 def energy_closed_form(z, p: float) -> float:
@@ -328,12 +340,30 @@ def ginibre_unblocked(N: int, r: int, count: int, rng) -> np.ndarray:
     return x[..., 0] + 1j * x[..., 1]
 
 
+def _householder_q(b: np.ndarray) -> np.ndarray:
+    """Q of the thin QR of the stack b (..., N, r) whose R has a positive
+    real diagonal: numpy's Householder QR, R's diagonal phases folded into Q."""
+    q, rr = np.linalg.qr(b)
+    d = np.diagonal(rr, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
 def stiefel_batch_unblocked(N: int, r: int, count: int, rng) -> np.ndarray:
     """count Haar points of V_{N,r}: one Householder QR of the whole Ginibre
     stack, with the phases of R's diagonal folded into Q."""
-    q, rr = np.linalg.qr(ginibre_unblocked(N, r, count, rng))
-    d = np.diagonal(rr, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[:, None, :]
+    return _householder_q(ginibre_unblocked(N, r, count, rng))
+
+
+def stiefel_from_gs(v: np.ndarray, U: np.ndarray) -> StiefelPoint:
+    """The paper's explicit chart of V_{N,r}: z = Q U, where Q is what
+    Gram-Schmidt makes of the columns of the identity 1_r stacked on the
+    (N-r) x r free block v, and U is an r x r unitary.  So Q R = (1_r; v)
+    with R upper-triangular and its diagonal positive real, and the top
+    r x r block of z U^dag is R^{-1}.  A U that is not unitary leaves z off
+    the manifold, which StiefelPoint rejects."""
+    v = np.asarray(v, dtype=complex).reshape(-1, len(U))
+    q = _householder_q(np.vstack([np.eye(len(U)), v]))
+    return StiefelPoint(len(q), len(U), q @ U)
 
 
 def batch_energies_serial(cop, N: int, samples: int, seed: int, blocks,

@@ -1,17 +1,21 @@
 """Generalized concurrence: the direct form, checked against the
-antisymmetric-component and determinant oracles, the product test, and the
-h-matrix contractions."""
+antisymmetric-component and determinant oracles, the product test it
+gives, and the h-matrix contractions."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import concurrence_sq_skew, det_product_test, h_matrix
 from sepmech import (PureState, concurrence_sq, eigen_ensemble, h_matrices,
-                     haar_unitary, is_product, werner_state,
-                     werner_eigenensemble)
+                     haar_unitary, werner_eigenensemble)
 from sepmech.concurrence import skew_basis
 
 SINGLET = PureState(2, 2, np.array([0, 1, -1, 0]) / np.sqrt(2))
+
+
+def _is_product(psi, tol=1e-9):
+    """The product test of a nonzero vector: c2(psi) / ||psi||^4 < tol."""
+    return concurrence_sq(psi) / psi.norm() ** 4 < tol
 
 
 def _random_pure(rng, m, n, normalize=True):
@@ -91,16 +95,14 @@ def test_skew_basis_m2_is_singlet_direction():
 
 def test_is_product_examples():
     plus1 = PureState(2, 2, np.array([0, 1, 0, 1]) / np.sqrt(2))
-    assert is_product(plus1)
-    assert not is_product(SINGLET)
-    with pytest.raises(ValueError):
-        is_product(PureState(2, 2, [0, 0, 0, 0]))
+    assert _is_product(plus1)
+    assert not _is_product(SINGLET)
 
 
 def test_is_product_weakly_entangled_state():
     th = 0.01
     psi = PureState(2, 2, [np.cos(th), 0, 0, np.sin(th)])
-    assert not is_product(psi, tol=1e-12)
+    assert not _is_product(psi, tol=1e-12)
     assert abs(concurrence_sq(psi) - np.sin(2 * th) ** 2 / 2) < 1e-12
 
 
@@ -117,7 +119,7 @@ def test_is_product_matches_schmidt_rank(seed):
         psi = _random_pure(rng, 2, 3)
     sv = np.linalg.svd(psi.coeff_matrix(), compute_uv=False)
     schmidt_rank_one = sv[1] < 1e-8
-    assert is_product(psi) == schmidt_rank_one
+    assert _is_product(psi) == schmidt_rank_one
 
 
 def test_det_product_test_values():
@@ -138,7 +140,7 @@ def test_det_product_test_agrees_with_is_product(seed):
         psi = PureState(2, 2, v)
     else:
         psi = _random_pure(rng, 2, 2)
-    assert (abs(det_product_test(psi)) < 1e-9) == is_product(psi)
+    assert (abs(det_product_test(psi)) < 1e-9) == _is_product(psi)
 
 
 def test_h_matrices_werner_is_pinned_diagonal():

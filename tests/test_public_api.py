@@ -1,6 +1,7 @@
-"""The package namespace: exactly the public names, each importable, the
-one-way rule between the library and the test oracles, the library's one
-error type for bad input, and records that hold no unread field."""
+"""The package namespace: exactly the public names, each importable and
+each function reached from outside its own tests, the one-way rule between
+the library and the test oracles, the library's one error type for bad
+input, and records that hold no unread field."""
 import ast
 import importlib.util
 import math
@@ -12,11 +13,11 @@ import pytest
 
 import sepmech
 from sepmech import (Ensemble, LagrangeMultipliers, OmegaPrime, PureState,
-                     StiefelPoint, bell_diagonal_h, caratheodory_length, cost_operator,
+                     StiefelPoint, caratheodory_length, cost_operator,
                      estimate_state_density, fit_energy_scaling, haar_stiefel,
-                     haar_unitary, is_product, mc_energy_curve, partial_trace,
-                     sample_energies, saddle_search, stiefel_from_gs,
-                     werner_eigenensemble, werner_state, z1_mc)
+                     haar_unitary, mc_energy_curve, partial_trace,
+                     sample_energies, saddle_search, werner_eigenensemble,
+                     werner_state, z1_mc)
 from sepmech.quantum_core import InvalidInput
 
 SRC = Path(sepmech.__file__).parent
@@ -29,28 +30,29 @@ PUBLIC = [
     "EquipartitionScan", "HMatrixSet", "LagrangeMultipliers", "McEstimate",
     "OmegaPrime", "PureState", "QuadratureError", "SaddleResult",
     "ScalingFit", "StateDensityEstimate", "StiefelPoint", "avg_energy_werner",
-    "bell_diagonal_h", "caratheodory_length", "concurrence_sq",
-    "constraint_residual", "cost_operator", "eigen_ensemble", "energy",
-    "ensemble_from_stiefel", "equipartition_scan",
-    "estimate_state_density", "fit_energy_scaling", "fit_power_law",
+    "caratheodory_length", "concurrence_sq", "constraint_residual",
+    "cost_operator", "eigen_ensemble", "energy", "ensemble_from_stiefel",
+    "equipartition_scan", "estimate_state_density", "fit_energy_scaling",
     "grad_log_z1", "h_matrices", "haar_stiefel", "haar_unitary",
-    "is_product", "log_z1_quadrature", "mc_energy_curve", "partial_trace",
-    "ppt_is_entangled", "saddle_search", "sample_energies", "stiefel_from_gs",
+    "log_z1_quadrature", "mc_energy_curve", "partial_trace",
+    "ppt_is_entangled", "saddle_search", "sample_energies",
     "werner_eigenensemble", "werner_state", "z1_mc",
 ]
 
 # alternative formulas and test-only helpers now kept in tests/oracles.py,
-# deleted helpers (tensor_product is np.kron), and the two ensemble records
-# that Ensemble replaces
+# deleted helpers (tensor_product is np.kron, is_product a threshold on
+# concurrence_sq), the two ensemble records that Ensemble replaces, and
+# functions nothing but the tests reached
 REMOVED = ["energy_via_h", "concurrence_sq_skew", "SkewBasis", "skew_basis",
            "det_product_test", "det_m", "grad_log_z1_full", "WernerParams",
            "mc_average_energy", "full_hamiltonian", "tensor_product",
            "weighted_stats", "h_matrix", "energy_closed_form",
-           "EigenEnsemble", "RhoEnsemble"]
+           "EigenEnsemble", "RhoEnsemble", "stiefel_from_gs", "is_product",
+           "fit_power_law", "bell_diagonal_h"]
 
 
 def test_all_lists_exactly_the_public_names():
-    assert len(PUBLIC) == 43
+    assert len(PUBLIC) == 39
     assert sorted(sepmech.__all__) == PUBLIC
 
 
@@ -146,6 +148,22 @@ def test_every_q_comes_from_the_one_dispatcher():
     assert drawn == set()
 
 
+def test_every_public_function_is_reached():
+    # a public function counts as reached if the command line, the
+    # acceptance tests, the benchmark or another library module uses it;
+    # one that only its own tests call leaves the package or moves to
+    # tests/oracles.py.  Record and exception classes are exempt
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    del trees["__init__.py"]  # it re-exports every name
+    outside = [ast.parse(path.read_text()) for path in
+               [TESTS / "test_acceptance.py"] + sorted(PERFBENCH.rglob("*.py"))]
+    unreached = [f"{mod}:{stmt.name}" for mod, tree in trees.items() for stmt in tree.body
+                 if isinstance(stmt, ast.FunctionDef) and stmt.name in sepmech.__all__
+                 and stmt.name not in _used_names(
+                     outside + [t for m, t in trees.items() if m != mod])]
+    assert unreached == []
+
+
 def _is_dataclass(cls: ast.ClassDef) -> bool:
     return "dataclass" in {getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
                            for d in cls.decorator_list}
@@ -194,7 +212,6 @@ _NAN, _INF = float("nan"), float("inf")
     lambda: PureState(2, 2, [1, 0, 0]),
     lambda: haar_unitary(0, seed=1),
     lambda: LagrangeMultipliers(np.diag([1.0, 0.0])),
-    lambda: stiefel_from_gs(np.ones((2, 3)), np.eye(2)),
     lambda: estimate_state_density([1.0, 2.0, 3.0], 1),
     lambda: z1_mc(_COP, 1.0, LagrangeMultipliers(np.eye(4)), 0, seed=1),
     lambda: OmegaPrime(0, 1),
@@ -213,23 +230,23 @@ _NAN, _INF = float("nan"), float("inf")
     lambda: estimate_state_density([], 4),
     lambda: estimate_state_density([1.0, 2.0, _NAN], 4),
     lambda: estimate_state_density([1.0, 2.0, _INF], 4),
-    lambda: bell_diagonal_h(_NAN, 0.5, 0.25, 0.25),
     lambda: StiefelPoint(2, 1, [[_NAN], [0.0]]),
-    lambda: stiefel_from_gs(np.ones((1, 2)), np.diag([1.0, _NAN])),
-    lambda: stiefel_from_gs(np.array([[_NAN, 0.0]]), np.eye(2)),
     lambda: LagrangeMultipliers(np.diag([1.0, _NAN])),
     lambda: caratheodory_length(_NAN, 2),
-    lambda: is_product(PureState(2, 2, [_NAN, 0, 0, 0])),
     lambda: PureState(2, 2, [_NAN, 0, 0, 0]),
     lambda: PureState(2, 2, [_INF, 0, 0, 0]),
     lambda: Ensemble(2, 2, [[_NAN, 0, 0, 0]]),
     lambda: Ensemble(2, 2, np.ones((2, 3))),
     lambda: Ensemble(2, 2, np.ones(4)),
+    lambda: PureState(-2, -2, np.ones(4) / 2),
+    lambda: PureState(True, 4, np.ones(4) / 2),
+    lambda: PureState(2.0, 2, np.ones(4) / 2),
+    lambda: Ensemble(-2, -2, np.ones((1, 4)) / 2),
+    lambda: Ensemble(True, 4, np.ones((1, 4)) / 2),
+    lambda: Ensemble(2.0, 2, np.ones((1, 4)) / 2),
     lambda: caratheodory_length(1.5, 2),
     lambda: LagrangeMultipliers(np.diag([1.0, _INF])),
     lambda: StiefelPoint(2, 1, [[_INF], [0.0]]),
-    lambda: stiefel_from_gs(np.ones((1, 2)), np.diag([1.0, _INF])),
-    lambda: stiefel_from_gs(np.full((1, 2), 1e9), np.eye(2)),
     lambda: haar_stiefel(16.0, 4, 1),
     lambda: haar_stiefel(16, 2.5, 1),
     lambda: haar_unitary(2.0, 1),
@@ -239,18 +256,19 @@ _NAN, _INF = float("nan"), float("inf")
     lambda: estimate_state_density([1.0, 2.0, 3.0], 7.0),
     lambda: haar_unitary(True, 1),
     lambda: sample_energies(_COP, 16, True, 1),
-], ids=["amplitude-count", "haar-d0", "singular-omega", "gs-columns", "bins-1",
-        "z1-samples-0", "omega-prime-gamma-0", "mc-curve-beta-nan", "mc-curve-beta-inf",
-        "fit-beta-nan", "fit-beta-inf", "fit-energy-nan", "z1-beta-nan", "z1-beta-negative",
+], ids=["amplitude-count", "haar-d0", "singular-omega", "bins-1", "z1-samples-0",
+        "omega-prime-gamma-0", "mc-curve-beta-nan", "mc-curve-beta-inf", "fit-beta-nan",
+        "fit-beta-inf", "fit-energy-nan", "z1-beta-nan", "z1-beta-negative",
         "saddle-beta-nan", "saddle-beta-inf", "mc-curve-empty", "mc-curve-energy-nan",
         "mc-curve-energy-inf", "density-empty", "density-energy-nan", "density-energy-inf",
-        "bell-h-nan", "stiefel-point-nan", "gs-u-nan", "gs-v-nan", "omega-nan",
-        "caratheodory-nan", "is-product-nan", "pure-state-nan", "pure-state-inf",
-        "ensemble-nan", "ensemble-width", "ensemble-1d", "caratheodory-fraction",
-        "omega-inf", "stiefel-point-inf", "gs-u-inf", "gs-ill-conditioned",
-        "haar-stiefel-float-n", "haar-stiefel-fraction-r", "haar-float-d",
-        "sample-fraction-n", "sample-fraction-count", "z1-fraction-samples",
-        "density-float-bins", "haar-bool-d", "sample-bool-count"])
+        "stiefel-point-nan", "omega-nan", "caratheodory-nan", "pure-state-nan",
+        "pure-state-inf", "ensemble-nan", "ensemble-width", "ensemble-1d",
+        "pure-state-negative-dims", "pure-state-bool-dim", "pure-state-float-dim",
+        "ensemble-negative-dims", "ensemble-bool-dim", "ensemble-float-dim",
+        "caratheodory-fraction", "omega-inf", "stiefel-point-inf", "haar-stiefel-float-n",
+        "haar-stiefel-fraction-r", "haar-float-d", "sample-fraction-n",
+        "sample-fraction-count", "z1-fraction-samples", "density-float-bins", "haar-bool-d",
+        "sample-bool-count"])
 def test_library_check_raises_invalid_input(call):
     with pytest.raises(InvalidInput):
         call()

@@ -1,5 +1,5 @@
 """Monte Carlo machinery: reweighted energy averages, state-density
-histograms, power-law fits, and the Gaussian one-particle estimator."""
+histograms, the 1/beta fit, and the Gaussian one-particle estimator."""
 import sys
 import threading
 import tracemalloc
@@ -10,10 +10,9 @@ from oracles import (ENERGY_ROUNDING, batch_energies_serial, h_matrix, haar_mean
                      jackknife_error, weighted_stats)
 
 from sepmech import ensembles, statmech
-from sepmech import (LagrangeMultipliers, McEstimate, StateDensityEstimate,
-                     cost_operator, energy, estimate_state_density,
-                     fit_energy_scaling, fit_power_law,
-                     log_z1_quadrature, mc_energy_curve,
+from sepmech import (LagrangeMultipliers, McEstimate, cost_operator, energy,
+                     estimate_state_density,
+                     fit_energy_scaling, log_z1_quadrature, mc_energy_curve,
                      OmegaPrime, eigen_ensemble, sample_energies,
                      werner_eigenensemble, werner_state, z1_mc)
 
@@ -286,25 +285,6 @@ def test_density_histogram_separable_state_piles_up_low():
     # mass sits at energies well below the entangled state's gap
     assert med < 0.02
     assert hist.bin_edges[0] < 0.01
-
-
-def test_fit_power_law_recovers_synthetic_exponents(rng):
-    for delta in (2.0, 0.5):
-        # inverse-CDF sampling of rho(e) = (delta+1) e^delta on [0, 1]
-        e = rng.random(400000) ** (1.0 / (delta + 1.0))
-        edges = np.linspace(0, 1, 41)
-        counts, edges = np.histogram(e, bins=edges)
-        hist = StateDensityEstimate(bin_edges=edges, counts=counts / e.size,
-                                    total_samples=e.size)
-        fit = fit_power_law(hist, (0.05, 0.9))
-        assert abs(fit.delta - delta) < 0.05
-        assert fit.r_squared > 0.99
-
-
-def test_fit_power_law_needs_enough_bins():
-    hist = estimate_state_density(sample_energies(COP02, 16, 5000, seed=9), 24)
-    with pytest.raises(ValueError):
-        fit_power_law(hist, (1e9, 2e9))
 
 
 def test_fit_energy_scaling_exact_inverse_law():

@@ -8,10 +8,9 @@ import pytest
 
 import mpmath
 
-from oracles import (det_m, energy_closed_form, grad_log_z1_full, h_matrix,
-                     moments_einsum, moments_one_point, node_count_loop)
-from sepmech import (OmegaPrime, PureState, avg_energy_werner,
-                     bell_diagonal_h, ConstraintsUnsatisfiable,
+from oracles import (bell_diagonal_h, det_m, energy_closed_form, grad_log_z1_full,
+                     h_matrix, moments_einsum, moments_one_point, node_count_loop)
+from sepmech import (OmegaPrime, PureState, avg_energy_werner, ConstraintsUnsatisfiable,
                      concurrence_sq, cost_operator, energy,
                      equipartition_scan, grad_log_z1, h_matrices,
                      log_z1_quadrature, saddle_search, werner_eigenensemble,
@@ -89,10 +88,9 @@ def test_werner_h_is_the_diagonal_of_the_generic_contraction():
 
 def test_bell_diagonal_h_reduces_to_werner():
     for p in (0.2, 0.6, 1.0):
-        q = (1 - 3 * p / 4, p / 4, p / 4, p / 4)
-        assert np.max(np.abs(bell_diagonal_h(*q) - h_matrix(p))) < 1e-12
-    assert np.allclose(bell_diagonal_h(0.25, 0.25, 0.25, 0.25),
-                       np.eye(4) / 8, atol=1e-12)
+        h0, h1 = werner._werner_h(p)
+        got = bell_diagonal_h((1 - 3 * p / 4, p / 4, p / 4, p / 4))
+        assert np.max(np.abs(got - np.diag([h0, h1, h1, h1]))) < 1e-15
 
 
 def test_bell_diagonal_h_is_the_h_matrix_of_the_bell_ensemble():
@@ -100,16 +98,7 @@ def test_bell_diagonal_h_is_the_h_matrix_of_the_bell_ensemble():
     for _ in range(20):
         q = rng.dirichlet(np.ones(4))
         want = h_matrices(werner._bell_ensemble(q)).matrices[0, 0]
-        assert np.max(np.abs(bell_diagonal_h(*q) - want)) < 1e-15
-
-
-def test_bell_diagonal_h_zero_weight_and_validation():
-    h = bell_diagonal_h(0.5, 0.5, 0.0, 0.0)
-    assert abs(h[2, 2]) < 1e-14 and abs(h[3, 3]) < 1e-14
-    with pytest.raises(ValueError):
-        bell_diagonal_h(0.5, 0.5, 0.5, -0.5)
-    with pytest.raises(ValueError):
-        bell_diagonal_h(0.5, 0.5, 0.5, 0.5)
+        assert np.max(np.abs(bell_diagonal_h(q) - want)) < 1e-15
 
 
 def test_closed_form_energy_basis_rows():
