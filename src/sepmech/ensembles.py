@@ -53,19 +53,18 @@ def ensemble_from_stiefel(z: StiefelPoint, ens: Ensemble) -> Ensemble:
     return Ensemble(ens.dimA, ens.dimB, z.z @ ens.amps)
 
 
-def _phase_fixed_q(b: np.ndarray, out=None, passes: int = 2) -> np.ndarray:
+def _phase_fixed_q(b: np.ndarray, out, passes: int) -> np.ndarray:
     """Q of the thin QR factorization b = Q R of b (..., N, r) whose R has a
     positive real diagonal: the unique such factorization of a full-rank
     block, and the one whose Q is Haar-distributed when b is a Ginibre block
-    (Mezzadri, math-ph/0609050).  Computed as a Cholesky-QR: R is the
-    conjugate transpose of the Cholesky factor of the Gram matrix b^dag b,
-    and Q = b R^{-1}.  One pass loses orthogonality like cond(b)^2 eps, so
-    by default the Q of the first pass is factored once more (CholQR2:
-    Fukaya et al., ScalA 2014; Yamamoto et al., ETNA 44, 306 (2015)), which
-    leaves it orthonormal to rounding; passes=1 is for blocks the caller
-    knows to be well conditioned.  Written into out when given.  Raises
-    numpy's LinAlgError when a Gram matrix is not numerically positive
-    definite.  Each batched call loops over the stacked matrices in LAPACK."""
+    (Mezzadri, math-ph/0609050).  Computed as `passes` Cholesky-QR passes:
+    R is the conjugate transpose of the Cholesky factor of the Gram matrix
+    b^dag b, and Q = b R^{-1}.  One pass loses orthogonality like
+    cond(b)^2 eps; a second pass over its Q (CholQR2: Fukaya et al., ScalA
+    2014; Yamamoto et al., ETNA 44, 306 (2015)) leaves it orthonormal to
+    rounding.  Written into out unless out is None.  Raises numpy's
+    LinAlgError when a Gram matrix is not numerically positive definite.
+    Each batched call loops over the stacked matrices in LAPACK."""
     q = b
     for k in range(passes):
         gram = np.matmul(q.conj().swapaxes(-1, -2), q)

@@ -31,8 +31,8 @@ numbers of size |h|, whose computed value below that is only noise.
 Outside the region the minimum runs to gamma -> 0 with a finite residual;
 the solve clamps log gamma at a fixed floor and reports a boundary point
 when it ends there with the objective rising in log gamma.  The scan and
-the energies of a beta grid solve all their points in lockstep, one
-vectorized pass over every unfinished point per Newton step (_saddles).
+the energies of a beta grid solve all their points in lockstep, in one
+flat loop of rounds over every unfinished point (_saddles).
 
 Units: the public beta multiplies the bare quartic |(4-3p) z1^2 + p z2^2
 + p z3^2 + p z4^2|^2, which is the convention the scan and scaling
@@ -65,6 +65,7 @@ _GK_TOL = 1e-7  # bound on the relative error estimate of a _moments pass
 # the trapezoid rule of _moments: step and first node in u, x = s exp(u - e^{-u})
 _STEP = 0.2
 _U0 = -4.0
+_LOG_64 = math.log(64.0)
 # trapezoid nodes per _moments call of a lockstep round, padding counted, so
 # a round's transient arrays do not grow with the grid
 _NODE_BUDGET = 8192
@@ -162,20 +163,20 @@ def _grid(bt: float, a: float, b: float):
     below e^{-45} of its peak, xmax = 180 bt + 8 max(a, b).  Both come from
     logarithms, so no x_j overflows however far apart the scales lie.
     """
-    scales = (a, b, 4.0 * bt)
-    lo = min(scales)
-    xmax = 4.0 * bt * 45.0 + 8.0 * max(a, b)
-    if not (lo >= _TINY and all(map(math.isfinite, scales + (xmax,)))):
+    c = 4.0 * bt
+    xmax = c * 45.0 + 8.0 * (b if b > a else a)
+    if not (a >= _TINY and b >= _TINY and c >= _TINY and xmax < math.inf):
         # a zero or non-finite scale or end leaves no finite node set, and a
         # subnormal 4 bt = 256 beta (beta below ~8.7e-311) overflows x / 4bt
         raise QuadratureError(f"quadrature scales must be normal positive floats with a "
-                              f"finite end 180 bt + 8 max(a, b), got {scales}")
-    log_s = math.log(lo) - math.log(64.0)
+                              f"finite end 180 bt + 8 max(a, b), got {(a, b, c)}")
+    log_s = math.log(min(a, b, c)) - _LOG_64
     span = math.log(xmax) - log_s  # x_j >= xmax where t_j >= span
     # span >= log(45 * 64) ~ 8, where e^{-u} < _STEP, so the first j with
     # t_j >= span is one of the two after the rounded closed form
-    j = max(math.ceil((span - _U0) / _STEP) - 1, 0)
-    j += sum(u - math.exp(-u) < span for u in (_U0 + j * _STEP, _U0 + (j + 1) * _STEP))
+    j = math.ceil((span - _U0) / _STEP) - 1
+    u, v = _U0 + j * _STEP, _U0 + (j + 1) * _STEP
+    j += (u - math.exp(-u) < span) + (v - math.exp(-v) < span)
     return log_s, j + j % 2 + 1
 
 
@@ -306,109 +307,109 @@ def saddle_search(beta: float, p: float) -> SaddleResult:
     (interior=False); every other end is interior.  iterations counts the
     quadrature passes at the point.  mean_x is <x> from the pass at the
     returned point, and that pass must have converged: QuadratureError
-    otherwise.  This is the one-point case of the lockstep solve of a grid
-    (_saddles).
+    otherwise.  This is the one-point case of the lockstep loop of _saddles,
+    whose rounds apply this update to each point of a grid.
     """
     return next(_saddles([(beta, p)]))
 
 
-def _saddle_steps(bt: float, h0: float, h1: float):
-    """saddle_search's solve of one point, as a generator: it yields each
-    quadrature pass it needs as its point's _moments arguments (bt, gamma,
-    lam, node grid), is sent that point's row of the pass, and returns the
-    SaddleResult.  A QuadratureError of _grid or of the final pass's
-    _require_converged ends it."""
-    w1 = math.sqrt(3.0)  # lam carries multiplicity 3
-    f_floor = (_EPS_F * math.hypot(h0, w1 * h1)) ** 2  # the third stop rule
-
-    def clip(v):
-        return min(max(v, LOG_GAMMA_FLOOR), -LOG_GAMMA_FLOOR)
-
-    def residual(u):
-        g, lam = math.exp(u[0]), math.exp(u[1])
-        grid = _grid(bt, g * g, lam * lam)
-        i0, mg, ml, mx, j00, j01, j10, j11, err = yield bt, g, lam, grid
-        r0, r1 = h0 - mg, w1 * (h1 - ml)
-        return r0 * r0 + r1 * r1, (r0, r1), (-j00, -j01, -w1 * j10, -w1 * j11), (i0, mx, err)
-
-    lam_inf = 1 / (3 * h1 - h0) if 3 * h1 > 2 * h0 else 0.0  # 0.0: no beta -> inf solution
-    u = (clip(math.log(1 / h0 - lam_inf)), clip(math.log(lam_inf or 1 / h1)))
-    state, mu, evals = (yield from residual(u)), 0.0, 1
-    while evals < _MAX_EVALS and state[0] > f_floor:
-        (u0, u1), (f, (r0, r1), (j00, j01, j10, j11), _) = u, state
-        g0, g1 = j00 * r0 + j10 * r1, j01 * r0 + j11 * r1  # J^T r
-        h00, h01, h11 = j00 * j00 + j10 * j10, j00 * j01 + j10 * j11, j01 * j01 + j11 * j11
-        # the damped matrix J^T J + mu diag(J^T J): its (1, 1) entry, and its
-        # determinant as det(J)^2 + mu (2 + mu) h00 h11, free of cancellation
-        a11 = h11 + mu * h11
-        det = (j00 * j11 - j01 * j10) ** 2 + mu * (2.0 + mu) * h00 * h11
-        on_floor = u0 <= LOG_GAMMA_FLOOR and g0 > 0
-        du0 = 0.0 if on_floor else (h01 * g1 - a11 * g0) / det
-        crossed = u0 + du0 < LOG_GAMMA_FLOOR
-        if on_floor or crossed:
-            du0 = LOG_GAMMA_FLOOR - u0  # hold or stop gamma on the floor
-        du1 = -(g1 + h01 * du0) / a11  # the lam step given du0
-        un = (clip(u0 + du0), clip(u1 + du1))
-        s0, s1 = un[0] - u0, un[1] - u1
-        if abs(s0) <= _EPS_F * abs(u0) and abs(s1) <= _EPS_F * abs(u1):
-            break  # the step no longer moves u above rounding
-        model = (r0 + j00 * s0 + j01 * s1) ** 2 + (r1 + j10 * s0 + j11 * s1) ** 2
-        if not crossed and f - model <= _EPS_F * f:
-            break  # the linear model promises no decrease above rounding
-        trial, evals = (yield from residual(un)), evals + 1
-        if trial[0] < f:
-            u, state, mu = un, trial, 0.1 * mu
-        else:
-            mu = max(10.0 * mu, 1.0)
-    f, (r0, r1), J, (i0, mx, err) = state
-    _require_converged(i0, err)
-    boundary = u[0] <= LOG_GAMMA_FLOOR and J[0] * r0 + J[2] * r1 > 0  # (J^T r)_gamma
-    return SaddleResult(math.exp(u[0]), math.exp(u[1]), math.sqrt(f), not boundary, evals, mx)
+def _clip(v):
+    """v held to the box [LOG_GAMMA_FLOOR, -LOG_GAMMA_FLOOR]."""
+    return LOG_GAMMA_FLOOR if v < LOG_GAMMA_FLOOR else -LOG_GAMMA_FLOOR if v > -LOG_GAMMA_FLOOR else v
 
 
-def _chunks(asks: dict):
-    """The keys of asks, in grid order, cut into _moments calls of at most
-    _NODE_BUDGET nodes each (at least one point), counting every point at
-    the most nodes of its call plus the zero-weight one that pairs its
-    last."""
-    chunk, size = [], 0
-    for i, (*_, (_, nodes)) in asks.items():
+def _chunks(asks):
+    """Slices of asks, a round's passes in grid order each ending in its
+    node grid, cut into _moments calls of at most _NODE_BUDGET nodes each
+    (at least one point), counting every point at the most nodes of its
+    call plus the zero-weight one that pairs its last."""
+    start, size = 0, 0
+    for k, (*_, (_, nodes)) in enumerate(asks):
         size = max(size, nodes + 1)
-        if chunk and size * (len(chunk) + 1) > _NODE_BUDGET:
-            yield chunk
-            chunk, size = [], nodes + 1
-        chunk.append(i)
-    yield chunk
+        if k > start and size * (k - start + 1) > _NODE_BUDGET:
+            yield slice(start, k)
+            start, size = k, nodes + 1
+    if asks:
+        yield slice(start, len(asks))
 
 
 def _saddles(points):
     """The SaddleResult of each (beta, p) point, in order; InvalidInput,
     before any solve, unless every point is valid (_werner_point).
 
-    The solves run in lockstep: each round evaluates the next pass of every
-    unfinished solve, in _moments calls over chunks of the points (_chunks),
-    so each point's arithmetic is that of a solve on its own.  A point whose
-    solve failed raises its QuadratureError when the iteration reaches it,
-    so the first failure in grid order is the one reported.
+    The solves run in lockstep, in rounds over per-point state: a round
+    forms the node grid of each unfinished point's next pass, evaluates the
+    passes in _moments calls over chunks of the points (_chunks) and applies
+    saddle_search's update (residual, accept or reject, mu, stop rules, next
+    step) to each point's row on Python floats, so each point's arithmetic
+    is that of a solve on its own.  A point whose solve failed raises its
+    QuadratureError when the iteration reaches it, so the first failure in
+    grid order is the one reported.
     """
-    solves = [_saddle_steps(*_werner_point(beta, p)) for beta, p in points]
-    outcomes, asks = [None] * len(solves), {}
-
-    def advance(i, row):
-        try:
-            asks[i] = solves[i].send(row)
-        except StopIteration as done:
-            outcomes[i] = done.value
-        except QuadratureError as e:
-            outcomes[i] = e
-
-    for i in range(len(solves)):
-        advance(i, None)
-    while asks:
-        batch, asks = asks, {}
-        for chunk in _chunks(batch):
-            for i, row in zip(chunk, _moments(*zip(*(batch[i] for i in chunk)))):
-                advance(i, row)
+    w1 = math.sqrt(3.0)  # lam carries multiplicity 3
+    # per point: bt, h0, h1, the third stop rule's floor, mu, the passes asked
+    # for, the accepted u and (f, r, J, i0, <x>, error) at it, or None, None
+    solves, pending = [], []  # pending: (point, u, bt) of each pass to ask for next
+    for i, (beta, p) in enumerate(points):
+        bt, h0, h1 = _werner_point(beta, p)
+        solves.append([bt, h0, h1, (_EPS_F * math.hypot(h0, w1 * h1)) ** 2, 0.0, 1, None, None])
+        lam_inf = 1 / (3 * h1 - h0) if 3 * h1 > 2 * h0 else 0.0  # 0.0: no beta -> inf solution
+        pending.append((i, (_clip(math.log(1 / h0 - lam_inf)), _clip(math.log(lam_inf or 1 / h1))), bt))
+    outcomes = [None] * len(solves)
+    while pending:
+        asks = []
+        for i, un, bt in pending:
+            g, lam = math.exp(un[0]), math.exp(un[1])
+            try:
+                asks.append((i, un, bt, g, lam, _grid(bt, g * g, lam * lam)))
+            except QuadratureError as e:
+                outcomes[i] = e
+        pending = []
+        for chunk in _chunks(asks):
+            ids, uns, *args = zip(*asks[chunk])
+            for i, un, (i0, mg, ml, mx, j00, j01, j10, j11, err) in zip(ids, uns, _moments(*args)):
+                s = solves[i]
+                bt, h0, h1, f_floor, mu, evals, u, state = s
+                r0, r1 = h0 - mg, w1 * (h1 - ml)
+                trial = r0 * r0 + r1 * r1, r0, r1, -j00, -j01, -w1 * j10, -w1 * j11, i0, mx, err
+                if state is None:
+                    u, state = un, trial
+                elif trial[0] < state[0]:
+                    u, state, mu = un, trial, 0.1 * mu
+                else:
+                    mu = max(10.0 * mu, 1.0)
+                if evals < _MAX_EVALS and state[0] > f_floor:
+                    (u0, u1), (f, r0, r1, j00, j01, j10, j11, *_) = u, state
+                    g0, g1 = j00 * r0 + j10 * r1, j01 * r0 + j11 * r1  # J^T r
+                    h00, h01, h11 = j00 * j00 + j10 * j10, j00 * j01 + j10 * j11, j01 * j01 + j11 * j11
+                    # the damped matrix J^T J + mu diag(J^T J): its (1, 1) entry, and its
+                    # determinant as det(J)^2 + mu (2 + mu) h00 h11, free of cancellation
+                    a11 = h11 + mu * h11
+                    det = (j00 * j11 - j01 * j10) ** 2 + mu * (2.0 + mu) * h00 * h11
+                    on_floor = u0 <= LOG_GAMMA_FLOOR and g0 > 0
+                    du0 = 0.0 if on_floor else (h01 * g1 - a11 * g0) / det
+                    crossed = u0 + du0 < LOG_GAMMA_FLOOR
+                    if on_floor or crossed:
+                        du0 = LOG_GAMMA_FLOOR - u0  # hold or stop gamma on the floor
+                    du1 = -(g1 + h01 * du0) / a11  # the lam step given du0
+                    un = (_clip(u0 + du0), _clip(u1 + du1))
+                    s0, s1 = un[0] - u0, un[1] - u1
+                    # the first two stop rules: the step no longer moves u above
+                    # rounding, or the linear model promises no decrease above it
+                    if not (abs(s0) <= _EPS_F * abs(u0) and abs(s1) <= _EPS_F * abs(u1)):
+                        model = (r0 + j00 * s0 + j01 * s1) ** 2 + (r1 + j10 * s0 + j11 * s1) ** 2
+                        if crossed or not f - model <= _EPS_F * f:
+                            s[4:] = mu, evals + 1, u, state
+                            pending.append((i, un, bt))
+                            continue
+                f, r0, r1, j00, _, j10, _, i0, mx, err = state
+                try:
+                    _require_converged(i0, err)
+                except QuadratureError as e:
+                    outcomes[i] = e
+                    continue
+                boundary = u[0] <= LOG_GAMMA_FLOOR and j00 * r0 + j10 * r1 > 0  # (J^T r)_gamma
+                outcomes[i] = SaddleResult(math.exp(u[0]), math.exp(u[1]), math.sqrt(f), not boundary, evals, mx)
     for out in outcomes:
         if isinstance(out, QuadratureError):
             raise out

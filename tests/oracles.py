@@ -24,6 +24,11 @@ Each computes a quantity the library also computes, by a different route:
 - the library's trapezoid pass of one point on its own nodes, its even and
   odd node sums by cumulative sums (the library passes many points at once
   over nodes padded to a common count, and must give the same bits);
+- the Levenberg-Marquardt saddle solve of one point as a generator that
+  yields each quadrature pass it needs and is sent its row, driven one
+  point per _moments call (the library runs the solves of a grid in one
+  flat loop of rounds over per-point state, and must give the same bits
+  from the same passes);
 - the h matrix diag(q)/2 of a Bell-diagonal state (the library contracts
   the eigenensemble generically);
 - the paper's explicit chart of the Stiefel manifold, Gram-Schmidt of the
@@ -51,7 +56,9 @@ import math
 import numpy as np
 
 from sepmech import PureState, StiefelPoint, constraint_residual, energy
-from sepmech.werner import _STEP, _U0, BETA_INTERNAL_SCALE, QuadratureError, _grid
+from sepmech.werner import (_EPS_F, _MAX_EVALS, _STEP, _U0, BETA_INTERNAL_SCALE,
+                            LOG_GAMMA_FLOOR, QuadratureError, SaddleResult, _grid, _moments,
+                            _require_converged, _werner_point)
 
 TENSOR_PREFACTOR = 2.0
 H_FORM_PREFACTOR = 2.0
@@ -315,6 +322,96 @@ def moments_one_point(bt: float, g: float, lam: float, grid=None):
     jac = np.array([[g * (cA - (mAA - mA * mA)), -3.0 * lam * cov],
                     [-g * cov, lam * (cB - 3.0 * (mBB - mB * mB))]])
     return k[0], mA, mB, mx, jac, err
+
+
+# --- the saddle solve, one point at a time -------------------------------------
+
+def _saddle_steps(bt: float, h0: float, h1: float):
+    """werner.saddle_search's solve of one point, as a generator: it yields
+    each quadrature pass it needs as its point's _moments arguments (bt,
+    gamma, lam, node grid), is sent that point's row of the pass, and
+    returns the SaddleResult.  A QuadratureError of _grid or of the final
+    pass's _require_converged ends it."""
+    w1 = math.sqrt(3.0)  # lam carries multiplicity 3
+    f_floor = (_EPS_F * math.hypot(h0, w1 * h1)) ** 2  # the third stop rule
+
+    def clip(v):
+        return min(max(v, LOG_GAMMA_FLOOR), -LOG_GAMMA_FLOOR)
+
+    def residual(u):
+        g, lam = math.exp(u[0]), math.exp(u[1])
+        grid = _grid(bt, g * g, lam * lam)
+        i0, mg, ml, mx, j00, j01, j10, j11, err = yield bt, g, lam, grid
+        r0, r1 = h0 - mg, w1 * (h1 - ml)
+        return r0 * r0 + r1 * r1, (r0, r1), (-j00, -j01, -w1 * j10, -w1 * j11), (i0, mx, err)
+
+    lam_inf = 1 / (3 * h1 - h0) if 3 * h1 > 2 * h0 else 0.0  # 0.0: no beta -> inf solution
+    u = (clip(math.log(1 / h0 - lam_inf)), clip(math.log(lam_inf or 1 / h1)))
+    state, mu, evals = (yield from residual(u)), 0.0, 1
+    while evals < _MAX_EVALS and state[0] > f_floor:
+        (u0, u1), (f, (r0, r1), (j00, j01, j10, j11), _) = u, state
+        g0, g1 = j00 * r0 + j10 * r1, j01 * r0 + j11 * r1  # J^T r
+        h00, h01, h11 = j00 * j00 + j10 * j10, j00 * j01 + j10 * j11, j01 * j01 + j11 * j11
+        # the damped matrix J^T J + mu diag(J^T J): its (1, 1) entry, and its
+        # determinant as det(J)^2 + mu (2 + mu) h00 h11, free of cancellation
+        a11 = h11 + mu * h11
+        det = (j00 * j11 - j01 * j10) ** 2 + mu * (2.0 + mu) * h00 * h11
+        on_floor = u0 <= LOG_GAMMA_FLOOR and g0 > 0
+        du0 = 0.0 if on_floor else (h01 * g1 - a11 * g0) / det
+        crossed = u0 + du0 < LOG_GAMMA_FLOOR
+        if on_floor or crossed:
+            du0 = LOG_GAMMA_FLOOR - u0  # hold or stop gamma on the floor
+        du1 = -(g1 + h01 * du0) / a11  # the lam step given du0
+        un = (clip(u0 + du0), clip(u1 + du1))
+        s0, s1 = un[0] - u0, un[1] - u1
+        if abs(s0) <= _EPS_F * abs(u0) and abs(s1) <= _EPS_F * abs(u1):
+            break  # the step no longer moves u above rounding
+        model = (r0 + j00 * s0 + j01 * s1) ** 2 + (r1 + j10 * s0 + j11 * s1) ** 2
+        if not crossed and f - model <= _EPS_F * f:
+            break  # the linear model promises no decrease above rounding
+        trial, evals = (yield from residual(un)), evals + 1
+        if trial[0] < f:
+            u, state, mu = un, trial, 0.1 * mu
+        else:
+            mu = max(10.0 * mu, 1.0)
+    f, (r0, r1), J, (i0, mx, err) = state
+    _require_converged(i0, err)
+    boundary = u[0] <= LOG_GAMMA_FLOOR and J[0] * r0 + J[2] * r1 > 0  # (J^T r)_gamma
+    return SaddleResult(math.exp(u[0]), math.exp(u[1]), math.sqrt(f), not boundary, evals, mx)
+
+
+def saddle_alone(beta: float, p: float):
+    """(SaddleResult, passes) of the solve of the one point (beta, p), each
+    pass its own _moments call; passes lists the (bt, gamma, lam, grid)
+    arguments of each pass in order."""
+    solve, passes = _saddle_steps(*_werner_point(beta, p)), []
+    try:
+        ask = next(solve)
+        while True:
+            passes.append(ask)
+            ask = solve.send(_moments(*([v] for v in ask))[0])
+    except StopIteration as done:
+        return done.value, passes
+
+
+def lockstep_calls(passes, budget: int) -> list:
+    """The _moments calls, each a list of (bt, gamma, lam, grid), of a
+    lockstep solve of points that take these passes: round k holds the k-th
+    pass of every point that takes more than k, in grid order, cut into
+    calls in turn, a call closed before the pass that would take it past
+    budget padded nodes (each point counted at the most nodes of the call
+    plus one), and holding one pass at least."""
+    calls = []
+    for k in range(max(map(len, passes))):
+        call = []
+        for ask in (point[k] for point in passes if len(point) > k):
+            nodes = max(n for *_, (_, n) in call + [ask]) + 1
+            if call and nodes * (len(call) + 1) > budget:
+                calls.append(call)
+                call = []
+            call.append(ask)
+        calls.append(call)
+    return calls
 
 
 # --- Haar-Stiefel draw -------------------------------------------------------

@@ -9,7 +9,8 @@ import pytest
 import mpmath
 
 from oracles import (bell_diagonal_h, det_m, energy_closed_form, grad_log_z1_full,
-                     h_matrix, moments_einsum, moments_one_point, node_count_loop)
+                     h_matrix, lockstep_calls, moments_einsum, moments_one_point,
+                     node_count_loop, saddle_alone)
 from sepmech import (OmegaPrime, PureState, avg_energy_werner, ConstraintsUnsatisfiable,
                      concurrence_sq, cost_operator, energy,
                      equipartition_scan, grad_log_z1, h_matrices,
@@ -300,6 +301,20 @@ def test_node_count_matches_the_loop():
         assert _grid(bt, a, b)[1] == node_count_loop(bt, a, b), (bt, a, b)
 
 
+@pytest.mark.parametrize("bt, a, b", [(640.0, 0.0, 33.8), (640.0, 0.27, -0.0), (0.0, 0.27, 33.8),
+                                      (640.0, 5e-324, 33.8), (2e-311, 0.27, 33.8),
+                                      (640.0, np.inf, 33.8), (np.inf, 0.27, 33.8),
+                                      (640.0, 1e308, 33.8), (640.0, 0.27, np.nan),
+                                      (np.nan, 0.27, 33.8), (-640.0, 0.27, 33.8)])
+def test_grid_refuses_scales_that_leave_no_finite_node_set(bt, a, b):
+    # zero, subnormal (4 bt = 8e-311), infinite, overflowing (xmax), nan and
+    # negative scales each raise the one message, with the scales as given
+    with pytest.raises(QuadratureError) as failed:
+        _grid(bt, a, b)
+    assert str(failed.value) == ("quadrature scales must be normal positive floats with a finite "
+                                 f"end 180 bt + 8 max(a, b), got {(a, b, 4.0 * bt)}")
+
+
 @pytest.mark.parametrize("beta, g, lam", [(10.0, 0.520432, 5.816898),
                                           (1e6, 2.0, 5.98),
                                           (10.0, np.exp(LOG_GAMMA_FLOOR), 5.98682723),
@@ -384,6 +399,43 @@ def test_a_saddle_is_the_same_alone_in_its_grid_and_in_the_reversed_grid():
     assert [repr(s) for s in werner._saddles(points[::-1])] == alone[::-1]
     grid = [p for _, p in points[5:10]]
     assert [repr(s) for s in equipartition_scan(grid[::-1], 10.0).saddles] == alone[5:10][::-1]
+
+
+@pytest.mark.parametrize("budget", [werner._NODE_BUDGET, 1024])
+def test_lockstep_solves_match_the_one_point_generator_oracle(monkeypatch, budget):
+    # beta 1e-3..1e8 x p 0.01..1.00: interior ends and boundary ends on the
+    # gamma floor; each _moments call holds the passes the oracle's rounds
+    # predict, and some rounds are cut into several calls
+    points = [(beta, p) for beta in np.logspace(-3, 8, 12).tolist()
+              for p in np.round(np.linspace(0.01, 1.0, 34), 12).tolist()]
+    alone = {pt: saddle_alone(*pt) for pt in points}
+    ends = {(s.interior, s.gamma_star == np.exp(LOG_GAMMA_FLOOR)) for s, _ in alone.values()}
+    assert {(True, False), (False, True)} <= ends
+    calls = []
+
+    def recorded(*args):
+        calls.append(list(zip(*args)))
+        return _moments(*args)
+
+    monkeypatch.setattr(werner, "_NODE_BUDGET", budget)
+    monkeypatch.setattr(werner, "_moments", recorded)
+    for order in (points, points[::-1]):
+        calls.clear()
+        got = [repr(s) for s in werner._saddles(order)]
+        assert got == [repr(alone[pt][0]) for pt in order]
+        assert calls == lockstep_calls([alone[pt][1] for pt in order], budget)
+    assert 1 < min(map(len, calls[:2])) and any(len(call) == 1 for call in calls)
+
+
+def test_the_first_grid_failure_in_grid_order_is_reported():
+    # at beta 1e-318 and 1e-320 the first pass's 4 bt is subnormal; the
+    # message ends with it, so it names the point
+    points = [(10.0, 0.9), (1e-318, 0.9), (10.0, 0.5), (1e-320, 0.95)]
+    for order in (points, points[::-1]):
+        beta = next(beta for beta, _ in order if beta < 1.0)
+        with pytest.raises(QuadratureError, match="normal positive floats") as failed:
+            list(werner._saddles(order))
+        assert str(failed.value).endswith(f", {4.0 * BETA_INTERNAL_SCALE * beta!r})")
 
 
 def test_a_lockstep_pass_stays_within_the_node_budget(monkeypatch):
