@@ -11,10 +11,11 @@ explicit saddle condition.
 """
 from .quantum_core import (DensityMatrix, Ensemble, PureState, eigen_ensemble,
                            partial_trace, ppt_is_entangled)
-from .concurrence import HMatrixSet, concurrence_sq, h_matrices
+from .concurrence import concurrence_sq
 from .ensembles import (StiefelPoint, caratheodory_length, constraint_residual,
                         ensemble_from_stiefel, haar_stiefel, haar_unitary)
-from .costfn import CostOperator, LagrangeMultipliers, cost_operator, energy
+from .costfn import (CostOperator, HMatrixSet, LagrangeMultipliers, cost_operator,
+                     energy)
 from .statmech import (McEstimate, ScalingFit, StateDensityEstimate,
                        estimate_state_density, fit_energy_scaling,
                        mc_energy_curve, sample_energies, z1_mc)
@@ -28,10 +29,10 @@ __version__ = "0.1.0"
 __all__ = [
     "DensityMatrix", "Ensemble", "PureState", "eigen_ensemble",
     "partial_trace", "ppt_is_entangled",
-    "HMatrixSet", "concurrence_sq", "h_matrices",
+    "concurrence_sq",
     "StiefelPoint", "caratheodory_length", "constraint_residual",
     "ensemble_from_stiefel", "haar_stiefel", "haar_unitary",
-    "CostOperator", "LagrangeMultipliers", "cost_operator", "energy",
+    "CostOperator", "HMatrixSet", "LagrangeMultipliers", "cost_operator", "energy",
     "McEstimate", "ScalingFit", "StateDensityEstimate",
     "estimate_state_density", "fit_energy_scaling", "mc_energy_curve",
     "sample_energies", "z1_mc",

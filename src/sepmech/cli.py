@@ -152,11 +152,10 @@ def cmd_probe(cfg: dict) -> int:
     betas = parse_beta(cfg.get("beta", "1,10,100"))
     samples = _count(cfg, "samples", 20000, 1)
     m, n = rho.dimA, rho.dimB
+    N = caratheodory_length(m, n)
 
-    mc_seed = np.random.SeedSequence(seed).spawn(1)[0]
     cop = cost_operator(eigen_ensemble(rho))
-    curve = mc_energy_curve(
-        sample_energies(cop, caratheodory_length(m, n), samples, mc_seed), betas)
+    curve = mc_energy_curve(sample_energies(cop, N, samples, seed), betas)
     report = {
         "state": desc,
         "dims": [m, n],
@@ -164,7 +163,7 @@ def cmd_probe(cfg: dict) -> int:
         "mc": {
             "samples": samples,
             "seed": seed,
-            "ensemble_length": caratheodory_length(m, n),
+            "ensemble_length": N,
             "min_energy": curve[0].min_energy_seen,
             "mean_energy": [
                 {"beta": est.beta, "value": est.mean_energy,

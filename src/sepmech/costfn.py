@@ -1,29 +1,26 @@
 """Cost function ("energy") on ensemble space.
 
-For an ensemble psi_i = sum_alpha z_{i alpha} e_alpha the energy is the sum
-of concurrences squared,
+For an ensemble psi_i = sum_alpha z_{i alpha} e_alpha with C_i the m x n
+coefficient matrix of psi_i, the energy is the sum of concurrences squared,
 
-    E(z) = sum_i c2(psi_i) = 2 sum_i sum_{ab} |z_i^T h^{ab} z_i|^2,
+    E(z) = sum_i c2(psi_i) = 2 sum_i sum_{i<j, k<l} |C_ik C_jl - C_il C_jk|^2,
 
-a row-additive quartic form in the h matrices of the eigenensemble (see
-the concurrence module).  The prefactor 2 is the same calibration as in
-c2's antisymmetric-component form and makes E(z) equal sum_i c2(psi_i)
-exactly rather than up to a constant.  E(z) = 0 at a point of the
-constraint surface z^dag z = 1 exactly when that point is a separable
-decomposition, so the global constrained minimum decides separability.
+the squared 2x2 minors of every C_i (the minors identity of the concurrence
+module).  With u_ik the r-vector of the eigenvectors' (i, k) amplitudes,
+each minor is the quadratic form z_i^T h^{ab} z_i of the symmetric r x r
+matrix h^{ab} = sym(u_ik (x) u_jl - u_il (x) u_jk), for the pairs
+a = (i < j) and b = (k < l).  The prefactor 2 is the calibration of c2's
+antisymmetric-component form and makes E(z) equal sum_i c2(psi_i) exactly
+rather than up to a constant.  E(z) = 0 at a point of the constraint
+surface z^dag z = 1 exactly when that point is a separable decomposition,
+so the global constrained minimum decides separability.
 
 `energy` is the one evaluation of this form in the package; the Monte
 Carlo estimators call it on stacks of Stiefel points.  It does not form the
-h matrices: with C_i the m x n coefficient matrix of psi_i, z_i^T h^{ab} z_i
-is the 2x2 minor C_ik C_jl - C_il C_jk for the pairs a = (i < j) and
-b = (k < l), so
-
-    E(z) = 2 sum_i sum_{i<j, k<l} |C_ik C_jl - C_il C_jk|^2.
-
-In one pass over the whole stack, `energy` forms the amplitudes of every
-row by one complex matrix product with the eigenvectors, gathers the four
-factors of every minor with index arrays fixed by (m, n), and sums the
-squared moduli per stacked matrix.  That is 2 d1 d2 + mn r complex
+h matrices.  In one pass over the whole stack, it forms the amplitudes of
+every row by one complex matrix product with the eigenvectors, gathers
+the four factors of every minor with index arrays fixed by (m, n), and
+sums the squared moduli per stacked matrix.  That is 2 d1 d2 + mn r complex
 products per row (99 at 3x3 and full rank), against r(r+1)/2 (d1 d2 + 1)
 for the pair products and matrix product of the h form (450).  Its
 temporaries grow with the stack, to at most mn + 3 d1 d2 complex values per
@@ -37,11 +34,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concurrence import HMatrixSet, h_matrices
 from .ensembles import StiefelPoint
 from .quantum_core import Ensemble, InvalidInput
 
 MINOR_PREFACTOR = 2.0
+
+
+@dataclass(frozen=True)
+class HMatrixSet:
+    """The d1*d2 symmetric r x r matrices h^{ab} of an eigenvector ensemble.
+
+    matrices has shape (d1, d2, r, r), with z^T h^{ab} z the 2x2 minor of
+    pair a = (i < j), b = (k < l) of the coefficients of z's ensemble vector.
+    """
+
+    matrices: np.ndarray
+
+    def __post_init__(self):
+        h = np.asarray(self.matrices, dtype=complex)
+        object.__setattr__(self, "matrices", h)
+        if h.ndim != 4 or h.shape[2] != h.shape[3]:
+            raise InvalidInput(f"h matrix array must have shape (d1, d2, r, r), got {h.shape}")
 
 
 @dataclass(frozen=True)
@@ -54,8 +67,8 @@ class CostOperator:
     coefficient.  minors is (4, d1*d2): the rows (ik, jl, il, jk) of amps
     that enter the minor C_ik C_jl - C_il C_jk, one column per pair
     a = (i < j), b = (k < l) in the (a, b) order of hset.
-    hset holds the h matrices of the same form, z^T h^{ab} z being that
-    minor, for callers that inspect them; `energy` does not read it.
+    hset holds the h matrices of the same form, built from those rows, for
+    callers that inspect them; `energy` does not read it.
     """
 
     hset: HMatrixSet
@@ -101,9 +114,19 @@ def _minor_rows(m: int, n: int) -> np.ndarray:
 
 def cost_operator(ens: Ensemble) -> CostOperator:
     """The cost operator of a fixed eigenensemble."""
-    hset = h_matrices(ens)  # InvalidInput on a one-dimensional factor
-    return CostOperator(hset, np.ascontiguousarray(ens.amps.T),
-                        _minor_rows(ens.dimA, ens.dimB))
+    m, n = ens.dimA, ens.dimB
+    if min(m, n) < 2:
+        raise InvalidInput(f"m must be >= 2, got {min(m, n)}: a one-dimensional factor has "
+                           "no antisymmetric space, and a state with one is a product state "
+                           "with no h matrices")
+    amps = np.ascontiguousarray(ens.amps.T)
+    minors = _minor_rows(m, n)
+    # h^{ab} = sym(ik (x) jl - il (x) jk), so that z^T h^{ab} z is the minor
+    ik, jl, il, jk = amps[minors]
+    h = ik[:, :, None] * jl[:, None] - il[:, :, None] * jk[:, None]
+    h = (h + h.transpose(0, 2, 1)) / 2
+    r = ens.rank
+    return CostOperator(HMatrixSet(h.reshape(m * (m - 1) // 2, -1, r, r)), amps, minors)
 
 
 def _rows(z) -> np.ndarray:

@@ -37,8 +37,9 @@ drawn on the calling thread.  A task's values depend only on its slice and
 its child seed, so the results depend neither on the number of workers nor
 on how they are scheduled; changing _QR_ENTRIES or the kernel rule of
 ensembles._cholesky_qr changes the samples.  Parallel use should derive one
-child seed per task via numpy SeedSequence(seed).spawn, which is the
-splitting rule used by the command-line layer.
+child seed per task via numpy SeedSequence(seed).spawn, the splitting rule
+of the slices; `mc` and `probe` pass their --seed straight in, so one seed
+gives both commands the same samples.
 """
 from __future__ import annotations
 
@@ -219,7 +220,11 @@ def estimate_state_density(energies, bins: int) -> StateDensityEstimate:
         edges = np.concatenate([np.geomspace(lo, med, nb_geo + 1),
                                 np.linspace(med, hi, bins - nb_geo + 1)[1:]])
     else:
-        edges = np.linspace(lo, hi if hi > lo else lo + 1e-300, bins + 1)
+        # a constant sample spans 1e-300, which rounds away unless lo is near
+        # 0, so every bin is also at least 4 ulps of lo wide: the edges
+        # increase strictly
+        top = hi if hi > lo else lo + 1e-300
+        edges = np.linspace(lo, max(top, lo + 4 * bins * np.spacing(abs(lo))), bins + 1)
     counts, edges = np.histogram(e, bins=edges)
     return StateDensityEstimate(edges, counts / e.size, e.size)
 

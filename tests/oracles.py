@@ -11,8 +11,11 @@ Each computes a quantity the library also computes, by a different route:
   pair products of each row and one matrix product with the h matrices
   (the library sums the squared 2x2 minors of each ensemble vector's
   coefficients);
-- the antisymmetric-component form of the concurrence (the library uses
-  ||psi||^4 - tr sigma_A^2);
+- the antisymmetric-component form of the concurrence, on the canonical
+  skew bases (the library uses ||psi||^4 - tr sigma_A^2);
+- the h matrices as the skew-basis components of e_alpha (x) e_beta, by a
+  4-operand einsum (the library symmetrizes outer products of the
+  eigenvector amplitude rows of each 2x2 minor);
 - the determinant product test det(sigma_A - 1);
 - the direct 8x8 determinant of the Werner Gaussian block matrix;
 - the multiplier gradient at a generic Hermitian w' (the library restricts
@@ -56,6 +59,7 @@ import math
 import numpy as np
 
 from sepmech import PureState, StiefelPoint, constraint_residual, energy
+from sepmech.quantum_core import InvalidInput
 from sepmech.werner import (_EPS_F, _MAX_EVALS, _STEP, _U0, BETA_INTERNAL_SCALE,
                             LOG_GAMMA_FLOOR, QuadratureError, SaddleResult, _grid, _moments,
                             _require_converged, _werner_point)
@@ -128,6 +132,44 @@ def h_form_energy(z, hset):
 
 
 # --- concurrence from antisymmetric components ------------------------------
+
+def skew_basis(m: int) -> np.ndarray:
+    """Canonical antisymmetric basis {(|ij> - |ji>)/sqrt(2) : i < j}, lexicographic.
+
+    Rows of the (m(m-1)/2, m*m) result span the antisymmetric subspace of
+    C^m (x) C^m; each is antisymmetric under swapping the two factors.
+    """
+    if m < 2:
+        raise InvalidInput(f"m must be >= 2, got {m}: a one-dimensional factor has no "
+                           "antisymmetric space, and a state with one is a product state "
+                           "with no h matrices")
+    d = m * (m - 1) // 2
+    vecs = np.zeros((d, m * m), dtype=complex)
+    k = 0
+    for i in range(m):
+        for j in range(i + 1, m):
+            vecs[k, i * m + j] = 1.0 / np.sqrt(2.0)
+            vecs[k, j * m + i] = -1.0 / np.sqrt(2.0)
+            k += 1
+    return vecs
+
+
+def h_matrices_skew(ens) -> np.ndarray:
+    """All h^{ab} matrices of an eigenvector ensemble, shape (d1, d2, r, r).
+
+    h[a, b, alpha, beta] = <zeta_a (x) zeta~_b | e_alpha (x) e_beta> with the
+    (A B A' B') -> (A A' B B') reordering applied; each h^{ab} is symmetric
+    because zeta_a and zeta~_b are antisymmetric in their factor pairs and the
+    alpha <-> beta exchange swaps both.
+    """
+    m, n, r = ens.dimA, ens.dimB, ens.rank
+    bA, bB = skew_basis(m), skew_basis(n)
+    C = ens.amps.reshape(r, m, n)
+    za = bA.conj().reshape(-1, m, m)
+    zb = bB.conj().reshape(-1, n, n)
+    # Phi_{alpha beta}[i, j, k, l] = C_alpha[i, k] C_beta[j, l]
+    return np.einsum("aij,bkl,xik,yjl->abxy", za, zb, C, C, optimize=True)
+
 
 def _pair_components(psi: PureState, basisA: np.ndarray, basisB: np.ndarray) -> np.ndarray:
     """Components <zeta_a (x) zeta~_b | psi (x) psi> as a (d1, d2) array."""

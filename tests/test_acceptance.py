@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from oracles import (concurrence_sq_skew, cost_tensor, det_m, energy_closed_form,
-                     h_matrix, tensor_energy)
+                     h_matrix, skew_basis, tensor_energy)
 from sepmech import (DensityMatrix, LagrangeMultipliers, OmegaPrime,
                      PureState, concurrence_sq, constraint_residual,
                      cost_operator, eigen_ensemble, energy,
@@ -22,7 +22,6 @@ from sepmech import (DensityMatrix, LagrangeMultipliers, OmegaPrime,
                      mc_energy_curve, ppt_is_entangled, saddle_search,
                      avg_energy_werner, sample_energies,
                      werner_eigenensemble, werner_state, z1_mc)
-from sepmech.concurrence import skew_basis
 
 THRESHOLD = 1e-6
 

@@ -535,6 +535,52 @@ def test_mc_rows_reduce_one_sample_set(tmp_path, capsys):
     assert (tmp_path / "one_energy.csv").read_text().splitlines()[2:] == ener
 
 
+def _seeded_3x3_state(path):
+    rng = np.random.default_rng(29)
+    g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    mat = g @ g.conj().T
+    path.write_text(DensityMatrix(3, 3, mat / np.trace(mat).real).to_json())
+    return ["--state", str(path)]
+
+
+@pytest.mark.parametrize("state", ["werner", "3x3"])
+def test_probe_and_mc_sample_the_same_energies_from_one_seed(tmp_path, capsys, state):
+    source = (["--werner", "0.2"] if state == "werner"
+              else _seeded_3x3_state(tmp_path / "rho.json"))
+    common = [*source, "--seed", "4", "--samples", "300", "--beta", "1,10,100"]
+    code, out, err = run(capsys, "probe", *common)
+    assert code == 0, err
+    rep = json.loads(out)["mc"]
+    code, _, err = run(capsys, "mc", *common, "--out", str(tmp_path / "mc"))
+    assert code == 0, err
+    rows = [[float(x) for x in ln.split(",")] for ln in
+            (tmp_path / "mc_energy.csv").read_text().splitlines()[2:]]
+    assert len(rows) == len(rep["mean_energy"]) == 3
+    for (beta, value, std_error, ess, min_energy), pt in zip(rows, rep["mean_energy"]):
+        assert (beta, value, std_error, ess) == (pt["beta"], pt["value"],
+                                                 pt["std_error"], pt["ess"])
+        assert min_energy == rep["min_energy"]
+
+
+def test_mc_of_a_product_state_reads_zero_energy(tmp_path, capsys):
+    # every sampled energy of |00><00| is exactly 0: all of the histogram
+    # falls in its first bin, which runs from 0 to 1e-300 / 48
+    path = tmp_path / "rho.json"
+    path.write_text(DensityMatrix(2, 2, np.diag([1.0, 0.0, 0.0, 0.0])).to_json())
+    code, _, err = run(capsys, "mc", "--state", str(path), "--seed", "3",
+                       "--samples", "1000", "--out", str(tmp_path / "run"))
+    assert code == 0, err
+    dens = [[float(x) for x in ln.split(",")] for ln in
+            (tmp_path / "run_density.csv").read_text().splitlines()[2:]]
+    edges = [row[0] for row in dens] + [dens[-1][1]]
+    assert edges == np.linspace(0.0, 1e-300, MC_HISTOGRAM_BINS + 1).tolist()
+    assert [row[2] for row in dens] == [1.0] + [0.0] * (MC_HISTOGRAM_BINS - 1)
+    ener = [[float(x) for x in ln.split(",")] for ln in
+            (tmp_path / "run_energy.csv").read_text().splitlines()[2:]]
+    assert len(ener) == 9
+    assert all(row[1] == 0.0 and row[4] == 0.0 for row in ener)
+
+
 @pytest.mark.parametrize("command", ["mc", "probe"])
 @pytest.mark.parametrize("dims", [(1, 3), (2, 1)])
 def test_one_dimensional_factor_exits_2(tmp_path, capsys, command, dims):

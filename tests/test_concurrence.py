@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import concurrence_sq_skew, det_product_test, h_matrix
-from sepmech import (PureState, concurrence_sq, eigen_ensemble, h_matrices,
-                     haar_unitary, werner_eigenensemble)
-from sepmech.concurrence import skew_basis
+from oracles import (concurrence_sq_skew, det_product_test, h_matrices_skew, h_matrix,
+                     skew_basis)
+from sepmech import (DensityMatrix, PureState, concurrence_sq, cost_operator,
+                     eigen_ensemble, haar_unitary, werner_eigenensemble)
 
 SINGLET = PureState(2, 2, np.array([0, 1, -1, 0]) / np.sqrt(2))
 
@@ -145,28 +145,39 @@ def test_det_product_test_agrees_with_is_product(seed):
 
 def test_h_matrices_werner_is_pinned_diagonal():
     for p in (0.1, 0.4, 2 / 3, 0.9, 1.0):
-        hset = h_matrices(werner_eigenensemble(p))
+        hset = cost_operator(werner_eigenensemble(p)).hset
         assert hset.matrices.shape == (1, 1, 4, 4)
         assert np.max(np.abs(hset.matrices[0, 0] - h_matrix(p))) < 1e-12
 
 
 def test_h_matrices_product_eigenvector_vanishes():
-    from sepmech import DensityMatrix
     rho = DensityMatrix(2, 2, np.diag([1.0, 0, 0, 0]))
-    hset = h_matrices(eigen_ensemble(rho))
+    hset = cost_operator(eigen_ensemble(rho)).hset
     assert hset.matrices.shape == (1, 1, 1, 1)
     assert abs(hset.matrices[0, 0, 0, 0]) < 1e-14
 
 
 def test_h_matrices_count_for_larger_dims(rng, random_density):
     rho = random_density(rng, 3, 3)
-    hset = h_matrices(eigen_ensemble(rho))
+    ens = eigen_ensemble(rho)
+    hset = cost_operator(ens).hset
     assert hset.matrices.shape == (3, 3, 9, 9)
     # c^2 of each subnormalized eigenvector from the h contraction
-    ens = eigen_ensemble(rho)
     for k, v in enumerate(ens.vectors):
         z = np.zeros(9, dtype=complex)
         z[k] = 1.0
         quad = sum(abs(z @ hset.matrices[a, b] @ z) ** 2
                    for a in range(3) for b in range(3))
         assert abs(2.0 * quad - concurrence_sq(v)) < 1e-12
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4)])
+def test_h_matrices_from_minor_rows_match_the_skew_basis_einsum(m, n, rng, random_density):
+    # the library symmetrizes outer products of each minor's amplitude rows;
+    # the oracle contracts the skew bases with e_alpha (x) e_beta
+    for rank in (1, m * n):
+        ens = eigen_ensemble(random_density(rng, m, n, rank))
+        got = cost_operator(ens).hset.matrices
+        want = h_matrices_skew(ens)
+        assert got.shape == want.shape == (m * (m - 1) // 2, n * (n - 1) // 2, rank, rank)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))

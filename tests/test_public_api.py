@@ -4,6 +4,7 @@ the library and the test oracles, the library's one error type for bad
 input, and records that hold no unread field."""
 import ast
 import importlib.util
+import inspect
 import math
 import sys
 from pathlib import Path
@@ -14,10 +15,10 @@ import pytest
 import sepmech
 from sepmech import (Ensemble, LagrangeMultipliers, OmegaPrime, PureState,
                      StiefelPoint, caratheodory_length, cost_operator,
-                     estimate_state_density, fit_energy_scaling, haar_stiefel,
-                     haar_unitary, mc_energy_curve, partial_trace,
-                     sample_energies, saddle_search, werner_eigenensemble,
-                     werner_state, z1_mc)
+                     eigen_ensemble, estimate_state_density, fit_energy_scaling,
+                     haar_stiefel, haar_unitary, mc_energy_curve, partial_trace,
+                     sample_energies, saddle_search, statmech,
+                     werner_eigenensemble, werner_state, z1_mc)
 from sepmech.quantum_core import InvalidInput
 
 SRC = Path(sepmech.__file__).parent
@@ -33,7 +34,7 @@ PUBLIC = [
     "caratheodory_length", "concurrence_sq", "constraint_residual",
     "cost_operator", "eigen_ensemble", "energy", "ensemble_from_stiefel",
     "equipartition_scan", "estimate_state_density", "fit_energy_scaling",
-    "grad_log_z1", "h_matrices", "haar_stiefel", "haar_unitary",
+    "grad_log_z1", "haar_stiefel", "haar_unitary",
     "log_z1_quadrature", "mc_energy_curve", "partial_trace",
     "ppt_is_entangled", "saddle_search", "sample_energies",
     "werner_eigenensemble", "werner_state", "z1_mc",
@@ -48,11 +49,11 @@ REMOVED = ["energy_via_h", "concurrence_sq_skew", "SkewBasis", "skew_basis",
            "mc_average_energy", "full_hamiltonian", "tensor_product",
            "weighted_stats", "h_matrix", "energy_closed_form",
            "EigenEnsemble", "RhoEnsemble", "stiefel_from_gs", "is_product",
-           "fit_power_law", "bell_diagonal_h"]
+           "fit_power_law", "bell_diagonal_h", "h_matrices"]
 
 
 def test_all_lists_exactly_the_public_names():
-    assert len(PUBLIC) == 39
+    assert len(PUBLIC) == 38
     assert sorted(sepmech.__all__) == PUBLIC
 
 
@@ -77,6 +78,18 @@ def test_the_benchmark_imports_only_public_names():
                        for alias in n.names})
     assert imported
     assert [f"{f}:{name}" for f, name in imported if name not in sepmech.__all__] == []
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 3)])
+def test_the_library_internals_the_benchmark_tracer_reads(m, n, rng, random_density):
+    # perfbench/tracer.py counts energy flops from cop.hset.matrices.shape
+    # and binds the cop and N arguments of statmech._batch_energies by name;
+    # neither is a public name, so the import guard above does not see them
+    ens = eigen_ensemble(random_density(rng, m, n))
+    r = m * n
+    assert cost_operator(ens).hset.matrices.shape == (m * (m - 1) // 2, n * (n - 1) // 2, r, r)
+    params = inspect.signature(statmech._batch_energies).parameters
+    assert {"cop", "N"} <= set(params)
 
 
 def test_the_benchmark_haar_oracle_runs_on_the_library(monkeypatch):

@@ -287,6 +287,21 @@ def test_density_histogram_separable_state_piles_up_low():
     assert hist.bin_edges[0] < 0.01
 
 
+@pytest.mark.parametrize("value", [0.5, 1e300, -0.3, 5e-324])
+def test_density_histogram_of_a_constant_sample_has_increasing_edges(value):
+    # lo + 1e-300 rounds back to lo away from 0, which left zero-width bins
+    hist = estimate_state_density([value] * 5, 4)
+    assert hist.bin_edges[0] == value
+    assert np.all(np.diff(hist.bin_edges) > 0)
+    assert hist.counts.tolist() == [1.0, 0.0, 0.0, 0.0]
+
+
+def test_density_histogram_of_zero_energies_keeps_its_edges():
+    hist = estimate_state_density([0.0] * 5, 4)
+    assert np.array_equal(hist.bin_edges, np.linspace(0.0, 1e-300, 5))
+    assert hist.counts.tolist() == [1.0, 0.0, 0.0, 0.0]
+
+
 def test_fit_energy_scaling_exact_inverse_law():
     betas = np.logspace(1, 4, 12)
     fit = fit_energy_scaling([(b, 2.75 / b) for b in betas])

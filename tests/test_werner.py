@@ -13,7 +13,7 @@ from oracles import (bell_diagonal_h, det_m, energy_closed_form, grad_log_z1_ful
                      node_count_loop, saddle_alone)
 from sepmech import (OmegaPrime, PureState, avg_energy_werner, ConstraintsUnsatisfiable,
                      concurrence_sq, cost_operator, energy,
-                     equipartition_scan, grad_log_z1, h_matrices,
+                     equipartition_scan, grad_log_z1,
                      log_z1_quadrature, saddle_search, werner_eigenensemble,
                      werner_state)
 from sepmech import werner
@@ -60,7 +60,7 @@ def test_eigenensemble_reconstructs_werner():
 
 
 def test_eigenensemble_phases_give_real_diagonal_h():
-    hset = h_matrices(werner_eigenensemble(0.37))
+    hset = cost_operator(werner_eigenensemble(0.37)).hset
     h = hset.matrices[0, 0]
     assert np.max(np.abs(h.imag)) < 1e-14
     assert np.max(np.abs(h - np.diag(np.diag(h)))) < 1e-14
@@ -75,14 +75,14 @@ def test_h_matrix_pinned_values():
 
 def test_h_matrix_equals_generic_contraction():
     for p in np.linspace(0.05, 1.0, 20):
-        got = h_matrices(werner_eigenensemble(p)).matrices[0, 0]
+        got = cost_operator(werner_eigenensemble(p)).hset.matrices[0, 0]
         assert np.max(np.abs(got - h_matrix(p))) < 1e-12
 
 
 def test_werner_h_is_the_diagonal_of_the_generic_contraction():
-    # the one closed form of h(p) the library uses, against h_matrices
+    # the one closed form of h(p) the library uses, against cost_operator's hset
     for p in np.round(np.arange(0.05, 1.0001, 0.05), 12):
-        got = np.diag(h_matrices(werner_eigenensemble(p)).matrices[0, 0])
+        got = np.diag(cost_operator(werner_eigenensemble(p)).hset.matrices[0, 0])
         h0, h1 = werner._werner_h(p)
         assert np.max(np.abs(got - [h0, h1, h1, h1])) < 1e-15
 
@@ -98,7 +98,7 @@ def test_bell_diagonal_h_is_the_h_matrix_of_the_bell_ensemble():
     rng = np.random.default_rng(9)
     for _ in range(20):
         q = rng.dirichlet(np.ones(4))
-        want = h_matrices(werner._bell_ensemble(q)).matrices[0, 0]
+        want = cost_operator(werner._bell_ensemble(q)).hset.matrices[0, 0]
         assert np.max(np.abs(bell_diagonal_h(q) - want)) < 1e-15
 
 
