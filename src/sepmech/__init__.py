@@ -9,9 +9,8 @@ the gap.  A closed-form pipeline for the 2x2 Werner states reduces the
 one-particle partition function to a one-dimensional integral with an
 explicit saddle condition.
 """
-from .quantum_core import (DensityMatrix, Ensemble, PureState, eigen_ensemble,
-                           partial_trace, ppt_is_entangled)
-from .concurrence import concurrence_sq
+from .quantum_core import (DensityMatrix, Ensemble, PureState, concurrence_sq,
+                           eigen_ensemble, ppt_is_entangled)
 from .ensembles import (StiefelPoint, caratheodory_length, constraint_residual,
                         ensemble_from_stiefel, haar_stiefel, haar_unitary)
 from .costfn import (CostOperator, HMatrixSet, LagrangeMultipliers, cost_operator,
@@ -27,9 +26,8 @@ from .werner import (ConstraintsUnsatisfiable, EquipartitionScan, OmegaPrime,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DensityMatrix", "Ensemble", "PureState", "eigen_ensemble",
-    "partial_trace", "ppt_is_entangled",
-    "concurrence_sq",
+    "DensityMatrix", "Ensemble", "PureState", "concurrence_sq",
+    "eigen_ensemble", "ppt_is_entangled",
     "StiefelPoint", "caratheodory_length", "constraint_residual",
     "ensemble_from_stiefel", "haar_stiefel", "haar_unitary",
     "CostOperator", "HMatrixSet", "LagrangeMultipliers", "cost_operator", "energy",

@@ -107,7 +107,7 @@ def _load_state(cfg: dict):
     try:
         with open(path) as fh:
             rho = DensityMatrix.from_json(fh.read())
-    except (OSError, ValueError, KeyError, TypeError) as e:
+    except (OSError, UnicodeDecodeError, InvalidInput) as e:  # unreadable, binary, malformed
         raise InvalidInput(f"invalid density matrix: {e}")
     return rho, {"kind": "file", "path": path}
 

@@ -5,15 +5,23 @@ coefficient matrix of psi_i, the energy is the sum of concurrences squared,
 
     E(z) = sum_i c2(psi_i) = 2 sum_i sum_{i<j, k<l} |C_ik C_jl - C_il C_jk|^2,
 
-the squared 2x2 minors of every C_i (the minors identity of the concurrence
-module).  With u_ik the r-vector of the eigenvectors' (i, k) amplitudes,
-each minor is the quadratic form z_i^T h^{ab} z_i of the symmetric r x r
-matrix h^{ab} = sym(u_ik (x) u_jl - u_il (x) u_jk), for the pairs
-a = (i < j) and b = (k < l).  The prefactor 2 is the calibration of c2's
-antisymmetric-component form and makes E(z) equal sum_i c2(psi_i) exactly
-rather than up to a constant.  E(z) = 0 at a point of the constraint
-surface z^dag z = 1 exactly when that point is a separable decomposition,
-so the global constrained minimum decides separability.
+the squared 2x2 minors of every C_i.  This is the minors identity: the
+concurrence c2(psi) = ||psi||^4 - tr sigma_A^2 of `quantum_core.concurrence_sq`
+equals 2 sum_{a,b} |<zeta_a (x) zeta~_b | psi (x) psi>|^2 over orthonormal
+bases {zeta_a}, {zeta~_b} of the antisymmetric subspaces of C^m (x) C^m and
+C^n (x) C^n, with the two copies of psi reindexed from (A B A' B') to
+(A A' B B') order.  The prefactor 2 is forced by P_antisym = (1 - SWAP)/2,
+which gives ||psi||^4 - tr sigma_A^2 = 2 <psi x psi| P_m (x) P_n |psi x psi>,
+and in the canonical bases {(|ij> - |ji>)/sqrt(2) : i < j} the component of
+a = (i < j), b = (k < l) is the minor C_ik C_jl - C_il C_jk.  For the
+singlet (|01> - |10>)/sqrt(2) the one minor is det C = 1/2, so c2 = 1/2.
+
+With u_ik the r-vector of the eigenvectors' (i, k) amplitudes, each minor
+is the quadratic form z_i^T h^{ab} z_i of the symmetric r x r matrix
+h^{ab} = sym(u_ik (x) u_jl - u_il (x) u_jk), for the pairs a = (i < j) and
+b = (k < l).  E(z) = 0 at a point of the constraint surface z^dag z = 1
+exactly when that point is a separable decomposition, so the global
+constrained minimum decides separability.
 
 `energy` is the one evaluation of this form in the package; the Monte
 Carlo estimators call it on stacks of Stiefel points.  It does not form the
@@ -116,7 +124,8 @@ def cost_operator(ens: Ensemble) -> CostOperator:
     """The cost operator of a fixed eigenensemble."""
     m, n = ens.dimA, ens.dimB
     if min(m, n) < 2:
-        raise InvalidInput(f"m must be >= 2, got {min(m, n)}: a one-dimensional factor has "
+        name, d = ("dimA", m) if m < 2 else ("dimB", n)
+        raise InvalidInput(f"{name} must be >= 2, got {d}: a one-dimensional factor has "
                            "no antisymmetric space, and a state with one is a product state "
                            "with no h matrices")
     amps = np.ascontiguousarray(ens.amps.T)

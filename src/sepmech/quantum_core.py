@@ -2,10 +2,10 @@
 
 Bipartite states live on C^m (x) C^n.  Pure states are stored as flat
 amplitude vectors in row-major (a, b) order, density matrices as
-mn x mn arrays, so np.kron(a, b) is the tensor product.  Provides partial
-traces, eigenvector ensembles of a mixed state and the partial transpose
-(PPT) entanglement test, all pure functions, and the package's one check of
-sizes and counts.
+mn x mn arrays, so np.kron(a, b) is the tensor product.  Provides the
+generalized concurrence of a pure state, eigenvector ensembles of a mixed
+state and the partial transpose (PPT) entanglement test, all pure
+functions, and the package's one check of sizes and counts.
 """
 from __future__ import annotations
 
@@ -34,6 +34,18 @@ def _require_count(value, name: str, floor: int = 1):
     if value < floor:
         raise InvalidInput(f"{name} must be >= {floor}, got {value}")
     return value
+
+
+def _numbers(value, key: str) -> np.ndarray:
+    """The JSON value of key as a float array; InvalidInput unless it holds
+    numbers only (no strings, booleans, nulls or objects) in a regular nest."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # ragged nesting
+        a = None
+    if a is None or a.dtype.kind not in "iuf":
+        raise InvalidInput(f"{key!r} must be a list of numbers")
+    return a.astype(float)
 
 
 @dataclass(frozen=True)
@@ -68,11 +80,27 @@ class DensityMatrix:
         })
 
     @staticmethod
-    def from_json(text: str) -> "DensityMatrix":
-        d = json.loads(text)
-        mat = np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
-        side = round(mat.size ** 0.5)  # the dimensions are checked, not trusted
-        return DensityMatrix(d["dimA"], d["dimB"], mat.reshape(side, side))
+    def from_json(text) -> "DensityMatrix":
+        """The state of a to_json document (str or bytes); InvalidInput for
+        any document that is not one: not JSON, not an object, a key
+        missing, entries that are not numbers, "re" and "im" of different
+        shapes, or an entry count that is not a square."""
+        try:
+            d = json.loads(text)
+        except (ValueError, RecursionError) as e:  # bad JSON, bad bytes, deep nesting
+            raise InvalidInput(f"not a JSON document: {e}") from None
+        if not isinstance(d, dict):
+            raise InvalidInput(f"expected a JSON object, got {type(d).__name__}")
+        for key in ("dimA", "dimB", "re", "im"):
+            if key not in d:
+                raise InvalidInput(f"missing key {key!r}")
+        re, im = _numbers(d["re"], "re"), _numbers(d["im"], "im")
+        if re.shape != im.shape:
+            raise InvalidInput(f"'re' has shape {re.shape} but 'im' {im.shape}")
+        side = round(re.size ** 0.5)  # the dimensions are checked, not trusted
+        if side * side != re.size:
+            raise InvalidInput(f"{re.size} entries do not fill a square matrix")
+        return DensityMatrix(d["dimA"], d["dimB"], (re + 1j * im).reshape(side, side))
 
 
 @dataclass(frozen=True)
@@ -98,6 +126,21 @@ class PureState:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
+
+
+def concurrence_sq(psi: PureState) -> float:
+    """Generalized concurrence squared ||psi||^4 - tr sigma_A^2 of psi, with
+    sigma_A = C C^dag for psi's m x n coefficient matrix C, clamped to >= 0.
+
+    Degree-4 homogeneous in the amplitudes; zero iff psi is a product vector.
+    The costfn module docstring derives its minors form, the one
+    `costfn.energy` sums; the antisymmetric-component form is a test oracle.
+    """
+    C = psi.coeff_matrix()
+    n4 = psi.norm() ** 4
+    sigma = C @ C.conj().T
+    val = n4 - float(np.trace(sigma @ sigma).real)
+    return max(val, 0.0)
 
 
 @dataclass(frozen=True)
@@ -135,32 +178,6 @@ class Ensemble:
     def reconstruct(self) -> np.ndarray:
         """Sum_i |psi_i><psi_i|."""
         return self.amps.T @ self.amps.conj()
-
-
-def _pure_reduced(psi: PureState, keep: str) -> np.ndarray:
-    C = psi.coeff_matrix()
-    if keep == "A":
-        return C @ C.conj().T
-    return C.T @ C.conj()
-
-
-def partial_trace(state, keep: str) -> np.ndarray:
-    """Reduced matrix of a PureState or DensityMatrix on subsystem keep in {A, B}.
-
-    Trace is preserved: tr of the output equals tr of the input
-    (norm squared for pure states).
-    """
-    if keep not in ("A", "B"):
-        raise InvalidInput("keep must be 'A' or 'B'")
-    if isinstance(state, PureState):
-        return _pure_reduced(state, keep)
-    if isinstance(state, DensityMatrix):
-        m, n = state.dimA, state.dimB
-        t = state.mat.reshape(m, n, m, n)
-        if keep == "A":
-            return np.einsum("ibjb->ij", t)
-        return np.einsum("aiaj->ij", t)
-    raise TypeError("state must be a PureState or DensityMatrix")
 
 
 def eigen_ensemble(rho: DensityMatrix) -> Ensemble:

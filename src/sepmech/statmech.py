@@ -61,7 +61,6 @@ class McEstimate:
     """Reweighted Haar-sampling estimate of <<E>> at one beta."""
 
     beta: float
-    samples: int
     mean_energy: float
     std_error: float
     min_energy_seen: float
@@ -74,7 +73,6 @@ class StateDensityEstimate:
 
     bin_edges: np.ndarray
     counts: np.ndarray
-    total_samples: int
 
 
 @dataclass(frozen=True)
@@ -169,7 +167,7 @@ def _reweighted(e: np.ndarray, emin: float, beta: float) -> McEstimate:
     if np.all(rest > 0):
         thetas = np.array([swe - b.sum() for b in np.array_split(we, n)]) / rest
         error = float(np.sqrt((n - 1) / n * np.sum((thetas - thetas.mean()) ** 2)))
-    return McEstimate(float(beta), e.size, float(swe / sw), error, emin,
+    return McEstimate(float(beta), float(swe / sw), error, emin,
                       float(sw * sw / (w * w).sum()))
 
 
@@ -226,7 +224,7 @@ def estimate_state_density(energies, bins: int) -> StateDensityEstimate:
         top = hi if hi > lo else lo + 1e-300
         edges = np.linspace(lo, max(top, lo + 4 * bins * np.spacing(abs(lo))), bins + 1)
     counts, edges = np.histogram(e, bins=edges)
-    return StateDensityEstimate(edges, counts / e.size, e.size)
+    return StateDensityEstimate(edges, counts / e.size)
 
 
 def _require_fit_betas(betas) -> None:

@@ -1,4 +1,7 @@
-"""Shared fixtures: seeded generators and random-state factories."""
+"""Shared fixtures: seeded generators, random-state factories and
+malformed state documents."""
+import json
+
 import numpy as np
 import pytest
 
@@ -53,3 +56,26 @@ def random_product():
         return PureState(m, n, v)
 
     return make
+
+
+_W1 = {"dimA": 2, "dimB": 2, "re": (np.eye(4) / 4).ravel().tolist(), "im": [0.0] * 16}
+_MALFORMED = {
+    "not-json": "{dimA: 2}",
+    "top-level-list": "[1, 2]",
+    "top-level-string": '"rho"',
+    "list-of-objects": "[{}]",
+    "no-re": json.dumps({k: v for k, v in _W1.items() if k != "re"}),
+    "no-im": json.dumps({k: v for k, v in _W1.items() if k != "im"}),
+    "text-entries": json.dumps({**_W1, "re": ["x"] * 16}),
+    "numeric-strings": json.dumps({**_W1, "re": [str(x) for x in _W1["re"]]}),
+    "non-square-count": json.dumps({**_W1, "re": _W1["re"][:15], "im": [0.0] * 15}),
+    "binary": b"\x89PNG\r\n\x1a\n\x00\xff\xfe",
+}
+
+
+@pytest.fixture(params=list(_MALFORMED.values()), ids=list(_MALFORMED))
+def malformed_state_document(request):
+    """A state file's contents (str, or bytes for a binary file) that is not
+    a to_json document; each names W(1) where it names anything, so only
+    the document's form is wrong."""
+    return request.param

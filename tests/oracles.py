@@ -17,6 +17,8 @@ Each computes a quantity the library also computes, by a different route:
   4-operand einsum (the library symmetrizes outer products of the
   eigenvector amplitude rows of each 2x2 minor);
 - the determinant product test det(sigma_A - 1);
+- the partial traces of a pure state and of a density matrix (the library
+  forms only sigma_A = C C^dag of a pure state, inside concurrence_sq);
 - the direct 8x8 determinant of the Werner Gaussian block matrix;
 - the multiplier gradient at a generic Hermitian w' (the library restricts
   w' to diag(gamma, lam, lam, lam));
@@ -58,7 +60,7 @@ import math
 
 import numpy as np
 
-from sepmech import PureState, StiefelPoint, constraint_residual, energy
+from sepmech import DensityMatrix, PureState, StiefelPoint, constraint_residual, energy
 from sepmech.quantum_core import InvalidInput
 from sepmech.werner import (_EPS_F, _MAX_EVALS, _STEP, _U0, BETA_INTERNAL_SCALE,
                             LOG_GAMMA_FLOOR, QuadratureError, SaddleResult, _grid, _moments,
@@ -187,6 +189,28 @@ def concurrence_sq_skew(psi: PureState, basisA: np.ndarray, basisB: np.ndarray) 
         raise ValueError("basis dimensions do not match the state")
     comp = _pair_components(psi, basisA, basisB)
     return SKEW_PREFACTOR * float(np.sum(np.abs(comp) ** 2))
+
+
+def partial_trace(state, keep: str) -> np.ndarray:
+    """Reduced matrix of a PureState or DensityMatrix on subsystem keep in {A, B}.
+
+    Trace is preserved: tr of the output equals tr of the input
+    (norm squared for pure states).
+    """
+    if keep not in ("A", "B"):
+        raise InvalidInput("keep must be 'A' or 'B'")
+    if isinstance(state, PureState):
+        C = state.coeff_matrix()
+        if keep == "A":
+            return C @ C.conj().T
+        return C.T @ C.conj()
+    if isinstance(state, DensityMatrix):
+        m, n = state.dimA, state.dimB
+        t = state.mat.reshape(m, n, m, n)
+        if keep == "A":
+            return np.einsum("ibjb->ij", t)
+        return np.einsum("aiaj->ij", t)
+    raise TypeError("state must be a PureState or DensityMatrix")
 
 
 def det_product_test(psi: PureState) -> float:
@@ -526,10 +550,8 @@ def haar_mean_energy(rho, N: int) -> float:
     with c^2(psi_i) = ||psi_i||^4 - tr sigma_A^2 and summing over the N rows
     gives the closed form, which does not depend on r.
     """
-    m, n = rho.dimA, rho.dimB
-    t = rho.mat.reshape(m, n, m, n)
-    rho_a, rho_b = np.einsum("ibjb->ij", t), np.einsum("aiaj->ij", t)
-    purity = [float(np.sum(np.abs(x) ** 2)) for x in (rho_a, rho_b, rho.mat)]
+    reduced = [partial_trace(rho, keep) for keep in ("A", "B")]
+    purity = [float(np.sum(np.abs(x) ** 2)) for x in (*reduced, rho.mat)]
     return (1.0 - purity[0] - purity[1] + purity[2]) / (N + 1)
 
 

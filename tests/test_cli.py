@@ -136,6 +136,30 @@ def test_state_file_dimensions_are_checked_not_coerced(tmp_path, capsys, dims, w
     assert f"invalid density matrix: {why}" in err
 
 
+def test_malformed_state_file_exits_2(tmp_path, capsys, malformed_state_document):
+    path = tmp_path / "state.json"
+    if isinstance(malformed_state_document, bytes):
+        path.write_bytes(malformed_state_document)
+    else:
+        path.write_text(malformed_state_document)
+    code, out, err = run(capsys, "ppt", "--state", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid density matrix: ")
+
+
+def test_a_bug_while_loading_a_state_file_keeps_its_traceback(tmp_path, monkeypatch):
+    # only unreadable, binary and malformed files are refused with exit 2
+    path = tmp_path / "state.json"
+    path.write_text(werner_state(0.3).to_json())
+
+    def broken(text):
+        raise TypeError("a bug")
+
+    monkeypatch.setattr(DensityMatrix, "from_json", staticmethod(broken))
+    with pytest.raises(TypeError, match="a bug"):
+        main(["ppt", "--state", str(path)])
+
+
 def test_probe_report_structure(capsys):
     code, out, _ = run(capsys, "probe", "--werner", "0.5", "--seed", "7",
                        "--samples", "3000", "--beta", "1,10")
@@ -582,16 +606,21 @@ def test_mc_of_a_product_state_reads_zero_energy(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["mc", "probe"])
-@pytest.mark.parametrize("dims", [(1, 3), (2, 1)])
+@pytest.mark.parametrize("dims", [(1, 3), (2, 1), (3, 1)])
 def test_one_dimensional_factor_exits_2(tmp_path, capsys, command, dims):
-    # such a state is a product with no h matrices; ppt still answers for it
+    # such a state is a product with no h matrices; ppt still answers for it.
+    # The error names the factor of dimension 1, in the library and on exit 2
     d = dims[0] * dims[1]
+    rho = DensityMatrix(*dims, np.eye(d) / d)
+    want = f"{'dimA' if dims[0] == 1 else 'dimB'} must be >= 2, got 1: a one-dimensional factor"
+    with pytest.raises(InvalidInput, match=want):
+        cost_operator(eigen_ensemble(rho))
     path = tmp_path / "rho.json"
-    path.write_text(DensityMatrix(*dims, np.eye(d) / d).to_json())
+    path.write_text(rho.to_json())
     code, out, err = run(capsys, command, "--state", str(path), "--seed", "1",
                          "--samples", "200")
     assert code == 2 and out == ""
-    assert "one-dimensional factor" in err and err.startswith("error: ")
+    assert err.startswith(f"error: {want}")
     code, out, _ = run(capsys, "ppt", "--state", str(path))
     assert code == 0 and json.loads(out)["ppt_entangled"] is False
 

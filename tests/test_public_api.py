@@ -6,6 +6,7 @@ import ast
 import importlib.util
 import inspect
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -13,12 +14,12 @@ import numpy as np
 import pytest
 
 import sepmech
+from oracles import partial_trace
 from sepmech import (Ensemble, LagrangeMultipliers, OmegaPrime, PureState,
                      StiefelPoint, caratheodory_length, cost_operator,
                      eigen_ensemble, estimate_state_density, fit_energy_scaling,
-                     haar_stiefel, haar_unitary, mc_energy_curve, partial_trace,
-                     sample_energies, saddle_search, statmech,
-                     werner_eigenensemble, werner_state, z1_mc)
+                     haar_stiefel, haar_unitary, mc_energy_curve, sample_energies,
+                     saddle_search, statmech, werner_eigenensemble, werner_state, z1_mc)
 from sepmech.quantum_core import InvalidInput
 
 SRC = Path(sepmech.__file__).parent
@@ -35,8 +36,7 @@ PUBLIC = [
     "cost_operator", "eigen_ensemble", "energy", "ensemble_from_stiefel",
     "equipartition_scan", "estimate_state_density", "fit_energy_scaling",
     "grad_log_z1", "haar_stiefel", "haar_unitary",
-    "log_z1_quadrature", "mc_energy_curve", "partial_trace",
-    "ppt_is_entangled", "saddle_search", "sample_energies",
+    "log_z1_quadrature", "mc_energy_curve", "ppt_is_entangled", "saddle_search", "sample_energies",
     "werner_eigenensemble", "werner_state", "z1_mc",
 ]
 
@@ -49,12 +49,21 @@ REMOVED = ["energy_via_h", "concurrence_sq_skew", "SkewBasis", "skew_basis",
            "mc_average_energy", "full_hamiltonian", "tensor_product",
            "weighted_stats", "h_matrix", "energy_closed_form",
            "EigenEnsemble", "RhoEnsemble", "stiefel_from_gs", "is_product",
-           "fit_power_law", "bell_diagonal_h", "h_matrices"]
+           "fit_power_law", "bell_diagonal_h", "h_matrices", "partial_trace"]
 
 
 def test_all_lists_exactly_the_public_names():
-    assert len(PUBLIC) == 38
+    assert len(PUBLIC) == 37
     assert sorted(sepmech.__all__) == PUBLIC
+
+
+def test_the_readme_lists_exactly_the_modules():
+    # each "- `name`:" bullet under "What is implemented" names one module of
+    # the package, so deleting or adding a module fails until the README follows
+    readme = (TESTS.parent / "README.md").read_text()
+    section = readme.split("What is implemented:", 1)[1].split("\n## ", 1)[0]
+    bullets = set(re.findall(r"^- `(\w+)`:", section, flags=re.MULTILINE))
+    assert bullets == {path.stem for path in SRC.glob("*.py")} - {"__init__"}
 
 
 def test_every_public_name_resolves():

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import partial_trace
 from sepmech import (DensityMatrix, PureState, eigen_ensemble, haar_unitary,
-                     partial_trace, ppt_is_entangled, werner_state)
+                     ppt_is_entangled, werner_state)
+from sepmech.quantum_core import InvalidInput
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -81,6 +83,12 @@ def test_density_matrix_json_roundtrip(rng, random_density):
     back = DensityMatrix.from_json(rho.to_json())
     assert (back.dimA, back.dimB) == (2, 3)
     assert np.allclose(back.mat, rho.mat, atol=1e-15)
+
+
+def test_from_json_raises_invalid_input_for_every_malformed_document(
+        malformed_state_document):
+    with pytest.raises(InvalidInput):
+        DensityMatrix.from_json(malformed_state_document)
 
 
 def test_eigen_ensemble_maximally_mixed():
