@@ -22,6 +22,8 @@ rerun byte-identically from the same configuration.  `scan` is
 deterministic and takes no --seed; `scaling` echoes its --seed only.
 Region membership in `scan`, `probe` and `scaling` is the library's one
 test, SaddleResult.region_member (residual below 1e-6); no flag changes it.
+Below werner.BETA_STAR (~0.102) the region admits entangled Werner states,
+and `scan` says so on stderr.
 
 Exit codes: 0 success, 2 invalid input (an InvalidInput from a check of
 the library or of this module, or argparse refusing a token or an argument
@@ -45,7 +47,7 @@ from .quantum_core import (DensityMatrix, InvalidInput, _require_count, eigen_en
                            ppt_is_entangled)
 from .statmech import (_require_fit_betas, estimate_state_density,
                        fit_energy_scaling, mc_energy_curve, sample_energies)
-from .werner import (ConstraintsUnsatisfiable, QuadratureError, _avg_energies,
+from .werner import (BETA_STAR, ConstraintsUnsatisfiable, QuadratureError, _avg_energies,
                      equipartition_scan, saddle_search, werner_state)
 
 MC_HISTOGRAM_BINS = 48
@@ -196,6 +198,9 @@ def cmd_scan(cfg: dict) -> int:
     if len(betas) != 1:
         raise InvalidInput("scan takes a single beta")
     scan = equipartition_scan(grid, betas[0])
+    if betas[0] < BETA_STAR:
+        print(f"warning: beta below {BETA_STAR}: region members may be entangled, "
+              "so region_start is no separability certificate", file=sys.stderr)
     lines = [_header({**cfg, "beta": betas[0]}, "scan"),
              "p,residual,gamma_star,lambda_star,interior\n"]
     for p, sad in zip(scan.p_grid, scan.saddles):

@@ -142,6 +142,8 @@ def _rows(z) -> np.ndarray:
     if isinstance(z, StiefelPoint):
         z = z.z
     z = np.asarray(z, dtype=complex)
+    if z.ndim == 0:
+        raise InvalidInput("z is a scalar, expected a row, a matrix or a stack")
     return z[None, :] if z.ndim == 1 else z
 
 

@@ -4,10 +4,11 @@ Every decomposition rho = sum_i |psi_i><psi_i| of length N is reachable from
 a fixed eigenvector ensemble {e_alpha} through an N x r matrix z with
 orthonormal columns (z^dag z = 1), via psi_i = sum_alpha z_{i alpha} e_alpha.
 The z matrices form the complex Stiefel manifold V_{N,r}; this module
-provides points on it (Haar sampling and Haar unitaries), the constraint
-residual, and reconstruction of ensembles.  The paper's explicit chart,
-Gram-Schmidt of the identity stacked on a free block, is kept in the test
-suite as an independent oracle for the module's Cholesky-QR.
+provides points on it (Haar sampling and Haar unitaries, all drawn and
+factored in place by `_stiefel_batch`), the constraint residual, and
+reconstruction of ensembles.  The paper's explicit chart, Gram-Schmidt of
+the identity stacked on a free block, is kept in the test suite as an
+independent oracle for the module's Cholesky-QR.
 """
 from __future__ import annotations
 
@@ -43,6 +44,8 @@ def constraint_residual(z) -> np.ndarray:
     if isinstance(z, StiefelPoint):
         z = z.z
     z = np.asarray(z, dtype=complex)
+    if z.ndim != 2:
+        raise InvalidInput(f"z has {z.ndim} axes, expected an N x r matrix")
     return z.conj().T @ z - np.eye(z.shape[1])
 
 
@@ -53,7 +56,7 @@ def ensemble_from_stiefel(z: StiefelPoint, ens: Ensemble) -> Ensemble:
     return Ensemble(ens.dimA, ens.dimB, z.z @ ens.amps)
 
 
-def _phase_fixed_q(b: np.ndarray, out, passes: int) -> np.ndarray:
+def _phase_fixed_q(b: np.ndarray, passes: int) -> np.ndarray:
     """Q of the thin QR factorization b = Q R of b (..., N, r) whose R has a
     positive real diagonal: the unique such factorization of a full-rank
     block, and the one whose Q is Haar-distributed when b is a Ginibre block
@@ -62,15 +65,14 @@ def _phase_fixed_q(b: np.ndarray, out, passes: int) -> np.ndarray:
     b^dag b, and Q = b R^{-1}.  One pass loses orthogonality like
     cond(b)^2 eps; a second pass over its Q (CholQR2: Fukaya et al., ScalA
     2014; Yamamoto et al., ETNA 44, 306 (2015)) leaves it orthonormal to
-    rounding.  Written into out unless out is None.  Raises numpy's
+    rounding.  b is overwritten with Q and returned.  Raises numpy's
     LinAlgError when a Gram matrix is not numerically positive definite.
     Each batched call loops over the stacked matrices in LAPACK."""
-    q = b
-    for k in range(passes):
-        gram = np.matmul(q.conj().swapaxes(-1, -2), q)
+    for _ in range(passes):
+        gram = np.matmul(b.conj().swapaxes(-1, -2), b)
         r_inv = np.linalg.inv(np.linalg.cholesky(gram).conj().swapaxes(-1, -2))
-        q = np.matmul(q, r_inv, out=out if k == passes - 1 else None)
-    return q
+        np.matmul(b, r_inv, out=b)
+    return b
 
 
 def _batch_last_q(g: np.ndarray, passes: int) -> np.ndarray:
@@ -107,44 +109,32 @@ def _batch_last_q(g: np.ndarray, passes: int) -> np.ndarray:
     return g
 
 
-def _cholesky_qr(N: int, r: int, count: int, passes: int, fill) -> np.ndarray:
-    """The Q of `passes` Cholesky-QR passes over count N x r matrices,
-    stacked (count, N, r): every Q of the package comes from here.  fill(b)
-    writes the matrices into b, the (count, N, r) view of a buffer laid out
-    for the kernel that the shape of one matrix picks, and the Q comes back
-    as the same view of that buffer: C-ordered, or Fortran-ordered where
-    the buffer is batch-last.  The two kernels agree to rounding, and both
-    raise numpy's LinAlgError on a Gram matrix that is not numerically
-    positive definite.  Where N r^2 <= 512, which holds for every 2x2
-    sampler draw (16 x r, r <= 4), the buffer is (r, N, count) and
-    `_batch_last_q` factors it: per-matrix LAPACK calls cost more than their
-    arithmetic there and do not scale across the sampler's threads.  Larger
-    matrices (3x3's 81 x 9) are factored in place by `_phase_fixed_q`, whose
-    batched LAPACK calls win once a matrix holds more work; the two cost the
-    same near N r^2 ~ 600."""
+def _stiefel_batch(N: int, r: int, count: int, rng) -> np.ndarray:
+    """count Haar points of V_{N,r}, stacked (count, N, r): the Q of N x r
+    Ginibre blocks, the same distribution as r columns of a Haar N x N
+    unitary without paying for the rest.  Every Q of the package comes from
+    here.  One pass leaves a block with N >= r^2 (every ensemble length
+    m^2 n^2 the sampler draws) orthonormal to ~2e-15, since such a block is
+    well conditioned; narrower blocks, N = r among them, take a second.
+    Where N r^2 <= 512, which holds for every 2x2 sampler draw (16 x r,
+    r <= 4), the blocks are laid out (r, N, count) and `_batch_last_q`
+    factors them: per-matrix LAPACK calls cost more than their arithmetic
+    there and do not scale across the sampler's threads.  Larger matrices
+    (3x3's 81 x 9) go to `_phase_fixed_q`, whose batched LAPACK calls win
+    once a matrix holds more work; the two cost the same near N r^2 ~ 600.
+    One standard_normal call fills the buffer in memory order, the real and
+    imaginary part of each entry side by side, so the entries run (a, n, c)
+    over column a, row n and matrix c where the buffer is batch-last, and
+    (c, n, a) otherwise.  Q comes back as the (count, N, r) view of that
+    buffer, Fortran-ordered where it is batch-last.
+    """
+    passes = 1 if N >= r * r else 2
     batch_last = N * r * r <= 512
     g = np.empty((r, N, count) if batch_last else (count, N, r), dtype=complex)
-    fill(g.T if batch_last else g)
+    rng.standard_normal(out=g.view(float))
     if batch_last:
         return _batch_last_q(g, passes).T
-    return _phase_fixed_q(g, g, passes)
-
-
-def _stiefel_batch(N: int, r: int, count: int, rng) -> np.ndarray:
-    """count Haar points of V_{N,r}, stacked (count, N, r) in the layout of
-    `_cholesky_qr`: the Q of an N x r Ginibre block, the same distribution
-    as r columns of a Haar N x N unitary without paying for the rest.  One
-    standard_normal call fills the kernel's buffer in memory order, the real
-    and imaginary part of each entry side by side: the entries run
-    (a, n, c) over column a, row n and matrix c where the buffer is
-    batch-last, and (c, n, a) otherwise.  One pass leaves a block with
-    N >= r^2 (every ensemble length m^2 n^2 the sampler draws) orthonormal
-    to ~2e-15, since such a block is well conditioned; narrower blocks,
-    N = r among them, take the second pass.
-    """
-    def draw(b):
-        rng.standard_normal(out=b.ravel("K").view(float))  # ravel("K") is a view here
-    return _cholesky_qr(N, r, count, 1 if N >= r * r else 2, draw)
+    return _phase_fixed_q(g, passes)
 
 
 def haar_stiefel(N: int, r: int, seed) -> StiefelPoint:

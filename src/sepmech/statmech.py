@@ -36,7 +36,7 @@ and r alone, so every slice of a call takes the same ones.  Nothing is
 drawn on the calling thread.  A task's values depend only on its slice and
 its child seed, so the results depend neither on the number of workers nor
 on how they are scheduled; changing _QR_ENTRIES or the kernel rule of
-ensembles._cholesky_qr changes the samples.  Parallel use should derive one
+ensembles._stiefel_batch changes the samples.  Parallel use should derive one
 child seed per task via numpy SeedSequence(seed).spawn, the splitting rule
 of the slices; `mc` and `probe` pass their --seed straight in, so one seed
 gives both commands the same samples.
@@ -82,9 +82,16 @@ class ScalingFit:
 
     slope: float
     intercept: float
-    delta: float
-    amplitude: float
     r_squared: float
+
+    @property
+    def amplitude(self) -> float:
+        """exp(intercept), the fitted numerator delta + 1."""
+        return float(np.exp(self.intercept))
+
+    @property
+    def delta(self) -> float:
+        return self.amplitude - 1.0
 
 
 def _cpu_count() -> int:
@@ -249,9 +256,7 @@ def fit_energy_scaling(points) -> ScalingFit:
     slope, intercept = np.polyfit(lx, ly, 1)
     ss_tot = np.sum((ly - ly.mean()) ** 2)
     r2 = 1.0 - np.sum((ly - (slope * lx + intercept)) ** 2) / ss_tot if ss_tot > 0 else 1.0
-    amp = float(np.exp(intercept))
-    return ScalingFit(float(slope), float(intercept), delta=amp - 1.0, amplitude=amp,
-                      r_squared=float(r2))
+    return ScalingFit(float(slope), float(intercept), float(r2))
 
 
 def z1_mc(cop: CostOperator, beta: float, lm: LagrangeMultipliers, samples: int,

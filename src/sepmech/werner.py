@@ -54,6 +54,10 @@ from .quantum_core import DensityMatrix, Ensemble, InvalidInput
 
 BETA_INTERNAL_SCALE = 64.0
 RESIDUAL_THRESHOLD = 1e-6
+# below beta* the region admits W(p) with p < 2/3, which are entangled, so
+# membership certifies separability only at beta >= beta*: a bisection on
+# saddle_search(beta, 2/3 - 1e-12) gives 0.10200032, rounded up here
+BETA_STAR = 0.1020004
 # saddle_search keeps log gamma and log lam in [-30, 30].  At gamma = e^-30
 # (~1e-13) a boundary residual matches its gamma -> 0 limit to ~1e-12
 # relative, and the sign of the log-gamma gradient is still resolved.

@@ -683,12 +683,31 @@ def test_subnormal_beta_exits_4(capsys, argv):
     assert code == 4 and out == "" and "normal positive floats" in err
 
 
+BELOW_BETA_STAR = ("warning: beta below 0.1020004: region members may be entangled, "
+                   "so region_start is no separability certificate\n")
+
+
 def test_tiny_normal_beta_keeps_the_scan_onset(capsys):
     # below ~1e-308 (256 beta still normal) x / 4bt in the quadrature weight
     # would overflow; the suite turns such a RuntimeWarning into an error
     for beta in ("1e-300", "1e-308", "1e-310"):
         code, out, err = run(capsys, "scan", "--beta", beta, "--p-grid", "0.85:0.05:1")
-        assert code == 0 and err == "" and out.endswith(f"# region_start={_fmt(0.85)}\n")
+        assert code == 0 and err == BELOW_BETA_STAR
+        assert out.endswith(f"# region_start={_fmt(0.85)}\n")
+
+
+def test_scan_warns_below_beta_star_on_stderr_only(capsys, tmp_path):
+    # the warning line is all that changes: stdout, and the --out file and
+    # its summary line, are the scan's as above beta*
+    for beta, err_want in (("0.102", BELOW_BETA_STAR), ("0.1020004", "")):
+        argv = ["scan", "--beta", beta, "--p-grid", "0.6:0.05:0.7"]
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == err_want and "warning" not in out
+        path = tmp_path / "scan.csv"
+        code, printed, err = run(capsys, *argv, "--out", str(path))
+        assert code == 0 and err == err_want
+        assert path.read_text().splitlines()[1:] == out.splitlines()[1:]
+        assert printed == out.splitlines()[-1][2:] + "\n"
 
 
 def test_p_grid_with_too_many_steps_exits_2(capsys):

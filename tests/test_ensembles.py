@@ -128,20 +128,27 @@ def test_gs_chart_top_block_is_triangular_with_positive_diagonal(seed, N, r):
     assert np.max(np.abs(diag.imag)) < 1e-12 and diag.real.min() > 0
 
 
+def both_kernels(b, passes):
+    """The Q of each Cholesky-QR kernel for one N x r block b, which is
+    not overwritten: the batched LAPACK one, then the batch-last one."""
+    return (ensembles._phase_fixed_q(b[None].copy(), passes)[0],
+            ensembles._batch_last_q(b.T[..., None].copy(), passes)[..., 0].T)
+
+
 def test_gs_chart_lands_on_manifold_for_large_free_blocks():
     # the two-pass Cholesky-QR of the chart's block (1_r; v) with |v| ~ 1e6,
     # cond ~ 1e6, is orthonormal to rounding and is the chart's Q to
     # cond eps, the conditioning of Q itself: over 1200 such blocks the
-    # largest difference was 1.9 cond eps.  (40, 4) has N r^2 > 512 and
-    # goes to the batched LAPACK kernel, the others to the batch-last one
+    # largest difference was 1.9 cond eps.  Both kernels factor every block,
+    # whichever of them the block's shape would pick
     rng = np.random.default_rng(6)
     for N, r in [(3, 2), (5, 2), (8, 3), (12, 5), (40, 4)]:
         v = 1e6 * (rng.standard_normal((N - r, r)) + 1j * rng.standard_normal((N - r, r)))
         b = np.vstack([np.eye(r), v])
-        q = ensembles._cholesky_qr(N, r, 1, 2, lambda g: np.copyto(g, b))[0]
-        assert np.max(np.abs(constraint_residual(q))) < 1e-12
         bound = 20 * np.linalg.cond(b) * np.finfo(float).eps
-        assert np.max(np.abs(q - stiefel_from_gs(v, np.eye(r)).z)) < bound
+        for q in both_kernels(b, 2):
+            assert np.max(np.abs(constraint_residual(q))) < 1e-12
+            assert np.max(np.abs(q - stiefel_from_gs(v, np.eye(r)).z)) < bound
 
 
 def test_gs_chart_is_deterministic():
@@ -193,7 +200,7 @@ def test_caratheodory_length_values():
 # shape picks: 16 x 4 is factored batch-last, 81 x 9 by the batched LAPACK calls
 SELECTED_KERNEL = {
     (16, 4): lambda g: ensembles._batch_last_q(np.ascontiguousarray(g.T), 1).T,
-    (81, 9): lambda g: ensembles._phase_fixed_q(g, None, 1),
+    (81, 9): lambda g: ensembles._phase_fixed_q(g, 1),
 }
 
 
@@ -263,12 +270,11 @@ def test_haar_unitary_is_the_samplers_square_draw(d):
 def test_a_rank_deficient_block_raises_in_either_kernel(N, r, passes):
     # the first two columns are both all ones, so the second Cholesky pivot
     # is exactly zero in either kernel (two equal Ginibre columns leave a
-    # pivot of rounding size and either sign); (4, 2) is factored batch-last
-    # and (81, 9) by LAPACK, and both raise rather than warn and return NaN
-    rng = np.random.default_rng(N)
-
-    def fill(b):
-        b[...] = ginibre_unblocked(N, r, 1, rng)
-        b[..., :2] = 1.0
-    with pytest.raises(np.linalg.LinAlgError):
-        ensembles._cholesky_qr(N, r, 1, passes, fill)
+    # pivot of rounding size and either sign); both kernels factor each
+    # block, and each raises rather than warn and return NaN
+    b = ginibre_unblocked(N, r, 1, np.random.default_rng(N))[0]
+    b[:, :2] = 1.0
+    for kernel in (lambda: ensembles._phase_fixed_q(b[None].copy(), passes),
+                   lambda: ensembles._batch_last_q(b.T[..., None].copy(), passes)):
+        with pytest.raises(np.linalg.LinAlgError):
+            kernel()

@@ -16,8 +16,8 @@ import pytest
 import sepmech
 from oracles import partial_trace
 from sepmech import (Ensemble, LagrangeMultipliers, OmegaPrime, PureState,
-                     StiefelPoint, caratheodory_length, cost_operator,
-                     eigen_ensemble, estimate_state_density, fit_energy_scaling,
+                     StiefelPoint, caratheodory_length, constraint_residual, cost_operator,
+                     eigen_ensemble, energy, estimate_state_density, fit_energy_scaling,
                      haar_stiefel, haar_unitary, mc_energy_curve, sample_energies,
                      saddle_search, statmech, werner_eigenensemble, werner_state, z1_mc)
 from sepmech.quantum_core import InvalidInput
@@ -153,9 +153,9 @@ def test_every_private_module_name_is_used_in_the_library():
 
 
 def test_every_q_comes_from_the_one_dispatcher():
-    # the two Cholesky-QR kernels live in ensembles beside the shape rule
-    # that picks between them, and only that rule names them; quantum_core
-    # holds states, draws nothing and takes no QR
+    # the two Cholesky-QR kernels live in ensembles beside the one draw
+    # function, whose shape rule picks between them, and only it names them;
+    # quantum_core holds states, draws nothing and takes no QR
     kernels = {"_phase_fixed_q", "_batch_last_q"}
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     defined = sorted(f"{mod}:{name}" for mod, tree in trees.items() for stmt in tree.body
@@ -164,7 +164,7 @@ def test_every_q_comes_from_the_one_dispatcher():
     callers = sorted(f"{mod}:{name}" for mod, tree in trees.items() for stmt in tree.body
                      if _used_names([stmt]) & kernels
                      for name in _module_level_names(stmt))
-    assert callers == ["ensembles.py:_cholesky_qr"]
+    assert callers == ["ensembles.py:_stiefel_batch"]
     drawn = _used_names([trees["quantum_core.py"]]) & {"default_rng", "standard_normal",
                                                        "cholesky", "qr"}
     assert drawn == set()
@@ -278,6 +278,9 @@ _NAN, _INF = float("nan"), float("inf")
     lambda: estimate_state_density([1.0, 2.0, 3.0], 7.0),
     lambda: haar_unitary(True, 1),
     lambda: sample_energies(_COP, 16, True, 1),
+    lambda: energy(np.complex128(1), _COP),
+    lambda: constraint_residual(np.ones(3)),
+    lambda: constraint_residual(np.ones(())),
 ], ids=["amplitude-count", "haar-d0", "singular-omega", "bins-1", "z1-samples-0",
         "omega-prime-gamma-0", "mc-curve-beta-nan", "mc-curve-beta-inf", "fit-beta-nan",
         "fit-beta-inf", "fit-energy-nan", "z1-beta-nan", "z1-beta-negative",
@@ -290,7 +293,7 @@ _NAN, _INF = float("nan"), float("inf")
         "caratheodory-fraction", "omega-inf", "stiefel-point-inf", "haar-stiefel-float-n",
         "haar-stiefel-fraction-r", "haar-float-d", "sample-fraction-n",
         "sample-fraction-count", "z1-fraction-samples", "density-float-bins", "haar-bool-d",
-        "sample-bool-count"])
+        "sample-bool-count", "energy-scalar", "residual-1d", "residual-0d"])
 def test_library_check_raises_invalid_input(call):
     with pytest.raises(InvalidInput):
         call()

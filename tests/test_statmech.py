@@ -1,5 +1,6 @@
 """Monte Carlo machinery: reweighted energy averages, state-density
 histograms, the 1/beta fit, and the Gaussian one-particle estimator."""
+import dataclasses
 import sys
 import threading
 import tracemalloc
@@ -308,6 +309,10 @@ def test_fit_energy_scaling_exact_inverse_law():
     assert abs(fit.delta - 1.75) < 1e-9
     assert abs(fit.amplitude - 2.75) < 1e-9
     assert fit.r_squared > 1 - 1e-12
+    # the record holds the line; amplitude and delta are derived from it
+    assert [f.name for f in dataclasses.fields(fit)] == ["slope", "intercept", "r_squared"]
+    assert fit.amplitude == float(np.exp(fit.intercept))
+    assert fit.delta == fit.amplitude - 1.0
 
 
 def test_fit_energy_scaling_flat_curve_has_zero_slope():

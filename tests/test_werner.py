@@ -17,7 +17,7 @@ from sepmech import (OmegaPrime, PureState, avg_energy_werner, ConstraintsUnsati
                      log_z1_quadrature, saddle_search, werner_eigenensemble,
                      werner_state)
 from sepmech import werner
-from sepmech.werner import (BETA_INTERNAL_SCALE, LOG_GAMMA_FLOOR,
+from sepmech.werner import (BETA_INTERNAL_SCALE, BETA_STAR, LOG_GAMMA_FLOOR,
                             RESIDUAL_THRESHOLD, QuadratureError, _STEP, _grid,
                             _moments)
 
@@ -554,6 +554,21 @@ def test_scan_detects_region_boundary():
         else:
             with pytest.raises(ConstraintsUnsatisfiable):
                 avg_energy_werner(10.0, p)
+
+
+def test_beta_star_is_where_the_region_stops_admitting_entangled_states():
+    # W(p) is entangled for p < 2/3; just below beta* the region reaches
+    # below 2/3 (residual ~6e-17), just above it does not (~9e-5)
+    p = 2 / 3 - 1e-9
+    assert saddle_search(BETA_STAR * 0.999, p).region_member
+    assert not saddle_search(BETA_STAR * 1.001, p).region_member
+
+
+def test_no_entangled_werner_state_is_a_region_member_above_beta_star():
+    grid = (*np.round(np.arange(0.05, 0.66, 0.05), 12), 2 / 3 - 1e-9)
+    for beta in np.logspace(np.log10(1.001 * BETA_STAR), 8, 23):
+        scan = equipartition_scan(grid, beta)
+        assert not any(sad.region_member for sad in scan.saddles), beta
 
 
 def test_scan_is_seed_reproducible():
