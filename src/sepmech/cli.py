@@ -20,6 +20,8 @@ replaced by a default: it is used or rejected.  Stochastic commands require
 --seed, embed the full configuration in a '#' header of their output, and
 rerun byte-identically from the same configuration.  `scan` is
 deterministic and takes no --seed; `scaling` echoes its --seed only.
+`probe` and `mc` sample in one step, `_sampled`: it checks the state,
+--seed, --samples and --beta in that order, then draws the energies once.
 Region membership in `scan`, `probe` and `scaling` is the library's one
 test, SaddleResult.region_member (residual below 1e-6); no flag changes it.
 Below werner.BETA_STAR (~0.102) the region admits entangled Werner states,
@@ -114,16 +116,11 @@ def _load_state(cfg: dict):
     return rho, {"kind": "file", "path": path}
 
 
-def _count(cfg: dict, key: str, default: int, floor: int) -> int:
-    """Integer option cfg[key], default when absent; below floor exits 2."""
-    return _require_count(cfg.get(key, default), key, floor)
-
-
 def _seed(cfg: dict, required: bool) -> int:
     """The non-negative --seed; 0 when absent and not required."""
     if required and "seed" not in cfg:
         raise InvalidInput("--seed is required for stochastic commands")
-    return _count(cfg, "seed", 0, 0)
+    return _require_count(cfg.get("seed", 0), "seed", 0)
 
 
 def _recognize_werner(rho: DensityMatrix):
@@ -136,10 +133,13 @@ def _recognize_werner(rho: DensityMatrix):
     return None
 
 
-def _emit(text: str, out_path):
+def _emit(text: str, out_path, summary=None):
+    """text to out_path and then summary to stdout, or text to stdout."""
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
+        if summary:
+            print(summary)
     else:
         sys.stdout.write(text)
 
@@ -148,24 +148,29 @@ def _header(cfg: dict, command: str) -> str:
     return f"# {json.dumps({'command': command, **cfg}, sort_keys=True)}\n"
 
 
-def cmd_probe(cfg: dict) -> int:
+def _sampled(cfg: dict, samples_default: int, samples_floor: int, beta_default: str):
+    """The Haar-average step of `probe` and `mc`: (rho, desc, energies,
+    curve, run).  Checks the state, --seed, --samples and --beta in that
+    order, draws the energies of the N = m^2 n^2 ensemble once and reduces
+    them at each beta; run is the record both commands print."""
     rho, desc = _load_state(cfg)
     seed = _seed(cfg, required=True)
-    betas = parse_beta(cfg.get("beta", "1,10,100"))
-    samples = _count(cfg, "samples", 20000, 1)
-    m, n = rho.dimA, rho.dimB
-    N = caratheodory_length(m, n)
+    samples = _require_count(cfg.get("samples", samples_default), "samples", samples_floor)
+    betas = parse_beta(cfg.get("beta", beta_default))
+    N = caratheodory_length(rho.dimA, rho.dimB)
+    energies = sample_energies(cost_operator(eigen_ensemble(rho)), N, samples, seed)
+    run = {"seed": seed, "samples": samples, "ensemble_length": N}
+    return rho, desc, energies, mc_energy_curve(energies, betas), run
 
-    cop = cost_operator(eigen_ensemble(rho))
-    curve = mc_energy_curve(sample_energies(cop, N, samples, seed), betas)
+
+def cmd_probe(cfg: dict) -> int:
+    rho, desc, _, curve, run = _sampled(cfg, 20000, 1, "1,10,100")
     report = {
         "state": desc,
-        "dims": [m, n],
+        "dims": [rho.dimA, rho.dimB],
         "ppt_entangled": ppt_is_entangled(rho),
         "mc": {
-            "samples": samples,
-            "seed": seed,
-            "ensemble_length": N,
+            **run,
             "min_energy": curve[0].min_energy_seen,
             "mean_energy": [
                 {"beta": est.beta, "value": est.mean_energy,
@@ -208,9 +213,7 @@ def cmd_scan(cfg: dict) -> int:
                                _fmt(sad.lambda_star), str(int(sad.interior))]) + "\n")
     start = "none" if scan.region_start is None else _fmt(scan.region_start)
     lines.append(f"# region_start={start}\n")
-    _emit("".join(lines), cfg.get("out"))
-    if cfg.get("out"):
-        print(f"region_start={start}")
+    _emit("".join(lines), cfg.get("out"), f"region_start={start}")
     return 0
 
 
@@ -230,27 +233,14 @@ def cmd_scaling(cfg: dict) -> int:
               "delta": fit.delta, "amplitude": fit.amplitude,
               "r_squared": fit.r_squared}
     lines.append("# " + json.dumps(footer, sort_keys=True) + "\n")
-    _emit("".join(lines), cfg.get("out"))
-    if cfg.get("out"):
-        print(f"slope={fit.slope:.6f} delta={fit.delta:.6f}")
+    _emit("".join(lines), cfg.get("out"), f"slope={fit.slope:.6f} delta={fit.delta:.6f}")
     return 0
 
 
 def cmd_mc(cfg: dict) -> int:
-    rho, _ = _load_state(cfg)
-    seed = _seed(cfg, required=True)
-    samples = _count(cfg, "samples", 100000, 100)
-    betas = parse_beta(cfg.get("beta", "1:100:9"))
-    m, n = rho.dimA, rho.dimB
-    N = caratheodory_length(m, n)
-    cop = cost_operator(eigen_ensemble(rho))
-
-    energies = sample_energies(cop, N, samples, seed)
-    curve = mc_energy_curve(energies, betas)
+    _, _, energies, curve, run = _sampled(cfg, 100000, 100, "1:100:9")
     hist = estimate_state_density(energies, MC_HISTOGRAM_BINS)
-
-    head = _header({**cfg, "seed": seed, "samples": samples,
-                    "ensemble_length": N}, "mc")
+    head = _header({**cfg, **run}, "mc")
     dens = [head, "bin_lo,bin_hi,frequency\n"]
     for lo, hi, f in zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts):
         dens.append(f"{_fmt(lo)},{_fmt(hi)},{_fmt(f)}\n")

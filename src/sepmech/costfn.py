@@ -162,6 +162,8 @@ def energy(z, cop: CostOperator):
     if zm.shape[-1] != r:
         raise InvalidInput(f"z has {zm.shape[-1]} columns, expected {r}")
     N = zm.shape[-2]
+    if N == 0:
+        raise InvalidInput("z has no rows")
     order = "F" if np.isfortran(zm) else "C"
     amp = cop.amps @ zm.reshape(-1, r, order=order).T  # (mn, rows): every row's amplitudes
     ik, jl, il, jk = cop.minors

@@ -28,6 +28,7 @@ class StiefelPoint:
     z: np.ndarray
 
     def __post_init__(self):
+        _require_count(self.N, "N", _require_count(self.r, "r"))
         z = np.asarray(self.z, dtype=complex)
         object.__setattr__(self, "z", z)
         if z.shape != (self.N, self.r):

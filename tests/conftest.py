@@ -59,6 +59,7 @@ def random_product():
 
 
 _W1 = {"dimA": 2, "dimB": 2, "re": (np.eye(4) / 4).ravel().tolist(), "im": [0.0] * 16}
+_W1_ROWS = (np.eye(4) / 4).tolist()  # W(1)'s "re" nested as rows
 _MALFORMED = {
     "not-json": "{dimA: 2}",
     "top-level-list": "[1, 2]",
@@ -69,6 +70,8 @@ _MALFORMED = {
     "text-entries": json.dumps({**_W1, "re": ["x"] * 16}),
     "numeric-strings": json.dumps({**_W1, "re": [str(x) for x in _W1["re"]]}),
     "non-square-count": json.dumps({**_W1, "re": _W1["re"][:15], "im": [0.0] * 15}),
+    "ragged-re": json.dumps({**_W1, "re": [*_W1_ROWS[:3], _W1_ROWS[3][:3]]}),
+    "re-im-shapes-differ": json.dumps({**_W1, "re": _W1_ROWS}),
     "binary": b"\x89PNG\r\n\x1a\n\x00\xff\xfe",
 }
 

@@ -738,3 +738,17 @@ def test_a_bad_later_input_exits_2_before_any_solve(capsys, monkeypatch, argv, m
     # (with _moments gone, a solve would end in a TypeError)
     monkeypatch.setattr(werner, "_moments", None)
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command, floor", [("probe", 1), ("mc", 100)])
+def test_probe_and_mc_check_state_seed_samples_then_beta(capsys, command, floor):
+    # each run mends the first bad input of the one before, so the message
+    # moves through the shared order of checks
+    state, seed, samples = ["--werner", "0.5"], ["--seed", "1"], ["--samples", str(floor)]
+    runs = [([], "specify exactly one of --werner and --state"),
+            (state, "seed must be >= 0, got -1"),
+            (state + seed, f"samples must be >= {floor}, got 0"),
+            (state + seed + samples, "beta must be finite and >= 0")]
+    bad = ["--seed", "-1", "--samples", "0", "--beta", "-1"]
+    for good, message in runs:
+        assert run(capsys, command, *bad, *good) == (2, "", f"error: {message}\n")

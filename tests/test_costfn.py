@@ -87,6 +87,12 @@ def test_energy_of_a_stack_is_per_matrix(rng):
     assert energy(zs[:, :1, :], cop).shape == (5,)
 
 
+def test_energy_of_an_empty_stack_is_empty():
+    cop = cost_operator(werner_eigenensemble(0.6))
+    got = energy(np.ones((0, 16, 4)), cop)
+    assert isinstance(got, np.ndarray) and got.shape == (0,)
+
+
 def _batch_last(z):
     """z with the same values, laid out as the sampler's batch-last Q: a
     Fortran-ordered stack, row n of matrix c at n * count + c."""

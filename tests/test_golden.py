@@ -1,4 +1,4 @@
-"""Golden outputs: eight commands, run through cli.main in-process, must
+"""Golden outputs: eleven commands, run through cli.main in-process, must
 reproduce byte for byte the stdout, stderr, exit code and --out files kept
 in tests/golden/<name>/.  A mismatch writes <file>.actual next to each
 golden file that differs.  A change that alters an output on purpose
@@ -30,6 +30,10 @@ COMMANDS = {
     "mc_qutrit": ["mc", "--state", "qutrit.json", "--samples", "3000", "--seed", "5",
                   "--out", "mc"],
     "mc_product": ["mc", "--state", "product00.json", "--seed", "3", "--out", "mc"],
+    # no --out: the output goes to stdout
+    "scan_stdout": ["scan", "--p-grid", "0.80:0.01:0.95", "--beta", "10"],
+    "scaling_stdout": ["scaling", "--werner", "0.9"],
+    "mc_stdout": ["mc", "--werner", "0.2", "--seed", "3", "--samples", "2000"],
 }
 
 

@@ -281,6 +281,11 @@ _NAN, _INF = float("nan"), float("inf")
     lambda: energy(np.complex128(1), _COP),
     lambda: constraint_residual(np.ones(3)),
     lambda: constraint_residual(np.ones(())),
+    lambda: energy(np.ones((0, 4)), _COP),
+    lambda: energy(np.ones((5, 0, 4)), _COP),
+    lambda: StiefelPoint(3, 0, np.ones((3, 0))),
+    lambda: StiefelPoint(0, 0, np.ones((0, 0))),
+    lambda: StiefelPoint(True, 1, [[1.0]]),
 ], ids=["amplitude-count", "haar-d0", "singular-omega", "bins-1", "z1-samples-0",
         "omega-prime-gamma-0", "mc-curve-beta-nan", "mc-curve-beta-inf", "fit-beta-nan",
         "fit-beta-inf", "fit-energy-nan", "z1-beta-nan", "z1-beta-negative",
@@ -293,7 +298,9 @@ _NAN, _INF = float("nan"), float("inf")
         "caratheodory-fraction", "omega-inf", "stiefel-point-inf", "haar-stiefel-float-n",
         "haar-stiefel-fraction-r", "haar-float-d", "sample-fraction-n",
         "sample-fraction-count", "z1-fraction-samples", "density-float-bins", "haar-bool-d",
-        "sample-bool-count", "energy-scalar", "residual-1d", "residual-0d"])
+        "sample-bool-count", "energy-scalar", "residual-1d", "residual-0d",
+        "energy-no-rows", "energy-stack-no-rows", "stiefel-point-r0", "stiefel-point-n0",
+        "stiefel-point-bool-n"])
 def test_library_check_raises_invalid_input(call):
     with pytest.raises(InvalidInput):
         call()
