@@ -22,16 +22,20 @@ rerun byte-identically from the same configuration.  `scan` is
 deterministic and takes no --seed; `scaling` echoes its --seed only.
 `probe` and `mc` sample in one step, `_sampled`: it checks the state,
 --seed, --samples and --beta in that order, then draws the energies once.
+The parser is built from two tables: _OPTIONS declares each long option
+once, and _COMMANDS gives each command its handler, help line and options.
+No option has an argparse default: each handler keeps its defaults in
+code, so argparse puts nothing into the '#' header that the user did not give.
 Region membership in `scan`, `probe` and `scaling` is the library's one
 test, SaddleResult.region_member (residual below 1e-6); no flag changes it.
 Below werner.BETA_STAR (~0.102) the region admits entangled Werner states,
 and `scan` says so on stderr.
 
 Exit codes: 0 success, 2 invalid input (an InvalidInput from a check of
-the library or of this module, or argparse refusing a token or an argument
-file), 3 constraints unsatisfiable at the requested p, 4 quadrature,
-convergence or precision failure.  Every other exception is a bug and keeps
-its traceback.
+the library or of this module, an --out that cannot be written, or
+argparse refusing a token or an argument file), 3 constraints unsatisfiable
+at the requested p, 4 quadrature, convergence or precision failure.  Every
+other exception is a bug and keeps its traceback.
 """
 from __future__ import annotations
 
@@ -76,7 +80,7 @@ def parse_beta(text: str):
     if grid:
         if not (0 < lo < hi < np.inf and n >= 2):
             raise InvalidInput(f"bad beta grid {text!r}: need 0 < lo < hi finite and n >= 2")
-        return list(np.logspace(np.log10(lo), np.log10(hi), n))
+        return np.logspace(np.log10(lo), np.log10(hi), n).tolist()
     if not all(0 <= v < np.inf for v in vals):
         raise InvalidInput("beta must be finite and >= 0")
     return vals
@@ -134,10 +138,14 @@ def _recognize_werner(rho: DensityMatrix):
 
 
 def _emit(text: str, out_path, summary=None):
-    """text to out_path and then summary to stdout, or text to stdout."""
+    """text to out_path and then summary to stdout, or text to stdout; a
+    file that cannot be written is an InvalidInput."""
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise InvalidInput(f"cannot write {out_path}: {e.strerror or e}") from None
         if summary:
             print(summary)
     else:
@@ -267,59 +275,46 @@ def cmd_ppt(cfg: dict) -> int:
     return 0
 
 
+# each long option's add_argument keywords; none has a default (see the module docstring)
+_OPTIONS = {
+    "--werner": {"type": float, "metavar": "P", "help": "use the 2x2 Werner state W(P)"},
+    "--state": {"metavar": "PATH", "help": "density matrix JSON file"},
+    "--seed": {"type": int, "help": "RNG seed"},
+    "--out": {"metavar": "PATH", "help": "output file"},
+    "--beta": {"help": "beta value, list, or lo:hi:n log grid"},
+    "--samples": {"type": int, "help": "number of Haar samples"},
+    "--p-grid": {"metavar": "A:STEP:B", "help": "inclusive linear p grid"},
+}
+
+_COMMANDS = {  # command -> (handler, help line, long options)
+    "probe": (cmd_probe, "PPT + MC + saddle summary of one state",
+              ("--werner", "--state", "--seed", "--out", "--beta", "--samples")),
+    "scan": (cmd_scan, "equipartition scan over p", ("--out", "--p-grid", "--beta")),
+    "scaling": (cmd_scaling, "average energy vs beta at fixed p",
+                ("--seed", "--out", "--werner", "--beta")),
+    "mc": (cmd_mc, "Monte Carlo density + energy curves",
+           ("--werner", "--state", "--seed", "--out", "--beta", "--samples")),
+    "ppt": (cmd_ppt, "partial-transpose test", ("--werner", "--state", "--out")),
+}
+
+
 @functools.cache  # built once per process: in-process callers of main reuse it
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="sepmech",
-                                 description="separability probing via "
-                                             "ensemble statistical mechanics",
-                                 fromfile_prefix_chars="@")
+    ap = argparse.ArgumentParser(prog="sepmech", description="separability probing via "
+                                 "ensemble statistical mechanics", fromfile_prefix_chars="@")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(sp, state=True, seed=True):
-        if state:
-            sp.add_argument("--werner", type=float, metavar="P",
-                            help="use the 2x2 Werner state W(P)")
-            sp.add_argument("--state", metavar="PATH",
-                            help="density matrix JSON file")
-        if seed:
-            sp.add_argument("--seed", type=int, help="RNG seed")
-        sp.add_argument("--out", metavar="PATH", help="output file")
-
-    sp = sub.add_parser("probe", help="PPT + MC + saddle summary of one state")
-    common(sp)
-    sp.add_argument("--beta", help="beta value, list, or lo:hi:n log grid")
-    sp.add_argument("--samples", type=int)
-    sp.set_defaults(func=cmd_probe)
-
-    sp = sub.add_parser("scan", help="equipartition scan over p")
-    common(sp, state=False, seed=False)
-    sp.add_argument("--p-grid", dest="p_grid", metavar="A:STEP:B")
-    sp.add_argument("--beta")
-    sp.set_defaults(func=cmd_scan)
-
-    sp = sub.add_parser("scaling", help="average energy vs beta at fixed p")
-    common(sp, state=False)
-    sp.add_argument("--werner", type=float, metavar="P")
-    sp.add_argument("--beta", help="beta grid, default 10:10000:12")
-    sp.set_defaults(func=cmd_scaling)
-
-    sp = sub.add_parser("mc", help="Monte Carlo density + energy curves")
-    common(sp)
-    sp.add_argument("--beta", help="beta grid, default 1:100:9")
-    sp.add_argument("--samples", type=int)
-    sp.set_defaults(func=cmd_mc)
-
-    sp = sub.add_parser("ppt", help="partial-transpose test")
-    common(sp, seed=False)
-    sp.set_defaults(func=cmd_ppt)
+    for name, (_, help_line, flags) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_line)
+        for flag in flags:
+            sp.add_argument(flag, **_OPTIONS[flag])
     return ap
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = vars(_build_parser().parse_args(argv))
+    handler = _COMMANDS[args.pop("command")][0]
     try:
-        return args.func({k: v for k, v in vars(args).items()
-                          if v is not None and k not in ("command", "func")})
+        return handler({k: v for k, v in args.items() if v is not None})
     except tuple(_EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(e, cls))

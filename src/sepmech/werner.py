@@ -65,7 +65,7 @@ LOG_GAMMA_FLOOR = -30.0
 _MAX_EVALS = 200  # termination guard; over p in (0, 1], beta 1e-3..1e8 the most is 51
 _EPS_F = 4 * np.finfo(float).eps
 _TINY = float(np.finfo(float).tiny)  # the smallest normal float
-_GK_TOL = 1e-7  # bound on the relative error estimate of a _moments pass
+_QUAD_TOL = 1e-7  # bound on a _moments pass's step versus double-step error estimate
 # the trapezoid rule of _moments: step and first node in u, x = s exp(u - e^{-u})
 _STEP = 0.2
 _U0 = -4.0
@@ -247,20 +247,22 @@ def _moments(bt, g, lam, grids) -> list:
 
 
 def _require_converged(i0, err):
-    """Raise QuadratureError unless a _moments pass is finite, positive, within _GK_TOL."""
-    if not (np.isfinite(i0) and i0 > 0 and err < _GK_TOL):
+    """Raise QuadratureError unless a _moments pass gives a finite, positive
+    I0 whose step versus double-step error estimate is below _QUAD_TOL."""
+    if not (np.isfinite(i0) and i0 > 0 and err < _QUAD_TOL):
         raise QuadratureError(f"reduced integral did not converge "
                               f"(estimate {i0!r}, rel error {err:.3e})")
 
 
 def _werner_point(beta: float, p: float):
     """(bt, h0, h1) at (beta, p); InvalidInput unless 0 < beta < inf and p
-    lies in (0, 1], where h(p) is invertible."""
+    lies in (0, 1], where h(p) is invertible.  bt is a Python float, which
+    overflows to inf without numpy's RuntimeWarning, even for a numpy beta."""
     if not 0.0 < beta < math.inf:
         raise InvalidInput("beta must be positive and finite")
     if not 0.0 < p <= 1.0:
         raise InvalidInput("p must lie in (0, 1]")
-    return (BETA_INTERNAL_SCALE * beta, *_werner_h(p))
+    return (BETA_INTERNAL_SCALE * float(beta), *_werner_h(p))
 
 
 def _checked_moments(beta: float, op: OmegaPrime, p: float):
@@ -457,6 +459,7 @@ def _avg_energies(betas, p: float) -> list:
     fails raises."""
     out = []
     for beta, sad in zip(betas, _saddles([(beta, p) for beta in betas])):
+        beta = float(beta)
         if not sad.region_member:
             raise ConstraintsUnsatisfiable(
                 f"constraints unsatisfiable at p={p} (residual {sad.residual_norm:.3e})")

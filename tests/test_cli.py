@@ -2,6 +2,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 from sepmech import (DensityMatrix, cost_operator, eigen_ensemble,
                      estimate_state_density, mc_energy_curve, sample_energies,
                      saddle_search, statmech, werner, werner_state)
-from sepmech.cli import (MC_HISTOGRAM_BINS, _build_parser, _fmt, main,
+from sepmech.cli import (MC_HISTOGRAM_BINS, _OPTIONS, _build_parser, _fmt, main,
                          parse_beta, parse_p_grid)
 from sepmech.quantum_core import InvalidInput
 
@@ -39,6 +40,15 @@ def test_parse_beta_forms():
         parse_beta("-1")
     with pytest.raises(InvalidInput, match="bad beta '1,abc'"):
         parse_beta("1,abc")
+
+
+def test_a_beta_grid_reaches_the_solver_as_python_floats(capsys):
+    # a numpy beta of 1e308 overflowed in the solver with a RuntimeWarning
+    # (an error in this suite) before its QuadratureError
+    assert all(type(b) is float for b in parse_beta("1:100:9"))
+    code, out, err = run(capsys, "scaling", "--werner", "0.9", "--beta", "1:1e308:3")
+    assert code == 4 and out == ""
+    assert err.startswith("error: quadrature scales") and err.count("\n") == 1
 
 
 def test_parse_p_grid_forms():
@@ -298,6 +308,27 @@ def test_each_command_takes_exactly_its_options():
                         if opt.startswith("--") and opt != "--help")
            for name, sp in sub.choices.items()}
     assert got == LONG_OPTIONS
+
+
+@pytest.mark.parametrize("command", sorted(LONG_OPTIONS))
+def test_help_lists_each_option_with_its_help_text(capsys, command):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    text = " ".join(out.split())  # argparse wraps to the terminal width
+    for flag in LONG_OPTIONS[command]:
+        assert re.search(rf"{flag} \S+ {re.escape(_OPTIONS[flag]['help'])}", text), flag
+
+
+@pytest.mark.parametrize("argv", [
+    ["ppt", "--werner", "0.5", "--out", "{tmp}/missing/x.json"],
+    ["scan", "--p-grid", "0.9:0.1:1", "--out", "{tmp}"],
+], ids=["missing-directory", "a-directory"])
+def test_an_unwritable_out_exits_2(tmp_path, capsys, argv):
+    # the file is opened after the work succeeds: nothing is written or printed
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and list(tmp_path.iterdir()) == []
+    assert err.startswith(f"error: cannot write {argv[-1]}: ") and err.count("\n") == 1
 
 
 def _args_file(path, tokens):

@@ -525,7 +525,7 @@ def test_saddle_mean_x_is_the_moment_at_the_returned_point():
 
 def test_saddle_raises_when_its_final_pass_does_not_converge(monkeypatch):
     def unconverged(*args):
-        return [(*row[:8], 1.0) for row in _moments(*args)]  # error estimate far above _GK_TOL
+        return [(*row[:8], 1.0) for row in _moments(*args)]  # error estimate far above _QUAD_TOL
 
     monkeypatch.setattr(werner, "_moments", unconverged)
     for p in (0.9, 0.5):  # interior and boundary ends
@@ -538,6 +538,27 @@ def test_saddle_validation():
         saddle_search(-1.0, 0.9)
     with pytest.raises(ValueError):
         saddle_search(10.0, 0.0)
+
+
+@pytest.mark.parametrize("call, beta", [
+    (lambda b: saddle_search(b, 0.9), 1e308),
+    (lambda b: equipartition_scan([0.9], b), 1e308),
+    (lambda b: log_z1_quadrature(b, OmegaPrime(1.0, 1.0), 0.9), 1e307),
+], ids=["saddle_search", "equipartition_scan", "log_z1_quadrature"])
+def test_a_numpy_beta_fails_as_its_python_float(call, beta):
+    # bt is formed from float(beta): a numpy beta overflowed with a
+    # RuntimeWarning (an error in this suite) before its QuadratureError
+    errors = []
+    for b in (beta, np.float64(beta)):
+        with pytest.raises(QuadratureError) as exc:
+            call(b)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+
+
+def test_avg_energy_names_a_numpy_beta_as_a_float():
+    with pytest.raises(QuadratureError, match=r"at beta=1e-310 is lost"):
+        avg_energy_werner(np.float64(1e-310), 0.9)
 
 
 def test_scan_detects_region_boundary():
