@@ -43,6 +43,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -137,23 +138,35 @@ def _recognize_werner(rho: DensityMatrix):
     return None
 
 
-def _emit(text: str, out_path, summary=None):
-    """text to out_path and then summary to stdout, or text to stdout; a
-    file that cannot be written is an InvalidInput."""
-    if out_path:
+def _emit(out, texts: dict, summary=None):
+    """Each text of texts, keyed by its file-name suffix, to out + suffix
+    and then summary to stdout, or, without out, the texts to stdout one
+    blank line apart.  A file that cannot be written is an InvalidInput,
+    raised after the files this call opened are removed, so a command
+    writes all of its files or none."""
+    if not out:
+        sys.stdout.write("\n".join(texts.values()))
+        return
+    opened = []
+    for suffix, text in texts.items():
+        path = out + suffix
         try:
-            with open(out_path, "w") as fh:
+            with open(path, "w") as fh:
+                opened.append(path)
                 fh.write(text)
         except OSError as e:
-            raise InvalidInput(f"cannot write {out_path}: {e.strerror or e}") from None
-        if summary:
-            print(summary)
-    else:
-        sys.stdout.write(text)
+            for done in opened:
+                os.remove(done)
+            raise InvalidInput(f"cannot write {path}: {e.strerror or e}") from None
+    if summary:
+        print(summary)
 
 
-def _header(cfg: dict, command: str) -> str:
-    return f"# {json.dumps({'command': command, **cfg}, sort_keys=True)}\n"
+def _table(cfg: dict, command: str, columns: str, rows, footer: str = "") -> str:
+    """A CSV table: the '#' header of the command and cfg, the column line,
+    one line of _fmt fields per row, then footer."""
+    head = f"# {json.dumps({'command': command, **cfg}, sort_keys=True)}\n{columns}\n"
+    return head + "".join(",".join(map(_fmt, row)) + "\n" for row in rows) + footer
 
 
 def _sampled(cfg: dict, samples_default: int, samples_floor: int, beta_default: str):
@@ -200,8 +213,8 @@ def cmd_probe(cfg: dict) -> int:
             "interior": sad.interior,
             "region_member": sad.region_member,
         }
-    _emit(json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n",
-          cfg.get("out"))
+    _emit(cfg.get("out"),
+          {"": json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"})
     return 0
 
 
@@ -214,14 +227,12 @@ def cmd_scan(cfg: dict) -> int:
     if betas[0] < BETA_STAR:
         print(f"warning: beta below {BETA_STAR}: region members may be entangled, "
               "so region_start is no separability certificate", file=sys.stderr)
-    lines = [_header({**cfg, "beta": betas[0]}, "scan"),
-             "p,residual,gamma_star,lambda_star,interior\n"]
-    for p, sad in zip(scan.p_grid, scan.saddles):
-        lines.append(",".join([_fmt(p), _fmt(sad.residual_norm), _fmt(sad.gamma_star),
-                               _fmt(sad.lambda_star), str(int(sad.interior))]) + "\n")
     start = "none" if scan.region_start is None else _fmt(scan.region_start)
-    lines.append(f"# region_start={start}\n")
-    _emit("".join(lines), cfg.get("out"), f"region_start={start}")
+    rows = [(p, sad.residual_norm, sad.gamma_star, sad.lambda_star, sad.interior)
+            for p, sad in zip(scan.p_grid, scan.saddles)]
+    table = _table({**cfg, "beta": betas[0]}, "scan", "p,residual,gamma_star,lambda_star,interior",
+                   rows, f"# region_start={start}\n")
+    _emit(cfg.get("out"), {"": table}, f"region_start={start}")
     return 0
 
 
@@ -233,45 +244,33 @@ def cmd_scaling(cfg: dict) -> int:
         raise InvalidInput("scaling requires --werner p")
     points = list(zip(betas, _avg_energies(betas, cfg["werner"])))
     fit = fit_energy_scaling(points)
-    lines = [_header({**cfg, "seed": seed}, "scaling"),
-             "beta,avg_energy,analytic_flag\n"]
-    for b, e in points:
-        lines.append(f"{_fmt(b)},{_fmt(e)},1\n")
     footer = {"slope": fit.slope, "intercept": fit.intercept,
               "delta": fit.delta, "amplitude": fit.amplitude,
               "r_squared": fit.r_squared}
-    lines.append("# " + json.dumps(footer, sort_keys=True) + "\n")
-    _emit("".join(lines), cfg.get("out"), f"slope={fit.slope:.6f} delta={fit.delta:.6f}")
+    table = _table({**cfg, "seed": seed}, "scaling", "beta,avg_energy,analytic_flag",
+                   [(b, e, True) for b, e in points], f"# {json.dumps(footer, sort_keys=True)}\n")
+    _emit(cfg.get("out"), {"": table}, f"slope={fit.slope:.6f} delta={fit.delta:.6f}")
     return 0
 
 
 def cmd_mc(cfg: dict) -> int:
     _, _, energies, curve, run = _sampled(cfg, 100000, 100, "1:100:9")
     hist = estimate_state_density(energies, MC_HISTOGRAM_BINS)
-    head = _header({**cfg, **run}, "mc")
-    dens = [head, "bin_lo,bin_hi,frequency\n"]
-    for lo, hi, f in zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts):
-        dens.append(f"{_fmt(lo)},{_fmt(hi)},{_fmt(f)}\n")
-    ener = [head, "beta,mean_energy,std_error,ess,min_energy\n"]
-    for est in curve:
-        ener.append(",".join([_fmt(est.beta), _fmt(est.mean_energy),
-                              _fmt(est.std_error), _fmt(est.effective_sample_size),
-                              _fmt(est.min_energy_seen)]) + "\n")
-    out = cfg.get("out")
-    if out:
-        _emit("".join(dens), f"{out}_density.csv")
-        _emit("".join(ener), f"{out}_energy.csv")
-    else:
-        _emit("".join(dens) + "\n" + "".join(ener), None)
+    record = {**cfg, **run}
+    dens = _table(record, "mc", "bin_lo,bin_hi,frequency",
+                  zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts))
+    ener = _table(record, "mc", "beta,mean_energy,std_error,ess,min_energy",
+                  [(est.beta, est.mean_energy, est.std_error, est.effective_sample_size,
+                    est.min_energy_seen) for est in curve])
+    _emit(cfg.get("out"), {"_density.csv": dens, "_energy.csv": ener})
     return 0
 
 
 def cmd_ppt(cfg: dict) -> int:
     rho, desc = _load_state(cfg)
     verdict = ppt_is_entangled(rho)
-    _emit(json.dumps({"state": desc, "ppt_entangled": bool(verdict),
-                      "conclusive": verdict is not None}, sort_keys=True) + "\n",
-          cfg.get("out"))
+    report = {"state": desc, "ppt_entangled": bool(verdict), "conclusive": verdict is not None}
+    _emit(cfg.get("out"), {"": json.dumps(report, sort_keys=True) + "\n"})
     return 0
 
 

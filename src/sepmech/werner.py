@@ -70,8 +70,8 @@ _QUAD_TOL = 1e-7  # bound on a _moments pass's step versus double-step error est
 _STEP = 0.2
 _U0 = -4.0
 _LOG_64 = math.log(64.0)
-# trapezoid nodes per _moments call of a lockstep round, padding counted, so
-# a round's transient arrays do not grow with the grid
+# padded trapezoid nodes per _moments call of a lockstep round (or one pass),
+# so a round's transient arrays do not grow with the grid
 _NODE_BUDGET = 8192
 
 
@@ -324,31 +324,17 @@ def _clip(v):
     return LOG_GAMMA_FLOOR if v < LOG_GAMMA_FLOOR else -LOG_GAMMA_FLOOR if v > -LOG_GAMMA_FLOOR else v
 
 
-def _chunks(asks):
-    """Slices of asks, a round's passes in grid order each ending in its
-    node grid, cut into _moments calls of at most _NODE_BUDGET nodes each
-    (at least one point), counting every point at the most nodes of its
-    call plus the zero-weight one that pairs its last."""
-    start, size = 0, 0
-    for k, (*_, (_, nodes)) in enumerate(asks):
-        size = max(size, nodes + 1)
-        if k > start and size * (k - start + 1) > _NODE_BUDGET:
-            yield slice(start, k)
-            start, size = k, nodes + 1
-    if asks:
-        yield slice(start, len(asks))
-
-
 def _saddles(points):
     """The SaddleResult of each (beta, p) point, in order; InvalidInput,
     before any solve, unless every point is valid (_werner_point).
 
     The solves run in lockstep, in rounds over per-point state: a round
     forms the node grid of each unfinished point's next pass, evaluates the
-    passes in _moments calls over chunks of the points (_chunks) and applies
-    saddle_search's update (residual, accept or reject, mu, stop rules, next
-    step) to each point's row on Python floats, so each point's arithmetic
-    is that of a solve on its own.  A point whose solve failed raises its
+    passes in grid order in _moments calls of _NODE_BUDGET // (the round's
+    most nodes + 1) passes each, one at least, and applies saddle_search's
+    update (residual, accept or reject, mu, stop rules, next step) to each
+    point's row on Python floats, so each point's arithmetic is that of a
+    solve on its own.  A point whose solve failed raises its
     QuadratureError when the iteration reaches it, so the first failure in
     grid order is the one reported.
     """
@@ -371,8 +357,9 @@ def _saddles(points):
             except QuadratureError as e:
                 outcomes[i] = e
         pending = []
-        for chunk in _chunks(asks):
-            ids, uns, *args = zip(*asks[chunk])
+        step = max(1, _NODE_BUDGET // (max((n for *_, (_, n) in asks), default=0) + 1))
+        for k in range(0, len(asks), step):
+            ids, uns, *args = zip(*asks[k:k + step])
             for i, un, (i0, mg, ml, mx, j00, j01, j10, j11, err) in zip(ids, uns, _moments(*args)):
                 s = solves[i]
                 bt, h0, h1, f_floor, mu, evals, u, state = s

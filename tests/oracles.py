@@ -463,20 +463,13 @@ def saddle_alone(beta: float, p: float):
 def lockstep_calls(passes, budget: int) -> list:
     """The _moments calls, each a list of (bt, gamma, lam, grid), of a
     lockstep solve of points that take these passes: round k holds the k-th
-    pass of every point that takes more than k, in grid order, cut into
-    calls in turn, a call closed before the pass that would take it past
-    budget padded nodes (each point counted at the most nodes of the call
-    plus one), and holding one pass at least."""
+    pass of every point that takes more than k, in grid order, cut in turn
+    into calls of budget // (the round's most nodes + 1) passes, one at least."""
     calls = []
     for k in range(max(map(len, passes))):
-        call = []
-        for ask in (point[k] for point in passes if len(point) > k):
-            nodes = max(n for *_, (_, n) in call + [ask]) + 1
-            if call and nodes * (len(call) + 1) > budget:
-                calls.append(call)
-                call = []
-            call.append(ask)
-        calls.append(call)
+        asks = [point[k] for point in passes if len(point) > k]
+        step = max(1, budget // (max(n for *_, (_, n) in asks) + 1))
+        calls += [asks[i:i + step] for i in range(0, len(asks), step)]
     return calls
 
 

@@ -331,6 +331,18 @@ def test_an_unwritable_out_exits_2(tmp_path, capsys, argv):
     assert err.startswith(f"error: cannot write {argv[-1]}: ") and err.count("\n") == 1
 
 
+def test_mc_writes_both_out_files_or_neither(tmp_path, capsys):
+    # the energy file cannot be opened, so the density file written before
+    # it is removed again
+    (tmp_path / "d_energy.csv").mkdir()
+    out = str(tmp_path / "d")
+    code, stdout, err = run(capsys, "mc", "--werner", "0.2", "--seed", "3",
+                            "--samples", "200", "--out", out)
+    assert code == 2 and stdout == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["d_energy.csv"]
+    assert err.startswith(f"error: cannot write {out}_energy.csv: ") and err.count("\n") == 1
+
+
 def _args_file(path, tokens):
     """An argument file: one token per line."""
     path.write_text("".join(f"{t}\n" for t in tokens))

@@ -15,7 +15,7 @@ import pytest
 
 import sepmech
 from oracles import partial_trace
-from sepmech import (Ensemble, LagrangeMultipliers, OmegaPrime, PureState,
+from sepmech import (Ensemble, HMatrixSet, LagrangeMultipliers, OmegaPrime, PureState,
                      StiefelPoint, caratheodory_length, constraint_residual, cost_operator,
                      eigen_ensemble, energy, estimate_state_density, fit_energy_scaling,
                      haar_stiefel, haar_unitary, mc_energy_curve, sample_energies,
@@ -286,6 +286,8 @@ _NAN, _INF = float("nan"), float("inf")
     lambda: StiefelPoint(3, 0, np.ones((3, 0))),
     lambda: StiefelPoint(0, 0, np.ones((0, 0))),
     lambda: StiefelPoint(True, 1, [[1.0]]),
+    lambda: HMatrixSet(np.ones((2, 2, 2))),
+    lambda: HMatrixSet(np.ones((1, 1, 2, 3))),
 ], ids=["amplitude-count", "haar-d0", "singular-omega", "bins-1", "z1-samples-0",
         "omega-prime-gamma-0", "mc-curve-beta-nan", "mc-curve-beta-inf", "fit-beta-nan",
         "fit-beta-inf", "fit-energy-nan", "z1-beta-nan", "z1-beta-negative",
@@ -300,7 +302,7 @@ _NAN, _INF = float("nan"), float("inf")
         "sample-fraction-count", "z1-fraction-samples", "density-float-bins", "haar-bool-d",
         "sample-bool-count", "energy-scalar", "residual-1d", "residual-0d",
         "energy-no-rows", "energy-stack-no-rows", "stiefel-point-r0", "stiefel-point-n0",
-        "stiefel-point-bool-n"])
+        "stiefel-point-bool-n", "h-matrix-set-3d", "h-matrix-set-non-square"])
 def test_library_check_raises_invalid_input(call):
     with pytest.raises(InvalidInput):
         call()
