@@ -21,18 +21,19 @@ gradient at a generic Hermitian w' and checks the determinant
 factorization det h^2 det(4|s|^2 + w' wbar') against the direct 8x8
 determinant of the Gaussian block matrix.
 
-The gradient and its exact Jacobian in (log gamma, log lam) are further
-moments of the same weight, computed in one pass of the trapezoid rule on
-a double-exponential map of x (_moments), so
-saddle_search is a Levenberg-Marquardt (Newton) solve of a few passes
-from a closed-form start.  It stops at the latest when the objective is
-down to the rounding level of its residual h - <A, B>, a difference of
-numbers of size |h|, whose computed value below that is only noise.
-Outside the region the minimum runs to gamma -> 0 with a finite residual;
-the solve clamps log gamma at a fixed floor and reports a boundary point
-when it ends there with the objective rising in log gamma.  The scan and
-the energies of a beta grid solve all their points in lockstep, in one
-flat loop of rounds over every unfinished point (_saddles).
+F = log I0 + gamma h0 + 3 lam h1, log Z1 up to a constant, is strictly
+convex in (gamma, lam), and its gradient is the residual.  The residual
+and the exact Hessian of F are further moments of the same weight,
+computed in one pass of the trapezoid rule on a double-exponential map of
+x (_moments), so saddle_search is a projected Newton solve of a few passes
+on gamma >= 0 from a closed-form start.  It stops once the free gradient
+is down to the rounding level of the residual h - <A, B>, a difference of
+numbers of size |h|, whose computed value below that is only noise.  The
+one minimum either lies inside, where the constraints hold, or on the face
+gamma = 0 with dF/dgamma = h0 - <A>_0 > 0 (the KKT sign, from the
+gamma -> 0 limit of the moments), which certifies a boundary point.  The
+scan and the energies of a beta grid solve all their points in lockstep,
+in one flat loop of rounds over every unfinished point (_saddles).
 
 Units: the public beta multiplies the bare quartic |(4-3p) z1^2 + p z2^2
 + p z3^2 + p z4^2|^2, which is the convention the scan and scaling
@@ -56,13 +57,9 @@ BETA_INTERNAL_SCALE = 64.0
 RESIDUAL_THRESHOLD = 1e-6
 # below beta* the region admits W(p) with p < 2/3, which are entangled, so
 # membership certifies separability only at beta >= beta*: a bisection on
-# saddle_search(beta, 2/3 - 1e-12) gives 0.10200032, rounded up here
+# saddle_search(beta, 2/3 - 1e-12) gives 0.10200024, rounded up here
 BETA_STAR = 0.1020004
-# saddle_search keeps log gamma and log lam in [-30, 30].  At gamma = e^-30
-# (~1e-13) a boundary residual matches its gamma -> 0 limit to ~1e-12
-# relative, and the sign of the log-gamma gradient is still resolved.
-LOG_GAMMA_FLOOR = -30.0
-_MAX_EVALS = 200  # termination guard; over p in (0, 1], beta 1e-3..1e8 the most is 51
+_MAX_EVALS = 200  # termination guard; over p 0.001:0.001:1, 23 beta 1e-3..1e8 the most is 16
 _EPS_F = 4 * np.finfo(float).eps
 _TINY = float(np.finfo(float).tiny)  # the smallest normal float
 _QUAD_TOL = 1e-7  # bound on a _moments pass's step versus double-step error estimate
@@ -189,7 +186,9 @@ def _moments(bt, g, lam, grids) -> list:
 
     bt, g and lam hold n floats and grids their n node sets (from _grid).
     With A = g/(x+g^2) and B = lam/(x+lam^2), returns one row (I0, <A>, <B>,
-    <x>, j00, j01, j10, j11, error) of Python floats per point, from one
+    <x>, j00, j01, j10, j11, error) of Python floats per point (at g = 0,
+    <A> is its g -> 0 limit 2 / (lam^3 I0), as A tends to a point mass at
+    x = 0, not to 0; j00, j01 and j10 are then 0), from one
     vectorized pass of the trapezoid rule in u over the nodes of all n
     points.  The integrand is analytic in a strip about the real u axis and
     decays double-exponentially at both ends, so the rule converges
@@ -238,6 +237,9 @@ def _moments(bt, g, lam, grids) -> list:
     cov = mAB - mA * mB
     rows = np.empty((9, len(grids)))
     rows[0], rows[1:4] = k[0], m[:3]
+    face = ga == 0.0
+    if face.any():
+        rows[1, face] = 2.0 / (la[face] ** 3 * k[0, face])
     np.multiply(ga, cA - (mAA - mA * mA), out=rows[4])
     np.multiply(-3.0 * la, cov, out=rows[5])
     np.multiply(-ga, cov, out=rows[6])
@@ -292,36 +294,31 @@ def grad_log_z1(beta: float, op: OmegaPrime, p: float):
 
 
 def saddle_search(beta: float, p: float) -> SaddleResult:
-    """Minimize res_gamma^2 + 3 res_lambda^2 over (gamma, lam) > 0.
+    """Minimize the convex F(gamma, lam) = log I0 + gamma h0 + 3 lam h1 on
+    gamma >= 0, lam > 0; its gradient is the residual (r0, 3 r1), with
+    r0 = h0 - <A> and r1 = h1 - <B>.
 
-    Levenberg-Marquardt, with Marquardt's diagonal scaling, on the weighted
-    residual 2-vector in u = (log gamma, log lam).  The exact Jacobian comes
-    from the same quadrature pass as the residual, so an undamped step is a
-    Newton step and interior saddles converge quadratically, to residual
-    norms near machine precision.  The start is the beta -> inf interior
-    solution where it exists (p > 8/9), else the beta -> 0 root
-    omega' = h(p)^{-1}.  The solve stops once a step no longer moves u, or
-    the linear model promises no decrease above rounding, or the objective
-    is at most (_EPS_F |wt h|)^2 with wt = (1, sqrt 3): the residual is
-    h - <A, B>, so below that level its computed value is rounding noise
-    and a further pass cannot lower it.
-
-    u is kept in the box [LOG_GAMMA_FLOOR, -LOG_GAMMA_FLOOR]^2.  Outside the
-    equipartition region the infimum lies at gamma -> 0 with a finite
-    residual: the solve ends with log gamma on the floor and the objective
-    still rising in log gamma.  That certificate marks a boundary point
-    (interior=False); every other end is interior.  iterations counts the
-    quadrature passes at the point.  mean_x is <x> from the pass at the
-    returned point, and that pass must have converged: QuadratureError
-    otherwise.  This is the one-point case of the lockstep loop of _saddles,
-    whose rounds apply this update to each point of a grid.
+    Projected Newton in (gamma, log lam) with the exact Hessian from the
+    pass's Jacobian rows and Armijo backtracking on F, F's rounding level
+    allowed since near the minimum a Newton step's decrease is below it,
+    from the beta -> inf interior solution where it exists (p > 8/9), else
+    the beta -> 0 root omega' = h(p)^{-1}.  A step that would cross gamma = 0
+    goes to the quadratic model's minimum on that face, where the pass
+    takes the gamma -> 0 limit moments; a face point is accepted only with
+    a positive KKT sign r0 = h0 - <A>_0, and the solve goes on by 1-D
+    Newton steps on the face.  It stops once the free gradient (r0^2 +
+    3 r1^2, or 3 r1^2 on the face) is at most (rnd |wt h|)^2, wt =
+    (1, sqrt 3), with rnd the pass's relative rounding (_EPS_F unless I0
+    nears the subnormal range): the residual is h - <A, B>, so below that
+    its computed value is noise.  An end inside is interior; an end on the
+    face is a boundary point, with gamma_star = 0.0 and residual_norm
+    |h0 - <A>_0|.  Any other end (no descent step, or _MAX_EVALS passes)
+    raises QuadratureError, as does a final pass whose error estimate or
+    rnd is not below _QUAD_TOL.  iterations counts the quadrature passes
+    and mean_x is <x> from the returned point's pass.  This is the one-point
+    case of the lockstep loop of _saddles.
     """
     return next(_saddles([(beta, p)]))
-
-
-def _clip(v):
-    """v held to the box [LOG_GAMMA_FLOOR, -LOG_GAMMA_FLOOR]."""
-    return LOG_GAMMA_FLOOR if v < LOG_GAMMA_FLOOR else -LOG_GAMMA_FLOOR if v > -LOG_GAMMA_FLOOR else v
 
 
 def _saddles(points):
@@ -329,80 +326,77 @@ def _saddles(points):
     before any solve, unless every point is valid (_werner_point).
 
     The solves run in lockstep, in rounds over per-point state: a round
-    forms the node grid of each unfinished point's next pass, evaluates the
-    passes in grid order in _moments calls of _NODE_BUDGET // (the round's
-    most nodes + 1) passes each, one at least, and applies saddle_search's
-    update (residual, accept or reject, mu, stop rules, next step) to each
-    point's row on Python floats, so each point's arithmetic is that of a
-    solve on its own.  A point whose solve failed raises its
+    forms the node grid of each unfinished point's next pass (on the face,
+    from lam alone), evaluates the passes in grid order in _moments calls
+    of _NODE_BUDGET // (the round's most nodes + 1) passes each, one at
+    least, and applies saddle_search's update (Armijo test, stop rule, next
+    step) to each point's row on Python floats, so each point's arithmetic
+    is that of a solve on its own.  A point whose solve failed raises its
     QuadratureError when the iteration reaches it, so the first failure in
     grid order is the one reported.
     """
-    w1 = math.sqrt(3.0)  # lam carries multiplicity 3
-    # per point: bt, h0, h1, the third stop rule's floor, mu, the passes asked
-    # for, the accepted u and (f, r, J, i0, <x>, error) at it, or None, None
-    solves, pending = [], []  # pending: (point, u, bt) of each pass to ask for next
+    # per point: bt, h0, h1, |wt h|, the passes asked for, the accepted
+    # (gamma, lam, F, F's rounding level) or None, and the step from it
+    # (d gamma, d log lam, F's linear decrease along it, the fraction taken)
+    solves, pending = [], []  # pending: (point, bt, gamma, lam) of each pass to ask for next
     for i, (beta, p) in enumerate(points):
         bt, h0, h1 = _werner_point(beta, p)
-        solves.append([bt, h0, h1, (_EPS_F * math.hypot(h0, w1 * h1)) ** 2, 0.0, 1, None, None])
+        solves.append([bt, h0, h1, math.hypot(h0, math.sqrt(3.0) * h1), 1, None, None])
         lam_inf = 1 / (3 * h1 - h0) if 3 * h1 > 2 * h0 else 0.0  # 0.0: no beta -> inf solution
-        pending.append((i, (_clip(math.log(1 / h0 - lam_inf)), _clip(math.log(lam_inf or 1 / h1))), bt))
+        pending.append((i, bt, 1 / h0 - lam_inf, lam_inf or 1 / h1))
     outcomes = [None] * len(solves)
     while pending:
         asks = []
-        for i, un, bt in pending:
-            g, lam = math.exp(un[0]), math.exp(un[1])
+        for i, bt, g, lam in pending:
             try:
-                asks.append((i, un, bt, g, lam, _grid(bt, g * g, lam * lam)))
+                asks.append((i, bt, g, lam, _grid(bt, g * g or lam * lam, lam * lam)))
             except QuadratureError as e:
                 outcomes[i] = e
         pending = []
         step = max(1, _NODE_BUDGET // (max((n for *_, (_, n) in asks), default=0) + 1))
         for k in range(0, len(asks), step):
-            ids, uns, *args = zip(*asks[k:k + step])
-            for i, un, (i0, mg, ml, mx, j00, j01, j10, j11, err) in zip(ids, uns, _moments(*args)):
+            ids, *args = zip(*asks[k:k + step])
+            for i, g, lam, (_, n), (i0, mA, mB, mx, j00, j01, _, j11, err) in zip(
+                    ids, *args[1:], _moments(*args)):
                 s = solves[i]
-                bt, h0, h1, f_floor, mu, evals, u, state = s
-                r0, r1 = h0 - mg, w1 * (h1 - ml)
-                trial = r0 * r0 + r1 * r1, r0, r1, -j00, -j01, -w1 * j10, -w1 * j11, i0, mx, err
-                if state is None:
-                    u, state = un, trial
-                elif trial[0] < state[0]:
-                    u, state, mu = un, trial, 0.1 * mu
-                else:
-                    mu = max(10.0 * mu, 1.0)
-                if evals < _MAX_EVALS and state[0] > f_floor:
-                    (u0, u1), (f, r0, r1, j00, j01, j10, j11, *_) = u, state
-                    g0, g1 = j00 * r0 + j10 * r1, j01 * r0 + j11 * r1  # J^T r
-                    h00, h01, h11 = j00 * j00 + j10 * j10, j00 * j01 + j10 * j11, j01 * j01 + j11 * j11
-                    # the damped matrix J^T J + mu diag(J^T J): its (1, 1) entry, and its
-                    # determinant as det(J)^2 + mu (2 + mu) h00 h11, free of cancellation
-                    a11 = h11 + mu * h11
-                    det = (j00 * j11 - j01 * j10) ** 2 + mu * (2.0 + mu) * h00 * h11
-                    on_floor = u0 <= LOG_GAMMA_FLOOR and g0 > 0
-                    du0 = 0.0 if on_floor else (h01 * g1 - a11 * g0) / det
-                    crossed = u0 + du0 < LOG_GAMMA_FLOOR
-                    if on_floor or crossed:
-                        du0 = LOG_GAMMA_FLOOR - u0  # hold or stop gamma on the floor
-                    du1 = -(g1 + h01 * du0) / a11  # the lam step given du0
-                    un = (_clip(u0 + du0), _clip(u1 + du1))
-                    s0, s1 = un[0] - u0, un[1] - u1
-                    # the first two stop rules: the step no longer moves u above
-                    # rounding, or the linear model promises no decrease above it
-                    if not (abs(s0) <= _EPS_F * abs(u0) and abs(s1) <= _EPS_F * abs(u1)):
-                        model = (r0 + j00 * s0 + j01 * s1) ** 2 + (r1 + j10 * s0 + j11 * s1) ** 2
-                        if crossed or not f - model <= _EPS_F * f:
-                            s[4:] = mu, evals + 1, u, state
-                            pending.append((i, un, bt))
-                            continue
-                f, r0, r1, j00, _, j10, _, i0, mx, err = state
+                bt, h0, h1, wt_h, evals, at, d = s
+                r0, r1 = h0 - mA, h1 - mB
                 try:
-                    _require_converged(i0, err)
+                    if not i0 > 0:
+                        raise QuadratureError(f"reduced integral underflowed at gamma={g!r}, lam={lam!r}")
+                    log_i0, lin = math.log(i0), g * h0 + 3.0 * lam * h1
+                    # Armijo's test; a face point needs a positive KKT sign
+                    if at is None or (log_i0 + lin - at[2] <= 1e-4 * d[3] * d[2] + at[3]
+                                      and (g > 0 or r0 > 0)):
+                        at = g, lam, log_i0 + lin, _EPS_F * (abs(log_i0) + lin)
+                        # I0's relative rounding: a sum of n nodes, each rounded no
+                        # finer than the subnormal spacing eps _TINY
+                        rnd = _EPS_F * max(1.0, n * _TINY / i0)
+                        if (r0 * r0 if g else 0.0) + 3.0 * r1 * r1 <= (rnd * wt_h) ** 2:
+                            _require_converged(i0, max(err, rnd))
+                            outcomes[i] = SaddleResult(g, lam, math.sqrt(r0 * r0 + 3.0 * r1 * r1),
+                                                       g > 0, evals, mx)
+                            continue
+                        # dF/dmu and the Hessian [[a, b], [b, c]] in (gamma, mu = log lam)
+                        gm, c = 3.0 * lam * r1, 3.0 * lam * (r1 - j11)
+                        a, b = (-j00 / g, -j01) if g else (1.0, 0.0)
+                        det, d = a * c - b * b, None
+                        if c > 0 and det > 0:
+                            d0 = (b * gm - c * r0) / det if g else 0.0
+                            dm = (b * r0 - a * gm) / det
+                            if g and not g + d0 > 0:  # to the quadratic model's minimum on the face
+                                d0, dm = -g, (b * g - gm) / c
+                            d = d0, dm, r0 * d0 + gm * dm, 1.0
+                    else:
+                        d = d[0], d[1], d[2], 0.5 * d[3]  # backtrack
+                    if d is None or evals >= _MAX_EVALS:
+                        raise QuadratureError(f"saddle solve ended without a certificate after "
+                                              f"{evals} passes, the last at gamma={g!r}, lam={lam!r}")
                 except QuadratureError as e:
                     outcomes[i] = e
                     continue
-                boundary = u[0] <= LOG_GAMMA_FLOOR and j00 * r0 + j10 * r1 > 0  # (J^T r)_gamma
-                outcomes[i] = SaddleResult(math.exp(u[0]), math.exp(u[1]), math.sqrt(f), not boundary, evals, mx)
+                s[4:] = evals + 1, at, d
+                pending.append((i, bt, at[0] + d[3] * d[0], at[1] * math.exp(d[3] * d[1])))
     for out in outcomes:
         if isinstance(out, QuadratureError):
             raise out

@@ -29,7 +29,10 @@ Each computes a quantity the library also computes, by a different route:
 - the library's trapezoid pass of one point on its own nodes, its even and
   odd node sums by cumulative sums (the library passes many points at once
   over nodes padded to a common count, and must give the same bits);
-- the Levenberg-Marquardt saddle solve of one point as a generator that
+- the boundary point of the saddle solve, the minimum of F on the face
+  gamma = 0, by bisection of h1 = <B>_0(lam) on the GK15 pass (the library
+  takes Newton steps on its own trapezoid pass);
+- the projected Newton saddle solve of one point as a generator that
   yields each quadrature pass it needs and is sent its row, driven one
   point per _moments call (the library runs the solves of a grid in one
   flat loop of rounds over per-point state, and must give the same bits
@@ -62,9 +65,9 @@ import numpy as np
 
 from sepmech import DensityMatrix, PureState, StiefelPoint, constraint_residual, energy
 from sepmech.quantum_core import InvalidInput
-from sepmech.werner import (_EPS_F, _MAX_EVALS, _STEP, _U0, BETA_INTERNAL_SCALE,
-                            LOG_GAMMA_FLOOR, QuadratureError, SaddleResult, _grid, _moments,
-                            _require_converged, _werner_point)
+from sepmech.werner import (_EPS_F, _MAX_EVALS, _STEP, _TINY, _U0, BETA_INTERNAL_SCALE,
+                            QuadratureError, SaddleResult, _grid, _moments, _require_converged,
+                            _werner_point)
 
 TENSOR_PREFACTOR = 2.0
 H_FORM_PREFACTOR = 2.0
@@ -348,6 +351,22 @@ def moments_einsum(bt: float, g: float, lam: float):
     return k[0], mA, mB, mx, jac, err
 
 
+def face_minimum(bt: float, h0: float, h1: float):
+    """(lam*, residual) of the minimum of F on the face gamma = 0: lam*
+    solves h1 = <B>_0(lam), which falls in lam, by bisection in log lam, and
+    the residual is sqrt(r0^2 + 3 r1^2) there.  The gamma -> 0 moments are
+    moments_einsum's at gamma = e^-30, where I0, <A> and <B> are within
+    ~1e-13 of their limits."""
+    g = math.exp(-30.0)
+    lo, hi = -20.0, 20.0  # log lam; 60 halvings take the bracket below rounding
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if moments_einsum(bt, g, math.exp(mid))[2] > h1 else (lo, mid)
+    lam = math.exp(0.5 * (lo + hi))
+    _, mA, mB, *_ = moments_einsum(bt, g, lam)
+    return lam, math.sqrt((h0 - mA) ** 2 + 3.0 * (h1 - mB) ** 2)
+
+
 # --- the library's trapezoid pass, one point at a time -------------------------
 
 def node_count_loop(bt: float, a: float, b: float) -> int:
@@ -396,54 +415,54 @@ def _saddle_steps(bt: float, h0: float, h1: float):
     """werner.saddle_search's solve of one point, as a generator: it yields
     each quadrature pass it needs as its point's _moments arguments (bt,
     gamma, lam, node grid), is sent that point's row of the pass, and
-    returns the SaddleResult.  A QuadratureError of _grid or of the final
-    pass's _require_converged ends it."""
-    w1 = math.sqrt(3.0)  # lam carries multiplicity 3
-    f_floor = (_EPS_F * math.hypot(h0, w1 * h1)) ** 2  # the third stop rule
+    returns the SaddleResult.  A QuadratureError of _grid, of a solve with
+    no certificate or of the final pass's _require_converged ends it."""
+    wt_h = math.hypot(h0, math.sqrt(3.0) * h1)  # the stop rule's floor is (rounding |wt h|)^2
 
-    def clip(v):
-        return min(max(v, LOG_GAMMA_FLOOR), -LOG_GAMMA_FLOOR)
-
-    def residual(u):
-        g, lam = math.exp(u[0]), math.exp(u[1])
-        grid = _grid(bt, g * g, lam * lam)
-        i0, mg, ml, mx, j00, j01, j10, j11, err = yield bt, g, lam, grid
-        r0, r1 = h0 - mg, w1 * (h1 - ml)
-        return r0 * r0 + r1 * r1, (r0, r1), (-j00, -j01, -w1 * j10, -w1 * j11), (i0, mx, err)
+    def evaluated(g, lam):
+        """(F, F's rounding level, r0, r1, I0's relative rounding, row)
+        of the pass at (gamma, lam)."""
+        grid = _grid(bt, g * g or lam * lam, lam * lam)
+        row = yield bt, g, lam, grid
+        i0, mA, mB = row[:3]
+        if not i0 > 0:
+            raise QuadratureError(f"reduced integral underflowed at gamma={g!r}, lam={lam!r}")
+        log_i0, lin = math.log(i0), g * h0 + 3.0 * lam * h1
+        rnd = _EPS_F * max(1.0, grid[1] * _TINY / i0)  # no finer than the subnormal spacing at each node
+        return log_i0 + lin, _EPS_F * (abs(log_i0) + lin), h0 - mA, h1 - mB, rnd, row
 
     lam_inf = 1 / (3 * h1 - h0) if 3 * h1 > 2 * h0 else 0.0  # 0.0: no beta -> inf solution
-    u = (clip(math.log(1 / h0 - lam_inf)), clip(math.log(lam_inf or 1 / h1)))
-    state, mu, evals = (yield from residual(u)), 0.0, 1
-    while evals < _MAX_EVALS and state[0] > f_floor:
-        (u0, u1), (f, (r0, r1), (j00, j01, j10, j11), _) = u, state
-        g0, g1 = j00 * r0 + j10 * r1, j01 * r0 + j11 * r1  # J^T r
-        h00, h01, h11 = j00 * j00 + j10 * j10, j00 * j01 + j10 * j11, j01 * j01 + j11 * j11
-        # the damped matrix J^T J + mu diag(J^T J): its (1, 1) entry, and its
-        # determinant as det(J)^2 + mu (2 + mu) h00 h11, free of cancellation
-        a11 = h11 + mu * h11
-        det = (j00 * j11 - j01 * j10) ** 2 + mu * (2.0 + mu) * h00 * h11
-        on_floor = u0 <= LOG_GAMMA_FLOOR and g0 > 0
-        du0 = 0.0 if on_floor else (h01 * g1 - a11 * g0) / det
-        crossed = u0 + du0 < LOG_GAMMA_FLOOR
-        if on_floor or crossed:
-            du0 = LOG_GAMMA_FLOOR - u0  # hold or stop gamma on the floor
-        du1 = -(g1 + h01 * du0) / a11  # the lam step given du0
-        un = (clip(u0 + du0), clip(u1 + du1))
-        s0, s1 = un[0] - u0, un[1] - u1
-        if abs(s0) <= _EPS_F * abs(u0) and abs(s1) <= _EPS_F * abs(u1):
-            break  # the step no longer moves u above rounding
-        model = (r0 + j00 * s0 + j01 * s1) ** 2 + (r1 + j10 * s0 + j11 * s1) ** 2
-        if not crossed and f - model <= _EPS_F * f:
-            break  # the linear model promises no decrease above rounding
-        trial, evals = (yield from residual(un)), evals + 1
-        if trial[0] < f:
-            u, state, mu = un, trial, 0.1 * mu
-        else:
-            mu = max(10.0 * mu, 1.0)
-    f, (r0, r1), J, (i0, mx, err) = state
-    _require_converged(i0, err)
-    boundary = u[0] <= LOG_GAMMA_FLOOR and J[0] * r0 + J[2] * r1 > 0  # (J^T r)_gamma
-    return SaddleResult(math.exp(u[0]), math.exp(u[1]), math.sqrt(f), not boundary, evals, mx)
+    g, lam = 1 / h0 - lam_inf, lam_inf or 1 / h1
+    (F, tol, r0, r1, rnd, row), evals = (yield from evaluated(g, lam)), 1
+    last = g, lam
+    while (r0 * r0 if g else 0.0) + 3.0 * r1 * r1 > (rnd * wt_h) ** 2:
+        j00, j01, _, j11 = row[4:8]
+        gm, c = 3.0 * lam * r1, 3.0 * lam * (r1 - j11)  # dF/dmu and d2F/dmu2 at mu = log lam
+        a, b = (-j00 / g, -j01) if g else (1.0, 0.0)  # d2F/dgamma2, d2F/dgamma dmu inside
+        det = a * c - b * b
+        if not (c > 0 and det > 0):
+            raise QuadratureError(f"saddle solve ended without a certificate after "
+                                  f"{evals} passes, the last at gamma={last[0]!r}, lam={last[1]!r}")
+        if g:
+            d0, dm = (b * gm - c * r0) / det, (b * r0 - a * gm) / det
+            if not g + d0 > 0:  # the quadratic model's minimum on the face gamma = 0
+                d0, dm = -g, (b * g - gm) / c
+        else:  # on the face: 1-D Newton in mu
+            d0, dm = 0.0, -gm / c
+        slope, frac = r0 * d0 + gm * dm, 1.0
+        while True:  # Armijo backtracking on F; a face point needs a positive KKT sign
+            if evals >= _MAX_EVALS:
+                raise QuadratureError(f"saddle solve ended without a certificate after "
+                                      f"{evals} passes, the last at gamma={last[0]!r}, lam={last[1]!r}")
+            last = g + frac * d0, lam * math.exp(frac * dm)
+            trial, evals = (yield from evaluated(*last)), evals + 1
+            if trial[0] - F <= 1e-4 * frac * slope + tol and (last[0] > 0 or trial[2] > 0):
+                break
+            frac *= 0.5
+        (g, lam), (F, tol, r0, r1, rnd, row) = last, trial
+    i0, _, _, mx, *_, err = row
+    _require_converged(i0, max(err, rnd))
+    return SaddleResult(g, lam, math.sqrt(r0 * r0 + 3.0 * r1 * r1), g > 0, evals, mx)
 
 
 def saddle_alone(beta: float, p: float):

@@ -8,18 +8,17 @@ import pytest
 
 import mpmath
 
-from oracles import (bell_diagonal_h, det_m, energy_closed_form, grad_log_z1_full,
-                     h_matrix, lockstep_calls, moments_einsum, moments_one_point,
-                     node_count_loop, saddle_alone)
+from oracles import (bell_diagonal_h, det_m, energy_closed_form, face_minimum,
+                     grad_log_z1_full, h_matrix, lockstep_calls, moments_einsum,
+                     moments_one_point, node_count_loop, saddle_alone)
 from sepmech import (OmegaPrime, PureState, avg_energy_werner, ConstraintsUnsatisfiable,
                      concurrence_sq, cost_operator, energy,
                      equipartition_scan, grad_log_z1,
                      log_z1_quadrature, saddle_search, werner_eigenensemble,
                      werner_state)
 from sepmech import werner
-from sepmech.werner import (BETA_INTERNAL_SCALE, BETA_STAR, LOG_GAMMA_FLOOR,
-                            RESIDUAL_THRESHOLD, QuadratureError, _STEP, _grid,
-                            _moments)
+from sepmech.werner import (BETA_INTERNAL_SCALE, BETA_STAR, RESIDUAL_THRESHOLD,
+                            QuadratureError, _STEP, _grid, _moments)
 
 
 @contextmanager
@@ -273,10 +272,10 @@ def test_moments_jacobian_matches_central_differences():
 
 
 def test_moments_jacobian_gamma_column_at_the_floor():
-    # On the floor the gamma column is O(gamma) and comes from cancelling
-    # O(1/gamma) moments; its sign decides the boundary certificate, so it
-    # must keep the sign and, to 10 %, the size of the linear law at 1e-5.
-    floor = np.exp(LOG_GAMMA_FLOOR)
+    # At gamma = e^-30 the gamma column is O(gamma) and comes from cancelling
+    # O(1/gamma) moments; it must keep the sign and, to 10 %, the size of
+    # the linear law at 1e-5.
+    floor = np.exp(-30.0)
     for beta, lam in ((10.0, 5.98682723), (1e6, 5.98)):
         at_floor = _residual_jacobian(beta, floor, lam)[:, 0] / floor
         linear = _residual_jacobian(beta, 1e-5, lam)[:, 0] / 1e-5
@@ -317,29 +316,44 @@ def test_grid_refuses_scales_that_leave_no_finite_node_set(bt, a, b):
 
 @pytest.mark.parametrize("beta, g, lam", [(10.0, 0.520432, 5.816898),
                                           (1e6, 2.0, 5.98),
-                                          (10.0, np.exp(LOG_GAMMA_FLOOR), 5.98682723),
-                                          (1e5, np.exp(LOG_GAMMA_FLOOR), 4.7),
+                                          (10.0, np.exp(-30.0), 5.98682723),
+                                          (1e5, np.exp(-30.0), 4.7),
                                           (0.1, 3.0, 0.2)])
 def test_moments_match_the_einsum_oracle(beta, g, lam):
     got = _one_pass(BETA_INTERNAL_SCALE * beta, g, lam)
     want = moments_einsum(BETA_INTERNAL_SCALE * beta, g, lam)
     for name, x, y in zip(("I0", "<A>", "<B>", "<x>"), got, want):
         assert type(x) is float and abs(x / y - 1) < 1e-12, name
-    # on the floor the gamma-gamma entry cancels O(1/gamma) moments down to
-    # O(gamma) and keeps only a few digits in either form (see the floor test
-    # above), so the Jacobian is compared relative to its largest entry
+    # at gamma = e^-30 the gamma-gamma entry cancels O(1/gamma) moments down
+    # to O(gamma) and keeps only a few digits in either form (see the floor
+    # test above), so the Jacobian is compared relative to its largest entry
     assert np.max(np.abs(got[4] - want[4])) < 1e-12 * np.max(np.abs(want[4]))
     assert type(got[5]) is float
 
 
+@pytest.mark.parametrize("beta, lam", [(10.0, 5.98682723), (1e5, 4.7), (0.1, 0.2),
+                                       (1e-3, 30.0), (1e8, 800.0)])
+def test_moments_on_the_face_are_the_gamma_to_zero_limits(beta, lam):
+    # at g = 0 the grid comes from lam alone and <A> is its limit
+    # 2 / (lam^3 I0), not the 0 that A = g / (x + g^2) gives at g = 0; the
+    # pass raises no RuntimeWarning (an error in this suite)
+    bt = BETA_INTERNAL_SCALE * beta
+    (i0, mA, mB, mx, *_), = _moments([bt], [0.0], [lam], [_grid(bt, lam * lam, lam * lam)])
+    assert abs(mA * lam ** 3 * i0 / 2.0 - 1) < 1e-15
+    assert abs(mA / moments_einsum(bt, 1e-9, lam)[1] - 1) < 1e-8
+    limit = moments_einsum(bt, np.exp(-30.0), lam)
+    for name, x, y in zip(("I0", "<B>", "<x>"), (i0, mB, mx), (limit[0], limit[2], limit[3])):
+        assert abs(x / y - 1) < 1e-12, name
+
+
 def test_moments_match_the_gk15_oracle_over_a_sweep():
     # 5000 seeded points over the saddles' range: beta 1e-3..1e8, log gamma
-    # from the floor up, log lam in +-8.  The Jacobian is compared relative
+    # from -30 up, log lam in +-8.  The Jacobian is compared relative
     # to its largest entry, as above.  Largest gaps seen: 7.3e-15 on the
     # moments, 2.7e-11 on the Jacobian; largest error estimate 5.2e-9
     rng = np.random.default_rng(26)
     bts = BETA_INTERNAL_SCALE * 10.0 ** rng.uniform(-3, 8, 5000)
-    gs = np.exp(rng.uniform(LOG_GAMMA_FLOOR, 8.0, 5000))
+    gs = np.exp(rng.uniform(-30.0, 8.0, 5000))
     lams = np.exp(rng.uniform(-8.0, 8.0, 5000))
     points = list(zip(bts.tolist(), gs.tolist(), lams.tolist()))
     rows = []
@@ -355,12 +369,12 @@ def test_moments_match_the_gk15_oracle_over_a_sweep():
 
 def _quadrature_sweep():
     """(bt, g, lam, grid) of single passes whose node counts mix: beta
-    from 1e-3 to 1e8 with log gamma from the floor (~480 nodes) up, the
+    from 1e-3 to 1e8 with log gamma from -30 (~480 nodes) up, the
     1e300 * 4bt cap (beta 1e-305, ~3600 nodes), and grids cut to 1 to 27
     nodes at beta 1e-3 and up."""
     points = []
     for beta in np.logspace(-3, 8, 12).tolist() + [1e-305]:
-        for log_g in (LOG_GAMMA_FLOOR, -12.0, -1.0, 0.5, 3.0):
+        for log_g in (-30.0, -12.0, -1.0, 0.5, 3.0):
             for lam in (0.2, 5.98, 40.0):
                 bt, g = BETA_INTERNAL_SCALE * beta, float(np.exp(log_g))
                 points.append((bt, g, lam, _grid(bt, g * g, lam * lam)))
@@ -404,12 +418,12 @@ def test_a_saddle_is_the_same_alone_in_its_grid_and_in_the_reversed_grid():
 @pytest.mark.parametrize("budget", [werner._NODE_BUDGET, 1024])
 def test_lockstep_solves_match_the_one_point_generator_oracle(monkeypatch, budget):
     # beta 1e-3..1e8 x p 0.01..1.00: interior ends and boundary ends on the
-    # gamma floor; each _moments call holds the passes the oracle's rounds
+    # face gamma = 0; each _moments call holds the passes the oracle's rounds
     # predict, and some rounds are cut into several calls
     points = [(beta, p) for beta in np.logspace(-3, 8, 12).tolist()
               for p in np.round(np.linspace(0.01, 1.0, 34), 12).tolist()]
     alone = {pt: saddle_alone(*pt) for pt in points}
-    ends = {(s.interior, s.gamma_star == np.exp(LOG_GAMMA_FLOOR)) for s, _ in alone.values()}
+    ends = {(s.interior, s.gamma_star == 0.0) for s, _ in alone.values()}
     assert {(True, False), (False, True)} <= ends
     calls = []
 
@@ -457,7 +471,7 @@ def test_a_lockstep_pass_stays_within_the_node_budget(monkeypatch):
 
 
 def test_the_first_failure_in_grid_order_is_reported(monkeypatch):
-    # at beta = 10, p = 0.5 takes 8 passes and p = 0.95 takes 4; with no
+    # at beta = 10, p = 0.5 takes 6 passes and p = 0.95 takes 4; with no
     # pass converged each fails on its last pass, so in lockstep p = 0.95
     # fails first, and at beta = 1e-318 the first pass already fails
     assert saddle_search(10.0, 0.5).iterations > saddle_search(10.0, 0.95).iterations
@@ -496,13 +510,26 @@ def test_saddle_at_former_hang_point():
     assert not sad.interior
 
 
-@pytest.mark.parametrize("p, residual", [(0.80, 0.036924362384436),
-                                         (0.85, 0.015649874760012),
-                                         (0.88, 0.0028849679554828)])
+@pytest.mark.parametrize("p, residual", [(0.80, 0.048683299489995724),
+                                         (0.85, 0.020636819541267643),
+                                         (0.88, 0.003804590556103049)])
 def test_saddle_boundary_residuals_pinned(p, residual):
-    # the gamma -> 0 limit of the minimized residual at beta = 10
+    # the residual at the minimum of F on the face gamma = 0 at beta = 10,
+    # from the oracle's bisection (face_minimum)
     sad = saddle_search(10.0, p)
     assert sad.residual_norm == pytest.approx(residual, rel=1e-8)
+
+
+@pytest.mark.parametrize("beta, p", [(10.0, 0.5), (10.0, 0.88), (1000.0, 0.3), (0.2, 0.7),
+                                     (316.2, 0.005), (1e10, 1e-6)])
+def test_a_boundary_lambda_is_the_face_minimum(beta, p):
+    # lam* solves h1 = <B>_0(lam), here against a bisection on the GK15
+    # oracle, and the residual is its value there
+    sad = saddle_search(beta, p)
+    lam, residual = face_minimum(BETA_INTERNAL_SCALE * beta, *werner._werner_h(p))
+    assert not sad.interior and sad.gamma_star == 0.0
+    assert abs(sad.lambda_star / lam - 1) <= 1e-10
+    assert abs(sad.residual_norm / residual - 1) <= 1e-10
 
 
 def test_saddle_interior_flag_switches_at_onset():
@@ -513,14 +540,37 @@ def test_saddle_interior_flag_switches_at_onset():
         if sad.interior:
             assert sad.residual_norm <= 1e-12, p
         else:
-            assert sad.gamma_star == np.exp(LOG_GAMMA_FLOOR), p
+            assert sad.gamma_star == 0.0, p
+
+
+def test_every_end_of_a_sweep_is_certified():
+    # 25 beta from 1e-3 to 1e10, 316.2 among them, x p 0.001:0.001:0.013
+    # and 0.02:0.01:1.00, and beta 1e10 at p 1e-6: an interior end solves the
+    # constraints, and a boundary end lies on the face gamma = 0 with a
+    # positive KKT sign h0 - <A>_0, from a face pass at its lam
+    grid = np.round(np.concatenate([np.arange(1, 14) * 0.001, np.arange(2, 101) * 0.01]), 12)
+    points = [(beta, p) for beta in np.logspace(-3, 8, 23).tolist() + [316.2, 1e10]
+              for p in grid.tolist()] + [(1e10, 1e-6)]
+    saddles = list(werner._saddles(points))
+    face = [(pt, sad) for pt, sad in zip(points, saddles) if not sad.interior]
+    assert 0 < len(face) < len(points)
+    assert all(sad.residual_norm <= 1e-6 for sad in saddles if sad.interior)
+    assert all(sad.gamma_star == 0.0 for _, sad in face)
+    bts = [BETA_INTERNAL_SCALE * beta for (beta, _), _ in face]
+    lams = [sad.lambda_star for _, sad in face]
+    rows = _moments(bts, [0.0] * len(face), lams, [_grid(bt, lam * lam, lam * lam)
+                                                   for bt, lam in zip(bts, lams)])
+    assert all(werner._werner_h(p)[0] - row[1] > 0 for ((_, p), _), row in zip(face, rows))
+    assert ((1e10, 1e-6), saddles[-1]) == face[-1]
 
 
 def test_saddle_mean_x_is_the_moment_at_the_returned_point():
+    # an interior point and a point on the face, whose grid comes from lam alone
     for beta, p in ((10.0, 0.9), (10.0, 0.5)):
         sad = saddle_search(beta, p)
-        want = _one_pass(BETA_INTERNAL_SCALE * beta, sad.gamma_star, sad.lambda_star)[3]
-        assert sad.mean_x == want
+        bt, g, lam = BETA_INTERNAL_SCALE * beta, sad.gamma_star, sad.lambda_star
+        (want,) = _moments([bt], [g], [lam], [_grid(bt, g * g or lam * lam, lam * lam)])
+        assert sad.mean_x == want[3]
 
 
 def test_saddle_raises_when_its_final_pass_does_not_converge(monkeypatch):
