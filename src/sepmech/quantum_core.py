@@ -188,8 +188,6 @@ def eigen_ensemble(rho: DensityMatrix) -> Ensemble:
     under that choice.
     """
     vals, vecs = np.linalg.eigh(rho.mat)
-    if vals.min() < -PSD_TOL:
-        raise InvalidInput("input is not positive semidefinite within tolerance")
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
     sel = vals > EIGENVALUE_CUTOFF

@@ -22,10 +22,10 @@ factorization det h^2 det(4|s|^2 + w' wbar') against the direct 8x8
 determinant of the Gaussian block matrix.
 
 F = log I0 + gamma h0 + 3 lam h1, log Z1 up to a constant, is strictly
-convex in (gamma, lam), and its gradient is the residual.  The residual
-and the exact Hessian of F are further moments of the same weight,
-computed in one pass of the trapezoid rule on a double-exponential map of
-x (_moments), so saddle_search is a projected Newton solve of a few passes
+convex in (gamma, lam), and its gradient is the residual.  log I0, the
+residual and the exact Hessian of F come from one pass of the trapezoid
+rule on a double-exponential map of x, in log weights that do not underflow
+(_moments), so saddle_search is a projected Newton solve of a few passes
 on gamma >= 0 from a closed-form start.  It stops once the free gradient
 is down to the rounding level of the residual h - <A, B>, a difference of
 numbers of size |h|, whose computed value below that is only noise.  The
@@ -97,9 +97,13 @@ class SaddleResult:
     gamma_star: float
     lambda_star: float
     residual_norm: float
-    interior: bool
     iterations: int
     mean_x: float  # <x> of the weight at the returned point
+
+    @property
+    def interior(self) -> bool:
+        """True when the solve ended inside, off the face gamma = 0."""
+        return self.gamma_star > 0
 
     @property
     def region_member(self) -> bool:
@@ -185,24 +189,25 @@ def _moments(bt, g, lam, grids) -> list:
     """Moments of the weight exp(-x/4bt) (x+g^2)^{-1/2} (x+lam^2)^{-3/2} at n points.
 
     bt, g and lam hold n floats and grids their n node sets (from _grid).
-    With A = g/(x+g^2) and B = lam/(x+lam^2), returns one row (I0, <A>, <B>,
-    <x>, j00, j01, j10, j11, error) of Python floats per point (at g = 0,
+    With A = g/(x+g^2) and B = lam/(x+lam^2), returns one row (log I0, <A>,
+    <B>, <x>, j00, j01, j11, error) of Python floats per point (at g = 0,
     <A> is its g -> 0 limit 2 / (lam^3 I0), as A tends to a point mass at
-    x = 0, not to 0; j00, j01 and j10 are then 0), from one
-    vectorized pass of the trapezoid rule in u over the nodes of all n
-    points.  The integrand is analytic in a strip about the real u axis and
-    decays double-exponentially at both ends, so the rule converges
-    geometrically in 1/_STEP; error is the relative difference of the step
-    and double-step sums, the latter over the even nodes, for I0, <A>, <B>
-    and <x>.  jac = [[j00, j01], [j10, j11]] is the exact derivative of
-    (<A>, <B>) in (log g, log lam): differentiating the weight brings down
-    -A and -3B, so it needs only the further moments <A^2>, <B^2>, <AB>,
-    <(x-g^2)/(x+g^2)^2> and <(x-lam^2)/(x+lam^2)^2>.  The node axis is split
-    into pairs and an even/odd axis ahead of the point axis, so the sums
-    over the pairs never run along the innermost axis and numpy adds them
-    up in node order; a point's nodes are padded to the most of any point
-    with zero-weight nodes held at its last one, which add exact zeros, so
-    every row has the bits of a pass of its point alone.
+    x = 0, not to 0; j00 and j01 are then 0), from one vectorized pass of
+    the trapezoid rule in u over the nodes of all n points.  Node weights
+    are formed as logarithms and shifted by their point's largest, so no
+    sum underflows however small I0 is.  The integrand is analytic in a
+    strip about the real u axis and decays double-exponentially at both
+    ends, so the rule converges geometrically in 1/_STEP; error is the
+    relative difference of the step and double-step sums, the latter over
+    the even nodes, for I0, <A>, <B> and <x>.  [[j00, j01], [j10, j11]] is
+    the exact derivative of (<A>, <B>) in (log g, log lam), j10 = g j01 /
+    (3 lam) left out: differentiating the weight brings down -A and -3B, so
+    it needs only the further moments <A^2>, <B^2>, <AB>,
+    <(x-g^2)/(x+g^2)^2> and <(x-lam^2)/(x+lam^2)^2>.  The node axis is
+    split into pairs and an even/odd axis ahead of the point axis, so numpy
+    adds the pairs up in node order; a point's nodes are padded to the most
+    of any point with log weights -inf, which add exact zeros, so every row
+    has the bits of a pass of its point alone.
     """
     log_s, nodes = np.array(grids).T
     j = np.arange(nodes.max() + 1).reshape(-1, 2, 1)  # (pairs, even/odd, 1)
@@ -210,21 +215,21 @@ def _moments(bt, g, lam, grids) -> list:
     eu = np.exp(-u)
     t = u - eu
     last = t.ravel()[nodes.astype(int) - 1]
-    x = np.exp(np.minimum(t, last) + log_s)  # (pairs, 2, points)
-    dw = np.where(j < nodes, _STEP * (1.0 + eu), 0.0) * x  # dx = x (1 + e^{-u}) du
+    log_x = np.minimum(t, last) + log_s  # (pairs, 2, points)
+    x = np.exp(log_x)
     bta, ga, la = np.array([bt, g, lam], dtype=float)
     a, b = ga * ga, la * la
     ra, rb = 1.0 / (x + a), 1.0 / (x + b)
     A, B = ga * ra, la * rb
+    with np.errstate(over="ignore"):  # to -inf, the log of weight 0, at beta below ~1e-308
+        lw = x / (-4.0 * bta)
+    # log dx = log x + log(_STEP (1 + e^{-u})) rides in, so each node sum is an integral
+    lw = lw + log_x + np.log(_STEP * (1.0 + eu)) - 0.5 * np.log(x + a) - 1.5 * np.log(x + b)
+    lw = np.where(j < nodes, lw, -np.inf)
+    shift = lw.max(axis=(0, 1))
     f = np.empty((9,) + x.shape)  # the nine integrands, filled in place
     w, wA, wB = f[0], f[1], f[2]
-    # x / 4bt overflows only where 4bt is tiny (beta below ~1e-308); exp(-x/4bt)
-    # is 0 for any x past 1e300 * 4bt, so such x are capped there (the cap,
-    # a Python float, is inf without a warning wherever 4bt is large, and
-    # leaves every x of a normal pass as it is)
-    xe = np.minimum(x, [1e300 * 4.0 * float(v) for v in bt])
-    # the trapezoid weights ride in w, so each node sum is an integral
-    np.multiply(np.exp(xe / (-4.0 * bta)) * dw, np.sqrt(ra) * rb * np.sqrt(rb), out=w)
+    np.exp(lw - shift, out=w)
     for row, (y, v) in enumerate(((w, A), (w, B), (w, x), (wA, A), (wB, B), (wA, B),
                                   (w * (x - a), ra * ra), (w * (x - b), rb * rb)), 1):
         np.multiply(y, v, out=f[row])
@@ -232,28 +237,26 @@ def _moments(bt, g, lam, grids) -> list:
     k = even + odd
     # the relative step-h versus step-2h differences of I0, <A>, <B> and <x>
     e0, e1, e2, e3 = np.abs(k[:4] - 2.0 * even[:4]) / np.maximum(np.abs(k[:4]), 1e-300)
-    m = k[1:] / k[0]
+    m = k[1:] / k[0]  # k[0] >= 1: the largest node adds exp(0)
     mA, mB, _, mAA, mBB, mAB, cA, cB = m
-    cov = mAB - mA * mB
-    rows = np.empty((9, len(grids)))
-    rows[0], rows[1:4] = k[0], m[:3]
+    rows = np.empty((8, len(grids)))
+    rows[0], rows[1:4] = np.log(k[0]) + shift, m[:3]
     face = ga == 0.0
     if face.any():
-        rows[1, face] = 2.0 / (la[face] ** 3 * k[0, face])
+        rows[1, face] = np.exp(np.log(2.0) - 3.0 * np.log(la[face]) - rows[0, face])
     np.multiply(ga, cA - (mAA - mA * mA), out=rows[4])
-    np.multiply(-3.0 * la, cov, out=rows[5])
-    np.multiply(-ga, cov, out=rows[6])
-    np.multiply(la, cB - 3.0 * (mBB - mB * mB), out=rows[7])
-    np.maximum(np.maximum(e0, e1), np.maximum(e2, e3), out=rows[8])
+    np.multiply(-3.0 * la, mAB - mA * mB, out=rows[5])
+    np.multiply(la, cB - 3.0 * (mBB - mB * mB), out=rows[6])
+    np.maximum(np.maximum(e0, e1), np.maximum(e2, e3), out=rows[7])
     return rows.T.tolist()
 
 
-def _require_converged(i0, err):
-    """Raise QuadratureError unless a _moments pass gives a finite, positive
-    I0 whose step versus double-step error estimate is below _QUAD_TOL."""
-    if not (np.isfinite(i0) and i0 > 0 and err < _QUAD_TOL):
+def _require_converged(log_i0, err):
+    """Raise QuadratureError unless a _moments pass gives a finite log I0
+    whose step versus double-step error estimate is below _QUAD_TOL."""
+    if not (np.isfinite(log_i0) and err < _QUAD_TOL):
         raise QuadratureError(f"reduced integral did not converge "
-                              f"(estimate {i0!r}, rel error {err:.3e})")
+                              f"(log estimate {log_i0!r}, rel error {err:.3e})")
 
 
 def _werner_point(beta: float, p: float):
@@ -270,16 +273,16 @@ def _werner_point(beta: float, p: float):
 def _checked_moments(beta: float, op: OmegaPrime, p: float):
     bt, h0, h1 = _werner_point(beta, p)
     g, lam = op.gamma, op.lam
-    i0, mg, ml, *_, err = _moments([bt], [g], [lam], [_grid(bt, g * g, lam * lam)])[0]
-    _require_converged(i0, err)
-    return bt, h0, h1, i0, mg, ml
+    log_i0, mg, ml, *_, err = _moments([bt], [g], [lam], [_grid(bt, g * g, lam * lam)])[0]
+    _require_converged(log_i0, err)
+    return bt, h0, h1, log_i0, mg, ml
 
 
 def log_z1_quadrature(beta: float, op: OmegaPrime, p: float) -> float:
     """log Z1 by one-dimensional quadrature, log-domain throughout."""
-    bt, h0, h1, i0, _, _ = _checked_moments(beta, op, p)
+    bt, h0, h1, log_i0, _, _ = _checked_moments(beta, op, p)
     return (4.0 * np.log(np.pi) - np.log(4.0 * bt * h0 * h1 ** 3)
-            + op.gamma * h0 + 3.0 * op.lam * h1 + np.log(i0))
+            + op.gamma * h0 + 3.0 * op.lam * h1 + log_i0)
 
 
 def grad_log_z1(beta: float, op: OmegaPrime, p: float):
@@ -307,16 +310,15 @@ def saddle_search(beta: float, p: float) -> SaddleResult:
     takes the gamma -> 0 limit moments; a face point is accepted only with
     a positive KKT sign r0 = h0 - <A>_0, and the solve goes on by 1-D
     Newton steps on the face.  It stops once the free gradient (r0^2 +
-    3 r1^2, or 3 r1^2 on the face) is at most (rnd |wt h|)^2, wt =
-    (1, sqrt 3), with rnd the pass's relative rounding (_EPS_F unless I0
-    nears the subnormal range): the residual is h - <A, B>, so below that
-    its computed value is noise.  An end inside is interior; an end on the
-    face is a boundary point, with gamma_star = 0.0 and residual_norm
-    |h0 - <A>_0|.  Any other end (no descent step, or _MAX_EVALS passes)
-    raises QuadratureError, as does a final pass whose error estimate or
-    rnd is not below _QUAD_TOL.  iterations counts the quadrature passes
-    and mean_x is <x> from the returned point's pass.  This is the one-point
-    case of the lockstep loop of _saddles.
+    3 r1^2, or 3 r1^2 on the face) is at most (_EPS_F |wt h|)^2, wt =
+    (1, sqrt 3): the residual is h - <A, B>, so below that its computed
+    value is noise.  An end inside is interior; an end on the face is a
+    boundary point, with gamma_star = 0.0 and residual_norm |h0 - <A>_0|.
+    Any other end (no descent step, or _MAX_EVALS passes) raises
+    QuadratureError, as does a final pass whose error estimate is not
+    below _QUAD_TOL.  iterations counts the quadrature passes and mean_x
+    is <x> from the returned point's pass.  This is the one-point case of
+    the lockstep loop of _saddles.
     """
     return next(_saddles([(beta, p)]))
 
@@ -356,26 +358,21 @@ def _saddles(points):
         step = max(1, _NODE_BUDGET // (max((n for *_, (_, n) in asks), default=0) + 1))
         for k in range(0, len(asks), step):
             ids, *args = zip(*asks[k:k + step])
-            for i, g, lam, (_, n), (i0, mA, mB, mx, j00, j01, _, j11, err) in zip(
-                    ids, *args[1:], _moments(*args)):
+            for i, g, lam, (log_i0, mA, mB, mx, j00, j01, j11, err) in zip(
+                    ids, args[1], args[2], _moments(*args)):
                 s = solves[i]
                 bt, h0, h1, wt_h, evals, at, d = s
                 r0, r1 = h0 - mA, h1 - mB
                 try:
-                    if not i0 > 0:
-                        raise QuadratureError(f"reduced integral underflowed at gamma={g!r}, lam={lam!r}")
-                    log_i0, lin = math.log(i0), g * h0 + 3.0 * lam * h1
+                    lin = g * h0 + 3.0 * lam * h1
                     # Armijo's test; a face point needs a positive KKT sign
                     if at is None or (log_i0 + lin - at[2] <= 1e-4 * d[3] * d[2] + at[3]
                                       and (g > 0 or r0 > 0)):
                         at = g, lam, log_i0 + lin, _EPS_F * (abs(log_i0) + lin)
-                        # I0's relative rounding: a sum of n nodes, each rounded no
-                        # finer than the subnormal spacing eps _TINY
-                        rnd = _EPS_F * max(1.0, n * _TINY / i0)
-                        if (r0 * r0 if g else 0.0) + 3.0 * r1 * r1 <= (rnd * wt_h) ** 2:
-                            _require_converged(i0, max(err, rnd))
+                        if (r0 * r0 if g else 0.0) + 3.0 * r1 * r1 <= (_EPS_F * wt_h) ** 2:
+                            _require_converged(log_i0, err)
                             outcomes[i] = SaddleResult(g, lam, math.sqrt(r0 * r0 + 3.0 * r1 * r1),
-                                                       g > 0, evals, mx)
+                                                       evals, mx)
                             continue
                         # dF/dmu and the Hessian [[a, b], [b, c]] in (gamma, mu = log lam)
                         gm, c = 3.0 * lam * r1, 3.0 * lam * (r1 - j11)

@@ -65,7 +65,7 @@ import numpy as np
 
 from sepmech import DensityMatrix, PureState, StiefelPoint, constraint_residual, energy
 from sepmech.quantum_core import InvalidInput
-from sepmech.werner import (_EPS_F, _MAX_EVALS, _STEP, _TINY, _U0, BETA_INTERNAL_SCALE,
+from sepmech.werner import (_EPS_F, _MAX_EVALS, _STEP, _U0, BETA_INTERNAL_SCALE,
                             QuadratureError, SaddleResult, _grid, _moments, _require_converged,
                             _werner_point)
 
@@ -382,19 +382,22 @@ def node_count_loop(bt: float, a: float, b: float) -> int:
 
 
 def moments_one_point(bt: float, g: float, lam: float, grid=None):
-    """(I0, <A>, <B>, <x>, jac, error) of the library's trapezoid pass at one
-    point, over its own nodes (by default werner._grid) and one zero that
+    """(log I0, <A>, <B>, <x>, jac, error) of the library's trapezoid pass at
+    one point, over its own nodes (by default werner._grid) and one zero that
     pairs the last, in werner._moments's arithmetic; jac is a 2x2 array,
     the rest Python floats."""
     a, b = g * g, lam * lam
     log_s, nodes = _grid(bt, a, b) if grid is None else grid
     u = _U0 + np.arange(nodes) * _STEP
     eu = np.exp(-u)
-    x = np.exp((u - eu) + log_s)
+    log_x = (u - eu) + log_s
+    x = np.exp(log_x)
     ra, rb = 1.0 / (x + a), 1.0 / (x + b)
     A, B = g * ra, lam * rb
-    xe = np.minimum(x, 1e300 * 4.0 * bt)
-    w = np.exp(xe / (-4.0 * bt)) * (_STEP * (1.0 + eu) * x) * (np.sqrt(ra) * rb * np.sqrt(rb))
+    with np.errstate(over="ignore"):  # x / 4bt is inf, a weight of 0, where 4bt is tiny
+        lw = x / (-4.0 * bt)
+    lw = lw + log_x + np.log(_STEP * (1.0 + eu)) - 0.5 * np.log(x + a) - 1.5 * np.log(x + b)
+    w = np.exp(lw - lw.max())  # shifted by the largest log weight
     f = np.zeros((9, nodes + 1))
     f[:, :-1] = [w, w * A, w * B, w * x, w * A * A, w * B * B, w * A * B,
                  w * (x - a) * (ra * ra), w * (x - b) * (rb * rb)]
@@ -406,7 +409,7 @@ def moments_one_point(bt: float, g: float, lam: float, grid=None):
     cov = mAB - mA * mB
     jac = np.array([[g * (cA - (mAA - mA * mA)), -3.0 * lam * cov],
                     [-g * cov, lam * (cB - 3.0 * (mBB - mB * mB))]])
-    return k[0], mA, mB, mx, jac, err
+    return float(np.log(k[0]) + lw.max()), mA, mB, mx, jac, err
 
 
 # --- the saddle solve, one point at a time -------------------------------------
@@ -420,23 +423,18 @@ def _saddle_steps(bt: float, h0: float, h1: float):
     wt_h = math.hypot(h0, math.sqrt(3.0) * h1)  # the stop rule's floor is (rounding |wt h|)^2
 
     def evaluated(g, lam):
-        """(F, F's rounding level, r0, r1, I0's relative rounding, row)
-        of the pass at (gamma, lam)."""
-        grid = _grid(bt, g * g or lam * lam, lam * lam)
-        row = yield bt, g, lam, grid
-        i0, mA, mB = row[:3]
-        if not i0 > 0:
-            raise QuadratureError(f"reduced integral underflowed at gamma={g!r}, lam={lam!r}")
-        log_i0, lin = math.log(i0), g * h0 + 3.0 * lam * h1
-        rnd = _EPS_F * max(1.0, grid[1] * _TINY / i0)  # no finer than the subnormal spacing at each node
-        return log_i0 + lin, _EPS_F * (abs(log_i0) + lin), h0 - mA, h1 - mB, rnd, row
+        """(F, F's rounding level, r0, r1, row) of the pass at (gamma, lam)."""
+        row = yield bt, g, lam, _grid(bt, g * g or lam * lam, lam * lam)
+        log_i0, mA, mB = row[:3]
+        lin = g * h0 + 3.0 * lam * h1
+        return log_i0 + lin, _EPS_F * (abs(log_i0) + lin), h0 - mA, h1 - mB, row
 
     lam_inf = 1 / (3 * h1 - h0) if 3 * h1 > 2 * h0 else 0.0  # 0.0: no beta -> inf solution
     g, lam = 1 / h0 - lam_inf, lam_inf or 1 / h1
-    (F, tol, r0, r1, rnd, row), evals = (yield from evaluated(g, lam)), 1
+    (F, tol, r0, r1, row), evals = (yield from evaluated(g, lam)), 1
     last = g, lam
-    while (r0 * r0 if g else 0.0) + 3.0 * r1 * r1 > (rnd * wt_h) ** 2:
-        j00, j01, _, j11 = row[4:8]
+    while (r0 * r0 if g else 0.0) + 3.0 * r1 * r1 > (_EPS_F * wt_h) ** 2:
+        j00, j01, j11 = row[4:7]
         gm, c = 3.0 * lam * r1, 3.0 * lam * (r1 - j11)  # dF/dmu and d2F/dmu2 at mu = log lam
         a, b = (-j00 / g, -j01) if g else (1.0, 0.0)  # d2F/dgamma2, d2F/dgamma dmu inside
         det = a * c - b * b
@@ -459,10 +457,10 @@ def _saddle_steps(bt: float, h0: float, h1: float):
             if trial[0] - F <= 1e-4 * frac * slope + tol and (last[0] > 0 or trial[2] > 0):
                 break
             frac *= 0.5
-        (g, lam), (F, tol, r0, r1, rnd, row) = last, trial
-    i0, _, _, mx, *_, err = row
-    _require_converged(i0, max(err, rnd))
-    return SaddleResult(g, lam, math.sqrt(r0 * r0 + 3.0 * r1 * r1), g > 0, evals, mx)
+        (g, lam), (F, tol, r0, r1, row) = last, trial
+    log_i0, _, _, mx, *_, err = row
+    _require_converged(log_i0, err)
+    return SaddleResult(g, lam, math.sqrt(r0 * r0 + 3.0 * r1 * r1), evals, mx)
 
 
 def saddle_alone(beta: float, p: float):

@@ -489,9 +489,18 @@ def test_error_subclass_keeps_its_exit_code(capsys, monkeypatch, exc, code):
 
 def test_scan_exits_4_when_the_quadrature_does_not_converge(capsys, monkeypatch):
     moments = werner._moments
-    monkeypatch.setattr(werner, "_moments", lambda *a: [(*row[:8], 1.0) for row in moments(*a)])
+    monkeypatch.setattr(werner, "_moments", lambda *a: [(*row[:7], 1.0) for row in moments(*a)])
     code, out, err = run(capsys, "scan", "--p-grid", "0.85:0.05:0.90")
     assert code == 4 and "did not converge" in err and out == ""
+
+
+def test_scan_exits_4_when_a_saddle_solve_ends_without_a_certificate(capsys, monkeypatch):
+    # at beta 10, p = 0.5 needs 6 passes; allowed one, its solve ends uncertified
+    monkeypatch.setattr(werner, "_MAX_EVALS", 1)
+    code, out, err = run(capsys, "scan", "--p-grid", "0.50:0.05:0.60")
+    assert code == 4 and out == ""
+    assert err.startswith("error: saddle solve ended without a certificate after 1 passes")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("beta", ["10", "10,20", "10,10,10", "10,20,20,10"])

@@ -1,6 +1,8 @@
 """Closed-form 2x2 Werner channel: state constructors, reduced one-particle
 integral, its gradient, saddle search, and the region scan."""
+import math
 import signal
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -235,9 +237,12 @@ def test_saddle_outside_region():
 
 
 def _one_pass(bt, g, lam):
-    """The _moments row of one point, as (I0, <A>, <B>, <x>, jac, gk_error)."""
-    (i0, mA, mB, mx, *jac, err), = _moments([bt], [g], [lam], [_grid(bt, g * g, lam * lam)])
-    return i0, mA, mB, mx, np.reshape(jac, (2, 2)), err
+    """The _moments row of one point, as (log I0, <A>, <B>, <x>, jac, error);
+    jac's lower-left entry, which the row leaves out, is -g cov(A, B) =
+    g j01 / (3 lam)."""
+    (log_i0, mA, mB, mx, j00, j01, j11, err), = _moments([bt], [g], [lam],
+                                                         [_grid(bt, g * g, lam * lam)])
+    return log_i0, mA, mB, mx, np.array([[j00, j01], [g * j01 / (3.0 * lam), j11]]), err
 
 
 def _residual_jacobian(beta, g, lam):
@@ -322,8 +327,9 @@ def test_grid_refuses_scales_that_leave_no_finite_node_set(bt, a, b):
 def test_moments_match_the_einsum_oracle(beta, g, lam):
     got = _one_pass(BETA_INTERNAL_SCALE * beta, g, lam)
     want = moments_einsum(BETA_INTERNAL_SCALE * beta, g, lam)
-    for name, x, y in zip(("I0", "<A>", "<B>", "<x>"), got, want):
-        assert type(x) is float and abs(x / y - 1) < 1e-12, name
+    for name, x, y in zip(("I0", "<A>", "<B>", "<x>"), (math.exp(got[0]), *got[1:4]), want):
+        assert abs(x / y - 1) < 1e-12, name
+    assert all(type(x) is float for x in got[:4])
     # at gamma = e^-30 the gamma-gamma entry cancels O(1/gamma) moments down
     # to O(gamma) and keeps only a few digits in either form (see the floor
     # test above), so the Jacobian is compared relative to its largest entry
@@ -338,7 +344,8 @@ def test_moments_on_the_face_are_the_gamma_to_zero_limits(beta, lam):
     # 2 / (lam^3 I0), not the 0 that A = g / (x + g^2) gives at g = 0; the
     # pass raises no RuntimeWarning (an error in this suite)
     bt = BETA_INTERNAL_SCALE * beta
-    (i0, mA, mB, mx, *_), = _moments([bt], [0.0], [lam], [_grid(bt, lam * lam, lam * lam)])
+    (log_i0, mA, mB, mx, *_), = _moments([bt], [0.0], [lam], [_grid(bt, lam * lam, lam * lam)])
+    i0 = math.exp(log_i0)
     assert abs(mA * lam ** 3 * i0 / 2.0 - 1) < 1e-15
     assert abs(mA / moments_einsum(bt, 1e-9, lam)[1] - 1) < 1e-8
     limit = moments_einsum(bt, np.exp(-30.0), lam)
@@ -360,10 +367,11 @@ def test_moments_match_the_gk15_oracle_over_a_sweep():
     for k in range(0, len(points), 100):
         chunk = points[k:k + 100]
         rows += _moments(*zip(*chunk), [_grid(bt, g * g, lam * lam) for bt, g, lam in chunk])
-    for pt, (*got, err) in zip(points, rows):
+    for pt, (log_i0, *got, err) in zip(points, rows):
         i0, mA, mB, mx, jac, _ = moments_einsum(*pt)
+        got = [math.exp(log_i0), *got]  # the row, less j10, with I0 in place of log I0
         assert np.max(np.abs(np.array(got[:4]) / [i0, mA, mB, mx] - 1)) < 1e-13, pt
-        assert np.max(np.abs(np.array(got[4:]) - jac.ravel())) < 1e-10 * np.max(np.abs(jac)), pt
+        assert np.max(np.abs(np.array(got[4:]) - jac.ravel()[[0, 1, 3]])) < 1e-10 * np.max(np.abs(jac)), pt
         assert err <= 1e-8, pt
 
 
@@ -393,8 +401,8 @@ def test_batched_moments_match_the_one_point_oracle_bit_for_bit():
     assert 0 < sum(capped) < len(points)
     want = {}
     for i, pt in enumerate(points):
-        i0, mA, mB, mx, jac, err = moments_one_point(*pt)
-        want[i] = np.array([i0, mA, mB, mx, *jac.ravel(), err]).tobytes()
+        log_i0, mA, mB, mx, jac, err = moments_one_point(*pt)
+        want[i] = np.array([log_i0, mA, mB, mx, *jac.ravel()[[0, 1, 3]], err]).tobytes()
     # each point in a call of its own, the whole sweep in one call, and in
     # calls of three in reverse order
     order = list(range(len(points)))
@@ -407,8 +415,9 @@ def test_batched_moments_match_the_one_point_oracle_bit_for_bit():
 
 def test_a_saddle_is_the_same_alone_in_its_grid_and_in_the_reversed_grid():
     points = [(beta, p) for beta in (1e-3, 10.0, 1e4, 1e8) for p in (0.3, 0.85, 0.89, 0.95, 1.0)]
-    alone = [repr(saddle_search(beta, p)) for beta, p in points]
-    assert "interior=True" in "".join(alone) and "interior=False" in "".join(alone)
+    solves = [saddle_search(beta, p) for beta, p in points]
+    alone = [repr(s) for s in solves]
+    assert {s.interior for s in solves} == {True, False}
     assert [repr(s) for s in werner._saddles(points)] == alone
     assert [repr(s) for s in werner._saddles(points[::-1])] == alone[::-1]
     grid = [p for _, p in points[5:10]]
@@ -476,7 +485,7 @@ def test_the_first_failure_in_grid_order_is_reported(monkeypatch):
     # fails first, and at beta = 1e-318 the first pass already fails
     assert saddle_search(10.0, 0.5).iterations > saddle_search(10.0, 0.95).iterations
     monkeypatch.setattr(werner, "_moments",
-                        lambda *args: [(*row[:8], 1.0) for row in _moments(*args)])
+                        lambda *args: [(*row[:7], 1.0) for row in _moments(*args)])
     alone = {}
     for p in (0.5, 0.95):
         with pytest.raises(QuadratureError, match="did not converge") as failed:
@@ -495,8 +504,8 @@ def test_the_first_failure_in_grid_order_is_reported(monkeypatch):
 
 
 def test_saddle_solves_stop_at_the_rounding_floor():
-    # 48 interior solves in at most 200 quadrature passes in all; without the
-    # rounding-floor stop the same solves take 225
+    # 48 interior solves, each stopped once its free gradient is down to
+    # the rounding floor, in at most 200 quadrature passes in all (176)
     solves = [saddle_search(beta, p) for p in (0.90, 0.95, 1.00)
               for beta in np.logspace(1, 5, 16)]
     assert all(s.interior for s in solves)
@@ -575,12 +584,56 @@ def test_saddle_mean_x_is_the_moment_at_the_returned_point():
 
 def test_saddle_raises_when_its_final_pass_does_not_converge(monkeypatch):
     def unconverged(*args):
-        return [(*row[:8], 1.0) for row in _moments(*args)]  # error estimate far above _QUAD_TOL
+        return [(*row[:7], 1.0) for row in _moments(*args)]  # error estimate far above _QUAD_TOL
 
     monkeypatch.setattr(werner, "_moments", unconverged)
     for p in (0.9, 0.5):  # interior and boundary ends
         with pytest.raises(QuadratureError, match="did not converge"):
             saddle_search(10.0, p)
+
+
+def test_saddle_raises_when_it_runs_out_of_passes(monkeypatch):
+    # at beta = 10, p = 0.5 ends on the face after 6 passes; allowed one,
+    # the solve ends without a certificate
+    monkeypatch.setattr(werner, "_MAX_EVALS", 1)
+    with pytest.raises(QuadratureError, match="ended without a certificate after 1 passes"):
+        saddle_search(10.0, 0.5)
+
+
+def test_the_corners_of_beta_and_p_end_certified_or_refused_without_a_warning():
+    # beta and p from 1e-300 up, where I0 spans far more than the float
+    # range: the moments, from shifted log weights, raise no RuntimeWarning,
+    # and a point ends certified (inside with its constraints solved, or on
+    # the face) or with QuadratureError.  159 of the 208 end certified; the
+    # rest lose a grid scale or, at p <= 1e-20, a Hessian entry to rounding
+    betas = (1e-300, 1e-280, 1e-250, 1e-200, 1e-100, 1e-30, 1e-3, 0.1, 10.0, 1e3, 1e6, 1e10,
+             1e30, 1e100, 1e200, 1e300)
+    ps = (1e-300, 1e-200, 1e-150, 1e-100, 1e-50, 1e-20, 1e-10, 1e-6, 1e-3, 0.1, 0.5, 0.9, 1.0)
+    answered = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for beta in betas:
+            for p in ps:
+                try:
+                    sad = saddle_search(beta, p)
+                except QuadratureError:
+                    continue
+                assert sad.gamma_star == 0.0 or sad.region_member, (beta, p)
+                answered += 1
+    assert answered >= 118
+
+
+def test_saddles_whose_integral_lies_outside_the_float_range():
+    # in linear scale I0 underflows at beta 1.7e-299, p 8.9e-11, and so does
+    # <B> at beta 10, p 1e-100, where lam starts at 8e100; the second ends
+    # on the face with the residual it has at p = 1e-60
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tiny = saddle_search(1.7143750545673087e-299, 8.860291552906891e-11)
+        far = saddle_search(10.0, 1e-100)
+    assert tiny.interior and tiny.region_member
+    assert far.gamma_star == 0.0 and far.iterations <= 16
+    assert far.residual_norm == pytest.approx(saddle_search(10.0, 1e-60).residual_norm, rel=1e-12)
 
 
 def test_saddle_validation():
