@@ -4,11 +4,11 @@ Every decomposition rho = sum_i |psi_i><psi_i| of length N is reachable from
 a fixed eigenvector ensemble {e_alpha} through an N x r matrix z with
 orthonormal columns (z^dag z = 1), via psi_i = sum_alpha z_{i alpha} e_alpha.
 The z matrices form the complex Stiefel manifold V_{N,r}; this module
-provides points on it (Haar sampling and Haar unitaries, all drawn and
-factored in place by `_stiefel_batch`), the constraint residual, and
-reconstruction of ensembles.  The paper's explicit chart, Gram-Schmidt of
-the identity stacked on a free block, is kept in the test suite as an
-independent oracle for the module's Cholesky-QR.
+provides points on it (Haar sampling and Haar unitaries, all drawn by
+`_ginibre` and factored in place by `_stiefel_batch`), the constraint
+residual, and reconstruction of ensembles.  The paper's explicit chart,
+Gram-Schmidt of the identity stacked on a free block, is kept in the test
+suite as an independent oracle for the module's Cholesky-QR.
 """
 from __future__ import annotations
 
@@ -110,30 +110,41 @@ def _batch_last_q(g: np.ndarray, passes: int) -> np.ndarray:
     return g
 
 
-def _stiefel_batch(N: int, r: int, count: int, rng) -> np.ndarray:
-    """count Haar points of V_{N,r}, stacked (count, N, r): the Q of N x r
-    Ginibre blocks, the same distribution as r columns of a Haar N x N
-    unitary without paying for the rest.  Every Q of the package comes from
-    here.  One pass leaves a block with N >= r^2 (every ensemble length
-    m^2 n^2 the sampler draws) orthonormal to ~2e-15, since such a block is
-    well conditioned; narrower blocks, N = r among them, take a second.
+def _batch_last(N: int, r: int) -> bool:
+    """The layout rule of `_ginibre` and the kernel rule of `_stiefel_batch`.
     Where N r^2 <= 512, which holds for every 2x2 sampler draw (16 x r,
     r <= 4), the blocks are laid out (r, N, count) and `_batch_last_q`
     factors them: per-matrix LAPACK calls cost more than their arithmetic
-    there and do not scale across the sampler's threads.  Larger matrices
-    (3x3's 81 x 9) go to `_phase_fixed_q`, whose batched LAPACK calls win
-    once a matrix holds more work; the two cost the same near N r^2 ~ 600.
-    One standard_normal call fills the buffer in memory order, the real and
-    imaginary part of each entry side by side, so the entries run (a, n, c)
-    over column a, row n and matrix c where the buffer is batch-last, and
-    (c, n, a) otherwise.  Q comes back as the (count, N, r) view of that
-    buffer, Fortran-ordered where it is batch-last.
+    there.  Larger matrices (3x3's 81 x 9) are laid out (count, N, r) and go
+    to `_phase_fixed_q`, whose batched LAPACK calls win once a matrix holds
+    more work; the two cost the same near N r^2 ~ 600."""
+    return N * r * r <= 512
+
+
+def _ginibre(N: int, r: int, count: int, rng) -> np.ndarray:
+    """count N x r Ginibre blocks, laid out as `_stiefel_batch` factors
+    them: the draw step of a Haar draw.  One standard_normal call fills the
+    buffer in memory order, the real and imaginary part of each entry side
+    by side, so the entries run (a, n, c) over column a, row n and matrix c
+    where the buffer is batch-last, and (c, n, a) otherwise."""
+    g = np.empty((r, N, count) if _batch_last(N, r) else (count, N, r), dtype=complex)
+    rng.standard_normal(out=g.view(float))
+    return g
+
+
+def _stiefel_batch(N: int, r: int, g: np.ndarray) -> np.ndarray:
+    """The Haar points of V_{N,r} that the blocks g of `_ginibre` give,
+    stacked (count, N, r): the Q of the N x r Ginibre blocks, the same
+    distribution as r columns of a Haar N x N unitary without paying for
+    the rest.  Every Q of the package comes from here.  One pass leaves a
+    block with N >= r^2 (every ensemble length m^2 n^2 the sampler draws)
+    orthonormal to ~2e-15, since such a block is well conditioned; narrower
+    blocks, N = r among them, take a second.  g is overwritten, and Q comes
+    back as the (count, N, r) view of it, Fortran-ordered where it is
+    batch-last.
     """
     passes = 1 if N >= r * r else 2
-    batch_last = N * r * r <= 512
-    g = np.empty((r, N, count) if batch_last else (count, N, r), dtype=complex)
-    rng.standard_normal(out=g.view(float))
-    if batch_last:
+    if _batch_last(N, r):
         return _batch_last_q(g, passes).T
     return _phase_fixed_q(g, passes)
 
@@ -141,13 +152,15 @@ def _stiefel_batch(N: int, r: int, count: int, rng) -> np.ndarray:
 def haar_stiefel(N: int, r: int, seed) -> StiefelPoint:
     """Uniform point of V_{N,r}; seed is an int, SeedSequence or Generator."""
     _require_count(N, "N", _require_count(r, "r"))
-    return StiefelPoint(N, r, _stiefel_batch(N, r, 1, np.random.default_rng(seed))[0])
+    g = _ginibre(N, r, 1, np.random.default_rng(seed))
+    return StiefelPoint(N, r, _stiefel_batch(N, r, g)[0])
 
 
 def haar_unitary(d: int, seed) -> np.ndarray:
     """Haar-distributed d x d unitary: haar_stiefel(d, d, seed) as an array."""
     _require_count(d, "d")
-    return _stiefel_batch(d, d, 1, np.random.default_rng(seed))[0]
+    g = _ginibre(d, d, 1, np.random.default_rng(seed))
+    return _stiefel_batch(d, d, g)[0]
 
 
 def caratheodory_length(m: int, n: int) -> int:

@@ -26,17 +26,18 @@ sample into _sub_blocks slices of _QR_ENTRIES // (N r) matrices (at least
 one), so a slice holds about the same number of complex entries at every
 shape, and spawns one child SeedSequence per slice from its seed, in slice
 order (a SeedSequence passed in is copied first, so it is not advanced).
-Each slice is one task on a pool of one thread per usable CPU that lives
-for one call: it builds its own generator from its child seed, fills the
-QR kernel's buffer with its Ginibre block by one standard_normal call,
-takes its Cholesky-QR and writes its slice's energies with one `energy`
-call, so the slice is the only row block.  Each slice goes through
-ensembles._stiefel_batch, whose QR kernel and buffer layout depend on N
-and r alone, so every slice of a call takes the same ones.  Nothing is
-drawn on the calling thread.  A task's values depend only on its slice and
-its child seed, so the results depend neither on the number of workers nor
-on how they are scheduled; changing _QR_ENTRIES or the kernel rule of
-ensembles._stiefel_batch changes the samples.  Parallel use should derive one
+Each slice builds its own generator from its child seed, and
+ensembles._ginibre fills one buffer with the slice's Ginibre blocks by one
+standard_normal call, on whichever thread claims the slice: one of the
+drawer threads that live for one call (one fewer than the usable CPUs) or
+the calling thread.  The calling thread alone factors each buffer by
+ensembles._stiefel_batch and writes the slice's energies with one `energy`
+call, so the slice is the only row block.  The buffer layout and the QR
+kernel (ensembles._batch_last) depend on N and r alone, so every slice of a
+call takes the same ones.  A slice's values depend only on the slice and
+its child seed, so the results depend neither on the number of threads nor
+on which thread draws which slice; changing _QR_ENTRIES or the rule of
+ensembles._batch_last changes the samples.  Parallel use should derive one
 child seed per task via numpy SeedSequence(seed).spawn, the splitting rule
 of the slices; `mc` and `probe` pass their --seed straight in, so one seed
 gives both commands the same samples.
@@ -44,12 +45,13 @@ gives both commands the same samples.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .costfn import CostOperator, LagrangeMultipliers, energy
-from .ensembles import _stiefel_batch
+from .ensembles import _ginibre, _stiefel_batch
 from .quantum_core import InvalidInput, _require_count
 
 JACKKNIFE_BLOCKS = 32
@@ -104,12 +106,12 @@ def _cpu_count() -> int:
 
 def _sub_blocks(N: int, r: int, count: int) -> list:
     """Slices of _QR_ENTRIES // (N r) matrices (at least one) that cover a
-    stack of count N x r matrices; the last may be shorter.  Each slice is
-    one sampler task with its own stream, drawn and evaluated whole, so
-    these slices fix the samples.  Sized by entries, a task holds ~0.6 MB
-    per complex buffer at any shape: 50 matrices at 81 x 9, 576 at 16 x 4,
-    enough numpy work per call for the small matrices to gain from the
-    pool's threads."""
+    stack of count N x r matrices; the last may be shorter.  Each slice has
+    its own stream and is drawn and evaluated whole, so these slices fix
+    the samples.  Sized by entries, a slice holds ~0.6 MB per complex
+    buffer at any shape: 50 matrices at 81 x 9, 576 at 16 x 4, enough
+    numpy work per call for the small matrices that the interpreter's
+    share of a call stays small."""
     step = max(1, _QR_ENTRIES // (N * r))
     return [slice(s, min(s + step, count)) for s in range(0, count, step)]
 
@@ -127,30 +129,88 @@ def _child_seeds(seed, n: int) -> list:
 def _batch_energies(cop: CostOperator, N: int, samples: int, seed) -> np.ndarray:
     """E(z) for `samples` Haar Stiefel draws; order is seed-fixed.
 
-    The rule of the Determinism note above: one pool task per _sub_blocks
-    slice draws that slice from its own child generator and writes that
-    slice of out, so one sub-block per worker is alive at a time.
+    The rule of the Determinism note above, on threads with fixed roles.
+    Each of min(_cpu_count(), sub-blocks) - 1 drawer threads claims the
+    next sub-block, draws it from its child generator and hands the buffer
+    over through a queue that holds two blocks per drawer.  The calling
+    thread factors every block and takes its energies into that block's
+    slice of out; when no drawn block waits, it draws the next unclaimed
+    one itself.  The draw is one standard_normal call, which runs without
+    the GIL, while the factor step is many small numpy calls that would
+    contend for it on two threads.  An error on any thread is raised here,
+    after every drawer has stopped.
     """
-    from concurrent.futures import ThreadPoolExecutor  # kept out of import time
+    import queue  # kept out of import time
 
-    blocks = _sub_blocks(N, cop.r, samples)
+    r = cop.r
+    blocks = _sub_blocks(N, r, samples)
+    children = _child_seeds(seed, len(blocks))
     out = np.empty(samples)
+    unclaimed = iter(range(len(blocks)))
+    claim_lock = threading.Lock()
+    drawers = min(_cpu_count(), len(blocks)) - 1
+    # (k, g), and last a drawer's (None, error).  Two places per drawer:
+    # while the calling thread draws and factors a block of its own, which
+    # takes no longer than two draws where the factor step is not slower
+    # than the draw, as at 2x2 and 3x3, a drawer can finish two blocks
+    # without waiting to hand them over.  With one place, 2x2 sampling on
+    # two CPUs ran ~10% slower.
+    handed = queue.Queue(2 * drawers)
+    started = finished = 0
 
-    def task(b, child):
-        rng = np.random.default_rng(child)  # built on the worker, off the calling thread
-        out[b] = energy(_stiefel_batch(N, cop.r, b.stop - b.start, rng), cop)
+    def claim():
+        with claim_lock:
+            return next(unclaimed, None)
+
+    def draw(k):
+        b = blocks[k]
+        return _ginibre(N, r, b.stop - b.start, np.random.default_rng(children[k]))
+
+    def drawer():
+        error = None
+        try:
+            while (k := claim()) is not None:
+                handed.put((k, draw(k)))
+        except BaseException as exc:  # raised on the calling thread
+            error = exc
+        handed.put((None, error))
 
     # An untouched 16 MiB array, freed at once: glibc then raises its mmap
     # threshold to 16 MiB (below the 32 MiB up to which it adapts) and its
-    # trim threshold to twice that, so the ~0.6 MB buffers of each task's
+    # trim threshold to twice that, so the ~0.6 MB buffers of each block's
     # draw, QR and energy call come from a warm heap instead of being mapped
     # and faulted in anew each time.  First call in a fresh process, without
     # it and with it: 3000 3x3 draws at N=81 37k-41k and ~1.9k page faults,
     # 1e5 2x2 draws at N=16 27k-59k and ~1.6k.
     np.empty(1 << 21)
-    with ThreadPoolExecutor(min(_cpu_count(), len(blocks))) as pool:
-        # map cancels the tasks not yet started once one of them raises
-        list(pool.map(task, blocks, _child_seeds(seed, len(blocks))))
+    threads = [threading.Thread(target=drawer) for _ in range(drawers)]
+    try:
+        for t in threads:
+            t.start()
+            started += 1
+        for _ in blocks:
+            try:
+                k, g = handed.get_nowait()
+            except queue.Empty:
+                if (k := claim()) is not None:
+                    g = draw(k)
+                else:  # every block is claimed: wait for a drawer's
+                    k, g = handed.get()
+            while k is None:  # a drawer's last word
+                finished += 1
+                if g is not None:
+                    raise g
+                k, g = handed.get()
+            out[blocks[k]] = energy(_stiefel_batch(N, r, g), cop)
+    finally:
+        with claim_lock:
+            for _ in unclaimed:  # leaves nothing to claim
+                pass
+        while finished < started:  # a drawer waiting to hand over a block gets its turn
+            if handed.get()[0] is None:
+                finished += 1
+        for t in threads[:started]:
+            t.join()
     return out
 
 

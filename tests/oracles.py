@@ -47,9 +47,10 @@ Each computes a quantity the library also computes, by a different route:
   (the library fills the float view of one buffer with one call and writes
   the Cholesky-QR factor back over it, and must agree to rounding);
 - the sampled energies on one thread, slice by slice, each slice drawn
-  from its own child of SeedSequence(seed) (the library runs the slices as
-  tasks on a thread pool and must give the same bits with its own draw, and
-  agree to rounding with the Householder draw);
+  from its own child of SeedSequence(seed) (the library draws the slices on
+  several threads and factors them on the calling thread, and must give the
+  same bits with its own draw, and agree to rounding with the Householder
+  draw);
 - the exact beta = 0 mean of the energy over Haar draws, in closed form in
   the purities of rho and its reductions (the library only samples it);
 - the reweighted mean, effective sample size and jackknife error, each

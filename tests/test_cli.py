@@ -420,8 +420,9 @@ def test_cli_import_does_not_load_scipy():
 
 
 def test_cli_import_does_not_load_the_thread_pool():
-    # the samplers import concurrent.futures on first use, not at import time
-    assert "concurrent.futures" not in _modules_loaded_by_cli_import()
+    # the sampler imports queue on first use, not at import time, and no
+    # longer uses concurrent.futures
+    assert not {"queue", "concurrent.futures"} & _modules_loaded_by_cli_import()
 
 
 def test_scaling_inside_region(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import cost_tensor, full_hamiltonian, h_form_energy, tensor_energy
-from sepmech.ensembles import _stiefel_batch
+from sepmech.ensembles import _ginibre, _stiefel_batch
 from sepmech import (DensityMatrix, LagrangeMultipliers, StiefelPoint,
                      concurrence_sq, cost_operator, eigen_ensemble, energy,
                      ensemble_from_stiefel, haar_stiefel, haar_unitary,
@@ -118,7 +118,7 @@ def test_energy_reads_the_samplers_batch_last_q_without_a_copy():
     # a re-layout copy of the 2x2 sampler's (576, 16, 4) Q would be alive
     # beside the amplitudes, past the peak of the minors that follow
     cop = cost_operator(werner_eigenensemble(0.2))
-    z = _stiefel_batch(16, 4, 576, np.random.default_rng(5))
+    z = _stiefel_batch(16, 4, _ginibre(16, 4, 576, np.random.default_rng(5)))
     zc = np.ascontiguousarray(z)
     assert np.isfortran(z)
 
@@ -163,7 +163,7 @@ def test_energy_matches_tensor_oracle_across_row_blocks(m, n, rank, N, random_de
         assert np.max(np.abs(got - tensor_energy(z, tensor)) / norm4) < 1e-13
 
     for count in (1, 2, 65):
-        zs = (_stiefel_batch(N, rank, count, rng) if N >= rank
+        zs = (_stiefel_batch(N, rank, _ginibre(N, rank, count, rng)) if N >= rank
               else rng.standard_normal((count, N, rank)) + 1j * rng.standard_normal((count, N, rank)))
         check(zs, (count,))
     if N >= rank:

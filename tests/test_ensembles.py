@@ -211,7 +211,7 @@ def test_blocked_sampler_is_bit_identical_to_unblocked(N, r):
     # Householder QR of those blocks to rounding (oracles.Q_ROUNDING)
     for count in (1, 2, 48, 257):
         a, b, c = (np.random.default_rng(count) for _ in range(3))
-        got = ensembles._stiefel_batch(N, r, count, a)
+        got = ensembles._stiefel_batch(N, r, ensembles._ginibre(N, r, count, a))
         assert np.array_equal(got, SELECTED_KERNEL[N, r](ginibre_unblocked(N, r, count, c)))
         assert np.max(np.abs(got - stiefel_batch_unblocked(N, r, count, b))) <= Q_ROUNDING
         # both leave the generator in the same state
@@ -247,7 +247,8 @@ def test_haar_draw_is_the_phase_fixed_thin_qr(N, r):
     count = statmech._sub_blocks(N, r, statmech._QR_ENTRIES)[0].stop
     for seed in range(4):
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert_thin_qr(ensembles._stiefel_batch(N, r, count, a), ginibre_unblocked(N, r, count, b))
+        q = ensembles._stiefel_batch(N, r, ensembles._ginibre(N, r, count, a))
+        assert_thin_qr(q, ginibre_unblocked(N, r, count, b))
 
 
 @pytest.mark.parametrize("d", [2, 4, 16])
@@ -261,7 +262,8 @@ def test_haar_unitary_is_the_samplers_square_draw(d):
     # d <= 8 takes the batch-last kernel and the rest LAPACK; 16 and 81 are
     # the sizes the benchmark's Haar oracle draws
     a, b = np.random.default_rng(d), np.random.default_rng(d)
-    assert np.array_equal(haar_unitary(d, a), ensembles._stiefel_batch(d, d, 1, b)[0])
+    q = ensembles._stiefel_batch(d, d, ensembles._ginibre(d, d, 1, b))[0]
+    assert np.array_equal(haar_unitary(d, a), q)
     assert a.bit_generator.state == b.bit_generator.state
 
 

@@ -153,8 +153,8 @@ def test_every_private_module_name_is_used_in_the_library():
 
 
 def test_every_q_comes_from_the_one_dispatcher():
-    # the two Cholesky-QR kernels live in ensembles beside the one draw
-    # function, whose shape rule picks between them, and only it names them;
+    # the two Cholesky-QR kernels live in ensembles beside the one factor
+    # step, whose kernel rule picks between them, and only it names them;
     # quantum_core holds states, draws nothing and takes no QR
     kernels = {"_phase_fixed_q", "_batch_last_q"}
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}

@@ -64,9 +64,12 @@ def workers(request, monkeypatch):
 
 def serial(cop, N, samples, seed):
     """The sampler's slices and child seeds run one after another on this
-    thread, each drawn by the library's own _stiefel_batch."""
+    thread, each drawn by the library's own _ginibre and _stiefel_batch."""
+    def draw(N, r, count, rng):
+        return ensembles._stiefel_batch(N, r, ensembles._ginibre(N, r, count, rng))
+
     return batch_energies_serial(cop, N, samples, seed, statmech._sub_blocks(N, cop.r, samples),
-                                 draw=ensembles._stiefel_batch)
+                                 draw=draw)
 
 
 def assert_near_householder(got, cop, N, samples, seed):
@@ -110,31 +113,144 @@ def test_sampler_is_bit_identical_with_more_workers_than_cores(monkeypatch):
     assert_near_householder(got, COP02, 16, samples, 8)
 
 
-def test_the_pool_runs_the_energies_off_the_calling_thread(workers, monkeypatch):
-    seen = set()
+def spy_roles(monkeypatch):
+    """Record the thread of every draw (with its count), QR and energy call
+    of one 8209-sample run."""
+    seen = {"draw": [], "qr": [], "energy": []}
+    draw, qr = statmech._ginibre, statmech._stiefel_batch
 
-    def spy(z, cop):
-        seen.add(threading.get_ident())
-        return energy(z, cop)
-
-    monkeypatch.setattr(statmech, "energy", spy)
-    sample_energies(COP02, 16, 3000, seed=1)
-    assert seen and threading.get_ident() not in seen and len(seen) <= workers
-
-
-def test_the_pool_draws_off_the_calling_thread(workers, monkeypatch):
-    seen = []
-    draw = statmech._stiefel_batch
-
-    def spy(N, r, count, rng):
-        seen.append((threading.get_ident(), count))
+    def spy_draw(N, r, count, rng):
+        seen["draw"].append((threading.get_ident(), count))
         return draw(N, r, count, rng)
 
-    monkeypatch.setattr(statmech, "_stiefel_batch", spy)
-    sample_energies(COP02, 16, 3000, seed=1)
-    assert threading.get_ident() not in {t for t, _ in seen}
-    assert sorted(c for _, c in seen) == sorted(b.stop - b.start
-                                               for b in statmech._sub_blocks(16, 4, 3000))
+    def spy_qr(N, r, g):
+        seen["qr"].append(threading.get_ident())
+        return qr(N, r, g)
+
+    def spy_energy(z, cop):
+        seen["energy"].append(threading.get_ident())
+        return energy(z, cop)
+
+    monkeypatch.setattr(statmech, "_ginibre", spy_draw)
+    monkeypatch.setattr(statmech, "_stiefel_batch", spy_qr)
+    monkeypatch.setattr(statmech, "energy", spy_energy)
+    sample_energies(COP02, 16, 8209, seed=1)
+    return seen, statmech._sub_blocks(16, 4, 8209)
+
+
+def test_the_calling_thread_runs_every_qr_and_energy(workers, monkeypatch):
+    seen, blocks = spy_roles(monkeypatch)
+    assert seen["qr"] == seen["energy"] == [threading.get_ident()] * len(blocks)
+
+
+def test_every_sub_block_is_drawn_once_and_drawers_share_the_draws(workers, monkeypatch):
+    seen, blocks = spy_roles(monkeypatch)
+    assert sorted(c for _, c in seen["draw"]) == sorted(b.stop - b.start for b in blocks)
+    assert len({t for t, _ in seen["draw"]} - {threading.get_ident()}) == workers - 1
+
+
+@pytest.mark.parametrize("cpus, samples", [(1, 8209), (2, 576), (8, 1)])
+def test_no_thread_starts_for_one_worker_or_one_sub_block(monkeypatch, cpus, samples):
+    started = []
+    start = threading.Thread.start
+
+    def spy(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    monkeypatch.setattr(statmech, "_cpu_count", lambda: cpus)
+    got = sample_energies(COP02, 16, samples, seed=2)
+    assert started == []
+    assert np.array_equal(got, serial(COP02, 16, samples, 2))
+
+
+class Boom(RuntimeError):
+    pass
+
+
+class Caller(threading.Thread):
+    """Calls fn(*args) on a daemon thread, which is then the sampler's
+    calling thread; the drawers it starts are daemons too, so a sampler
+    that fails to stop them fails the test at the join and cannot keep the
+    run from ending."""
+
+    def __init__(self, fn, *args):
+        super().__init__(daemon=True)
+        self.fn, self.args, self.error = fn, args, None
+
+    def run(self):
+        try:
+            self.result = self.fn(*self.args)
+        except BaseException as exc:  # re-raised by finish
+            self.error = exc
+
+    def finish(self):
+        self.start()
+        self.join(timeout=60)
+        assert not self.is_alive()
+        if self.error is not None:
+            raise self.error
+        return self.result
+
+
+def test_a_factor_error_with_the_queue_full_stops_the_drawer(monkeypatch):
+    # the first block's factor step raises once the drawer has drawn three
+    # blocks: two fill the queue and the third waits to be handed over
+    monkeypatch.setattr(statmech, "_cpu_count", lambda: 2)
+    before = sample_energies(COP02, 16, 8209, seed=9)
+    baseline = threading.active_count()
+    caller = Caller(sample_energies, COP02, 16, 8209, 9)
+    drawn = threading.Semaphore(0)
+    draw = statmech._ginibre
+
+    def spy_draw(*args):
+        g = draw(*args)
+        if threading.current_thread() is not caller:
+            drawn.release()
+        return g
+
+    def fail(*args):
+        assert all(drawn.acquire(timeout=10) for _ in range(3))
+        raise Boom
+
+    with monkeypatch.context() as patch:
+        patch.setattr(statmech, "_ginibre", spy_draw)
+        patch.setattr(statmech, "_stiefel_batch", fail)
+        with pytest.raises(Boom):
+            caller.finish()
+    assert threading.active_count() == baseline
+    assert np.array_equal(sample_energies(COP02, 16, 8209, seed=9), before)
+
+
+def test_a_drawer_error_is_raised_on_the_calling_thread(monkeypatch):
+    # the third sub-block's draw raises on the drawer thread; the calling
+    # thread waits in its first factor step until then, so it cannot claim
+    # that sub-block itself
+    monkeypatch.setattr(statmech, "_cpu_count", lambda: 2)
+    baseline = threading.active_count()
+    caller = Caller(sample_energies, COP02, 16, 8209, 9)
+    tried = threading.Event()
+    error = Boom("third sub-block")
+    draw, factor = statmech._ginibre, statmech._stiefel_batch
+
+    def spy_draw(N, r, count, rng):
+        if rng.bit_generator.seed_seq.spawn_key == (2,):
+            assert threading.current_thread() is not caller
+            tried.set()
+            raise error
+        return draw(N, r, count, rng)
+
+    def wait_then_factor(*args):
+        assert tried.wait(timeout=10)
+        return factor(*args)
+
+    monkeypatch.setattr(statmech, "_ginibre", spy_draw)
+    monkeypatch.setattr(statmech, "_stiefel_batch", wait_then_factor)
+    with pytest.raises(Boom) as raised:
+        caller.finish()
+    assert raised.value is error
+    assert threading.active_count() == baseline
 
 
 def test_the_same_seed_sequence_twice_gives_the_same_samples():
