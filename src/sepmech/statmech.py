@@ -28,24 +28,23 @@ shape, and spawns one child SeedSequence per slice from its seed, in slice
 order (a SeedSequence passed in is copied first, so it is not advanced).
 Each slice builds its own generator from its child seed, and
 ensembles._ginibre fills one buffer with the slice's Ginibre blocks by one
-standard_normal call, on whichever thread claims the slice: one of the
-drawer threads that live for one call (one fewer than the usable CPUs) or
-the calling thread.  The calling thread alone factors each buffer by
-ensembles._stiefel_batch and writes the slice's energies with one `energy`
-call, so the slice is the only row block.  The buffer layout and the QR
-kernel (ensembles._batch_last) depend on N and r alone, so every slice of a
-call takes the same ones.  A slice's values depend only on the slice and
-its child seed, so the results depend neither on the number of threads nor
-on which thread draws which slice; changing _QR_ENTRIES or the rule of
-ensembles._batch_last changes the samples.  Parallel use should derive one
-child seed per task via numpy SeedSequence(seed).spawn, the splitting rule
-of the slices; `mc` and `probe` pass their --seed straight in, so one seed
-gives both commands the same samples.
+standard_normal call, on a thread of a pool that lives for one call (one
+fewer than the usable CPUs) or on the calling thread.  The calling thread
+alone factors each buffer by ensembles._stiefel_batch and writes the
+slice's energies with one `energy` call, so the slice is the only row
+block.  The buffer layout and the QR kernel (ensembles._batch_last) depend
+on N and r alone, so every slice of a call takes the same ones.  A slice's
+values depend only on the slice and its child seed, so the results depend
+neither on the number of threads nor on which thread draws which slice;
+changing _QR_ENTRIES or the rule of ensembles._batch_last changes the
+samples.  Parallel use should derive one child seed per task via numpy
+SeedSequence(seed).spawn, the splitting rule of the slices; `mc` and
+`probe` pass their --seed straight in, so one seed gives both commands the
+same samples.
 """
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,88 +128,59 @@ def _child_seeds(seed, n: int) -> list:
 def _batch_energies(cop: CostOperator, N: int, samples: int, seed) -> np.ndarray:
     """E(z) for `samples` Haar Stiefel draws; order is seed-fixed.
 
-    The rule of the Determinism note above, on threads with fixed roles.
-    Each of min(_cpu_count(), sub-blocks) - 1 drawer threads claims the
-    next sub-block, draws it from its child generator and hands the buffer
-    over through a queue that holds two blocks per drawer.  The calling
-    thread factors every block and takes its energies into that block's
-    slice of out; when no drawn block waits, it draws the next unclaimed
-    one itself.  The draw is one standard_normal call, which runs without
-    the GIL, while the factor step is many small numpy calls that would
-    contend for it on two threads.  An error on any thread is raised here,
-    after every drawer has stopped.
+    The rule of the Determinism note above, on threads with fixed roles:
+    the min(_cpu_count(), sub-blocks) - 1 drawer threads of a pool that
+    lives for one call only draw, and the calling thread alone factors each
+    block and writes its energies into that block's slice of out.  The draw
+    is one standard_normal call, which runs without the GIL, while the
+    factor step is many small numpy calls that would contend for it on two
+    threads.  An error on any thread is raised here once no draw runs.
     """
-    import queue  # kept out of import time
-
     r = cop.r
     blocks = _sub_blocks(N, r, samples)
     children = _child_seeds(seed, len(blocks))
     out = np.empty(samples)
-    unclaimed = iter(range(len(blocks)))
-    claim_lock = threading.Lock()
     drawers = min(_cpu_count(), len(blocks)) - 1
-    # (k, g), and last a drawer's (None, error).  Two places per drawer:
-    # while the calling thread draws and factors a block of its own, which
-    # takes no longer than two draws where the factor step is not slower
-    # than the draw, as at 2x2 and 3x3, a drawer can finish two blocks
-    # without waiting to hand them over.  With one place, 2x2 sampling on
-    # two CPUs ran ~10% slower.
-    handed = queue.Queue(2 * drawers)
-    started = finished = 0
-
-    def claim():
-        with claim_lock:
-            return next(unclaimed, None)
 
     def draw(k):
         b = blocks[k]
         return _ginibre(N, r, b.stop - b.start, np.random.default_rng(children[k]))
 
-    def drawer():
-        error = None
-        try:
-            while (k := claim()) is not None:
-                handed.put((k, draw(k)))
-        except BaseException as exc:  # raised on the calling thread
-            error = exc
-        handed.put((None, error))
+    def factor(k, g):
+        out[blocks[k]] = energy(_stiefel_batch(N, r, g), cop)
 
     # An untouched 16 MiB array, freed at once: glibc then raises its mmap
     # threshold to 16 MiB (below the 32 MiB up to which it adapts) and its
     # trim threshold to twice that, so the ~0.6 MB buffers of each block's
     # draw, QR and energy call come from a warm heap instead of being mapped
     # and faulted in anew each time.  First call in a fresh process, without
-    # it and with it: 3000 3x3 draws at N=81 37k-41k and ~1.9k page faults,
-    # 1e5 2x2 draws at N=16 27k-59k and ~1.6k.
+    # it and with it: 3000 3x3 draws at N=81 ~33.6k and ~1.5k page faults,
+    # 1e5 2x2 draws at N=16 4.8k-14.6k and ~1.8k.
     np.empty(1 << 21)
-    threads = [threading.Thread(target=drawer) for _ in range(drawers)]
+    if not drawers:
+        for k in range(len(blocks)):
+            factor(k, draw(k))
+        return out
+
+    from concurrent.futures import ThreadPoolExecutor  # kept out of import time
+
+    # Three draws ahead per drawer, in block order: while the calling thread
+    # draws and factors a block, about two draws' time at 2x2 and 3x3, a
+    # drawer can finish two and start a third.
+    lead = 3 * drawers
+    pool = ThreadPoolExecutor(drawers)
     try:
-        for t in threads:
-            t.start()
-            started += 1
-        for _ in blocks:
-            try:
-                k, g = handed.get_nowait()
-            except queue.Empty:
-                if (k := claim()) is not None:
-                    g = draw(k)
-                else:  # every block is claimed: wait for a drawer's
-                    k, g = handed.get()
-            while k is None:  # a drawer's last word
-                finished += 1
-                if g is not None:
-                    raise g
-                k, g = handed.get()
-            out[blocks[k]] = energy(_stiefel_batch(N, r, g), cop)
+        ahead = [(k, pool.submit(draw, k)) for k in range(min(lead, len(blocks)))]
+        for j in range(lead, len(blocks) + lead):  # round j submits block j, if any
+            i = next((i for i, (_, f) in enumerate(ahead) if f.done()), None)
+            if i is None:  # the first draw not started is made here, else the oldest awaited
+                i = next((i for i, (_, f) in enumerate(ahead) if f.cancel()), 0)
+            k, f = ahead.pop(i)
+            if j < len(blocks):
+                ahead.append((j, pool.submit(draw, j)))
+            factor(k, draw(k) if f.cancelled() else f.result())
     finally:
-        with claim_lock:
-            for _ in unclaimed:  # leaves nothing to claim
-                pass
-        while finished < started:  # a drawer waiting to hand over a block gets its turn
-            if handed.get()[0] is None:
-                finished += 1
-        for t in threads[:started]:
-            t.join()
+        pool.shutdown(cancel_futures=True)  # and waits for the running draws
     return out
 
 

@@ -420,8 +420,7 @@ def test_cli_import_does_not_load_scipy():
 
 
 def test_cli_import_does_not_load_the_thread_pool():
-    # the sampler imports queue on first use, not at import time, and no
-    # longer uses concurrent.futures
+    # the sampler imports its thread pool on first use, not at import time
     assert not {"queue", "concurrent.futures"} & _modules_loaded_by_cli_import()
 
 

@@ -3,6 +3,7 @@ histograms, the 1/beta fit, and the Gaussian one-particle estimator."""
 import dataclasses
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -165,6 +166,38 @@ def test_no_thread_starts_for_one_worker_or_one_sub_block(monkeypatch, cpus, sam
     assert np.array_equal(got, serial(COP02, 16, samples, 2))
 
 
+@pytest.mark.parametrize("cpus", [2, 8])
+def test_drawers_draw_at_most_three_blocks_each_ahead(monkeypatch, cpus):
+    # a slow factor step lets the drawers run ahead; the blocks drawn and not
+    # yet factored, the one in the factor step among them, stay within three
+    # per drawer plus one, however many sub-blocks the sample has
+    monkeypatch.setattr(statmech, "_cpu_count", lambda: cpus)
+    samples = 48 * 576  # 48 sub-blocks
+    lock = threading.Lock()
+    held = [0]
+    draw, factor = statmech._ginibre, statmech._stiefel_batch
+
+    def spy_draw(*args):
+        g = draw(*args)
+        with lock:
+            held.append(held[-1] + 1)
+        return g
+
+    def slow_factor(*args):
+        time.sleep(0.002)
+        q = factor(*args)
+        with lock:
+            held.append(held[-1] - 1)
+        return q
+
+    monkeypatch.setattr(statmech, "_ginibre", spy_draw)
+    monkeypatch.setattr(statmech, "_stiefel_batch", slow_factor)
+    got = sample_energies(COP02, 16, samples, seed=5)
+    assert held[-1] == 0
+    assert max(held) <= 3 * (cpus - 1) + 1
+    assert np.array_equal(got, serial(COP02, 16, samples, 5))
+
+
 class Boom(RuntimeError):
     pass
 
@@ -194,9 +227,9 @@ class Caller(threading.Thread):
         return self.result
 
 
-def test_a_factor_error_with_the_queue_full_stops_the_drawer(monkeypatch):
+def test_a_factor_error_with_the_look_ahead_drawn_stops_the_drawer(monkeypatch):
     # the first block's factor step raises once the drawer has drawn three
-    # blocks: two fill the queue and the third waits to be handed over
+    # blocks, the whole look-ahead of one drawer
     monkeypatch.setattr(statmech, "_cpu_count", lambda: 2)
     before = sample_energies(COP02, 16, 8209, seed=9)
     baseline = threading.active_count()
