@@ -10,16 +10,16 @@ function to a one-dimensional integral
     Z1 = pi^4 / (4 bt det h) * exp(tr[w' h]) *
          integral_0^inf dx exp(-x/4 bt) / sqrt(det(x + w' wbar')),
 
-over the rescaled multiplier w' = h^{-1/2} omega h^{-1/2}, restricted here
-to w' = diag(gamma, lam, lam, lam).  Setting the gradient of log Z1 in w'
-to zero enforces the averaged Stiefel constraints; the p-region where the
+over the rescaled multiplier w' = h^{-1/2} omega h^{-1/2}, diagonal here:
+_moments takes any diagonal entries with their multiplicities, and for W(p)
+w' = diag(gamma, lam, lam, lam).  Setting the gradient of log Z1 in w' to
+zero enforces the averaged Stiefel constraints; the p-region where the
 minimized gradient norm vanishes (is below RESIDUAL_THRESHOLD, the one
 membership test, SaddleResult.region_member) is the equipartition region,
-and -d log Z1 / d beta on it gives the average energy <<E_1>>.  The module
-computes only the restricted form; the test suite checks it against the
-gradient at a generic Hermitian w' and checks the determinant
-factorization det h^2 det(4|s|^2 + w' wbar') against the direct 8x8
-determinant of the Gaussian block matrix.
+and -d log Z1 / d beta on it gives the average energy <<E_1>>.  The test
+suite checks the diagonal form against the gradient at a generic Hermitian
+w' and the factorization det h^2 det(4|s|^2 + w' wbar') against the direct
+8x8 determinant of the Gaussian block matrix.
 
 F = log I0 + gamma h0 + 3 lam h1, log Z1 up to a constant, is strictly
 convex in (gamma, lam), and its gradient is the residual.  log I0, the
@@ -70,6 +70,7 @@ _LOG_64 = math.log(64.0)
 # padded trapezoid nodes per _moments call of a lockstep round (or one pass),
 # so a round's transient arrays do not grow with the grid
 _NODE_BUDGET = 8192
+_WERNER_MULT = (1, 3)  # the multiplicities of gamma and lam in w' = diag(gamma, lam, lam, lam)
 
 
 class ConstraintsUnsatisfiable(RuntimeError):
@@ -185,29 +186,25 @@ def _grid(bt: float, a: float, b: float):
     return log_s, j + j % 2 + 1
 
 
-def _moments(bt, g, lam, grids) -> list:
-    """Moments of the weight exp(-x/4bt) (x+g^2)^{-1/2} (x+lam^2)^{-3/2} at n points.
+def _moments(bt, w, mult, grids) -> list:
+    """Moments of the weight exp(-x/4bt) prod_i (x+w_i^2)^{-mult_i/2} at n points.
 
-    bt, g and lam hold n floats and grids their n node sets (from _grid).
-    With A = g/(x+g^2) and B = lam/(x+lam^2), returns one row (log I0, <A>,
-    <B>, <x>, j00, j01, j11, error) of Python floats per point (at g = 0,
-    <A> is its g -> 0 limit 2 / (lam^3 I0), as A tends to a point mass at
-    x = 0, not to 0; j00 and j01 are then 0), from one vectorized pass of
-    the trapezoid rule in u over the nodes of all n points.  Node weights
-    are formed as logarithms and shifted by their point's largest, so no
-    sum underflows however small I0 is.  The integrand is analytic in a
-    strip about the real u axis and decays double-exponentially at both
-    ends, so the rule converges geometrically in 1/_STEP; error is the
-    relative difference of the step and double-step sums, the latter over
-    the even nodes, for I0, <A>, <B> and <x>.  [[j00, j01], [j10, j11]] is
-    the exact derivative of (<A>, <B>) in (log g, log lam), j10 = g j01 /
-    (3 lam) left out: differentiating the weight brings down -A and -3B, so
-    it needs only the further moments <A^2>, <B^2>, <AB>,
-    <(x-g^2)/(x+g^2)^2> and <(x-lam^2)/(x+lam^2)^2>.  The node axis is
-    split into pairs and an even/odd axis ahead of the point axis, so numpy
-    adds the pairs up in node order; a point's nodes are padded to the most
-    of any point with log weights -inf, which add exact zeros, so every row
-    has the bits of a pass of its point alone.
+    bt holds n floats, w the k sequences of the n points' multipliers (Werner's
+    gamma and lam, with mult _WERNER_MULT) and grids their n node sets (from
+    _grid).  With A_i = w_i/(x+w_i^2), returns one row (log I0, <A_1>..<A_k>,
+    <x>, J row-major, error) of Python floats per point, from one pass of the
+    trapezoid rule in u over the nodes of all n points, in log node weights
+    shifted by their point's largest, so no sum underflows.  The integrand is
+    analytic in a strip about the real u axis and decays double-exponentially
+    at both ends, so the rule converges geometrically in 1/_STEP; error is the
+    relative difference of the step and double-step (even-node) sums of I0,
+    each <A_i> and <x>.  J_il = d<A_i>/d log w_l: the weight brings down
+    -mult_l w_l A_l, so J_ii = w_i (<(x-w_i^2)/(x+w_i^2)^2> - mult_i Var A_i)
+    and J_il = -mult_l w_l Cov(A_i, A_l).  Where one w_i is 0, <A_i> is then
+    its limit 2 / (prod_{l != i} w_l^mult_l I0), as A_i tends to a point mass
+    at x = 0.  numpy adds each point's nodes in order (pairs, then even/odd,
+    ahead of the point axis), padded to the most of any point with log weights
+    -inf, which add exact zeros, so every row has the bits of its point alone.
     """
     log_s, nodes = np.array(grids).T
     j = np.arange(nodes.max() + 1).reshape(-1, 2, 1)  # (pairs, even/odd, 1)
@@ -217,37 +214,45 @@ def _moments(bt, g, lam, grids) -> list:
     last = t.ravel()[nodes.astype(int) - 1]
     log_x = np.minimum(t, last) + log_s  # (pairs, 2, points)
     x = np.exp(log_x)
-    bta, ga, la = np.array([bt, g, lam], dtype=float)
-    a, b = ga * ga, la * la
-    ra, rb = 1.0 / (x + a), 1.0 / (x + b)
-    A, B = ga * ra, la * rb
+    w, k, mu = np.array(w, dtype=float), len(mult), np.array(mult, dtype=float)[:, None]
+    a = w[:, None, None] ** 2
+    xa = x + a  # (k, pairs, 2, points)
     with np.errstate(over="ignore"):  # to -inf, the log of weight 0, at beta below ~1e-308
-        lw = x / (-4.0 * bta)
+        lw = x / (-4.0 * np.array(bt))
     # log dx = log x + log(_STEP (1 + e^{-u})) rides in, so each node sum is an integral
-    lw = lw + log_x + np.log(_STEP * (1.0 + eu)) - 0.5 * np.log(x + a) - 1.5 * np.log(x + b)
-    lw = np.where(j < nodes, lw, -np.inf)
+    lw = lw + log_x + np.log(_STEP * (1.0 + eu))
+    buf = np.log(xa)
+    for half, log_xa in zip(0.5 * mu.ravel(), buf):
+        lw -= np.multiply(log_xa, half, out=log_xa)
+    np.copyto(lw, -np.inf, where=j >= nodes)
     shift = lw.max(axis=(0, 1))
-    f = np.empty((9,) + x.shape)  # the nine integrands, filled in place
-    w, wA, wB = f[0], f[1], f[2]
-    np.exp(lw - shift, out=w)
-    for row, (y, v) in enumerate(((w, A), (w, B), (w, x), (wA, A), (wB, B), (wA, B),
-                                  (w * (x - a), ra * ra), (w * (x - b), rb * rb)), 1):
-        np.multiply(y, v, out=f[row])
-    even, odd = f.sum(axis=1).transpose(1, 0, 2)  # (9, points) each
-    k = even + odd
-    # the relative step-h versus step-2h differences of I0, <A>, <B> and <x>
-    e0, e1, e2, e3 = np.abs(k[:4] - 2.0 * even[:4]) / np.maximum(np.abs(k[:4]), 1e-300)
-    m = k[1:] / k[0]  # k[0] >= 1: the largest node adds exp(0)
-    mA, mB, _, mAA, mBB, mAB, cA, cB = m
-    rows = np.empty((8, len(grids)))
-    rows[0], rows[1:4] = np.log(k[0]) + shift, m[:3]
-    face = ga == 0.0
-    if face.any():
-        rows[1, face] = np.exp(np.log(2.0) - 3.0 * np.log(la[face]) - rows[0, face])
-    np.multiply(ga, cA - (mAA - mA * mA), out=rows[4])
-    np.multiply(-3.0 * la, mAB - mA * mB, out=rows[5])
-    np.multiply(la, cB - 3.0 * (mBB - mB * mB), out=rows[6])
-    np.maximum(np.maximum(e0, e1), np.maximum(e2, e3), out=rows[7])
+    r = np.divide(1.0, xa, out=xa)
+    A = np.multiply(w[:, None, None], r, out=buf)
+    # the integrands w, w A_i, w x, w A_i A_l (i <= l, column by column) and w (x - w_i^2) r_i^2
+    f = np.empty((k * (k + 5) // 2 + 2,) + x.shape)
+    np.exp(lw - shift, out=f[0])
+    np.multiply(f[0], A, out=f[1:k + 1])
+    np.multiply(f[0], x, out=f[k + 1])
+    for l in range(k):
+        np.multiply(f[1:l + 2], A[l], out=f[k + 2 + l * (l + 1) // 2:][:l + 1])
+    c = np.multiply(np.subtract(x, a, out=f[-k:]), f[0], out=f[-k:])
+    c *= np.multiply(r, r, out=r)
+    even, odd = f.sum(axis=1).transpose(1, 0, 2)  # (integrands, points) each
+    s = even + odd
+    # the relative step-h versus step-2h differences of I0, each <A_i> and <x>
+    err = np.abs(s[:k + 2] - 2.0 * even[:k + 2]) / np.maximum(np.abs(s[:k + 2]), 1e-300)
+    m = s[1:] / s[0]  # s[0] >= 1: the largest node adds exp(0)
+    cov = np.empty((k, k, len(grids)))  # Cov(A_i, A_l)
+    for l in range(k):
+        cov[:l + 1, l] = cov[l, :l + 1] = m[k + 1 + l * (l + 1) // 2:][:l + 1]
+    cov -= m[:k, None] * m[:k]
+    rows = np.empty((k * k + k + 3, len(grids)))
+    rows[0], rows[1:k + 2], rows[-1] = np.log(s[0]) + shift, m[:k + 1], err.max(axis=0)
+    np.multiply(-mu * w, cov, out=rows[k + 2:-1].reshape(k, k, -1))
+    np.multiply(w, m[-k:] - mu * cov.reshape(k * k, -1)[::k + 1], out=rows[k + 2:-1:k + 1])
+    if not w.all():  # log 1 = 0 stands in for log w_i = log 0 in log prod_{l != i} w_l^mult_l
+        log_p = (mu * np.log(np.where(w == 0.0, 1.0, w))).sum(axis=0)
+        np.copyto(rows[1:k + 1], np.exp(np.log(2.0) - log_p - rows[0]), where=w == 0.0)
     return rows.T.tolist()
 
 
@@ -272,8 +277,8 @@ def _werner_point(beta: float, p: float):
 
 def _checked_moments(beta: float, op: OmegaPrime, p: float):
     bt, h0, h1 = _werner_point(beta, p)
-    g, lam = op.gamma, op.lam
-    log_i0, mg, ml, *_, err = _moments([bt], [g], [lam], [_grid(bt, g * g, lam * lam)])[0]
+    grid = _grid(bt, op.gamma * op.gamma, op.lam * op.lam)
+    log_i0, mg, ml, *_, err = _moments([bt], ([op.gamma], [op.lam]), _WERNER_MULT, [grid])[0]
     _require_converged(log_i0, err)
     return bt, h0, h1, log_i0, mg, ml
 
@@ -357,9 +362,9 @@ def _saddles(points):
         pending = []
         step = max(1, _NODE_BUDGET // (max((n for *_, (_, n) in asks), default=0) + 1))
         for k in range(0, len(asks), step):
-            ids, *args = zip(*asks[k:k + step])
-            for i, g, lam, (log_i0, mA, mB, mx, j00, j01, j11, err) in zip(
-                    ids, args[1], args[2], _moments(*args)):
+            ids, bts, gs, lams, grids = zip(*asks[k:k + step])
+            for i, g, lam, (log_i0, mA, mB, mx, j00, j01, _, j11, err) in zip(
+                    ids, gs, lams, _moments(bts, (gs, lams), _WERNER_MULT, grids)):
                 s = solves[i]
                 bt, h0, h1, wt_h, evals, at, d = s
                 r0, r1 = h0 - mA, h1 - mB

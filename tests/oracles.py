@@ -26,9 +26,11 @@ Each computes a quantity the library also computes, by a different route:
   panel edges by repeated doubling, the integrands stacked and the Kronrod
   and Gauss sums by einsum (the library takes the trapezoid rule on a
   double-exponential map of x);
-- the library's trapezoid pass of one point on its own nodes, its even and
-  odd node sums by cumulative sums (the library passes many points at once
-  over nodes padded to a common count, and must give the same bits);
+- the library's trapezoid pass of one point on its own nodes, for any
+  multipliers and multiplicities, its integrands one by one and its even
+  and odd node sums by cumulative sums (the library passes many points at
+  once over nodes padded to a common count, its integrands stacked, and
+  must give the same bits);
 - the boundary point of the saddle solve, the minimum of F on the face
   gamma = 0, by bisection of h1 = <B>_0(lam) on the GK15 pass (the library
   takes Newton steps on its own trapezoid pass);
@@ -57,18 +59,24 @@ Each computes a quantity the library also computes, by a different route:
   from its own weight vector and the jackknife from index blocks (the
   library forms the weights once per beta and slices them).
 
-It also holds the multiplier-extended Hamiltonian E(z) + sum omega C(z),
-which only the tests evaluate.  None of them is used by the library.
+It also holds what only the tests evaluate: the multiplier-extended
+Hamiltonian E(z) + sum omega C(z), and the zero set of E at a separable
+decomposition, a zero z = psi E^{-1} built from a product mixture and the
+rank of the quadrics' differential J on the tangent space of V_{N,r} there,
+which by Laplace's method sets the large-beta amplitude beta <<E>> -> k2/2
+at a zero where E grows quadratically in all k2 directions normal to the
+zero set.  None of them is used by the library.
 """
 import math
 
 import numpy as np
 
-from sepmech import DensityMatrix, PureState, StiefelPoint, constraint_residual, energy
+from sepmech import (DensityMatrix, PureState, StiefelPoint, constraint_residual,
+                     eigen_ensemble, energy)
 from sepmech.quantum_core import InvalidInput
 from sepmech.werner import (_EPS_F, _MAX_EVALS, _STEP, _U0, BETA_INTERNAL_SCALE,
-                            QuadratureError, SaddleResult, _grid, _moments, _require_converged,
-                            _werner_point)
+                            _WERNER_MULT, QuadratureError, SaddleResult, _grid, _moments,
+                            _require_converged, _werner_point)
 
 TENSOR_PREFACTOR = 2.0
 H_FORM_PREFACTOR = 2.0
@@ -382,43 +390,55 @@ def node_count_loop(bt: float, a: float, b: float) -> int:
     return j + j % 2 + 1
 
 
-def moments_one_point(bt: float, g: float, lam: float, grid=None):
-    """(log I0, <A>, <B>, <x>, jac, error) of the library's trapezoid pass at
-    one point, over its own nodes (by default werner._grid) and one zero that
-    pairs the last, in werner._moments's arithmetic; jac is a 2x2 array,
-    the rest Python floats."""
-    a, b = g * g, lam * lam
-    log_s, nodes = _grid(bt, a, b) if grid is None else grid
+def moments_one_point(bt: float, w, mult, grid=None) -> list:
+    """The row (log I0, <A_1>..<A_k>, <x>, J row-major, error) of the
+    library's trapezoid pass at one point with multipliers w and their
+    multiplicities mult, in werner._moments's arithmetic, as Python floats,
+    over the point's own nodes (by default werner._grid of its smallest
+    positive and largest w_i^2) and one zero that pairs the last."""
+    k, sq = len(w), [wi * wi for wi in w]
+    log_s, nodes = _grid(bt, min(a for a in sq if a > 0), max(sq)) if grid is None else grid
     u = _U0 + np.arange(nodes) * _STEP
     eu = np.exp(-u)
     log_x = (u - eu) + log_s
     x = np.exp(log_x)
-    ra, rb = 1.0 / (x + a), 1.0 / (x + b)
-    A, B = g * ra, lam * rb
+    r = [1.0 / (x + a) for a in sq]
+    A = [wi * ri for wi, ri in zip(w, r)]
     with np.errstate(over="ignore"):  # x / 4bt is inf, a weight of 0, where 4bt is tiny
         lw = x / (-4.0 * bt)
-    lw = lw + log_x + np.log(_STEP * (1.0 + eu)) - 0.5 * np.log(x + a) - 1.5 * np.log(x + b)
-    w = np.exp(lw - lw.max())  # shifted by the largest log weight
-    f = np.zeros((9, nodes + 1))
-    f[:, :-1] = [w, w * A, w * B, w * x, w * A * A, w * B * B, w * A * B,
-                 w * (x - a) * (ra * ra), w * (x - b) * (rb * rb)]
+    lw = lw + log_x + np.log(_STEP * (1.0 + eu))
+    for m, a in zip(mult, sq):
+        lw = lw - 0.5 * m * np.log(x + a)
+    wt = np.exp(lw - lw.max())  # shifted by the largest log weight
+    pairs = [(i, l) for l in range(k) for i in range(l + 1)]
+    f = np.zeros((len(pairs) + 2 * k + 2, nodes + 1))
+    f[:, :-1] = [wt, *(wt * Ai for Ai in A), wt * x, *(wt * A[i] * A[l] for i, l in pairs),
+                 *(wt * (x - a) * (ri * ri) for a, ri in zip(sq, r))]
     # the even and the odd node sums, each added up in node order
-    even, odd = f.reshape(9, -1, 2).cumsum(axis=1)[:, -1].T
-    k = (even + odd).tolist()
-    err = max(abs(kk - k2) / max(abs(kk), 1e-300) for kk, k2 in zip(k, (2.0 * even[:4]).tolist()))
-    mA, mB, mx, mAA, mBB, mAB, cA, cB = (v / k[0] for v in k[1:])
-    cov = mAB - mA * mB
-    jac = np.array([[g * (cA - (mAA - mA * mA)), -3.0 * lam * cov],
-                    [-g * cov, lam * (cB - 3.0 * (mBB - mB * mB))]])
-    return float(np.log(k[0]) + lw.max()), mA, mB, mx, jac, err
+    even, odd = f.reshape(len(f), -1, 2).cumsum(axis=1)[:, -1].T
+    s = (even + odd).tolist()
+    err = max(abs(v - v2) / max(abs(v), 1e-300)
+              for v, v2 in zip(s[:k + 2], (2.0 * even[:k + 2]).tolist()))
+    m = [v / s[0] for v in s[1:]]
+    mA, mx, c = m[:k], m[k], m[-k:]
+    cov = [[m[k + 1 + pairs.index((min(i, l), max(i, l)))] - mA[i] * mA[l] for l in range(k)]
+           for i in range(k)]
+    jac = [w[i] * (c[i] - mult[i] * cov[i][i]) if i == l else -mult[l] * w[l] * cov[i][l]
+           for i in range(k) for l in range(k)]
+    log_i0 = float(np.log(s[0]) + lw.max())
+    for i in range(k):
+        if w[i] == 0.0:  # <A_i> is its w_i -> 0 limit
+            log_p = sum(mult[l] * np.log(w[l]) for l in range(k) if l != i)
+            mA[i] = float(np.exp(np.log(2.0) - log_p - log_i0))
+    return [log_i0, *mA, mx, *jac, err]
 
 
 # --- the saddle solve, one point at a time -------------------------------------
 
 def _saddle_steps(bt: float, h0: float, h1: float):
     """werner.saddle_search's solve of one point, as a generator: it yields
-    each quadrature pass it needs as its point's _moments arguments (bt,
-    gamma, lam, node grid), is sent that point's row of the pass, and
+    each quadrature pass it needs as its point's (bt, gamma, lam, node
+    grid), is sent that point's row of the pass, and
     returns the SaddleResult.  A QuadratureError of _grid, of a solve with
     no certificate or of the final pass's _require_converged ends it."""
     wt_h = math.hypot(h0, math.sqrt(3.0) * h1)  # the stop rule's floor is (rounding |wt h|)^2
@@ -435,7 +455,7 @@ def _saddle_steps(bt: float, h0: float, h1: float):
     (F, tol, r0, r1, row), evals = (yield from evaluated(g, lam)), 1
     last = g, lam
     while (r0 * r0 if g else 0.0) + 3.0 * r1 * r1 > (_EPS_F * wt_h) ** 2:
-        j00, j01, j11 = row[4:7]
+        j00, j01, _, j11 = row[4:8]
         gm, c = 3.0 * lam * r1, 3.0 * lam * (r1 - j11)  # dF/dmu and d2F/dmu2 at mu = log lam
         a, b = (-j00 / g, -j01) if g else (1.0, 0.0)  # d2F/dgamma2, d2F/dgamma dmu inside
         det = a * c - b * b
@@ -473,7 +493,8 @@ def saddle_alone(beta: float, p: float):
         ask = next(solve)
         while True:
             passes.append(ask)
-            ask = solve.send(_moments(*([v] for v in ask))[0])
+            bt, g, lam, grid = ask
+            ask = solve.send(_moments([bt], ([g], [lam]), _WERNER_MULT, [grid])[0])
     except StopIteration as done:
         return done.value, passes
 
@@ -588,6 +609,55 @@ def jackknife_error(energies, beta: float, blocks: int) -> float:
         return float("inf")
     thetas = np.array([swe - (w[b] * e[b]).sum() for b in index]) / rest
     return float(np.sqrt((blocks - 1) / blocks * np.sum((thetas - thetas.mean()) ** 2)))
+
+
+# --- the zero set of E at a separable decomposition ----------------------------
+
+CODIM_RANK_TOL = 1e-8  # singular values of J on T_zV below this times the largest count as 0
+
+
+def product_mixture_zero(a, b, p):
+    """(eigenensemble, z): a zero of E on V_{N,r} for rho = sum_k p_k
+    |a_k b_k><a_k b_k|, from the rows a (N, m) and b (N, n) of unit vectors
+    and the weights p.  psi_k = sqrt(p_k) a_k (x) b_k is a decomposition of
+    rho, so z = psi E^{-1} for its square eigenensemble E (rho of full rank
+    mn); the StiefelPoint checks z^dag z = 1."""
+    a, b, p = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex), np.asarray(p)
+    psi = np.sqrt(p)[:, None] * np.einsum("ki,kj->kij", a, b).reshape(len(p), -1)
+    m, n = a.shape[1], b.shape[1]
+    ens = eigen_ensemble(DensityMatrix(m, n, psi.T @ psi.conj()))
+    if ens.rank != m * n:
+        raise ValueError(f"the mixture has rank {ens.rank}, not {m * n}")
+    return ens, StiefelPoint(len(p), ens.rank, np.linalg.solve(ens.amps.T, psi.T).T)
+
+
+def zero_set_codimension(z, ens):
+    """(k2, dim T_zV, kernel dimension) at a zero z of E: the real rank of
+    J, the differential of z -> (z_i^T h^{ab} z_i) over the rows i and the
+    d1 d2 quadrics of ens (h_matrices_skew), on the tangent space T_zV =
+    {d : z^dag d + d^dag z = 0} of the Stiefel manifold, that space's real
+    dimension, and the dimension of J's kernel in it.  J and the constraint
+    map act on the real coordinates (Re d, Im d); T_zV is the constraint
+    map's null space and both ranks come from SVDs, counting singular values
+    above CODIM_RANK_TOL times the largest."""
+    if isinstance(z, StiefelPoint):
+        z = z.z
+    N, r = z.shape
+    h = h_matrices_skew(ens).reshape(-1, r, r)
+    # d(z_i^T h z_i) = 2 (h z_i) . d_i, h symmetric: block diagonal over the rows
+    g = 2.0 * np.einsum("pab,ib->ipa", h, z)
+    jc = np.zeros((N, len(h), N, r), dtype=complex)
+    jc[np.arange(N), :, np.arange(N)] = g
+    jc = jc.reshape(-1, N * r)
+    jr = np.block([[jc.real, -jc.imag], [jc.imag, jc.real]])
+    d = np.eye(2 * N * r)
+    d = (d[:, :N * r] + 1j * d[:, N * r:]).reshape(-1, N, r)  # each real direction
+    k = z.conj().T @ d + d.conj().transpose(0, 2, 1) @ z
+    _, s, vh = np.linalg.svd(np.concatenate([k.real, k.imag], axis=1).reshape(len(d), -1).T)
+    tangent = vh[(s > CODIM_RANK_TOL * s[0]).sum():].T
+    s = np.linalg.svd(jr @ tangent, compute_uv=False)
+    k2 = int((s > CODIM_RANK_TOL * s[0]).sum())
+    return k2, tangent.shape[1], tangent.shape[1] - k2
 
 
 # --- multiplier-extended Hamiltonian -----------------------------------------

@@ -408,20 +408,27 @@ def test_entry_point_exit_code(tmp_path, argv, code):
     assert (done.stderr == "") == (code == 0)
 
 
-def _modules_loaded_by_cli_import() -> set:
-    code = "import json, sys, sepmech.cli; print(json.dumps(sorted(sys.modules)))"
+def _modules_around_cli_import() -> tuple:
+    """(the modules of a fresh interpreter, its modules after `import sepmech.cli`)."""
+    code = ("import json, sys; before = sorted(sys.modules); import sepmech.cli; "
+            "print(json.dumps([before, sorted(sys.modules)]))")
     out = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True,
                          text=True, timeout=120, check=True).stdout
-    return set(json.loads(out))
+    before, after = json.loads(out)
+    return set(before), set(after)
 
 
-def test_cli_import_does_not_load_scipy():
-    assert not {m for m in _modules_loaded_by_cli_import() if m.partition(".")[0] == "scipy"}
+def test_cli_import_loads_no_package_outside_the_standard_library_but_numpy():
+    # numpy is the one dependency; scipy and every other third-party package
+    # stay out (packages a site .pth file imports at start-up come before)
+    before, after = _modules_around_cli_import()
+    tops = {m.partition(".")[0] for m in after - before}
+    assert tops - set(sys.stdlib_module_names) - {"numpy"} == {"sepmech"}
 
 
 def test_cli_import_does_not_load_the_thread_pool():
     # the sampler imports its thread pool on first use, not at import time
-    assert not {"queue", "concurrent.futures"} & _modules_loaded_by_cli_import()
+    assert not {"queue", "concurrent.futures"} & _modules_around_cli_import()[1]
 
 
 def test_scaling_inside_region(tmp_path, capsys):
@@ -452,7 +459,7 @@ def test_scaling_runs_one_saddle_per_beta(capsys, monkeypatch):
     moments = werner._moments
 
     def counted(*args):
-        points.extend(zip(*args[:3]))
+        points.extend(args[0])
         return moments(*args)
 
     monkeypatch.setattr(werner, "_moments", counted)
@@ -489,7 +496,7 @@ def test_error_subclass_keeps_its_exit_code(capsys, monkeypatch, exc, code):
 
 def test_scan_exits_4_when_the_quadrature_does_not_converge(capsys, monkeypatch):
     moments = werner._moments
-    monkeypatch.setattr(werner, "_moments", lambda *a: [(*row[:7], 1.0) for row in moments(*a)])
+    monkeypatch.setattr(werner, "_moments", lambda *a: [(*row[:-1], 1.0) for row in moments(*a)])
     code, out, err = run(capsys, "scan", "--p-grid", "0.85:0.05:0.90")
     assert code == 4 and "did not converge" in err and out == ""
 

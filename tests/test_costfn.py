@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import cost_tensor, full_hamiltonian, h_form_energy, tensor_energy
+from oracles import (cost_tensor, full_hamiltonian, h_form_energy, product_mixture_zero,
+                     tensor_energy, zero_set_codimension)
 from sepmech.ensembles import _ginibre, _stiefel_batch
 from sepmech import (DensityMatrix, LagrangeMultipliers, StiefelPoint,
                      concurrence_sq, cost_operator, eigen_ensemble, energy,
@@ -260,3 +261,52 @@ def test_full_hamiltonian_matches_naive_loop(seed):
     naive = energy(z, cop) + sum(omega[a, b] * con[a, b]
                                  for a in range(4) for b in range(4)).real
     assert abs(full_hamiltonian(z, cop, lm) - naive) < 1e-10
+
+
+# The large-beta plateau of the canonical channel is set by the zero set of E
+# (ROADMAP item 26): beta <<E>> -> k2/2 + k4/4, where E vanishes to second
+# order in k2 directions normal to the zero set and to fourth order in k4.
+
+def _product_mixture(rng, m, n, N):
+    """N seeded random product vectors (a_k, b_k) and positive weights p_k."""
+    a = rng.standard_normal((N, m)) + 1j * rng.standard_normal((N, m))
+    b = rng.standard_normal((N, n)) + 1j * rng.standard_normal((N, n))
+    p = rng.uniform(0.5, 1.5, N)
+    return (a / np.linalg.norm(a, axis=1, keepdims=True),
+            b / np.linalg.norm(b, axis=1, keepdims=True), p / p.sum())
+
+
+@pytest.mark.parametrize("m, n, N", [(2, 2, 4), (2, 2, 16), (2, 3, 6), (3, 3, 18)])
+def test_quadrics_are_transversal_at_a_product_mixture_zero(m, n, N):
+    # at a zero of a seeded full-rank product mixture, each row's product
+    # condition has real codimension 2 (m-1)(n-1) in T_zV, so J has rank
+    # 2N (m-1)(n-1) and the plateau amplitude is N (m-1)(n-1); keeping only
+    # the first of the three 2x3 quadrics would give 2N
+    ens, z = product_mixture_zero(*_product_mixture(np.random.default_rng(26 + N), m, n, N))
+    assert energy(z, cost_operator(ens)) < 1e-28
+    r = m * n
+    k2, dim_t, kernel = zero_set_codimension(z, ens)
+    assert (k2, dim_t) == (2 * N * (m - 1) * (n - 1), 2 * N * r - r * r)
+    assert kernel == dim_t - k2
+
+
+def test_quadrics_at_a_local_product_basis_of_the_maximally_mixed_qutrit_pair():
+    # I/9 at N = 9 from {U_A e_i (x) U_B e_j}: J has rank 36 on the
+    # 81-dimensional T_zV, not 72, and the orbit of the zero under row
+    # phases (9) and the local unitaries off their diagonals (6 + 6) has
+    # dimension 21; with the 24 quartic directions it fills J's kernel (45)
+    ua, ub = haar_unitary(3, 5), haar_unitary(3, 6)
+    ens, z = product_mixture_zero(np.repeat(ua.T, 3, axis=0), np.tile(ub.T, (3, 1)),
+                                  np.full(9, 1 / 9))
+    assert zero_set_codimension(z, ens) == (36, 81, 45)
+    e = np.eye(3)
+    herm = [np.outer(e[j], e[l]) + np.outer(e[l], e[j]) for j in range(3) for l in range(j, 3)]
+    herm += [1j * np.outer(e[j], e[l]) - 1j * np.outer(e[l], e[j])
+             for j in range(3) for l in range(j + 1, 3)]
+    psi = z.z @ ens.amps
+    tangents = [np.linalg.solve(ens.amps.T, (psi @ x.T).T).T
+                for x in [np.kron(1j * h, e) for h in herm] + [np.kron(e, 1j * h) for h in herm]]
+    tangents += [np.diag(1j * np.eye(9)[k]) @ z.z for k in range(9)]
+    real = np.array([np.concatenate([d.real.ravel(), d.imag.ravel()]) for d in tangents])
+    s = np.linalg.svd(real, compute_uv=False)
+    assert int((s > 1e-8 * s[0]).sum()) == 21

@@ -20,7 +20,7 @@ from sepmech import (OmegaPrime, PureState, avg_energy_werner, ConstraintsUnsati
                      werner_state)
 from sepmech import werner
 from sepmech.werner import (BETA_INTERNAL_SCALE, BETA_STAR, RESIDUAL_THRESHOLD,
-                            QuadratureError, _STEP, _grid, _moments)
+                            _WERNER_MULT, QuadratureError, _STEP, _grid, _moments)
 
 
 @contextmanager
@@ -237,12 +237,10 @@ def test_saddle_outside_region():
 
 
 def _one_pass(bt, g, lam):
-    """The _moments row of one point, as (log I0, <A>, <B>, <x>, jac, error);
-    jac's lower-left entry, which the row leaves out, is -g cov(A, B) =
-    g j01 / (3 lam)."""
-    (log_i0, mA, mB, mx, j00, j01, j11, err), = _moments([bt], [g], [lam],
-                                                         [_grid(bt, g * g, lam * lam)])
-    return log_i0, mA, mB, mx, np.array([[j00, j01], [g * j01 / (3.0 * lam), j11]]), err
+    """The _moments row of one point, as (log I0, <A>, <B>, <x>, jac, error)."""
+    (log_i0, mA, mB, mx, *jac, err), = _moments([bt], ([g], [lam]), _WERNER_MULT,
+                                                [_grid(bt, g * g, lam * lam)])
+    return log_i0, mA, mB, mx, np.array(jac).reshape(2, 2), err
 
 
 def _residual_jacobian(beta, g, lam):
@@ -289,7 +287,8 @@ def test_moments_jacobian_gamma_column_at_the_floor():
 
 
 def test_moments_rejects_zero_scale_promptly():
-    # gamma = 0 leaves no positive quadrature scale; this used to loop forever
+    # a zero scale passed to _grid (here gamma^2 = 0; a pass on the face
+    # gamma = 0 takes its grid from lam^2) must raise promptly, not loop
     with time_limit(5.0), pytest.raises(QuadratureError):
         _one_pass(640.0, 0.0, 6.0)
 
@@ -344,7 +343,8 @@ def test_moments_on_the_face_are_the_gamma_to_zero_limits(beta, lam):
     # 2 / (lam^3 I0), not the 0 that A = g / (x + g^2) gives at g = 0; the
     # pass raises no RuntimeWarning (an error in this suite)
     bt = BETA_INTERNAL_SCALE * beta
-    (log_i0, mA, mB, mx, *_), = _moments([bt], [0.0], [lam], [_grid(bt, lam * lam, lam * lam)])
+    (log_i0, mA, mB, mx, *_), = _moments([bt], ([0.0], [lam]), _WERNER_MULT,
+                                         [_grid(bt, lam * lam, lam * lam)])
     i0 = math.exp(log_i0)
     assert abs(mA * lam ** 3 * i0 / 2.0 - 1) < 1e-15
     assert abs(mA / moments_einsum(bt, 1e-9, lam)[1] - 1) < 1e-8
@@ -366,12 +366,14 @@ def test_moments_match_the_gk15_oracle_over_a_sweep():
     rows = []
     for k in range(0, len(points), 100):
         chunk = points[k:k + 100]
-        rows += _moments(*zip(*chunk), [_grid(bt, g * g, lam * lam) for bt, g, lam in chunk])
+        bts, gs, lams = zip(*chunk)
+        rows += _moments(bts, (gs, lams), _WERNER_MULT,
+                         [_grid(bt, g * g, lam * lam) for bt, g, lam in chunk])
     for pt, (log_i0, *got, err) in zip(points, rows):
         i0, mA, mB, mx, jac, _ = moments_einsum(*pt)
-        got = [math.exp(log_i0), *got]  # the row, less j10, with I0 in place of log I0
+        got = [math.exp(log_i0), *got]  # the row with I0 in place of log I0
         assert np.max(np.abs(np.array(got[:4]) / [i0, mA, mB, mx] - 1)) < 1e-13, pt
-        assert np.max(np.abs(np.array(got[4:]) - jac.ravel()[[0, 1, 3]])) < 1e-10 * np.max(np.abs(jac)), pt
+        assert np.max(np.abs(np.array(got[4:]) - jac.ravel())) < 1e-10 * np.max(np.abs(jac)), pt
         assert err <= 1e-8, pt
 
 
@@ -399,18 +401,54 @@ def test_batched_moments_match_the_one_point_oracle_bit_for_bit():
     capped = [log_s + _STEP * (n - 1) - 4.0 > np.log(1e300 * 4.0 * bt)
               for bt, *_, (log_s, n) in points]
     assert 0 < sum(capped) < len(points)
-    want = {}
-    for i, pt in enumerate(points):
-        log_i0, mA, mB, mx, jac, err = moments_one_point(*pt)
-        want[i] = np.array([log_i0, mA, mB, mx, *jac.ravel()[[0, 1, 3]], err]).tobytes()
+    want = {i: np.array(moments_one_point(bt, (g, lam), _WERNER_MULT, grid)).tobytes()
+            for i, (bt, g, lam, grid) in enumerate(points)}
     # each point in a call of its own, the whole sweep in one call, and in
     # calls of three in reverse order
     order = list(range(len(points)))
     for chunk in [[i] for i in order] + [order] + [order[::-1][k:k + 3] for k in range(0, len(order), 3)]:
-        rows = _moments(*zip(*(points[i] for i in chunk)))
+        bts, gs, lams, grids = zip(*(points[i] for i in chunk))
+        rows = _moments(bts, (gs, lams), _WERNER_MULT, grids)
         for i, row in zip(chunk, rows):
             assert all(type(v) is float for v in row)
             assert np.array(row).tobytes() == want[i], points[i][:3]
+
+
+def test_moments_of_four_distinct_multipliers_match_the_one_point_oracle_bit_for_bit():
+    # k = 4 with multiplicities (1, 2, 1, 3) at distinct multipliers, so a
+    # mixed-up pair of rows or columns shows; each point alone and all in one call
+    rng = np.random.default_rng(41)
+    bts = (BETA_INTERNAL_SCALE * 10.0 ** rng.uniform(-3, 8, 12)).tolist()
+    w = np.exp(rng.uniform(-8.0, 5.0, (4, 12)))
+    grids = [_grid(bt, min(ws) ** 2, max(ws) ** 2) for bt, ws in zip(bts, w.T.tolist())]
+    mult = (1, 2, 1, 3)
+    want = [np.array(moments_one_point(bt, ws, mult, grid)).tobytes()
+            for bt, ws, grid in zip(bts, w.T.tolist(), grids)]
+    rows = _moments(bts, w.tolist(), mult, grids)
+    assert [np.array(row).tobytes() for row in rows] == want
+    for i in range(len(bts)):
+        (row,) = _moments(bts[i:i + 1], w[:, i:i + 1].tolist(), mult, grids[i:i + 1])
+        assert np.array(row).tobytes() == want[i]
+
+
+@pytest.mark.parametrize("beta, g, lam", [(10.0, 0.520432, 5.816898), (1e6, 2.0, 5.98),
+                                          (0.1, 3.0, 0.2), (10.0, np.exp(-30.0), 5.98682723),
+                                          (10.0, 0.0, 5.98682723), (1e5, 0.0, 4.7)])
+def test_a_multiplier_of_multiplicity_three_is_three_of_multiplicity_one(beta, g, lam):
+    # (gamma, lam) with multiplicities (1, 3) against (gamma, lam, lam, lam)
+    # with (1, 1, 1, 1), inside and on the face gamma = 0: the same moments,
+    # and the k = 4 Jacobian, its three lam columns summed, is the k = 2 one
+    bt = BETA_INTERNAL_SCALE * beta
+    grid = _grid(bt, g * g or lam * lam, lam * lam)
+    (two,) = _moments([bt], ([g], [lam]), _WERNER_MULT, [grid])
+    (four,) = _moments([bt], ([g], [lam], [lam], [lam]), (1, 1, 1, 1), [grid])
+    log_i0, mA, mB, mx, *jac2, _ = two
+    got = np.array(four[:6])
+    assert np.max(np.abs(got / [log_i0, mA, mB, mB, mB, mx] - 1)) < 1e-13
+    jac4 = np.array(four[6:-1]).reshape(4, 4)
+    jac4 = np.column_stack([jac4[:, 0], jac4[:, 1:].sum(axis=1)])
+    jac2 = np.array(jac2).reshape(2, 2)
+    assert np.max(np.abs(jac4 - jac2[[0, 1, 1, 1]])) < 1e-13 * np.max(np.abs(jac2))
 
 
 def test_a_saddle_is_the_same_alone_in_its_grid_and_in_the_reversed_grid():
@@ -436,9 +474,9 @@ def test_lockstep_solves_match_the_one_point_generator_oracle(monkeypatch, budge
     assert {(True, False), (False, True)} <= ends
     calls = []
 
-    def recorded(*args):
-        calls.append(list(zip(*args)))
-        return _moments(*args)
+    def recorded(bts, w, mult, grids):
+        calls.append(list(zip(bts, *w, grids)))
+        return _moments(bts, w, mult, grids)
 
     monkeypatch.setattr(werner, "_NODE_BUDGET", budget)
     monkeypatch.setattr(werner, "_moments", recorded)
@@ -485,7 +523,7 @@ def test_the_first_failure_in_grid_order_is_reported(monkeypatch):
     # fails first, and at beta = 1e-318 the first pass already fails
     assert saddle_search(10.0, 0.5).iterations > saddle_search(10.0, 0.95).iterations
     monkeypatch.setattr(werner, "_moments",
-                        lambda *args: [(*row[:7], 1.0) for row in _moments(*args)])
+                        lambda *args: [(*row[:-1], 1.0) for row in _moments(*args)])
     alone = {}
     for p in (0.5, 0.95):
         with pytest.raises(QuadratureError, match="did not converge") as failed:
@@ -567,8 +605,8 @@ def test_every_end_of_a_sweep_is_certified():
     assert all(sad.gamma_star == 0.0 for _, sad in face)
     bts = [BETA_INTERNAL_SCALE * beta for (beta, _), _ in face]
     lams = [sad.lambda_star for _, sad in face]
-    rows = _moments(bts, [0.0] * len(face), lams, [_grid(bt, lam * lam, lam * lam)
-                                                   for bt, lam in zip(bts, lams)])
+    rows = _moments(bts, ([0.0] * len(face), lams), _WERNER_MULT,
+                    [_grid(bt, lam * lam, lam * lam) for bt, lam in zip(bts, lams)])
     assert all(werner._werner_h(p)[0] - row[1] > 0 for ((_, p), _), row in zip(face, rows))
     assert ((1e10, 1e-6), saddles[-1]) == face[-1]
 
@@ -578,13 +616,14 @@ def test_saddle_mean_x_is_the_moment_at_the_returned_point():
     for beta, p in ((10.0, 0.9), (10.0, 0.5)):
         sad = saddle_search(beta, p)
         bt, g, lam = BETA_INTERNAL_SCALE * beta, sad.gamma_star, sad.lambda_star
-        (want,) = _moments([bt], [g], [lam], [_grid(bt, g * g or lam * lam, lam * lam)])
+        (want,) = _moments([bt], ([g], [lam]), _WERNER_MULT,
+                           [_grid(bt, g * g or lam * lam, lam * lam)])
         assert sad.mean_x == want[3]
 
 
 def test_saddle_raises_when_its_final_pass_does_not_converge(monkeypatch):
     def unconverged(*args):
-        return [(*row[:7], 1.0) for row in _moments(*args)]  # error estimate far above _QUAD_TOL
+        return [(*row[:-1], 1.0) for row in _moments(*args)]  # error estimate far above _QUAD_TOL
 
     monkeypatch.setattr(werner, "_moments", unconverged)
     for p in (0.9, 0.5):  # interior and boundary ends
@@ -750,7 +789,7 @@ def test_avg_energy_runs_no_quadrature_beyond_its_saddle(monkeypatch):
     points = []  # the points of each _moments call
 
     def counted(*args):
-        points.extend(zip(*args[:3]))
+        points.extend(args[0])
         return _moments(*args)
 
     monkeypatch.setattr(werner, "_moments", counted)
