@@ -247,8 +247,8 @@ def cmd_scaling(cfg: dict) -> int:
     footer = {"slope": fit.slope, "intercept": fit.intercept,
               "delta": fit.delta, "amplitude": fit.amplitude,
               "r_squared": fit.r_squared}
-    table = _table({**cfg, "seed": seed}, "scaling", "beta,avg_energy,analytic_flag",
-                   [(b, e, True) for b, e in points], f"# {json.dumps(footer, sort_keys=True)}\n")
+    table = _table({**cfg, "seed": seed}, "scaling", "beta,avg_energy", points,
+                   f"# {json.dumps(footer, sort_keys=True)}\n")
     _emit(cfg.get("out"), {"": table}, f"slope={fit.slope:.6f} delta={fit.delta:.6f}")
     return 0
 

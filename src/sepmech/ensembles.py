@@ -158,9 +158,7 @@ def haar_stiefel(N: int, r: int, seed) -> StiefelPoint:
 
 def haar_unitary(d: int, seed) -> np.ndarray:
     """Haar-distributed d x d unitary: haar_stiefel(d, d, seed) as an array."""
-    _require_count(d, "d")
-    g = _ginibre(d, d, 1, np.random.default_rng(seed))
-    return _stiefel_batch(d, d, g)[0]
+    return haar_stiefel(_require_count(d, "d"), d, seed).z
 
 
 def caratheodory_length(m: int, n: int) -> int:

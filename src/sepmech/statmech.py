@@ -172,9 +172,8 @@ def _batch_energies(cop: CostOperator, N: int, samples: int, seed) -> np.ndarray
     try:
         ahead = [(k, pool.submit(draw, k)) for k in range(min(lead, len(blocks)))]
         for j in range(lead, len(blocks) + lead):  # round j submits block j, if any
-            i = next((i for i, (_, f) in enumerate(ahead) if f.done()), None)
-            if i is None:  # the first draw not started is made here, else the oldest awaited
-                i = next((i for i, (_, f) in enumerate(ahead) if f.cancel()), 0)
+            # the first draw that is done or not started (then made here), else the oldest
+            i = next((i for i, (_, f) in enumerate(ahead) if f.done() or f.cancel()), 0)
             k, f = ahead.pop(i)
             if j < len(blocks):
                 ahead.append((j, pool.submit(draw, j)))

@@ -31,9 +31,10 @@ is down to the rounding level of the residual h - <A, B>, a difference of
 numbers of size |h|, whose computed value below that is only noise.  The
 one minimum either lies inside, where the constraints hold, or on the face
 gamma = 0 with dF/dgamma = h0 - <A>_0 > 0 (the KKT sign, from the
-gamma -> 0 limit of the moments), which certifies a boundary point.  The
-scan and the energies of a beta grid solve all their points in lockstep,
-in one flat loop of rounds over every unfinished point (_saddles).
+gamma -> 0 limit of the moments), which certifies a boundary point.  Each
+point's solve is a generator of the passes it needs (_solve); the scan and
+the energies of a beta grid run theirs in lockstep rounds, each round's
+passes evaluated together (_saddles).
 
 Units: the public beta multiplies the bare quartic |(4-3p) z1^2 + p z2^2
 + p z3^2 + p z4^2|^2, which is the convention the scan and scaling
@@ -303,106 +304,103 @@ def grad_log_z1(beta: float, op: OmegaPrime, p: float):
 
 def saddle_search(beta: float, p: float) -> SaddleResult:
     """Minimize the convex F(gamma, lam) = log I0 + gamma h0 + 3 lam h1 on
-    gamma >= 0, lam > 0; its gradient is the residual (r0, 3 r1), with
-    r0 = h0 - <A> and r1 = h1 - <B>.
-
-    Projected Newton in (gamma, log lam) with the exact Hessian from the
-    pass's Jacobian rows and Armijo backtracking on F, F's rounding level
-    allowed since near the minimum a Newton step's decrease is below it,
-    from the beta -> inf interior solution where it exists (p > 8/9), else
-    the beta -> 0 root omega' = h(p)^{-1}.  A step that would cross gamma = 0
-    goes to the quadratic model's minimum on that face, where the pass
-    takes the gamma -> 0 limit moments; a face point is accepted only with
-    a positive KKT sign r0 = h0 - <A>_0, and the solve goes on by 1-D
-    Newton steps on the face.  It stops once the free gradient (r0^2 +
-    3 r1^2, or 3 r1^2 on the face) is at most (_EPS_F |wt h|)^2, wt =
-    (1, sqrt 3): the residual is h - <A, B>, so below that its computed
-    value is noise.  An end inside is interior; an end on the face is a
-    boundary point, with gamma_star = 0.0 and residual_norm |h0 - <A>_0|.
-    Any other end (no descent step, or _MAX_EVALS passes) raises
-    QuadratureError, as does a final pass whose error estimate is not
-    below _QUAD_TOL.  iterations counts the quadrature passes and mean_x
-    is <x> from the returned point's pass.  This is the one-point case of
-    the lockstep loop of _saddles.
+    gamma >= 0, lam > 0, whose gradient is the residual (r0, 3 r1), r0 =
+    h0 - <A> and r1 = h1 - <B>, by _solve's projected Newton.  An end inside
+    is interior; an end on the face gamma = 0 is a boundary point, with
+    gamma_star = 0.0 and residual_norm |h0 - <A>_0|.  Any other end (no
+    descent step, or _MAX_EVALS passes) raises QuadratureError, as does a
+    final pass whose error estimate is not below _QUAD_TOL.  iterations
+    counts the quadrature passes and mean_x is <x> from the returned point's
+    pass.  This is _saddles on a grid of one point.
     """
     return next(_saddles([(beta, p)]))
 
 
+def _solve(bt: float, h0: float, h1: float):
+    """saddle_search's solve of the point (bt, h0, h1) of _werner_point as a
+    generator: it yields each quadrature pass it needs as (bt, gamma, lam,
+    node grid), is sent that pass's _moments row, and returns the
+    SaddleResult or raises QuadratureError.  Projected Newton in (gamma,
+    log lam) with the exact Hessian from the pass's Jacobian rows and
+    Armijo backtracking on F, F's rounding level allowed since near the
+    minimum a Newton step's decrease is below it, from the beta -> inf
+    interior solution where it exists (p > 8/9), else the beta -> 0 root
+    omega' = h(p)^{-1}.  A step that would cross gamma = 0 goes to the
+    quadratic model's minimum on that face, where the pass takes the
+    gamma -> 0 limit moments; a face point is accepted only with a positive
+    KKT sign r0 = h0 - <A>_0, and the solve goes on by 1-D Newton steps on
+    the face.  It stops once the free gradient (r0^2 + 3 r1^2, or 3 r1^2 on
+    the face) is at most (_EPS_F |wt h|)^2, wt = (1, sqrt 3): the residual
+    is h - <A, B>, so below that its computed value is noise.
+    """
+    floor = (_EPS_F * math.hypot(h0, math.sqrt(3.0) * h1)) ** 2  # the stop rule's floor
+    lam_inf = 1 / (3 * h1 - h0) if 3 * h1 > 2 * h0 else 0.0  # 0.0: no beta -> inf solution
+    g, lam = 1 / h0 - lam_inf, lam_inf or 1 / h1
+    # at: the accepted (gamma, lam, F, F's rounding level); the step from it is (d0, dm) in
+    # (gamma, log lam), F's linear decrease along it slope, and frac of it is taken
+    at, evals = None, 1
+    while True:
+        log_i0, mA, mB, mx, j00, j01, _, j11, err = yield (
+            bt, g, lam, _grid(bt, g * g or lam * lam, lam * lam))
+        r0, r1 = h0 - mA, h1 - mB
+        lin = g * h0 + 3.0 * lam * h1
+        # Armijo's test; a face point needs a positive KKT sign
+        if at is None or (log_i0 + lin - at[2] <= 1e-4 * frac * slope + at[3]
+                          and (g > 0 or r0 > 0)):
+            at = g, lam, log_i0 + lin, _EPS_F * (abs(log_i0) + lin)
+            if (r0 * r0 if g else 0.0) + 3.0 * r1 * r1 <= floor:
+                _require_converged(log_i0, err)
+                return SaddleResult(g, lam, math.sqrt(r0 * r0 + 3.0 * r1 * r1), evals, mx)
+            # dF/dmu and the Hessian [[a, b], [b, c]] in (gamma, mu = log lam)
+            gm, c = 3.0 * lam * r1, 3.0 * lam * (r1 - j11)
+            a, b = (-j00 / g, -j01) if g else (1.0, 0.0)
+            det, frac = a * c - b * b, None
+            if c > 0 and det > 0:
+                d0 = (b * gm - c * r0) / det if g else 0.0
+                dm = (b * r0 - a * gm) / det
+                if g and not g + d0 > 0:  # to the quadratic model's minimum on the face
+                    d0, dm = -g, (b * g - gm) / c
+                slope, frac = r0 * d0 + gm * dm, 1.0
+        else:
+            frac *= 0.5  # backtrack
+        if frac is None or evals >= _MAX_EVALS:
+            raise QuadratureError(f"saddle solve ended without a certificate after "
+                                  f"{evals} passes, the last at gamma={g!r}, lam={lam!r}")
+        g, lam, evals = at[0] + frac * d0, at[1] * math.exp(frac * dm), evals + 1
+
+
 def _saddles(points):
     """The SaddleResult of each (beta, p) point, in order; InvalidInput,
-    before any solve, unless every point is valid (_werner_point).
+    before any pass, unless every point is valid (_werner_point).
 
-    The solves run in lockstep, in rounds over per-point state: a round
-    forms the node grid of each unfinished point's next pass (on the face,
-    from lam alone), evaluates the passes in grid order in _moments calls
-    of _NODE_BUDGET // (the round's most nodes + 1) passes each, one at
-    least, and applies saddle_search's update (Armijo test, stop rule, next
-    step) to each point's row on Python floats, so each point's arithmetic
-    is that of a solve on its own.  A point whose solve failed raises its
+    One _solve generator per point, run in lockstep rounds: a round sends
+    each unfinished solve its last pass's row (a new one None), collects
+    the passes they ask for next and evaluates them in grid order, in
+    _moments calls of _NODE_BUDGET // (the round's most nodes + 1) passes
+    each, one at least.  A point whose solve failed raises its
     QuadratureError when the iteration reaches it, so the first failure in
     grid order is the one reported.
     """
-    # per point: bt, h0, h1, |wt h|, the passes asked for, the accepted
-    # (gamma, lam, F, F's rounding level) or None, and the step from it
-    # (d gamma, d log lam, F's linear decrease along it, the fraction taken)
-    solves, pending = [], []  # pending: (point, bt, gamma, lam) of each pass to ask for next
-    for i, (beta, p) in enumerate(points):
-        bt, h0, h1 = _werner_point(beta, p)
-        solves.append([bt, h0, h1, math.hypot(h0, math.sqrt(3.0) * h1), 1, None, None])
-        lam_inf = 1 / (3 * h1 - h0) if 3 * h1 > 2 * h0 else 0.0  # 0.0: no beta -> inf solution
-        pending.append((i, bt, 1 / h0 - lam_inf, lam_inf or 1 / h1))
+    solves = [_solve(*_werner_point(beta, p)) for beta, p in points]
     outcomes = [None] * len(solves)
-    while pending:
-        asks = []
-        for i, bt, g, lam in pending:
+    ids, rows = range(len(solves)), [None] * len(solves)  # unfinished points, the rows to send
+    while ids:
+        live, asks = [], []  # the points still unfinished, and the pass each asks for
+        for i, row in zip(ids, rows):
             try:
-                asks.append((i, bt, g, lam, _grid(bt, g * g or lam * lam, lam * lam)))
-            except QuadratureError as e:
-                outcomes[i] = e
-        pending = []
+                asks.append(solves[i].send(row))
+                live.append(i)
+            except (StopIteration, QuadratureError) as end:
+                outcomes[i] = end
+        ids, rows = live, []
         step = max(1, _NODE_BUDGET // (max((n for *_, (_, n) in asks), default=0) + 1))
         for k in range(0, len(asks), step):
-            ids, bts, gs, lams, grids = zip(*asks[k:k + step])
-            for i, g, lam, (log_i0, mA, mB, mx, j00, j01, _, j11, err) in zip(
-                    ids, gs, lams, _moments(bts, (gs, lams), _WERNER_MULT, grids)):
-                s = solves[i]
-                bt, h0, h1, wt_h, evals, at, d = s
-                r0, r1 = h0 - mA, h1 - mB
-                try:
-                    lin = g * h0 + 3.0 * lam * h1
-                    # Armijo's test; a face point needs a positive KKT sign
-                    if at is None or (log_i0 + lin - at[2] <= 1e-4 * d[3] * d[2] + at[3]
-                                      and (g > 0 or r0 > 0)):
-                        at = g, lam, log_i0 + lin, _EPS_F * (abs(log_i0) + lin)
-                        if (r0 * r0 if g else 0.0) + 3.0 * r1 * r1 <= (_EPS_F * wt_h) ** 2:
-                            _require_converged(log_i0, err)
-                            outcomes[i] = SaddleResult(g, lam, math.sqrt(r0 * r0 + 3.0 * r1 * r1),
-                                                       evals, mx)
-                            continue
-                        # dF/dmu and the Hessian [[a, b], [b, c]] in (gamma, mu = log lam)
-                        gm, c = 3.0 * lam * r1, 3.0 * lam * (r1 - j11)
-                        a, b = (-j00 / g, -j01) if g else (1.0, 0.0)
-                        det, d = a * c - b * b, None
-                        if c > 0 and det > 0:
-                            d0 = (b * gm - c * r0) / det if g else 0.0
-                            dm = (b * r0 - a * gm) / det
-                            if g and not g + d0 > 0:  # to the quadratic model's minimum on the face
-                                d0, dm = -g, (b * g - gm) / c
-                            d = d0, dm, r0 * d0 + gm * dm, 1.0
-                    else:
-                        d = d[0], d[1], d[2], 0.5 * d[3]  # backtrack
-                    if d is None or evals >= _MAX_EVALS:
-                        raise QuadratureError(f"saddle solve ended without a certificate after "
-                                              f"{evals} passes, the last at gamma={g!r}, lam={lam!r}")
-                except QuadratureError as e:
-                    outcomes[i] = e
-                    continue
-                s[4:] = evals + 1, at, d
-                pending.append((i, bt, at[0] + d[3] * d[0], at[1] * math.exp(d[3] * d[1])))
-    for out in outcomes:
-        if isinstance(out, QuadratureError):
-            raise out
-        yield out
+            bts, gs, lams, grids = zip(*asks[k:k + step])
+            rows += _moments(bts, (gs, lams), _WERNER_MULT, grids)
+    for end in outcomes:
+        if isinstance(end, QuadratureError):
+            raise end
+        yield end.value
 
 
 def equipartition_scan(p_grid, beta: float) -> EquipartitionScan:

@@ -441,7 +441,7 @@ def test_scaling_inside_region(tmp_path, capsys):
     assert abs(footer["slope"] + 1.0) < 0.05
     rows = [ln.split(",") for ln in lines[2:-1]]
     assert len(rows) == 5
-    assert all(r[2] == "1" for r in rows)
+    assert lines[1] == "beta,avg_energy" and all(len(r) == 2 for r in rows)
     energies = [float(r[1]) for r in rows]
     assert all(a > b for a, b in zip(energies, energies[1:]))
 
